@@ -1,8 +1,9 @@
-"""Stochastic Pauli noise: correlation decays as circuits get deeper.
+"""Depolarizing noise: correlation decays as circuits get deeper.
 
-Each trajectory inserts a uniformly random Pauli after a gate with the
-model's per-gate probability.  Deeper circuits accumulate more insertions,
-so recovery quality falls with the degree; noiseless runs are flat.
+Noise is the exact depolarizing channel on the window density matrix: after
+each gate, every qubit it touches keeps its state with probability 1 - p and
+takes a uniformly random Pauli otherwise.  Deeper circuits pass through more
+channels, so recovery quality falls with the degree; noiseless runs are flat.
 """
 from polyshot.bench import noise_config, noise_sweep
 

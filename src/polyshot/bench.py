@@ -17,11 +17,11 @@ import numpy as np
 
 from .circuit import Circuit, Gate
 from .compile import build_circuit, compile_poly, resources
-from .dense import NoiseModel, ShotOutcome, expect_z, run_statevector, sample_output
+from .dense import NoiseModel, draw_shots, expect_z, prob_one, run_statevector, sample_output
 from .estimate import Estimate, PASS_THRESHOLD, point_estimate, run_metrics, shot_scaling_fit
 from .poly import Polynomial, eval_poly, sup_norm
 from .rng import derive_seed, generator
-from .stream import run_window, sample_output_stream
+from .stream import run_window
 
 TABLE1_PAPER_SIM = {
     # degree: (rmse, corr, pass %) from the reference simulator column
@@ -136,16 +136,15 @@ def gen_random_poly(
 
 
 def _exact_z(circuit: Circuit, config: ExperimentConfig) -> float:
-    if config.simulator == "stream":
-        return run_window(circuit, config.window_cap)
-    return expect_z(run_statevector(circuit), circuit.measured_qubit)
+    """Exact <Z> of the measured qubit on the configured simulator, noise included.
 
-
-def _sample(circuit: Circuit, config: ExperimentConfig, seed: int) -> ShotOutcome:
+    A statevector cannot hold the mixed state the noise channel produces, so a
+    noisy circuit always takes the windowed density-matrix sweep.
+    """
     noise = config.noise
-    if config.simulator == "stream":
-        return sample_output_stream(circuit, config.shots, seed, noise, config.window_cap)
-    return sample_output(circuit, config.shots, seed, noise)
+    if config.simulator == "stream" or noise is not None:
+        return run_window(circuit, config.window_cap, noise)
+    return expect_z(run_statevector(circuit), circuit.measured_qubit)
 
 
 def _recovery_run(config: ExperimentConfig) -> RunReport:
@@ -175,19 +174,17 @@ def _recovery_run(config: ExperimentConfig) -> RunReport:
                         deg_resources = resources(circuit)
                     truth = eval_poly(poly, float(x))
                     seed = derive_seed(config.master_seed, degree, trial, point)
+                    z = _exact_z(circuit, config)
                     if config.shots == 0:  # infinite-shot surrogate
-                        z = _exact_z(circuit, config)
                         est = Estimate(program.rescale * z, 0.0, 0, program.rescale)
-                    elif config.noise is None:
-                        z = _exact_z(circuit, config)
-                        p1 = min(max(0.5 * (1.0 - z), 0.0), 1.0)
-                        n1 = int(generator(seed).binomial(config.shots, p1))
-                        est = point_estimate(ShotOutcome(config.shots - n1, n1), program.rescale)
-                        pred_errs.append(
-                            2.0 * program.rescale * np.sqrt(p1 * (1.0 - p1) / config.shots)
-                        )
                     else:
-                        est = point_estimate(_sample(circuit, config, seed), program.rescale)
+                        outcome = draw_shots(z, config.shots, seed)
+                        est = point_estimate(outcome, program.rescale)
+                        if config.noise is None:
+                            p1 = prob_one(z)
+                            pred_errs.append(
+                                2.0 * program.rescale * np.sqrt(p1 * (1.0 - p1) / config.shots)
+                            )
                 except Exception as exc:
                     raise RuntimeError(
                         f"degree={degree} trial={trial} point={point}: {exc}"
@@ -235,7 +232,8 @@ def stress_experiment(config: ExperimentConfig | None = None) -> RunReport:
 
 
 def noise_sweep(config: ExperimentConfig | None = None) -> RunReport:
-    """Degree sweep under trajectory noise; correlation vs degree is the product.
+    """Degree sweep under the exact depolarizing channel on the window density
+    matrix; correlation vs degree is the product.
 
     A trivial noise model (both rates zero) degenerates to the noiseless run
     bit for bit, same seeds included.
@@ -258,19 +256,18 @@ def shot_scaling_experiment(
     program = compile_poly(poly, order)
     xs = np.linspace(x_domain[0], x_domain[1], points)
     truths = np.array([eval_poly(poly, float(x)) for x in xs])
-    p1s = []
+    zs = []
     for x in xs:
         circuit = build_circuit(program, float(x))
-        z = expect_z(run_statevector(circuit), circuit.measured_qubit)
-        p1s.append(min(max(0.5 * (1.0 - z), 0.0), 1.0))
+        zs.append(expect_z(run_statevector(circuit), circuit.measured_qubit))
     rows = []
     for n_idx, shots in enumerate(shots_list):
         sq_errs = []
         for rep in range(repetitions):
-            for point, (p1, truth) in enumerate(zip(p1s, truths)):
+            for point, (z, truth) in enumerate(zip(zs, truths)):
                 seed = derive_seed(master_seed, degree, n_idx, rep, point)
-                n1 = int(generator(seed).binomial(shots, p1))
-                est = program.rescale * (shots - 2 * n1) / shots
+                outcome = draw_shots(z, shots, seed)
+                est = program.rescale * (outcome.n0 - outcome.n1) / shots
                 sq_errs.append((est - truth) ** 2)
         rows.append({"shots": shots, "rmse": float(np.sqrt(np.mean(sq_errs)))})
     slope = shot_scaling_fit([(r["shots"], r["rmse"]) for r in rows])

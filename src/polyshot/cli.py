@@ -24,7 +24,7 @@ from .compile import (
     resources,
     write_program,
 )
-from .dense import NoiseModel, sample_output
+from .dense import draw_shots
 from .estimate import point_estimate
 from .poly import (
     FitConfig,
@@ -37,7 +37,6 @@ from .poly import (
     sample_function,
     write_coeffs,
 )
-from .stream import sample_output_stream
 
 DEFAULT_SEED = 20250808
 
@@ -109,13 +108,10 @@ def cmd_evaluate(args) -> int:
     if abs(args.x) > 1.0:
         raise UsageError(f"--x {args.x} outside the encoding domain [-1, 1]")
     circuit = build_circuit(program, args.x)
-    noise = None
-    if args.noise_p2 > 0.0 or args.noise_p1 > 0.0:
-        noise = NoiseModel(args.noise_p1, args.noise_p2)
-    if args.sim == "stream":
-        outcome = sample_output_stream(circuit, args.shots, args.seed, noise)
-    else:
-        outcome = sample_output(circuit, args.shots, args.seed, noise)
+    config = bench.ExperimentConfig(
+        simulator=args.sim, noise_p1=args.noise_p1, noise_p2=args.noise_p2
+    )
+    outcome = draw_shots(bench._exact_z(circuit, config), args.shots, args.seed)
     est = point_estimate(outcome, program.rescale)
     truth = eval_poly(program.source, args.x)
     payload = {

@@ -1,5 +1,7 @@
-"""Dense statevector simulator: exact expectations, binomial shot sampling,
-and stochastic-Pauli trajectory noise.
+"""Dense statevector simulator: exact expectations and binomial shot sampling.
+
+A statevector holds only pure states, so it runs noiseless circuits; noise is
+the exact depolarizing channel on the window density matrix (see stream.py).
 
 R_y(t) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]
 R_z(t) = diag(exp(-it/2), exp(+it/2))
@@ -16,9 +18,6 @@ from .rng import generator
 DEFAULT_QUBIT_CAP = 26
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_PAULIS = (_X, _Y, _Z)
 
 
 class CapacityError(RuntimeError):
@@ -49,6 +48,24 @@ class ShotOutcome:
     @property
     def total(self) -> int:
         return self.n0 + self.n1
+
+
+def prob_one(z: float) -> float:
+    """Probability of measuring 1 on a qubit with <Z> = z, clamped into [0, 1]
+    against rounding."""
+    return min(max(0.5 * (1.0 - z), 0.0), 1.0)
+
+
+def draw_shots(z: float, shots: int, seed: int) -> ShotOutcome:
+    """`shots` measurements of a qubit whose exact <Z> is z.
+
+    The shots are independent, so the count of 1s is one binomial draw with
+    probability prob_one(z).
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    n1 = int(generator(seed).binomial(shots, prob_one(z)))
+    return ShotOutcome(shots - n1, n1)
 
 
 def _ry(theta: float) -> np.ndarray:
@@ -89,27 +106,14 @@ def _gate_matrix(g: Gate) -> np.ndarray:
     return _X
 
 
-def run_statevector(
-    circuit: Circuit,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
-    noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Apply all gates in order to |0...0>; returns the final amplitudes.
-
-    With a noise model, a uniformly random Pauli is inserted on each touched
-    qubit after each gate with the model's probability (one stochastic
-    trajectory; callers average over trajectories themselves).
-    """
+def run_statevector(circuit: Circuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+    """Apply all gates in order to |0...0>; returns the final amplitudes."""
     n = circuit.n_qubits
     if n > qubit_cap:
         raise CapacityError(
             f"{n} qubits exceeds the dense cap of {qubit_cap}; "
             "route this circuit to the windowed stream simulator"
         )
-    noisy = noise is not None and not noise.is_trivial
-    if noisy and rng is None:
-        raise ValueError("trajectory noise requires an rng")
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
     for g in circuit.gates:
@@ -117,12 +121,6 @@ def run_statevector(
             state = _apply_cx(state, g.qubits[0], g.qubits[1], n)
         else:
             state = _apply_1q(state, _gate_matrix(g), g.qubits[0], n)
-        if noisy:
-            p = noise.p2 if g.kind == "cx" else noise.p1
-            if p > 0.0:
-                for q in g.qubits:
-                    if rng.random() < p:
-                        state = _apply_1q(state, _PAULIS[rng.integers(3)], q, n)
     return state
 
 
@@ -137,34 +135,12 @@ def expect_z(state: np.ndarray, qubit: int) -> float:
 def output_probability(circuit: Circuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> float:
     """Probability of measuring 1 on the measured qubit (noiseless)."""
     state = run_statevector(circuit, qubit_cap)
-    return 0.5 * (1.0 - expect_z(state, circuit.measured_qubit))
+    return prob_one(expect_z(state, circuit.measured_qubit))
 
 
 def sample_output(
-    circuit: Circuit,
-    shots: int,
-    seed: int,
-    noise: NoiseModel | None = None,
-    qubit_cap: int = DEFAULT_QUBIT_CAP,
+    circuit: Circuit, shots: int, seed: int, qubit_cap: int = DEFAULT_QUBIT_CAP
 ) -> ShotOutcome:
-    """Measure the output qubit `shots` times.
-
-    Noiseless path: one exact marginal plus a single binomial draw, which is
-    statistically identical to per-shot simulation.  Noisy path: one
-    trajectory per shot, each sampling the output qubit once.
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    rng = generator(seed)
-    if noise is None or noise.is_trivial:
-        p1 = output_probability(circuit, qubit_cap)
-        n1 = int(rng.binomial(shots, min(max(p1, 0.0), 1.0)))
-        return ShotOutcome(shots - n1, n1)
-    n1 = 0
-    mq = circuit.measured_qubit
-    for _ in range(shots):
-        state = run_statevector(circuit, qubit_cap, noise, rng)
-        p1 = 0.5 * (1.0 - expect_z(state, mq))
-        if rng.random() < p1:
-            n1 += 1
-    return ShotOutcome(shots - n1, n1)
+    """Measure the output qubit `shots` times: the exact noiseless <Z>, then one draw."""
+    state = run_statevector(circuit, qubit_cap)
+    return draw_shots(expect_z(state, circuit.measured_qubit), shots, seed)

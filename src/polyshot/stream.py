@@ -9,6 +9,12 @@ forward-order compiler keeps w <= 3, which is what makes degree-35 programs
 The density matrix is stored as a tensor of shape [2]*w + [2]*w: the first w
 axes index rows (ket side), the last w columns (bra side), in the order the
 qubits were adjoined.
+
+Noise is the exact depolarizing channel on the window density matrix: after
+each gate every touched qubit q goes through
+rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z)
+   = (1 - 4p/3) rho + (4p/3) (I/2 (x) Tr_q rho)
+(Nielsen & Chuang, section 8.3), so one sweep gives the exact noisy <Z>.
 """
 from __future__ import annotations
 
@@ -17,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit
-from .dense import NoiseModel, ShotOutcome, _PAULIS, _gate_matrix
-from .rng import generator
+from .dense import NoiseModel, ShotOutcome, _gate_matrix, draw_shots
 
 DEFAULT_WINDOW_CAP = 8
 
@@ -111,6 +116,16 @@ class _Window:
         rho = np.tensordot(rho, u.conj(), axes=([w + i, w + j], [2, 3]))
         self.rho = np.moveaxis(rho, (2 * w - 2, 2 * w - 1), (w + i, w + j))
 
+    def depolarize(self, p: float, qubit: int) -> None:
+        """Depolarizing channel of strength p on one qubit (see the module docstring)."""
+        w = self.width
+        i = self.active.index(qubit)
+        reduced = np.trace(self.rho, axis1=i, axis2=w + i)
+        mixed = np.tensordot(reduced, np.eye(2) / 2.0, axes=0)
+        mixed = np.moveaxis(mixed, (2 * w - 2, 2 * w - 1), (i, w + i))
+        mix = 4.0 * p / 3.0
+        self.rho = (1.0 - mix) * self.rho + mix * mixed
+
     def z_expectation(self, qubit: int) -> float:
         w = self.width
         i = self.active.index(qubit)
@@ -150,15 +165,16 @@ def run_window(
     circuit: Circuit,
     window_cap: int = DEFAULT_WINDOW_CAP,
     noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
     check_invariants: bool = False,
 ) -> float:
-    """Exact <Z> of the measured qubit via a single windowed sweep."""
+    """Exact <Z> of the measured qubit via a single windowed sweep.
+
+    With a noise model, each gate is followed by the depolarizing channel on
+    every qubit it touches: strength p1 after a one-qubit gate, p2 after cx.
+    """
     sched = liveness(circuit)
     _check_cap(circuit, sched, window_cap)
     noisy = noise is not None and not noise.is_trivial
-    if noisy and rng is None:
-        raise ValueError("trajectory noise requires an rng")
     win = _Window(window_cap)
     end = len(circuit.gates)
     for i, g in enumerate(circuit.gates):
@@ -173,8 +189,7 @@ def run_window(
             p = noise.p2 if g.kind == "cx" else noise.p1
             if p > 0.0:
                 for q in g.qubits:
-                    if rng.random() < p:
-                        win.apply_1q(_PAULIS[rng.integers(3)], q)
+                    win.depolarize(p, q)
         if check_invariants:
             _check_window(win, i)
         for q in g.qubits:
@@ -207,106 +222,8 @@ def sample_output_stream(
 ) -> ShotOutcome:
     """Shot sampling through the windowed sweep; same contract as the dense sampler.
 
-    Noisy sampling runs one independent Pauli-insertion trajectory per shot.
-    Trajectories evolve pure window states: tracing a retired qubit out is
-    realized as measuring it and discarding the outcome, which leaves the
-    remaining qubits' statistics untouched because retired qubits never act
-    again.  All shots advance in one vectorized batch.
+    The sweep gives the exact <Z>, under the exact depolarizing channel on the
+    window density matrix when a noise model is given; one binomial draw then
+    samples all shots.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    rng = generator(seed)
-    if noise is None or noise.is_trivial:
-        z = run_window(circuit, window_cap)
-        p1 = min(max(0.5 * (1.0 - z), 0.0), 1.0)
-        n1 = int(rng.binomial(shots, p1))
-        return ShotOutcome(shots - n1, n1)
-    n1 = _trajectory_batch(circuit, shots, noise, rng, window_cap)
-    return ShotOutcome(shots - n1, n1)
-
-
-def _batch_apply_1q(state: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(state, mat, axes=([axis], [1]))
-    return np.moveaxis(out, -1, axis)
-
-
-def _batch_apply_cx(state: np.ndarray, c_axis: int, t_axis: int) -> np.ndarray:
-    st = state.copy()
-    hi = [slice(None)] * st.ndim
-    hi[c_axis] = 1
-    lo = list(hi)
-    hi[t_axis], lo[t_axis] = 1, 0
-    a = st[tuple(lo)].copy()
-    st[tuple(lo)] = st[tuple(hi)]
-    st[tuple(hi)] = a
-    return st
-
-
-def _batch_measure(state: np.ndarray, axis: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Projectively measure one window qubit in every trajectory; drop its axis."""
-    sum_axes = tuple(i for i in range(1, state.ndim) if i != axis)
-    probs = (np.abs(state) ** 2).sum(axis=sum_axes)  # (B, 2)
-    tot = probs.sum(axis=1)
-    p1 = np.where(tot > 0, probs[:, 1] / np.where(tot > 0, tot, 1.0), 0.0)
-    outcomes = (rng.random(p1.shape[0]) < p1).astype(np.int64)
-    picked = np.take_along_axis(
-        np.moveaxis(state, axis, 1),
-        outcomes.reshape((-1, 1) + (1,) * (state.ndim - 2)),
-        axis=1,
-    )[:, 0]
-    norms = np.sqrt((np.abs(picked) ** 2).sum(axis=tuple(range(1, picked.ndim))))
-    norms = np.where(norms > 0, norms, 1.0)
-    picked /= norms.reshape((-1,) + (1,) * (picked.ndim - 1))
-    return picked, outcomes
-
-
-def _trajectory_batch(
-    circuit: Circuit,
-    shots: int,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    window_cap: int,
-) -> int:
-    sched = liveness(circuit)
-    _check_cap(circuit, sched, window_cap)
-    state = np.ones((shots,), dtype=complex)
-    active: list[int] = []
-
-    def axis_of(q: int) -> int:
-        return 1 + active.index(q)
-
-    for i, g in enumerate(circuit.gates):
-        for q in g.qubits:
-            if sched.first_use[q] == i:
-                fresh = np.zeros(state.shape + (2,), dtype=complex)
-                fresh[..., 0] = state
-                state = fresh
-                active.append(q)
-        if g.kind == "cx":
-            state = _batch_apply_cx(state, axis_of(g.qubits[0]), axis_of(g.qubits[1]))
-        else:
-            state = _batch_apply_1q(state, _gate_matrix(g), axis_of(g.qubits[0]))
-        p = noise.p2 if g.kind == "cx" else noise.p1
-        if p > 0.0:
-            for q in g.qubits:
-                fired = rng.random(shots) < p
-                if not fired.any():
-                    continue
-                paulis = rng.integers(3, size=shots)
-                ax = axis_of(q)
-                for which in range(3):
-                    sel = np.nonzero(fired & (paulis == which))[0]
-                    if sel.size:
-                        state[sel] = _batch_apply_1q(state[sel], _PAULIS[which], ax)
-        for q in g.qubits:
-            if sched.last_use[q] == i:
-                state, _ = _batch_measure(state, axis_of(q), rng)
-                active.remove(q)
-    mq = circuit.measured_qubit
-    if mq not in active:
-        fresh = np.zeros(state.shape + (2,), dtype=complex)
-        fresh[..., 0] = state
-        state = fresh
-        active.append(mq)
-    _, outcomes = _batch_measure(state, axis_of(mq), rng)
-    return int(outcomes.sum())
+    return draw_shots(run_window(circuit, window_cap, noise), shots, seed)

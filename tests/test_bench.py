@@ -163,3 +163,32 @@ def test_summary_table_formats():
     table = summary_table(report)
     assert "deg" in table.splitlines()[0]
     assert len(table.splitlines()) == 1 + len(report.per_degree)
+
+
+def _noiseless_report_digests() -> dict:
+    """sha256 of the seeded noiseless table1 (dense), stress (stream) and shots reports."""
+    import hashlib
+
+    from polyshot.bench import _stable_json
+
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    table1 = table1_experiment(SMALL)
+    stress = stress_experiment(stress_config(degrees=(1, 10, 20), points_per_trial=3, trials=2))
+    shots = shot_scaling_experiment(repetitions=3, points=5)
+    return {
+        "table1_json": digest(report_json(table1, include_timings=False)),
+        "table1_csv": digest(records_csv(table1)),
+        "stress_json": digest(report_json(stress, include_timings=False)),
+        "stress_csv": digest(records_csv(stress)),
+        "shots_json": digest(_stable_json(shots)),
+    }
+
+
+def test_noiseless_reports_match_golden_digests():
+    import json
+    from pathlib import Path
+
+    golden = Path(__file__).parent / "goldens" / "noiseless_report_digests.json"
+    assert _noiseless_report_digests() == json.loads(golden.read_text())

@@ -133,6 +133,35 @@ def test_evaluate_stream_matches_dense_bitwise(tmp_path, capsys):
     assert capsys.readouterr().out == dense_out
 
 
+def test_evaluate_noisy_runs_one_channel_sweep_on_either_sim(tmp_path, capsys):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text('{"coeffs": [0.2, 0.0, 0.4, -0.1]}\n')
+    prog = tmp_path / "prog.json"
+    run_cli("compile", "--coeffs", str(coeffs), "--out", str(prog))
+    capsys.readouterr()
+    base = ("evaluate", "--program", str(prog), "--x", "-0.3", "--shots", "2048",
+            "--seed", "777", "--noise-p1", "0.01", "--noise-p2", "0.05")
+    assert run_cli(*base, "--sim", "dense") == 0
+    dense_out = capsys.readouterr().out
+    assert run_cli(*base, "--sim", "stream") == 0
+    assert capsys.readouterr().out == dense_out
+    json.loads(dense_out)
+
+
+def test_evaluate_noisy_backward_above_window_cap_names_forward(tmp_path, capsys):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text('{"coeffs": [0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1]}\n')
+    prog = tmp_path / "prog.json"
+    run_cli("compile", "--coeffs", str(coeffs), "--order", "backward", "--out", str(prog))
+    capsys.readouterr()
+    code = run_cli("evaluate", "--program", str(prog), "--x", "0.2",
+                   "--noise-p1", "0.01", "--sim", "dense")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "forward" in err
+    assert "Traceback" not in err
+
+
 def test_export_qasm_byte_stable(tmp_path):
     coeffs = tmp_path / "c.json"
     coeffs.write_text('{"coeffs": [0.1, 0.2, 0.3]}\n')

@@ -10,11 +10,13 @@ from polyshot.dense import (
     NoiseModel,
     expect_z,
     output_probability,
+    prob_one,
     run_statevector,
     sample_output,
 )
 from polyshot.poly import Polynomial, eval_poly
 from polyshot.rng import derive_seed, generator
+from polyshot.stream import run_window, sample_output_stream
 
 HALF_PI = math.pi / 2
 
@@ -195,25 +197,18 @@ def test_noise_model_validation():
         NoiseModel(p2=1.5)
 
 
-def test_noisy_sampling_is_seed_deterministic():
-    poly = Polynomial((0.2, 0.5))
-    circuit = build_circuit(compile_poly(poly, "backward"), 0.3)
-    noise = NoiseModel(p1=0.01, p2=0.05)
-    a = sample_output(circuit, 64, seed=42, noise=noise)
-    b = sample_output(circuit, 64, seed=42, noise=noise)
-    assert (a.n0, a.n1) == (b.n0, b.n1)
-
-
 def test_full_depolarizing_scrambles_to_half():
-    # p = 1 inserts a random Pauli after every gate; outcome rates approach 1/2
+    # one Ry on the measured qubit, so the channel acts once: p = 3/4 sends the
+    # qubit to I/2, and p = 1 maps its Bloch vector r to -r/3
     circuit = build_circuit(compile_poly(Polynomial((0.0, 0.9)), "backward"), 0.9)
-    noise = NoiseModel(p1=1.0, p2=1.0)
-    outcome = sample_output(circuit, 600, seed=11, noise=noise)
-    assert abs(outcome.n1 / 600 - 0.5) < 0.15
-
-
-def test_trajectory_noise_zero_prob_matches_noiseless_bitwise():
-    circuit = build_circuit(compile_poly(Polynomial((0.1, 0.4, -0.2)), "backward"), -0.2)
-    clean = sample_output(circuit, 256, seed=77)
-    trivial = sample_output(circuit, 256, seed=77, noise=NoiseModel(0.0, 0.0))
-    assert (clean.n0, clean.n1) == (trivial.n0, trivial.n1)
+    assert len(circuit.gates) == 1
+    z_ideal = run_window(circuit)
+    half = run_window(circuit, noise=NoiseModel(p1=0.75, p2=0.75))
+    assert abs(prob_one(half) - 0.5) < 1e-12
+    full = NoiseModel(p1=1.0, p2=1.0)
+    z_full = run_window(circuit, noise=full)
+    assert abs(z_full + z_ideal / 3.0) < 1e-12
+    shots = 600
+    p1 = prob_one(z_full)
+    outcome = sample_output_stream(circuit, shots, seed=11, noise=full)
+    assert abs(outcome.n1 - shots * p1) < 5 * math.sqrt(shots * p1 * (1 - p1))

@@ -63,8 +63,9 @@ def test_window_matches_dense_both_orders():
 
 def test_window_invariant_checks_pass():
     circuit = build_circuit(dense_program(5, "forward"), 0.6)
-    z = run_window(circuit, check_invariants=True)
-    assert -1.0 <= z <= 1.0
+    for noise in (None, NoiseModel(p1=0.05, p2=0.1)):
+        z = run_window(circuit, noise=noise, check_invariants=True)
+        assert -1.0 <= z <= 1.0
 
 
 def test_degree_35_forward_horner_oracle():
@@ -128,15 +129,63 @@ def test_noisy_trajectories_unbiased_at_zero_noise_rate():
     assert (trivial.n0, trivial.n1) == (clean.n0, clean.n1)
 
 
-def test_noisy_trajectory_statistics_match_dense_trajectories():
-    # same physical model on both simulators: rates should agree within noise
-    program = dense_program(2, "backward", seed=12)
-    circuit = build_circuit(program, 0.2)
+# Independent reference for the noise channel: the full 2^n x 2^n density
+# matrix, each gate as a full unitary, then the Kraus form
+# rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z) on every touched qubit.
+_PAULIS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def _embed(mat, q, n):
+    out = np.eye(1, dtype=complex)
+    for k in range(n):
+        out = np.kron(out, mat if k == q else np.eye(2))
+    return out
+
+
+def _full_unitary(g, n):
+    if g.kind == "cx":
+        c, t = g.qubits
+        zero, one = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        return _embed(zero, c, n) + _embed(one, c, n) @ _embed(_PAULIS[0], t, n)
+    if g.kind == "ry":
+        c, s = math.cos(g.angle / 2), math.sin(g.angle / 2)
+        mat = np.array([[c, -s], [s, c]])
+    elif g.kind == "rz":
+        mat = np.diag([np.exp(-0.5j * g.angle), np.exp(0.5j * g.angle)])
+    else:
+        mat = _PAULIS[0]
+    return _embed(mat, g.qubits[0], n)
+
+
+def _kraus_reference_z(circuit, noise):
+    n = circuit.n_qubits
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    for g in circuit.gates:
+        u = _full_unitary(g, n)
+        rho = u @ rho @ u.conj().T
+        p = noise.p2 if g.kind == "cx" else noise.p1
+        for q in g.qubits:
+            kicked = sum(P @ rho @ P for P in (_embed(s, q, n) for s in _PAULIS))
+            rho = (1 - p) * rho + (p / 3) * kicked
+    return float(np.real(np.trace(_embed(_PAULIS[2], circuit.measured_qubit, n) @ rho)))
+
+
+def test_noisy_window_matches_kraus_reference():
     noise = NoiseModel(p1=0.05, p2=0.1)
-    shots = 3000
-    dense_rate = sample_output(circuit, shots, seed=101, noise=noise).n1 / shots
-    stream_rate = sample_output_stream(circuit, shots, seed=202, noise=noise).n1 / shots
-    assert abs(dense_rate - stream_rate) < 5 * math.sqrt(0.25 / shots) * 2
+    for order in ("backward", "forward"):
+        for d in range(1, 6):
+            program = dense_program(d, order, seed=40 + d)
+            for x in (-0.7, 0.1, 0.55):
+                circuit = build_circuit(program, x)
+                want = _kraus_reference_z(circuit, noise)
+                assert abs(run_window(circuit, noise=noise) - want) < 1e-12
+                # the reference is not trivially the noiseless value
+                assert abs(run_window(circuit) - want) > 1e-3
 
 
 def test_heavy_noise_runtime_smoke():
