@@ -11,9 +11,11 @@ from polyshot import (
     build_circuit,
     compile_poly,
     derive_seed,
+    draw_shots,
     eval_poly,
+    expect_z,
     point_estimate,
-    sample_output,
+    run_statevector,
     shot_scaling_fit,
 )
 
@@ -22,11 +24,12 @@ program = compile_poly(poly, "backward")
 x = 0.45
 truth = eval_poly(poly, x)
 circuit = build_circuit(program, x)
+z = expect_z(run_statevector(circuit), circuit.measured_qubit)
 
 print(f"truth P({x}) = {truth:+.6f}, rescale C = {program.rescale:.4f}\n")
 print("shots     estimate    stderr     |error|")
 for shots in (64, 256, 1024, 4096, 16384):
-    outcome = sample_output(circuit, shots, seed=derive_seed(7, shots))
+    outcome = draw_shots(z, shots, seed=derive_seed(7, shots))
     est = point_estimate(outcome, program.rescale)
     print(
         f"{shots:>6}  {est.value:+.6f}  {est.stderr:.6f}   {abs(est.value - truth):.6f}"
@@ -37,7 +40,7 @@ samples = []
 for shots in ladder:
     errs = []
     for rep in range(40):
-        outcome = sample_output(circuit, shots, seed=derive_seed(11, shots, rep))
+        outcome = draw_shots(z, shots, seed=derive_seed(11, shots, rep))
         est = point_estimate(outcome, program.rescale)
         errs.append((est.value - truth) ** 2)
     samples.append((shots, float(np.sqrt(np.mean(errs)))))

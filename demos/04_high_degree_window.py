@@ -13,10 +13,10 @@ from polyshot import (
     Polynomial,
     build_circuit,
     compile_poly,
+    draw_shots,
     eval_poly,
     liveness,
     run_window,
-    sample_output_stream,
 )
 
 rng = np.random.default_rng(35)
@@ -36,7 +36,7 @@ print(f"\nexact C*<Z> = {program.rescale * z:+.10f}   ({elapsed * 1000:.1f} ms)"
 print(f"Horner truth = {eval_poly(poly, x):+.10f}")
 print(f"difference   = {abs(program.rescale * z - eval_poly(poly, x)):.2e}")
 
-outcome = sample_output_stream(circuit, 1024, seed=123)
+outcome = draw_shots(z, 1024, seed=123)
 estimate = program.rescale * (outcome.n0 - outcome.n1) / 1024
 print(f"\n1024-shot estimate = {estimate:+.6f} "
       f"(shot noise ~ {program.rescale / 32:.4f})")

@@ -15,13 +15,7 @@ from .compile import (
     resources,
     write_program,
 )
-from .dense import (
-    NoiseModel,
-    ShotOutcome,
-    expect_z,
-    run_statevector,
-    sample_output,
-)
+from .dense import NoiseModel, ShotOutcome, draw_shots, expect_z, run_statevector
 from .estimate import Estimate, Metrics, point_estimate, run_metrics, shot_scaling_fit
 from .poly import (
     FitConfig,
@@ -38,12 +32,7 @@ from .poly import (
     write_samples,
 )
 from .rng import derive_seed, generator
-from .stream import (
-    RetirementSchedule,
-    liveness,
-    run_window,
-    sample_output_stream,
-)
+from .stream import RetirementSchedule, liveness, run_window
 
 __version__ = "0.1.0"
 
@@ -68,6 +57,7 @@ __all__ = [
     "compute_weights",
     "depth",
     "derive_seed",
+    "draw_shots",
     "eval_poly",
     "expect_z",
     "fit",
@@ -82,8 +72,6 @@ __all__ = [
     "run_metrics",
     "run_statevector",
     "run_window",
-    "sample_output",
-    "sample_output_stream",
     "shot_scaling_fit",
     "sup_norm",
     "to_qasm",

@@ -17,11 +17,11 @@ import numpy as np
 
 from .circuit import Circuit, Gate
 from .compile import build_circuit, compile_poly, resources
-from .dense import NoiseModel, draw_shots, expect_z, prob_one, run_statevector, sample_output
+from .dense import NoiseModel, draw_shots, expect_z, prob_one, run_statevector
 from .estimate import Estimate, PASS_THRESHOLD, point_estimate, run_metrics, shot_scaling_fit
 from .poly import Polynomial, eval_poly, sup_norm
 from .rng import derive_seed, generator
-from .stream import run_window
+from .stream import DEFAULT_WINDOW_CAP, run_window
 
 TABLE1_PAPER_SIM = {
     # degree: (rmse, corr, pass %) from the reference simulator column
@@ -48,7 +48,7 @@ class ExperimentConfig:
     order: str = "backward"
     noise_p1: float = 0.0
     noise_p2: float = 0.0
-    window_cap: int = 8
+    window_cap: int = DEFAULT_WINDOW_CAP
     pass_threshold: float = PASS_THRESHOLD
 
     def __post_init__(self):
@@ -266,9 +266,8 @@ def shot_scaling_experiment(
         for rep in range(repetitions):
             for point, (z, truth) in enumerate(zip(zs, truths)):
                 seed = derive_seed(master_seed, degree, n_idx, rep, point)
-                outcome = draw_shots(z, shots, seed)
-                est = program.rescale * (outcome.n0 - outcome.n1) / shots
-                sq_errs.append((est - truth) ** 2)
+                est = point_estimate(draw_shots(z, shots, seed), program.rescale)
+                sq_errs.append((est.value - truth) ** 2)
         rows.append({"shots": shots, "rmse": float(np.sqrt(np.mean(sq_errs)))})
     slope = shot_scaling_fit([(r["shots"], r["rmse"]) for r in rows])
     return {
@@ -289,7 +288,7 @@ def direct_baseline_eval(poly: Polynomial, x: float, shots: int, seed: int) -> E
         raise ValueError(f"normalized value {y} outside the encoding range")
     y = min(max(y, -1.0), 1.0)
     circuit = Circuit(1, (Gate.ry(0, float(np.arccos(y))),), 0)
-    outcome = sample_output(circuit, shots, seed)
+    outcome = draw_shots(expect_z(run_statevector(circuit), 0), shots, seed)
     return point_estimate(outcome, c_direct)
 
 
@@ -332,41 +331,11 @@ def _stable_json(value) -> str:
     return "".join(out)
 
 
-def _config_dict(config: ExperimentConfig) -> dict:
-    return {
-        "degrees": list(config.degrees),
-        "points_per_trial": config.points_per_trial,
-        "x_domain": list(config.x_domain),
-        "trials": config.trials,
-        "shots": config.shots,
-        "master_seed": config.master_seed,
-        "coeff_bound": config.coeff_bound,
-        "sup_rescale_target": config.sup_rescale_target,
-        "simulator": config.simulator,
-        "order": config.order,
-        "noise_p1": config.noise_p1,
-        "noise_p2": config.noise_p2,
-        "window_cap": config.window_cap,
-        "pass_threshold": config.pass_threshold,
-    }
-
-
 def report_json(report: RunReport, include_timings: bool = True) -> str:
     payload = {
-        "config": _config_dict(report.config),
+        "config": vars(report.config),
         "per_degree": report.per_degree,
-        "records": [
-            {
-                "degree": r.degree,
-                "trial": r.trial,
-                "point_index": r.point_index,
-                "x": r.x,
-                "truth": r.truth,
-                "estimate": r.estimate,
-                "stderr": r.stderr,
-            }
-            for r in report.records
-        ],
+        "records": [vars(r) for r in report.records],
     }
     if include_timings:
         payload["timings_ms"] = report.timings_ms

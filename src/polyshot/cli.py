@@ -171,12 +171,34 @@ def _apply_overrides(config: bench.ExperimentConfig, overrides: dict) -> bench.E
     for key, value in overrides.items():
         if not hasattr(config, key):
             raise UsageError(f"unknown config key {key!r}")
-        if key in ("degrees",):
-            value = tuple(int(v) for v in value)
-        elif key in ("x_domain",):
-            value = (float(value[0]), float(value[1]))
-        known[key] = value
+        known[key] = _config_value(key, value, getattr(config, key))
     return replace(config, **known)
+
+
+def _is_a(value, kind: type) -> bool:
+    """JSON type check: an int counts as a float, a bool as neither."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _config_value(key: str, value, default):
+    """A config file value checked against the type of the field's default;
+    tuple fields come as JSON lists, x_domain as a list of two."""
+    if isinstance(default, tuple):
+        kind = type(default[0])
+        if (
+            not isinstance(value, list)
+            or (key == "x_domain" and len(value) != 2)
+            or not all(_is_a(v, kind) for v in value)
+        ):
+            raise UsageError(
+                f"config key {key!r} must be a list of {kind.__name__}, got {value!r}"
+            )
+        return tuple(kind(v) for v in value)
+    if not _is_a(value, type(default)):
+        raise UsageError(f"config key {key!r} must be {type(default).__name__}, got {value!r}")
+    return value
 
 
 def cmd_export_qasm(args) -> int:

@@ -131,11 +131,11 @@ def compute_weights(np_poly: NormalizedPolynomial, order: str) -> WeightSchedule
     return WeightSchedule(order, tuple(weights), tuple(angles), signs, skips, seed)
 
 
-def compile_poly(poly: Polynomial, order: str = "backward", epsilon: float = 0.0) -> CompiledProgram:
+def compile_poly(poly: Polynomial, order: str = "backward") -> CompiledProgram:
     """Normalize and compile in one step."""
     from .poly import normalize
 
-    np_poly = normalize(poly, epsilon)
+    np_poly = normalize(poly)
     schedule = compute_weights(np_poly, order)
     return CompiledProgram(schedule, np_poly.scale, poly)
 
@@ -255,18 +255,26 @@ def write_program(program: CompiledProgram, path: str | Path) -> None:
 
 
 def read_program(path: str | Path) -> CompiledProgram:
+    """Load a program file.  The file's "angles" list is not read: the angles
+    are derived from the weights, so the two cannot disagree."""
     data = json.loads(Path(path).read_text())
-    for key in ("order", "C", "degree", "weights", "angles", "signs", "skips"):
+    for key in ("order", "C", "degree", "weights", "signs", "skips"):
         if key not in data:
             raise CompileError(f"{path}: missing key {key!r}")
     order = data["order"]
     if order not in ORDERS:
         raise CompileError(f"{path}: bad order {order!r}")
     d = int(data["degree"])
+    if d < 0:
+        raise CompileError(f"{path}: degree must be >= 0")
+    for key in ("weights", "signs", "skips"):
+        if not isinstance(data[key], list) or len(data[key]) != d + 1:
+            raise CompileError(f"{path}: {key} must hold degree + 1 = {d + 1} entries")
     weights = tuple(float(w) for w in data["weights"])
+    angles = tuple(angle_of_weight(w) for w in weights)
+    if any(s not in (1, -1) for s in data["signs"]):
+        raise CompileError(f"{path}: every sign must be 1 or -1, got {data['signs']}")
     skips = tuple(bool(s) for s in data["skips"])
-    if len(weights) != d + 1:
-        raise CompileError(f"{path}: weight count does not match degree")
     if order == "backward":
         live = [k for k in range(d + 1) if not skips[k]]
         if not live:
@@ -275,12 +283,7 @@ def read_program(path: str | Path) -> CompiledProgram:
     else:
         seed = 0
     sched = WeightSchedule(
-        order,
-        weights,
-        tuple(float(a) for a in data["angles"]),
-        tuple(int(s) for s in data["signs"]),
-        skips,
-        seed,
+        order, weights, angles, tuple(int(s) for s in data["signs"]), skips, seed
     )
     program = CompiledProgram(sched, float(data["C"]), Polynomial((0.0,)))
     # recover source coefficients from the schedule itself

@@ -1,4 +1,4 @@
-"""Dense statevector simulator: exact expectations and binomial shot sampling.
+"""Dense statevector simulator: exact expectations and the binomial shot draw.
 
 A statevector holds only pure states, so it runs noiseless circuits; noise is
 the exact depolarizing channel on the window density matrix (see stream.py).
@@ -79,23 +79,21 @@ def _rz(theta: float) -> np.ndarray:
     )
 
 
-def _apply_1q(state: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    st = state.reshape([2] * n)
-    st = np.moveaxis(st, q, -1)
-    st = st @ mat.T
-    return np.moveaxis(st, -1, q).reshape(-1)
+def _apply_1q(tensor: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
+    """A one-qubit gate on one axis of a tensor with one axis per qubit."""
+    return np.moveaxis(np.moveaxis(tensor, axis, -1) @ mat.T, -1, axis)
 
 
-def _apply_cx(state: np.ndarray, c: int, t: int, n: int) -> np.ndarray:
-    st = state.reshape([2] * n).copy()
-    hi = [slice(None)] * n
-    hi[c] = 1
+def _apply_cx(tensor: np.ndarray, c_axis: int, t_axis: int) -> np.ndarray:
+    """CX in place on a tensor with one axis per qubit: where the control is 1,
+    swap the target's two slices."""
+    hi = [slice(None)] * tensor.ndim
+    hi[c_axis] = 1
     lo = list(hi)
-    hi[t], lo[t] = 1, 0
-    a = st[tuple(lo)].copy()
-    st[tuple(lo)] = st[tuple(hi)]
-    st[tuple(hi)] = a
-    return st.reshape(-1)
+    hi[t_axis], lo[t_axis] = 1, 0
+    hi, lo = tuple(hi), tuple(lo)
+    tensor[lo], tensor[hi] = tensor[hi], tensor[lo].copy()
+    return tensor
 
 
 def _gate_matrix(g: Gate) -> np.ndarray:
@@ -106,22 +104,22 @@ def _gate_matrix(g: Gate) -> np.ndarray:
     return _X
 
 
-def run_statevector(circuit: Circuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> np.ndarray:
+def run_statevector(circuit: Circuit) -> np.ndarray:
     """Apply all gates in order to |0...0>; returns the final amplitudes."""
     n = circuit.n_qubits
-    if n > qubit_cap:
+    if n > DEFAULT_QUBIT_CAP:
         raise CapacityError(
-            f"{n} qubits exceeds the dense cap of {qubit_cap}; "
+            f"{n} qubits exceeds the dense cap of {DEFAULT_QUBIT_CAP}; "
             "route this circuit to the windowed stream simulator"
         )
-    state = np.zeros(2**n, dtype=complex)
-    state[0] = 1.0
+    state = np.zeros([2] * n, dtype=complex)
+    state[(0,) * n] = 1.0
     for g in circuit.gates:
         if g.kind == "cx":
-            state = _apply_cx(state, g.qubits[0], g.qubits[1], n)
+            state = _apply_cx(state, g.qubits[0], g.qubits[1])
         else:
-            state = _apply_1q(state, _gate_matrix(g), g.qubits[0], n)
-    return state
+            state = _apply_1q(state, _gate_matrix(g), g.qubits[0])
+    return state.reshape(-1)
 
 
 def expect_z(state: np.ndarray, qubit: int) -> float:
@@ -130,17 +128,3 @@ def expect_z(state: np.ndarray, qubit: int) -> float:
     probs = np.abs(state.reshape([2] * n)) ** 2
     marg = probs.sum(axis=tuple(i for i in range(n) if i != qubit))
     return float(marg[0] - marg[1])
-
-
-def output_probability(circuit: Circuit, qubit_cap: int = DEFAULT_QUBIT_CAP) -> float:
-    """Probability of measuring 1 on the measured qubit (noiseless)."""
-    state = run_statevector(circuit, qubit_cap)
-    return prob_one(expect_z(state, circuit.measured_qubit))
-
-
-def sample_output(
-    circuit: Circuit, shots: int, seed: int, qubit_cap: int = DEFAULT_QUBIT_CAP
-) -> ShotOutcome:
-    """Measure the output qubit `shots` times: the exact noiseless <Z>, then one draw."""
-    state = run_statevector(circuit, qubit_cap)
-    return draw_shots(expect_z(state, circuit.measured_qubit), shots, seed)

@@ -179,22 +179,18 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     return max(fc, fd)
 
 
-def normalize(poly: Polynomial, epsilon: float = 0.0) -> NormalizedPolynomial:
-    """Scale coefficients so their absolute values sum to one.
+def normalize(poly: Polynomial) -> NormalizedPolynomial:
+    """Scale coefficients so their absolute values sum to one: scale = sum|a_k|.
 
-    scale = (1 + epsilon) * sum|a_k|; epsilon is a relative safety margin and
-    defaults to zero.  Raises on the all-zero polynomial, which callers must
-    short-circuit to a constant-zero estimate.
+    Raises on the all-zero polynomial, which callers must short-circuit to a
+    constant-zero estimate.
     """
-    if epsilon < 0:
-        raise NormalizationError("epsilon must be >= 0")
     a = np.asarray(poly.coeffs, dtype=float)
     l1 = float(np.sum(np.abs(a)))
     if l1 == 0.0:
         raise NormalizationError("all-zero polynomial cannot be normalized")
-    scale = l1 + epsilon * l1
-    tilde = a / scale
-    return NormalizedPolynomial(tuple(float(t) for t in tilde), scale, sup_norm(poly))
+    tilde = a / l1
+    return NormalizedPolynomial(tuple(float(t) for t in tilde), l1, sup_norm(poly))
 
 
 def sample_function(fn, config: FitConfig) -> list[tuple[float, float]]:
@@ -231,7 +227,13 @@ def read_samples(path: str | Path) -> list[tuple[float, float]]:
         for row in reader:
             if not row:
                 continue
-            out.append((float(row[0]), float(row[1])))
+            try:
+                x, y = (float(v) for v in row)
+            except ValueError:
+                raise PolyError(
+                    f"{path}: line {reader.line_num}: expected two numbers x,y, got {row}"
+                ) from None
+            out.append((x, y))
     return out
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit
-from .dense import NoiseModel, ShotOutcome, _gate_matrix, draw_shots
+from .dense import NoiseModel, _apply_cx, _gate_matrix
 
 DEFAULT_WINDOW_CAP = 8
 
@@ -85,8 +85,13 @@ class _Window:
     def width(self) -> int:
         return len(self.active)
 
-    def adjoin(self, qubit: int) -> None:
+    def adjoin(self, qubit: int, gate_index: int) -> None:
         w = self.width
+        if w >= self.cap:
+            raise WindowOverflowError(
+                f"window grows to {w + 1} qubits at gate {gate_index} (cap {self.cap}); "
+                "forward aggregation order keeps the window small"
+            )
         rho = np.tensordot(self.rho, _ZERO_RHO, axes=0)
         # shape [rows w][cols w][2][2] -> [rows w+1][cols w+1]
         self.rho = np.moveaxis(rho, 2 * w, w)
@@ -109,12 +114,8 @@ class _Window:
     def apply_cx(self, control: int, target: int) -> None:
         w = self.width
         i, j = self.active.index(control), self.active.index(target)
-        u = np.zeros((2, 2, 2, 2), dtype=complex)  # [c' t' c t]
-        u[0, 0, 0, 0] = u[0, 1, 0, 1] = u[1, 1, 1, 0] = u[1, 0, 1, 1] = 1.0
-        rho = np.tensordot(u, self.rho, axes=([2, 3], [i, j]))
-        rho = np.moveaxis(rho, (0, 1), (i, j))
-        rho = np.tensordot(rho, u.conj(), axes=([w + i, w + j], [2, 3]))
-        self.rho = np.moveaxis(rho, (2 * w - 2, 2 * w - 1), (w + i, w + j))
+        # a permutation: the same swap on the row and on the column axes
+        self.rho = _apply_cx(_apply_cx(self.rho, i, j), w + i, w + j)
 
     def depolarize(self, p: float, qubit: int) -> None:
         """Depolarizing channel of strength p on one qubit (see the module docstring)."""
@@ -139,28 +140,6 @@ class _Window:
         return float(np.real(reduced[0, 0] - reduced[1, 1]))
 
 
-def _check_cap(circuit: Circuit, sched: RetirementSchedule, cap: int) -> None:
-    if sched.peak_window <= cap:
-        return
-    live: set[int] = set()
-    for i, g in enumerate(circuit.gates):
-        for q in g.qubits:
-            if sched.first_use[q] == i:
-                live.add(q)
-        if len(live) > cap:
-            raise WindowOverflowError(
-                f"window grows to {len(live)} qubits at gate {i} (cap {cap}); "
-                "forward aggregation order keeps the window small"
-            )
-        for q in g.qubits:
-            if sched.last_use[q] == i:
-                live.discard(q)
-    raise WindowOverflowError(
-        f"peak window {sched.peak_window} exceeds cap {cap}; "
-        "forward aggregation order keeps the window small"
-    )
-
-
 def run_window(
     circuit: Circuit,
     window_cap: int = DEFAULT_WINDOW_CAP,
@@ -173,14 +152,13 @@ def run_window(
     every qubit it touches: strength p1 after a one-qubit gate, p2 after cx.
     """
     sched = liveness(circuit)
-    _check_cap(circuit, sched, window_cap)
     noisy = noise is not None and not noise.is_trivial
     win = _Window(window_cap)
     end = len(circuit.gates)
     for i, g in enumerate(circuit.gates):
         for q in g.qubits:
             if sched.first_use[q] == i:
-                win.adjoin(q)
+                win.adjoin(q, i)
         if g.kind == "cx":
             win.apply_cx(g.qubits[0], g.qubits[1])
         else:
@@ -197,7 +175,7 @@ def run_window(
                 win.retire(q)
     mq = circuit.measured_qubit
     if mq not in win.active:  # no gate ever touched it
-        win.adjoin(mq)
+        win.adjoin(mq, end)
     return win.z_expectation(mq)
 
 
@@ -211,19 +189,3 @@ def _check_window(win: _Window, gate_index: int) -> None:
         raise AssertionError(f"hermiticity lost after gate {gate_index}")
     if np.linalg.eigvalsh(mat).min() < -1e-8:
         raise AssertionError(f"negative eigenvalue after gate {gate_index}")
-
-
-def sample_output_stream(
-    circuit: Circuit,
-    shots: int,
-    seed: int,
-    noise: NoiseModel | None = None,
-    window_cap: int = DEFAULT_WINDOW_CAP,
-) -> ShotOutcome:
-    """Shot sampling through the windowed sweep; same contract as the dense sampler.
-
-    The sweep gives the exact <Z>, under the exact depolarizing channel on the
-    window density matrix when a noise model is given; one binomial draw then
-    samples all shots.
-    """
-    return draw_shots(run_window(circuit, window_cap, noise), shots, seed)

@@ -134,7 +134,7 @@ def test_direct_baseline_exact_cases():
 
 def test_direct_vs_native_consistency():
     from polyshot.compile import build_circuit, compile_poly
-    from polyshot.dense import sample_output
+    from polyshot.dense import draw_shots, expect_z, run_statevector
     from polyshot.estimate import point_estimate
 
     poly = gen_random_poly(3, derive_seed(9, 3), 0.5, 0.5)
@@ -142,7 +142,8 @@ def test_direct_vs_native_consistency():
     direct = direct_baseline_eval(poly, x, 8192, seed=derive_seed(9, 1))
     program = compile_poly(poly, "backward")
     circuit = build_circuit(program, x)
-    native = point_estimate(sample_output(circuit, 8192, derive_seed(9, 2)), program.rescale)
+    z = expect_z(run_statevector(circuit), circuit.measured_qubit)
+    native = point_estimate(draw_shots(z, 8192, derive_seed(9, 2)), program.rescale)
     tol = 5 * (direct.stderr + native.stderr)
     assert abs(direct.value - native.value) < tol
     truth = eval_poly(poly, x)

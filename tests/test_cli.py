@@ -39,6 +39,16 @@ def test_fit_samples_linear(tmp_path):
     assert poly.coeffs[1] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_fit_samples_rejects_short_row(tmp_path, capsys):
+    xy = tmp_path / "xy.csv"
+    xy.write_text("x,y\n0.1,0.2\n0.3\n")
+    code = run_cli("fit", "--samples", str(xy), "--degree", "1", "--out", str(tmp_path / "o.json"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "line 3" in err
+    assert "Traceback" not in err
+
+
 def test_fit_poly_target(tmp_path):
     out = tmp_path / "p.json"
     assert run_cli(
@@ -162,6 +172,37 @@ def test_evaluate_noisy_backward_above_window_cap_names_forward(tmp_path, capsys
     assert "Traceback" not in err
 
 
+def test_evaluate_ignores_angles_that_disagree_with_weights(tmp_path, capsys):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text('{"coeffs": [0.1, 0.2, 0.3, -0.4]}\n')
+    prog = tmp_path / "prog.json"
+    run_cli("compile", "--coeffs", str(coeffs), "--order", "forward", "--out", str(prog))
+    args = ("evaluate", "--program", str(prog), "--x", "0.3", "--seed", "5")
+    capsys.readouterr()
+    assert run_cli(*args) == 0
+    want = capsys.readouterr().out
+    data = json.loads(prog.read_text())
+    data["angles"] = data["angles"][:1]
+    prog.write_text(json.dumps(data))
+    assert run_cli(*args) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_evaluate_rejects_bad_sign_without_traceback(tmp_path, capsys):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text('{"coeffs": [0.1, 0.2, 0.3, -0.4]}\n')
+    prog = tmp_path / "prog.json"
+    run_cli("compile", "--coeffs", str(coeffs), "--order", "forward", "--out", str(prog))
+    data = json.loads(prog.read_text())
+    data["signs"] = [1, 7, 1, -1]
+    prog.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run_cli("evaluate", "--program", str(prog), "--x", "0.3") == 1
+    err = capsys.readouterr().err
+    assert "sign" in err
+    assert "Traceback" not in err
+
+
 def test_export_qasm_byte_stable(tmp_path):
     coeffs = tmp_path / "c.json"
     coeffs.write_text('{"coeffs": [0.1, 0.2, 0.3]}\n')
@@ -210,6 +251,32 @@ def test_bench_rejects_unknown_config_key(tmp_path):
     assert run_cli(
         "bench", "table1", "--config", str(config), "--out-dir", str(tmp_path / "r")
     ) == 2
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"degrees": 5},
+        {"degrees": [1, 2.5]},
+        {"x_domain": 0.5},
+        {"x_domain": [-0.5]},
+        {"trials": "3"},
+        {"trials": 3.0},
+        {"shots": True},
+        {"simulator": 1},
+    ],
+)
+def test_bench_rejects_mistyped_config_value(tmp_path, capsys, bad):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(bad))
+    code = run_cli(
+        "bench", "table1", "--config", str(config), "--out-dir", str(tmp_path / "r")
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    (key,) = bad
+    assert repr(key) in err
+    assert "Traceback" not in err
 
 
 def test_bench_reports_identical_across_runs(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -154,6 +155,41 @@ def test_program_file_matches_frozen_fixture(tmp_path):
     write_program(program, out)
     fixture = Path(__file__).parent / "goldens" / "program_deg3_forward.json"
     assert out.read_bytes() == fixture.read_bytes()
+
+
+def _edited_program_file(tmp_path, **edits):
+    path = tmp_path / "program.json"
+    write_program(compile_poly(Polynomial((0.1, 0.2, 0.3, -0.4)), "forward"), path)
+    data = json.loads(path.read_text())
+    data.update(edits)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_read_program_derives_angles_from_weights(tmp_path):
+    program = compile_poly(Polynomial((0.1, 0.2, 0.3, -0.4)), "forward")
+    for angles in ([0.0], [3.0, 3.0, 3.0, 3.0]):
+        back = read_program(_edited_program_file(tmp_path, angles=angles))
+        assert back.schedule == program.schedule
+
+
+@pytest.mark.parametrize(
+    "edits",
+    [
+        {"weights": [0.0, 1.7, 0.5, 0.5]},
+        {"weights": [0.0, -0.1, 0.5, 0.5]},
+        {"signs": [1, 7, 1, -1]},
+        {"signs": [1, 0, 1, -1]},
+        {"weights": [0.0, 0.5, 0.5]},
+        {"signs": [1, 1, 1]},
+        {"skips": [False, False, False, False, False]},
+        {"weights": 0.5},
+        {"degree": -1, "weights": [], "signs": [], "skips": []},
+    ],
+)
+def test_read_program_rejects_malformed_schedule(tmp_path, edits):
+    with pytest.raises(CompileError):
+        read_program(_edited_program_file(tmp_path, **edits))
 
 
 def test_build_rejects_out_of_domain_x():

@@ -8,15 +8,14 @@ from polyshot.compile import build_circuit, compile_poly
 from polyshot.dense import (
     CapacityError,
     NoiseModel,
+    draw_shots,
     expect_z,
-    output_probability,
     prob_one,
     run_statevector,
-    sample_output,
 )
 from polyshot.poly import Polynomial, eval_poly
 from polyshot.rng import derive_seed, generator
-from polyshot.stream import run_window, sample_output_stream
+from polyshot.stream import run_window
 
 HALF_PI = math.pi / 2
 
@@ -152,13 +151,13 @@ def test_capacity_error_points_to_stream():
 
 
 def test_sampler_deterministic_outcome_all_zeros():
-    outcome = sample_output(Circuit(1, (), 0), 500, seed=1)
+    outcome = draw_shots(expect_z(run_statevector(Circuit(1, (), 0)), 0), 500, seed=1)
     assert outcome.n0 == 500 and outcome.n1 == 0
 
 
 def test_sampler_balanced_within_binomial_band():
     circuit = Circuit(1, (Gate.ry(0, HALF_PI),), 0)  # <Z> = 0
-    outcome = sample_output(circuit, 4096, seed=derive_seed(99, 0))
+    outcome = draw_shots(expect_z(run_statevector(circuit), 0), 4096, seed=derive_seed(99, 0))
     assert outcome.total == 4096
     assert abs(outcome.n0 - 2048) < 4 * 32  # 4 sigma, sigma = sqrt(4096/4)
 
@@ -169,7 +168,7 @@ def test_sampler_golden_pinned_seed():
 
     golden = json.loads((Path(__file__).parent / "goldens" / "shot_outcome.json").read_text())
     circuit = Circuit(1, (Gate.ry(0, HALF_PI),), 0)
-    outcome = sample_output(circuit, golden["N"], seed=golden["seed"])
+    outcome = draw_shots(expect_z(run_statevector(circuit), 0), golden["N"], seed=golden["seed"])
     assert (outcome.n0, outcome.n1) == (golden["n0"], golden["n1"])
 
 
@@ -177,17 +176,18 @@ def test_sampler_unbiased_over_seeds():
     x = 0.37
     circuit = Circuit(1, (encode(0, x),), 0)
     n = 512
+    z = expect_z(run_statevector(circuit), 0)
     estimates = []
     for rep in range(200):
-        outcome = sample_output(circuit, n, seed=derive_seed(7, rep))
+        outcome = draw_shots(z, n, seed=derive_seed(7, rep))
         estimates.append((outcome.n0 - outcome.n1) / n)
     se = math.sqrt((1 - x * x) / n / 200)
     assert abs(np.mean(estimates) - x) < 5 * se
 
 
-def test_output_probability_matches_expectation():
+def test_prob_one_matches_expectation():
     circuit = Circuit(1, (encode(0, 0.5),), 0)
-    assert output_probability(circuit) == pytest.approx(0.25, abs=1e-12)
+    assert prob_one(expect_z(run_statevector(circuit), 0)) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_noise_model_validation():
@@ -210,5 +210,5 @@ def test_full_depolarizing_scrambles_to_half():
     assert abs(z_full + z_ideal / 3.0) < 1e-12
     shots = 600
     p1 = prob_one(z_full)
-    outcome = sample_output_stream(circuit, shots, seed=11, noise=full)
+    outcome = draw_shots(z_full, shots, seed=11)
     assert abs(outcome.n1 - shots * p1) < 5 * math.sqrt(shots * p1 * (1 - p1))

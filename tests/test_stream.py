@@ -5,15 +5,10 @@ import pytest
 
 from polyshot.circuit import Circuit, Gate
 from polyshot.compile import build_circuit, compile_poly
-from polyshot.dense import NoiseModel, expect_z, run_statevector, sample_output
+from polyshot.dense import NoiseModel, draw_shots, expect_z, run_statevector
 from polyshot.poly import Polynomial, eval_poly
 from polyshot.rng import derive_seed
-from polyshot.stream import (
-    WindowOverflowError,
-    liveness,
-    run_window,
-    sample_output_stream,
-)
+from polyshot.stream import WindowOverflowError, liveness, run_window
 
 
 def dense_program(d, order, seed=0):
@@ -81,12 +76,15 @@ def test_degree_35_forward_horner_oracle():
 
 def test_window_overflow_reports_gate_and_suggests_forward():
     circuit = build_circuit(dense_program(10, "backward"), 0.4)
-    with pytest.raises(WindowOverflowError, match="forward"):
+    with pytest.raises(WindowOverflowError, match=r"at gate \d+ .*forward"):
         run_window(circuit, window_cap=8)
+    # the measured qubit of a gateless circuit is adjoined after the sweep
+    with pytest.raises(WindowOverflowError, match=r"at gate 0 .*forward"):
+        run_window(Circuit(1, (), 0), window_cap=0)
 
 
 def test_stream_sampler_deterministic_outcome():
-    outcome = sample_output_stream(Circuit(1, (), 0), 100, seed=5)
+    outcome = draw_shots(run_window(Circuit(1, (), 0)), 100, seed=5)
     assert outcome.n1 == 0
 
 
@@ -94,8 +92,8 @@ def test_stream_sampler_bitwise_matches_dense_noiseless():
     program = dense_program(5, "forward", seed=3)
     circuit = build_circuit(program, 0.25)
     seed = derive_seed(1234, 5, 0, 0)
-    a = sample_output(circuit, 2048, seed)
-    b = sample_output_stream(circuit, 2048, seed)
+    a = draw_shots(expect_z(run_statevector(circuit), circuit.measured_qubit), 2048, seed)
+    b = draw_shots(run_window(circuit), 2048, seed)
     assert (a.n0, a.n1) == (b.n0, b.n1)
 
 
@@ -106,7 +104,7 @@ def test_stream_degree35_sampling_within_binomial_band():
     program = compile_poly(poly, "forward")
     x = 0.3
     circuit = build_circuit(program, x)
-    outcome = sample_output_stream(circuit, 1024, seed=derive_seed(88, 35))
+    outcome = draw_shots(run_window(circuit), 1024, seed=derive_seed(88, 35))
     estimate = program.rescale * (outcome.n0 - outcome.n1) / 1024
     bound = 5 * program.rescale / math.sqrt(1024)
     assert abs(estimate - eval_poly(poly, x)) < bound
@@ -116,16 +114,16 @@ def test_noisy_trajectories_seed_deterministic():
     program = dense_program(4, "forward", seed=9)
     circuit = build_circuit(program, -0.4)
     noise = NoiseModel(p1=0.002, p2=0.01)
-    a = sample_output_stream(circuit, 256, seed=31, noise=noise)
-    b = sample_output_stream(circuit, 256, seed=31, noise=noise)
+    a = draw_shots(run_window(circuit, noise=noise), 256, seed=31)
+    b = draw_shots(run_window(circuit, noise=noise), 256, seed=31)
     assert (a.n0, a.n1) == (b.n0, b.n1)
 
 
 def test_noisy_trajectories_unbiased_at_zero_noise_rate():
     program = dense_program(3, "forward", seed=10)
     circuit = build_circuit(program, 0.5)
-    trivial = sample_output_stream(circuit, 512, seed=7, noise=NoiseModel(0.0, 0.0))
-    clean = sample_output_stream(circuit, 512, seed=7)
+    trivial = draw_shots(run_window(circuit, noise=NoiseModel(0.0, 0.0)), 512, seed=7)
+    clean = draw_shots(run_window(circuit), 512, seed=7)
     assert (trivial.n0, trivial.n1) == (clean.n0, clean.n1)
 
 
@@ -191,7 +189,5 @@ def test_noisy_window_matches_kraus_reference():
 def test_heavy_noise_runtime_smoke():
     program = dense_program(20, "forward", seed=20)
     circuit = build_circuit(program, 0.1)
-    outcome = sample_output_stream(
-        circuit, 512, seed=55, noise=NoiseModel(p1=0.001, p2=0.005)
-    )
+    outcome = draw_shots(run_window(circuit, noise=NoiseModel(p1=0.001, p2=0.005)), 512, seed=55)
     assert outcome.total == 512
