@@ -52,13 +52,26 @@ class ExperimentConfig:
     pass_threshold: float = PASS_THRESHOLD
 
     def __post_init__(self):
+        """Reject a config no run can use, naming the field, before any point runs."""
         lo, hi = self.x_domain
         if not (-1.0 <= lo < hi <= 1.0):
             raise ValueError("x_domain must lie inside [-1, 1]")
+        if not self.degrees or min(self.degrees) < 0:
+            raise ValueError(f"degrees must be a non-empty list of ints >= 0, got {self.degrees}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.trials * self.points_per_trial < 2:
+            raise ValueError(
+                "trials * points_per_trial must be >= 2: the metrics need two points per degree"
+            )
         if self.shots < 0:
             raise ValueError("shots must be >= 0 (0 = exact-expectation surrogate)")
+        if not (np.isfinite(self.coeff_bound) and self.coeff_bound > 0.0):
+            raise ValueError(f"coeff_bound must be finite and > 0, got {self.coeff_bound}")
+        for key in ("noise_p1", "noise_p2"):
+            p = getattr(self, key)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{key} must lie in [0, 1], got {p}")
         if self.simulator not in ("dense", "stream"):
             raise ValueError(f"unknown simulator {self.simulator!r}")
 

@@ -172,7 +172,10 @@ def _apply_overrides(config: bench.ExperimentConfig, overrides: dict) -> bench.E
         if not hasattr(config, key):
             raise UsageError(f"unknown config key {key!r}")
         known[key] = _config_value(key, value, getattr(config, key))
-    return replace(config, **known)
+    try:
+        return replace(config, **known)
+    except ValueError as exc:  # ExperimentConfig's own checks name the key
+        raise UsageError(f"config: {exc}") from exc
 
 
 def _is_a(value, kind: type) -> bool:

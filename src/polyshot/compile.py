@@ -254,27 +254,58 @@ def write_program(program: CompiledProgram, path: str | Path) -> None:
     Path(path).write_text(payload)
 
 
+def _is_finite_number(v) -> bool:
+    """A JSON number that is a finite float: not a bool, a NaN, an infinity
+    or an int too large for a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def read_program(path: str | Path) -> CompiledProgram:
-    """Load a program file.  The file's "angles" list is not read: the angles
-    are derived from the weights, so the two cannot disagree."""
-    data = json.loads(Path(path).read_text())
+    """Load a program file, raising CompileError naming the file for any
+    content that is not a program write_program could have written.
+
+    The file's "angles" list is not read: the angles are derived from the
+    weights, so the two cannot disagree."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
+        raise CompileError(f"{path}: not a JSON program file ({exc})") from exc
+    if not isinstance(data, dict):
+        raise CompileError(f"{path}: a program file holds a JSON object")
     for key in ("order", "C", "degree", "weights", "signs", "skips"):
         if key not in data:
             raise CompileError(f"{path}: missing key {key!r}")
     order = data["order"]
     if order not in ORDERS:
         raise CompileError(f"{path}: bad order {order!r}")
-    d = int(data["degree"])
-    if d < 0:
-        raise CompileError(f"{path}: degree must be >= 0")
+    d = data["degree"]
+    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
+        raise CompileError(f"{path}: degree must be an int >= 0, got {d!r}")
     for key in ("weights", "signs", "skips"):
         if not isinstance(data[key], list) or len(data[key]) != d + 1:
             raise CompileError(f"{path}: {key} must hold degree + 1 = {d + 1} entries")
+    if not (_is_finite_number(data["C"]) and data["C"] > 0):
+        raise CompileError(f"{path}: C must be a finite number > 0, got {data['C']!r}")
+    rescale = float(data["C"])
+    if not all(_is_finite_number(w) for w in data["weights"]):
+        raise CompileError(f"{path}: every weight must be a finite number, got {data['weights']}")
     weights = tuple(float(w) for w in data["weights"])
-    angles = tuple(angle_of_weight(w) for w in weights)
-    if any(s not in (1, -1) for s in data["signs"]):
+    try:
+        angles = tuple(angle_of_weight(w) for w in weights)
+    except CompileError as exc:
+        raise CompileError(f"{path}: {exc}") from exc
+    if any(isinstance(s, bool) or s not in (1, -1) for s in data["signs"]):
         raise CompileError(f"{path}: every sign must be 1 or -1, got {data['signs']}")
-    skips = tuple(bool(s) for s in data["skips"])
+    if not all(isinstance(s, bool) for s in data["skips"]):
+        raise CompileError(f"{path}: every skip must be true or false, got {data['skips']}")
+    skips = tuple(data["skips"])
+    if any(s and w != 0.0 for s, w in zip(skips, weights)):
+        raise CompileError(f"{path}: a skipped term has a non-zero weight")
     if order == "backward":
         live = [k for k in range(d + 1) if not skips[k]]
         if not live:
@@ -285,7 +316,14 @@ def read_program(path: str | Path) -> CompiledProgram:
     sched = WeightSchedule(
         order, weights, angles, tuple(int(s) for s in data["signs"]), skips, seed
     )
-    program = CompiledProgram(sched, float(data["C"]), Polynomial((0.0,)))
-    # recover source coefficients from the schedule itself
-    coeffs = reconstruct_coeffs(program)
-    return CompiledProgram(sched, float(data["C"]), Polynomial(coeffs))
+    # recover the source coefficients from the schedule itself, at C = 1 first:
+    # their magnitudes sum to 1 exactly when the weights telescope (checked
+    # unscaled, so a tiny C loses no precision), and scaling them by C is the
+    # same product reconstruct_coeffs forms
+    unit = reconstruct_coeffs(CompiledProgram(sched, 1.0, Polynomial((0.0,))))
+    mass = math.fsum(abs(c) for c in unit)
+    if abs(mass - 1.0) > 1e-12:
+        raise CompileError(
+            f"{path}: the weights do not telescope to 1 (the terms hold {mass!r} of C)"
+        )
+    return CompiledProgram(sched, rescale, Polynomial(tuple(c * rescale for c in unit)))

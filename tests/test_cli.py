@@ -279,6 +279,62 @@ def test_bench_rejects_mistyped_config_value(tmp_path, capsys, bad):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "bad, key",
+    [
+        ({"noise_p1": 2}, "noise_p1"),
+        ({"noise_p2": -0.1}, "noise_p2"),
+        ({"coeff_bound": -1}, "coeff_bound"),
+        ({"coeff_bound": 0}, "coeff_bound"),
+        ({"degrees": []}, "degrees"),
+        ({"degrees": [1, -2]}, "degrees"),
+        ({"trials": 1, "points_per_trial": 1}, "points_per_trial"),
+        ({"points_per_trial": 0}, "points_per_trial"),
+    ],
+)
+def test_bench_rejects_out_of_range_config_value(tmp_path, capsys, bad, key):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(bad))
+    out_dir = tmp_path / "r"
+    code = run_cli("bench", "table1", "--config", str(config), "--out-dir", str(out_dir))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def _edited(**edits):
+    def edit(text):
+        data = json.loads(text)
+        data.update(edits)
+        return json.dumps(data)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _edited(C=-1.0),
+        _edited(skips=[False, True, False, False]),
+        _edited(weights=[0.0, 0.5, 0.5, 0.4], skips=[True, False, False, False]),
+        lambda text: text[:20],
+    ],
+)
+def test_evaluate_rejects_malformed_program_without_traceback(tmp_path, capsys, corrupt):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text('{"coeffs": [0.1, 0.2, 0.3, -0.4]}\n')
+    prog = tmp_path / "prog.json"
+    run_cli("compile", "--coeffs", str(coeffs), "--order", "forward", "--out", str(prog))
+    prog.write_text(corrupt(prog.read_text()))
+    capsys.readouterr()
+    assert run_cli("evaluate", "--program", str(prog), "--x", "0.3") == 1
+    err = capsys.readouterr().err
+    assert str(prog) in err
+    assert "Traceback" not in err
+
+
 def test_bench_reports_identical_across_runs(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text('{"degrees": [1, 2], "trials": 1, "points_per_trial": 3, "shots": 128}\n')

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,7 @@ def test_program_file_matches_frozen_fixture(tmp_path):
     write_program(program, out)
     fixture = Path(__file__).parent / "goldens" / "program_deg3_forward.json"
     assert out.read_bytes() == fixture.read_bytes()
+    assert read_program(fixture).schedule == program.schedule
 
 
 def _edited_program_file(tmp_path, **edits):
@@ -185,11 +187,36 @@ def test_read_program_derives_angles_from_weights(tmp_path):
         {"skips": [False, False, False, False, False]},
         {"weights": 0.5},
         {"degree": -1, "weights": [], "signs": [], "skips": []},
+        {"degree": 3.0},
+        {"weights": [0.0, "0.5", 0.5, 0.5]},
+        {"weights": [0.0, float("nan"), 0.5, 0.5]},
+        {"signs": [1, True, 1, -1]},
+        {"skips": [0, 0, 0, 0]},
+        {"C": 0.0},
+        {"C": -1.2},
+        {"C": "1.2"},
+        {"C": float("nan")},
+        {"C": float("inf")},
+        {"C": 10**400},
+        # a skipped term that still carries weight
+        {"skips": [False, True, False, False]},
+        # q_0 skipped and the first live forward weight below 1: the terms
+        # hold only part of C
+        {"weights": [0.0, 0.5, 0.5, 0.4], "skips": [True, False, False, False]},
     ],
 )
 def test_read_program_rejects_malformed_schedule(tmp_path, edits):
-    with pytest.raises(CompileError):
-        read_program(_edited_program_file(tmp_path, **edits))
+    path = _edited_program_file(tmp_path, **edits)
+    with pytest.raises(CompileError, match=re.escape(str(path))):
+        read_program(path)
+
+
+@pytest.mark.parametrize("text", ['{"order": "forward", "C": 1', "[1, 2]", "\udcff"])
+def test_read_program_rejects_a_file_that_is_not_a_program_object(tmp_path, text):
+    path = tmp_path / "program.json"
+    path.write_text(text, errors="surrogateescape")
+    with pytest.raises(CompileError, match=re.escape(str(path))):
+        read_program(path)
 
 
 def test_build_rejects_out_of_domain_x():

@@ -120,6 +120,64 @@ def test_statevector_matches_kron_oracle():
         assert np.allclose(got, want, atol=1e-12)
 
 
+def _random_kernel_circuit(n: int, rng, measured: int) -> Circuit:
+    """Every gate kind on the first, middle and last axis (cx as control and
+    as target there), then random gates, in a shuffled order."""
+    positions = sorted({0, n // 2, n - 1})
+    kinds = ["ry", "rz", "x", "cx"] if n > 1 else ["ry", "rz", "x"]
+    gates = []
+    for q in positions:
+        gates += [
+            Gate.ry(q, float(rng.uniform(-math.pi, math.pi))),
+            Gate.rz(q, float(rng.uniform(-math.pi, math.pi))),
+            Gate.x(q),
+        ]
+        if n > 1:
+            other = int(rng.choice([k for k in range(n) if k != q]))
+            gates += [Gate.cx(q, other), Gate.cx(other, q)]
+    for _ in range(4 * n):
+        kind = rng.choice(kinds)
+        q = int(rng.integers(n))
+        if kind == "cx":
+            gates.append(Gate.cx(q, int(rng.choice([k for k in range(n) if k != q]))))
+        elif kind == "x":
+            gates.append(Gate.x(q))
+        else:
+            gates.append(getattr(Gate, kind)(q, float(rng.uniform(-math.pi, math.pi))))
+    rng.shuffle(gates)
+    assert {g.kind for g in gates} == set(kinds)
+    return Circuit(n, tuple(gates), measured)
+
+
+def test_kernel_matches_kron_oracle_on_every_kind_and_axis():
+    rng = np.random.default_rng(17)
+    for n in range(1, 8):
+        for measured in sorted({0, n // 2, n - 1}):
+            circuit = _random_kernel_circuit(n, rng, measured)
+            state = run_statevector(circuit)
+            assert np.abs(state - _oracle_state(circuit)).max() < 1e-12
+            # n <= 7 fits the default window cap of 8
+            assert abs(expect_z(state, measured) - run_window(circuit)) < 1e-10
+
+
+def test_memory_check_raises_before_allocation(monkeypatch):
+    from polyshot import dense
+
+    need = 2 * 16 * 2**10  # the state plus the ry scratch
+    circuit = Circuit(10, (Gate.ry(4, 0.3),), 0)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the state was allocated before the memory check")
+
+    monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need - 1)
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    with pytest.raises(CapacityError, match=f"{need} bytes.*stream"):
+        run_statevector(circuit)
+    monkeypatch.undo()
+    monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need)
+    assert expect_z(run_statevector(circuit), 4) == pytest.approx(math.cos(0.3), abs=1e-12)
+
+
 def test_norm_preserved():
     rng = np.random.default_rng(4)
     poly = Polynomial(tuple(rng.uniform(-1, 1, 7)))
