@@ -32,7 +32,7 @@ from .poly import (
     write_samples,
 )
 from .rng import derive_seed, generator
-from .stream import RetirementSchedule, liveness, run_window
+from .stream import RetirementSchedule, liveness, run_window, run_window_batch
 
 __version__ = "0.1.0"
 
@@ -72,6 +72,7 @@ __all__ = [
     "run_metrics",
     "run_statevector",
     "run_window",
+    "run_window_batch",
     "shot_scaling_fit",
     "sup_norm",
     "to_qasm",

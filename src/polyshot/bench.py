@@ -21,7 +21,7 @@ from .dense import NoiseModel, draw_shots, expect_z, prob_one, run_statevector
 from .estimate import Estimate, PASS_THRESHOLD, point_estimate, run_metrics, shot_scaling_fit
 from .poly import Polynomial, eval_poly, sup_norm
 from .rng import derive_seed, generator
-from .stream import DEFAULT_WINDOW_CAP, run_window
+from .stream import DEFAULT_WINDOW_CAP, run_window_batch
 
 TABLE1_PAPER_SIM = {
     # degree: (rmse, corr, pass %) from the reference simulator column
@@ -136,6 +136,8 @@ def gen_random_poly(
     """Uniform coefficient draw rescaled so max |P| over [-1, 1] hits the target."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
+    if not (np.isfinite(coeff_bound) and coeff_bound > 0.0):
+        raise ValueError(f"coeff_bound must be finite and > 0, got {coeff_bound}")
     attempt = seed
     while True:
         gen = generator(attempt)
@@ -148,26 +150,28 @@ def gen_random_poly(
     return Polynomial(tuple(c * scale for c in a))
 
 
-def _exact_z(circuit: Circuit, config: ExperimentConfig) -> float:
-    """Exact <Z> of the measured qubit on the configured simulator, noise included.
-
-    A statevector cannot hold the mixed state the noise channel produces, so a
-    noisy circuit always takes the windowed density-matrix sweep.
-    """
+def _exact_z(circuits: list[Circuit], config: ExperimentConfig) -> list[float]:
+    """Exact <Z> of each circuit's measured qubit, in order, on the configured
+    simulator, noise included: one windowed sweep of the batch (the circuits
+    share one gate skeleton, as the points of one program do), or one
+    statevector each.  A statevector cannot hold the mixed state the noise
+    channel produces, so a noisy circuit always takes the windowed sweep."""
     noise = config.noise
     if config.simulator == "stream" or noise is not None:
-        return run_window(circuit, config.window_cap, noise)
-    return expect_z(run_statevector(circuit), circuit.measured_qubit)
+        return run_window_batch(circuits, config.window_cap, noise)
+    return [expect_z(run_statevector(c), c.measured_qubit) for c in circuits]
 
 
 def _recovery_run(config: ExperimentConfig) -> RunReport:
     t0 = time.perf_counter()
-    xs = np.linspace(config.x_domain[0], config.x_domain[1], config.points_per_trial)
+    lo, hi = config.x_domain
+    xs = [float(x) for x in np.linspace(lo, hi, config.points_per_trial)]
     records: list[Record] = []
     per_degree: list[dict] = []
     timings: dict[str, float] = {}
     for degree in config.degrees:
         t_deg = time.perf_counter()
+        laps = dict.fromkeys(("build_circuit", "simulate", "sample"), 0.0)
         pairs: list[tuple[float, float]] = []
         norm_pairs: list[tuple[float, float]] = []
         pred_errs: list[float] = []
@@ -180,33 +184,33 @@ def _recovery_run(config: ExperimentConfig) -> RunReport:
                 config.sup_rescale_target,
             )
             program = compile_poly(poly, config.order)
-            for point, x in enumerate(xs):
-                try:
-                    circuit = build_circuit(program, float(x))
-                    if deg_resources is None:
-                        deg_resources = resources(circuit)
-                    truth = eval_poly(poly, float(x))
+            t_build = time.perf_counter()
+            try:
+                circuits = [build_circuit(program, x) for x in xs]
+                t_sim = time.perf_counter()
+                zs = _exact_z(circuits, config)
+            except Exception as exc:
+                raise RuntimeError(f"degree={degree} trial={trial}: {exc}") from exc
+            t_sample = time.perf_counter()
+            deg_resources = deg_resources or resources(circuits[0])
+            for point, (x, z) in enumerate(zip(xs, zs)):
+                truth = eval_poly(poly, x)
+                if config.shots == 0:  # infinite-shot surrogate
+                    est = Estimate(program.rescale * z, 0.0, 0, program.rescale)
+                else:
                     seed = derive_seed(config.master_seed, degree, trial, point)
-                    z = _exact_z(circuit, config)
-                    if config.shots == 0:  # infinite-shot surrogate
-                        est = Estimate(program.rescale * z, 0.0, 0, program.rescale)
-                    else:
-                        outcome = draw_shots(z, config.shots, seed)
-                        est = point_estimate(outcome, program.rescale)
-                        if config.noise is None:
-                            p1 = prob_one(z)
-                            pred_errs.append(
-                                2.0 * program.rescale * np.sqrt(p1 * (1.0 - p1) / config.shots)
-                            )
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"degree={degree} trial={trial} point={point}: {exc}"
-                    ) from exc
-                records.append(
-                    Record(degree, trial, point, float(x), truth, est.value, est.stderr)
-                )
+                    est = point_estimate(draw_shots(z, config.shots, seed), program.rescale)
+                    if config.noise is None:
+                        p1 = prob_one(z)
+                        pred_errs.append(
+                            2.0 * program.rescale * np.sqrt(p1 * (1.0 - p1) / config.shots)
+                        )
+                records.append(Record(degree, trial, point, x, truth, est.value, est.stderr))
                 pairs.append((truth, est.value))
                 norm_pairs.append((truth / program.rescale, est.value / program.rescale))
+            laps["build_circuit"] += t_sim - t_build
+            laps["simulate"] += t_sample - t_sim
+            laps["sample"] += time.perf_counter() - t_sample
         metrics = run_metrics(pairs, config.pass_threshold)
         norm_metrics = run_metrics(norm_pairs, config.pass_threshold)
         row = {
@@ -226,6 +230,8 @@ def _recovery_run(config: ExperimentConfig) -> RunReport:
             row["paper_sim_rmse"] = paper[0]
             row["paper_sim_pass_pct"] = paper[2]
         per_degree.append(row)
+        for layer, seconds in laps.items():
+            timings[f"degree_{degree}.{layer}"] = 1000.0 * seconds
         timings[f"degree_{degree}"] = 1000.0 * (time.perf_counter() - t_deg)
     timings["total"] = 1000.0 * (time.perf_counter() - t0)
     return RunReport(config, per_degree, records, timings)
@@ -267,12 +273,9 @@ def shot_scaling_experiment(
     """Empirical RMSE against shot count for one fixed random program."""
     poly = gen_random_poly(degree, derive_seed(master_seed, degree, 0))
     program = compile_poly(poly, order)
-    xs = np.linspace(x_domain[0], x_domain[1], points)
-    truths = np.array([eval_poly(poly, float(x)) for x in xs])
-    zs = []
-    for x in xs:
-        circuit = build_circuit(program, float(x))
-        zs.append(expect_z(run_statevector(circuit), circuit.measured_qubit))
+    xs = [float(x) for x in np.linspace(x_domain[0], x_domain[1], points)]
+    truths = [eval_poly(poly, x) for x in xs]
+    zs = _exact_z([build_circuit(program, x) for x in xs], ExperimentConfig(simulator="dense"))
     rows = []
     for n_idx, shots in enumerate(shots_list):
         sq_errs = []

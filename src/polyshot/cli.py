@@ -111,7 +111,7 @@ def cmd_evaluate(args) -> int:
     config = bench.ExperimentConfig(
         simulator=args.sim, noise_p1=args.noise_p1, noise_p2=args.noise_p2
     )
-    outcome = draw_shots(bench._exact_z(circuit, config), args.shots, args.seed)
+    outcome = draw_shots(bench._exact_z([circuit], config)[0], args.shots, args.seed)
     est = point_estimate(outcome, program.rescale)
     truth = eval_poly(program.source, args.x)
     payload = {
@@ -134,20 +134,15 @@ def cmd_bench(args) -> int:
         overrides["master_seed"] = args.seed
     overrides.setdefault("master_seed", _seed_default())
     out_dir = Path(args.out_dir)
-    if args.experiment == "table1":
-        config = _apply_overrides(bench.ExperimentConfig(), overrides)
-        report = bench.table1_experiment(config)
-        bench.write_report(report, out_dir, "table1")
-        print(bench.summary_table(report))
-    elif args.experiment == "stress":
-        config = _apply_overrides(bench.stress_config(), overrides)
-        report = bench.stress_experiment(config)
-        bench.write_report(report, out_dir, "stress")
-        print(bench.summary_table(report))
-    elif args.experiment == "noise":
-        config = _apply_overrides(bench.noise_config(), overrides)
-        report = bench.noise_sweep(config)
-        bench.write_report(report, out_dir, "noise")
+    recovery_runs = {
+        "table1": (bench.ExperimentConfig, bench.table1_experiment),
+        "stress": (bench.stress_config, bench.stress_experiment),
+        "noise": (bench.noise_config, bench.noise_sweep),
+    }
+    if args.experiment in recovery_runs:
+        base, run = recovery_runs[args.experiment]
+        report = run(_apply_overrides(base(), overrides))
+        bench.write_report(report, out_dir, args.experiment)
         print(bench.summary_table(report))
     else:  # shots
         result = bench.shot_scaling_experiment(master_seed=overrides["master_seed"])

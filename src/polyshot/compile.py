@@ -313,6 +313,8 @@ def read_program(path: str | Path) -> CompiledProgram:
         seed = max(live)
     else:
         seed = 0
+    if weights[seed] != 0.0:  # compute_weights writes 0 at the seed index
+        raise CompileError(f"{path}: the seed weight w[{seed}] = {weights[seed]!r} is not 0")
     sched = WeightSchedule(
         order, weights, angles, tuple(int(s) for s in data["signs"]), skips, seed
     )

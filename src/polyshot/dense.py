@@ -15,6 +15,12 @@ built and no new state is made per gate (Haner & Steiger, "0.5 Petabyte
 Simulation of a 45-Qubit Quantum Circuit", 2017).  The peak is the state plus
 at most one state of scratch, and that peak is checked against the free
 memory before the state is allocated.
+
+The one-qubit kernel (_apply_1q) is shared with the windowed simulator, which
+runs it on the row and the column axes of its density matrix and passes a
+per-point angle array that broadcasts across its leading batch axis.  The
+statevector itself runs one point at a time: a batch axis would multiply its
+2^n state, which is the one allocation that limits it.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate
+from .circuit import Circuit
 from .rng import generator
 
 DEFAULT_QUBIT_CAP = 26
@@ -31,12 +37,10 @@ DEFAULT_QUBIT_CAP = 26
 # branch's scratch (a copy of one half and one half-sized temporary)
 _PEAK_BYTES_PER_AMPLITUDE = 2 * 16
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
 
 class CapacityError(RuntimeError):
-    """Raised when a circuit exceeds the dense qubit cap or the free memory;
-    use the stream simulator."""
+    """Raised when a circuit exceeds the dense qubit cap, or a statevector or a
+    batched window exceeds the free memory."""
 
 
 @dataclass(frozen=True)
@@ -83,17 +87,6 @@ def draw_shots(z: float, shots: int, seed: int) -> ShotOutcome:
     return ShotOutcome(shots - n1, n1)
 
 
-def _ry(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def _rz(theta: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * theta), 0.0], [0.0, np.exp(0.5j * theta)]], dtype=complex
-    )
-
-
 def _apply_cx(tensor: np.ndarray, c_axis: int, t_axis: int) -> np.ndarray:
     """CX in place on a tensor with one axis per qubit: where the control is 1,
     swap the target's two slices."""
@@ -106,14 +99,6 @@ def _apply_cx(tensor: np.ndarray, c_axis: int, t_axis: int) -> np.ndarray:
     return tensor
 
 
-def _gate_matrix(g: Gate) -> np.ndarray:
-    if g.kind == "ry":
-        return _ry(g.angle)
-    if g.kind == "rz":
-        return _rz(g.angle)
-    return _X
-
-
 def _halves(tensor: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     """The views of a tensor where one axis is 0 and where it is 1 (the
     Ellipsis keeps a view, not a scalar, when the tensor has one axis)."""
@@ -121,19 +106,19 @@ def _halves(tensor: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return tensor[lead + (0, ...)], tensor[lead + (1, ...)]
 
 
-def _apply_gate(tensor: np.ndarray, g: Gate) -> None:
-    """One gate in place on a tensor with one axis per qubit."""
-    if g.kind == "cx":
-        _apply_cx(tensor, g.qubits[0], g.qubits[1])
-        return
-    a, b = _halves(tensor, g.qubits[0])
-    if g.kind == "x":
+def _apply_1q(tensor: np.ndarray, kind: str, axis: int, angle) -> None:
+    """One-qubit gate ("ry", "rz" or "x") in place on one axis of a tensor.
+
+    `angle` is a float, or an array that broadcasts against a half (one angle
+    per point of a batch); x takes none."""
+    a, b = _halves(tensor, axis)
+    if kind == "x":
         a[...], b[...] = b, a.copy()
-    elif g.kind == "rz":
-        a *= np.exp(-0.5j * g.angle)
-        b *= np.exp(0.5j * g.angle)
+    elif kind == "rz":
+        a *= np.exp(-0.5j * angle)
+        b *= np.exp(0.5j * angle)
     else:  # ry
-        c, s = np.cos(g.angle / 2.0), np.sin(g.angle / 2.0)
+        c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
         a0 = a.copy()
         a *= c
         a -= s * b
@@ -164,7 +149,10 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
     state = np.zeros([2] * n, dtype=complex)
     state[(0,) * n] = 1.0
     for g in circuit.gates:
-        _apply_gate(state, g)
+        if g.kind == "cx":
+            _apply_cx(state, g.qubits[0], g.qubits[1])
+        else:
+            _apply_1q(state, g.kind, g.qubits[0], g.angle)
     return state.reshape(-1)
 
 

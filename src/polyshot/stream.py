@@ -1,4 +1,4 @@
-"""Windowed density-matrix simulator with qubit retirement.
+"""Windowed density-matrix simulator with qubit retirement, batched over points.
 
 Sweeps the gate list in order, adjoining each qubit to the active window at
 its first use and tracing it out after its last use.  The state is a density
@@ -6,15 +6,23 @@ matrix over the active window only, so memory is 4^w for window size w; the
 forward-order compiler keeps w <= 3, which is what makes degree-35 programs
 (36 qubits) cheap to evaluate exactly.
 
-The density matrix is stored as a tensor of shape [2]*w + [2]*w: the first w
-axes index rows (ket side), the last w columns (bra side), in the order the
-qubits were adjoined.
+One sweep runs a batch of circuits that share one gate skeleton, such as the
+points of one program (only the encoding Ry(arccos x) angles depend on x), so
+the liveness walk, each gate and each channel are paid once per batch.  The
+density matrix is a tensor of shape [B] + [2]*w + [2]*w: the batch axis, then
+w row (ket) and w column (bra) axes in the order the qubits were adjoined.
+A one-qubit gate U is the statevector's in-place kernel (dense._apply_1q), U
+on the qubit's row axis and U* on its column axis (ry and x are real;
+rz(t)* = rz(-t)), with one angle per point where the points differ; cx is the
+same swap on the row and column axes.
 
 Noise is the exact depolarizing channel on the window density matrix: after
 each gate every touched qubit q goes through
 rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z)
    = (1 - 4p/3) rho + (4p/3) (I/2 (x) Tr_q rho)
-(Nielsen & Chuang, section 8.3), so one sweep gives the exact noisy <Z>.
+(Nielsen & Chuang, section 8.3), so one sweep gives the exact noisy <Z>.  In
+place on the four blocks of q's row and column, the diagonal blocks move
+toward their mean by 4p/3 and the off-diagonal blocks scale by 1 - 4p/3.
 """
 from __future__ import annotations
 
@@ -22,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dense
 from .circuit import Circuit
-from .dense import NoiseModel, _apply_cx, _gate_matrix
+from .dense import NoiseModel
 
 DEFAULT_WINDOW_CAP = 8
 
@@ -56,88 +65,115 @@ def liveness(circuit: Circuit) -> RetirementSchedule:
     if first[mq] < 0:
         first[mq] = end
     last[mq] = end
-    live: set[int] = set()
-    peak = 0
+    live = peak = 0
     for i, g in enumerate(circuit.gates):
-        for q in g.qubits:
-            if first[q] == i:
-                live.add(q)
-        peak = max(peak, len(live))
-        for q in g.qubits:
-            if last[q] == i:
-                live.discard(q)
+        live += sum(first[q] == i for q in g.qubits)
+        peak = max(peak, live)
+        live -= sum(last[q] == i for q in g.qubits)
     peak = max(peak, 1)  # the measured qubit is live at measurement time
     return RetirementSchedule(tuple(first), tuple(last), peak)
 
 
-_ZERO_RHO = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+def _plan(circuits: list[Circuit]) -> list[tuple]:
+    """(kind, qubits, angle) per gate of the batch's one gate skeleton; the
+    angle is an array of one angle per point where the points differ."""
+    skeletons = {
+        (c.n_qubits, c.measured_qubit, tuple((g.kind, g.qubits) for g in c.gates))
+        for c in circuits
+    }
+    if len(skeletons) != 1:
+        raise ValueError(f"a window sweep runs circuits of one gate skeleton, not {len(skeletons)}")
+    plan = []
+    for gates in zip(*(c.gates for c in circuits)):
+        angles = [g.angle for g in gates]
+        same = angles.count(angles[0]) == len(angles)
+        plan.append((gates[0].kind, gates[0].qubits, angles[0] if same else np.array(angles)))
+    return plan
 
 
-class _Window:
-    """Rolling density matrix over the currently active qubits."""
+def _adjoin(rho: np.ndarray, active: list[int], qubit: int, gate_index: int, cap: int):
+    """The window grown by one qubit in |0><0|, after the cap and memory checks."""
+    w = len(active)
+    if w >= cap:
+        raise WindowOverflowError(
+            f"window grows to {w + 1} qubits at gate {gate_index} (cap {cap}); "
+            "forward aggregation order keeps the window small"
+        )
+    batch = rho.shape[0]
+    need = dense._PEAK_BYTES_PER_AMPLITUDE * batch * 4 ** (w + 1)
+    free = dense._free_memory_bytes()
+    if need > free:
+        raise dense.CapacityError(
+            f"a {w + 1}-qubit window over {batch} points needs about {need} bytes, "
+            f"but only {free} bytes are free"
+        )
+    grown = np.zeros((batch, 2**w, 2, 2**w, 2), dtype=complex)
+    grown[:, :, 0, :, 0] = rho.reshape(batch, 2**w, 2**w)
+    active.append(qubit)
+    return grown.reshape((batch,) + (2,) * (2 * w + 2))
 
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.active: list[int] = []
-        self.rho = np.ones((), dtype=complex)  # scalar: empty window
 
-    @property
-    def width(self) -> int:
-        return len(self.active)
+def _blocks(rho: np.ndarray, row: int, w: int) -> tuple[np.ndarray, ...]:
+    """Views of the blocks (row 0, col 0), (0, 1), (1, 0), (1, 1) of the qubit
+    whose row axis is `row` in a window of w qubits."""
+    zero, one = dense._halves(rho, row)
+    return dense._halves(zero, row + w - 1) + dense._halves(one, row + w - 1)
 
-    def adjoin(self, qubit: int, gate_index: int) -> None:
-        w = self.width
-        if w >= self.cap:
-            raise WindowOverflowError(
-                f"window grows to {w + 1} qubits at gate {gate_index} (cap {self.cap}); "
-                "forward aggregation order keeps the window small"
-            )
-        rho = np.tensordot(self.rho, _ZERO_RHO, axes=0)
-        # shape [rows w][cols w][2][2] -> [rows w+1][cols w+1]
-        self.rho = np.moveaxis(rho, 2 * w, w)
-        self.active.append(qubit)
 
-    def retire(self, qubit: int) -> None:
-        w = self.width
-        i = self.active.index(qubit)
-        self.rho = np.trace(self.rho, axis1=i, axis2=w + i)
-        self.active.pop(i)
+def _depolarize(rho: np.ndarray, p: float, row: int, w: int) -> None:
+    """Depolarizing channel of strength p in place (see the module docstring)."""
+    mix = 4.0 * p / 3.0
+    d0, off01, off10, d1 = _blocks(rho, row, w)
+    shift = (0.5 * mix) * (d1 - d0)
+    d0 += shift
+    d1 -= shift
+    off01 *= 1.0 - mix
+    off10 *= 1.0 - mix
 
-    def apply_1q(self, mat: np.ndarray, qubit: int) -> None:
-        w = self.width
-        i = self.active.index(qubit)
-        rho = np.tensordot(mat, self.rho, axes=([1], [i]))
-        rho = np.moveaxis(rho, 0, i)
-        rho = np.tensordot(rho, mat.conj(), axes=([w + i], [1]))
-        self.rho = np.moveaxis(rho, 2 * w - 1, w + i)
 
-    def apply_cx(self, control: int, target: int) -> None:
-        w = self.width
-        i, j = self.active.index(control), self.active.index(target)
-        # a permutation: the same swap on the row and on the column axes
-        self.rho = _apply_cx(_apply_cx(self.rho, i, j), w + i, w + j)
+def run_window_batch(
+    circuits: list[Circuit],
+    window_cap: int = DEFAULT_WINDOW_CAP,
+    noise: NoiseModel | None = None,
+    check_invariants: bool = False,
+) -> list[float]:
+    """Exact <Z> of each circuit's measured qubit, in order, from one windowed
+    sweep of the batch; raises ValueError unless they share one gate skeleton.
 
-    def depolarize(self, p: float, qubit: int) -> None:
-        """Depolarizing channel of strength p on one qubit (see the module docstring)."""
-        w = self.width
-        i = self.active.index(qubit)
-        reduced = np.trace(self.rho, axis1=i, axis2=w + i)
-        mixed = np.tensordot(reduced, np.eye(2) / 2.0, axes=0)
-        mixed = np.moveaxis(mixed, (2 * w - 2, 2 * w - 1), (i, w + i))
-        mix = 4.0 * p / 3.0
-        self.rho = (1.0 - mix) * self.rho + mix * mixed
-
-    def z_expectation(self, qubit: int) -> float:
-        w = self.width
-        i = self.active.index(qubit)
-        reduced = self.rho
-        # trace out everything else
-        for axis in range(w - 1, -1, -1):
-            if axis == i:
-                continue
-            off = reduced.ndim // 2
-            reduced = np.trace(reduced, axis1=axis, axis2=off + axis)
-        return float(np.real(reduced[0, 0] - reduced[1, 1]))
+    With a noise model, each gate is followed by the depolarizing channel on
+    every qubit it touches: strength p1 after a one-qubit gate, p2 after cx.
+    """
+    plan = _plan(circuits)
+    sched = liveness(circuits[0])
+    rho = np.ones(len(circuits), dtype=complex)  # each point's empty window
+    active: list[int] = []
+    for i, (kind, qubits, angle) in enumerate(plan):
+        for q in qubits:
+            if sched.first_use[q] == i:
+                rho = _adjoin(rho, active, q, i, window_cap)
+        w = len(active)
+        rows = [1 + active.index(q) for q in qubits]
+        if kind == "cx":
+            dense._apply_cx(dense._apply_cx(rho, *rows), rows[0] + w, rows[1] + w)
+        else:
+            if isinstance(angle, np.ndarray):  # one per point: broadcast against a half
+                angle = angle.reshape((-1,) + (1,) * (2 * w - 1))
+            dense._apply_1q(rho, kind, rows[0], angle)
+            dense._apply_1q(rho, kind, rows[0] + w, -angle if kind == "rz" else angle)
+        p = 0.0 if noise is None else noise.p2 if kind == "cx" else noise.p1
+        if p > 0.0:
+            for row in rows:
+                _depolarize(rho, p, row, w)
+        if check_invariants:
+            _check_window(rho, i)
+        for q in qubits:
+            if sched.last_use[q] == i:  # trace it out
+                d0, _, _, d1 = _blocks(rho, 1 + active.index(q), len(active))
+                active.remove(q)
+                rho = d0 + d1
+    if not active:  # no gate touched the measured qubit, the only one live at the end
+        rho = _adjoin(rho, active, circuits[0].measured_qubit, len(plan), window_cap)
+    return [float(z) for z in np.real(rho[:, 0, 0] - rho[:, 1, 1])]
 
 
 def run_window(
@@ -146,46 +182,18 @@ def run_window(
     noise: NoiseModel | None = None,
     check_invariants: bool = False,
 ) -> float:
-    """Exact <Z> of the measured qubit via a single windowed sweep.
-
-    With a noise model, each gate is followed by the depolarizing channel on
-    every qubit it touches: strength p1 after a one-qubit gate, p2 after cx.
-    """
-    sched = liveness(circuit)
-    noisy = noise is not None and not noise.is_trivial
-    win = _Window(window_cap)
-    end = len(circuit.gates)
-    for i, g in enumerate(circuit.gates):
-        for q in g.qubits:
-            if sched.first_use[q] == i:
-                win.adjoin(q, i)
-        if g.kind == "cx":
-            win.apply_cx(g.qubits[0], g.qubits[1])
-        else:
-            win.apply_1q(_gate_matrix(g), g.qubits[0])
-        if noisy:
-            p = noise.p2 if g.kind == "cx" else noise.p1
-            if p > 0.0:
-                for q in g.qubits:
-                    win.depolarize(p, q)
-        if check_invariants:
-            _check_window(win, i)
-        for q in g.qubits:
-            if sched.last_use[q] == i:
-                win.retire(q)
-    mq = circuit.measured_qubit
-    if mq not in win.active:  # no gate ever touched it
-        win.adjoin(mq, end)
-    return win.z_expectation(mq)
+    """Exact <Z> of the measured qubit via a single windowed sweep."""
+    return run_window_batch([circuit], window_cap, noise, check_invariants)[0]
 
 
-def _check_window(win: _Window, gate_index: int) -> None:
-    w = win.width
-    mat = win.rho.reshape(2**w, 2**w)
-    tr = np.trace(mat)
-    if abs(tr - 1.0) > 1e-10:
-        raise AssertionError(f"trace drifted to {tr} after gate {gate_index}")
-    if np.abs(mat - mat.conj().T).max() > 1e-10:
-        raise AssertionError(f"hermiticity lost after gate {gate_index}")
-    if np.linalg.eigvalsh(mat).min() < -1e-8:
-        raise AssertionError(f"negative eigenvalue after gate {gate_index}")
+def _check_window(rho: np.ndarray, gate_index: int) -> None:
+    """Trace, Hermiticity and positivity of every point's window."""
+    dim = 2 ** ((rho.ndim - 1) // 2)
+    for point, mat in enumerate(rho.reshape(-1, dim, dim)):
+        where = f"at point {point} after gate {gate_index}"
+        if abs(np.trace(mat) - 1.0) > 1e-10:
+            raise AssertionError(f"trace drifted to {np.trace(mat)} {where}")
+        if np.abs(mat - mat.conj().T).max() > 1e-10:
+            raise AssertionError(f"hermiticity lost {where}")
+        if np.linalg.eigvalsh(mat).min() < -1e-8:
+            raise AssertionError(f"negative eigenvalue {where}")

@@ -47,6 +47,13 @@ def test_gen_random_poly_golden_vector():
     assert np.allclose(poly.coeffs, golden, atol=1e-12)
 
 
+@pytest.mark.parametrize("bound", [0.0, -0.5, float("nan"), float("inf")])
+def test_gen_random_poly_rejects_a_bound_with_no_draw(bound):
+    # 0.0 used to loop forever waiting for a non-zero draw from [-0, 0]
+    with pytest.raises(ValueError, match="coeff_bound"):
+        gen_random_poly(3, 11, coeff_bound=bound)
+
+
 def test_gen_random_poly_deterministic():
     a = gen_random_poly(4, derive_seed(7, 4, 1))
     b = gen_random_poly(4, derive_seed(7, 4, 1))
@@ -78,6 +85,18 @@ def test_write_report_files(tmp_path):
     assert text[0] == "degree,trial,point_index,x,truth,estimate,stderr"
     assert len(text) == 1 + len(report.records)
     assert '"timings_ms"' in json_path.read_text()
+
+
+def test_timings_split_each_degree_by_layer():
+    report = stress_experiment(stress_config(degrees=(1, 5), points_per_trial=3, trials=2))
+    for d in (1, 5):
+        laps = [
+            report.timings_ms[f"degree_{d}.{layer}"]
+            for layer in ("build_circuit", "simulate", "sample")
+        ]
+        assert min(laps) > 0.0
+        assert sum(laps) <= report.timings_ms[f"degree_{d}"]
+    assert list(report.timings_ms)[-1] == "total"
 
 
 def test_stress_requires_stream_forward():

@@ -203,6 +203,8 @@ def test_read_program_derives_angles_from_weights(tmp_path):
         # q_0 skipped and the first live forward weight below 1: the terms
         # hold only part of C
         {"weights": [0.0, 0.5, 0.5, 0.4], "skips": [True, False, False, False]},
+        # a weight at the forward seed index q_0, which no program reads
+        {"weights": [0.5, 2.0 / 3.0, 0.5, 0.4]},
     ],
 )
 def test_read_program_rejects_malformed_schedule(tmp_path, edits):

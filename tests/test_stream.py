@@ -5,10 +5,11 @@ import pytest
 
 from polyshot.circuit import Circuit, Gate
 from polyshot.compile import build_circuit, compile_poly
-from polyshot.dense import NoiseModel, draw_shots, expect_z, run_statevector
+from polyshot import dense, stream
+from polyshot.dense import CapacityError, NoiseModel, draw_shots, expect_z, run_statevector
 from polyshot.poly import Polynomial, eval_poly
 from polyshot.rng import derive_seed
-from polyshot.stream import WindowOverflowError, liveness, run_window
+from polyshot.stream import WindowOverflowError, liveness, run_window, run_window_batch
 
 
 def dense_program(d, order, seed=0):
@@ -191,3 +192,105 @@ def test_heavy_noise_runtime_smoke():
     circuit = build_circuit(program, 0.1)
     outcome = draw_shots(run_window(circuit, noise=NoiseModel(p1=0.001, p2=0.005)), 512, seed=55)
     assert outcome.total == 512
+
+
+# --- a trial's points as one batched sweep ---------------------------------
+
+
+def _points(program, n_points):
+    return [build_circuit(program, float(x)) for x in np.linspace(-0.9, 0.9, n_points)]
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(p1=0.05, p2=0.1)])
+@pytest.mark.parametrize("n_points", [5, 10])
+@pytest.mark.parametrize("order", ["backward", "forward"])
+def test_batch_matches_kraus_reference_and_each_point_alone(order, n_points, noise):
+    for d in (1, 3, 5):
+        circuits = _points(dense_program(d, order, seed=60 + d), n_points)
+        zs = run_window_batch(circuits, noise=noise)
+        assert len(zs) == n_points
+        for circuit, z in zip(circuits, zs):
+            assert abs(z - _kraus_reference_z(circuit, noise)) < 1e-12
+            assert abs(z - run_window(circuit, noise=noise)) < 1e-14
+
+
+def test_batch_degree_35_forward_matches_horner_oracle():
+    rng = np.random.default_rng(35)
+    poly = Polynomial(tuple(rng.uniform(-1, 1, 36)))
+    program = compile_poly(poly, "forward")
+    xs = np.linspace(-0.9, 0.9, 5)
+    zs = run_window_batch([build_circuit(program, float(x)) for x in xs])
+    for x, z in zip(xs, zs):
+        assert abs(program.rescale * z - eval_poly(poly, float(x))) < 1e-9
+
+
+def test_batch_rejects_circuits_of_different_skeletons():
+    base = Circuit(2, (Gate.ry(0, 0.3), Gate.cx(0, 1)), 1)
+    for other in (
+        Circuit(2, (Gate.ry(1, 0.3), Gate.cx(0, 1)), 1),  # another qubit
+        Circuit(2, (Gate.rz(0, 0.3), Gate.cx(0, 1)), 1),  # another kind
+        Circuit(2, (Gate.ry(0, 0.3), Gate.cx(0, 1)), 0),  # another measured qubit
+        Circuit(3, (Gate.ry(0, 0.3), Gate.cx(0, 1)), 1),  # another width
+        Circuit(2, (Gate.ry(0, 0.3),), 1),  # fewer gates
+    ):
+        with pytest.raises(ValueError, match="skeleton"):
+            run_window_batch([base, other])
+    with pytest.raises(ValueError):
+        run_window_batch([])
+    # only the angles differ: one sweep
+    zs = run_window_batch([base, Circuit(2, (Gate.ry(0, 1.1), Gate.cx(0, 1)), 1)])
+    assert zs == pytest.approx([math.cos(0.3), math.cos(1.1)], abs=1e-14)
+
+
+def test_batch_overflow_reports_gate_and_suggests_forward():
+    circuits = _points(dense_program(10, "backward"), 5)
+    with pytest.raises(WindowOverflowError, match=r"at gate \d+ .*forward"):
+        run_window_batch(circuits, window_cap=8)
+
+
+def test_batch_invariant_checks_pass_for_every_point():
+    circuits = _points(dense_program(5, "forward"), 5)
+    for noise in (None, NoiseModel(p1=0.05, p2=0.1)):
+        zs = run_window_batch(circuits, noise=noise, check_invariants=True)
+        assert all(-1.0 <= z <= 1.0 for z in zs)
+
+
+@pytest.mark.parametrize(
+    "break_point, match",
+    [
+        (lambda mat: mat.__imul__(2.0), "trace drifted .* at point 3 after gate 7"),
+        (lambda mat: mat.__setitem__((0, 1), 0.25), "hermiticity lost at point 3 after gate 7"),
+        (
+            lambda mat: mat.__setitem__(slice(None), np.diag([1.5, -0.5])),
+            "negative eigenvalue at point 3",
+        ),
+    ],
+)
+def test_window_check_names_the_broken_point(break_point, match):
+    rho = np.zeros((5, 2, 2), dtype=complex)
+    rho[:, 0, 0] = 1.0
+    break_point(rho[3])
+    with pytest.raises(AssertionError, match=match):
+        stream._check_window(rho, 7)
+
+
+def test_batch_memory_check_raises_before_allocation(monkeypatch):
+    # the window reaches 2 qubits at gate 1: 5 points x 4^2 amplitudes,
+    # plus one window of kernel scratch
+    circuits = [Circuit(2, (Gate.ry(0, a), Gate.cx(0, 1)), 1) for a in np.linspace(0.1, 0.5, 5)]
+    need = 2 * 16 * 5 * 4**2
+    real_zeros = np.zeros
+
+    def small_allocations_only(shape, *args, **kwargs):
+        if np.prod(shape) >= 5 * 4**2:
+            raise AssertionError("the window was grown before the memory check")
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need - 1)
+    monkeypatch.setattr(np, "zeros", small_allocations_only)
+    with pytest.raises(CapacityError, match=f"{need} bytes.* {need - 1} bytes"):
+        run_window_batch(circuits)
+    monkeypatch.undo()
+    monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need)
+    zs = run_window_batch(circuits)
+    assert zs == pytest.approx([math.cos(a) for a in np.linspace(0.1, 0.5, 5)], abs=1e-14)
