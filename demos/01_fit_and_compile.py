@@ -20,7 +20,7 @@ print("coefficients:", np.round(result.poly.coeffs, 6))
 
 npoly = normalize(result.poly)
 print(f"\nl1 rescale constant C = {npoly.scale:.6f}")
-print(f"sup norm over [-1,1]  = {npoly.sup_norm_report:.6f} (always <= C)")
+print(f"sup norm over [-1,1]  = {sup_norm(result.poly):.6f} (always <= C)")
 print("normalized coefficients sum of |.|:", sum(abs(t) for t in npoly.tilde_coeffs))
 
 for order in ("backward", "forward"):

@@ -4,11 +4,14 @@ direct-encoding baseline.
 
 Reports are deterministic: every stochastic draw is keyed by
 derive_seed(master_seed, degree, trial, point), so scheduling cannot change
-any number.  The JSON report carries a volatile "timings_ms" block; the
-canonical serialization used for determinism checks omits it.
+any number.  Reports are written by json.dumps, so every float is in its
+shortest round-trip form and json.loads gives back the same double.  The JSON
+report carries a volatile "timings_ms" block; the canonical serialization
+used for determinism checks omits it.
 """
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -66,8 +69,12 @@ class ExperimentConfig:
             )
         if self.shots < 0:
             raise ValueError("shots must be >= 0 (0 = exact-expectation surrogate)")
-        if not (np.isfinite(self.coeff_bound) and self.coeff_bound > 0.0):
-            raise ValueError(f"coeff_bound must be finite and > 0, got {self.coeff_bound}")
+        for key in ("coeff_bound", "sup_rescale_target", "pass_threshold"):
+            v = getattr(self, key)
+            if not (np.isfinite(v) and v > 0.0):
+                raise ValueError(f"{key} must be finite and > 0, got {v}")
+        if self.window_cap < 1:
+            raise ValueError(f"window_cap must be >= 1, got {self.window_cap}")
         for key in ("noise_p1", "noise_p2"):
             p = getattr(self, key)
             if not 0.0 <= p <= 1.0:
@@ -136,8 +143,9 @@ def gen_random_poly(
     """Uniform coefficient draw rescaled so max |P| over [-1, 1] hits the target."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    if not (np.isfinite(coeff_bound) and coeff_bound > 0.0):
-        raise ValueError(f"coeff_bound must be finite and > 0, got {coeff_bound}")
+    for key, v in (("coeff_bound", coeff_bound), ("sup_rescale_target", sup_rescale_target)):
+        if not (np.isfinite(v) and v > 0.0):
+            raise ValueError(f"{key} must be finite and > 0, got {v}")
     attempt = seed
     while True:
         gen = generator(attempt)
@@ -311,42 +319,6 @@ def direct_baseline_eval(poly: Polynomial, x: float, shots: int, seed: int) -> E
 # --- serialization ---------------------------------------------------------
 
 
-def _emit(value, out: list[str]) -> None:
-    if isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(", ")
-            out.append(f'"{k}": ')
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(value):
-            if i:
-                out.append(", ")
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(format(float(value), ".17g"))
-    elif value is None:
-        out.append("null")
-    elif isinstance(value, str):
-        out.append('"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    else:
-        raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def _stable_json(value) -> str:
-    out: list[str] = []
-    _emit(value, out)
-    return "".join(out)
-
-
 def report_json(report: RunReport, include_timings: bool = True) -> str:
     payload = {
         "config": vars(report.config),
@@ -355,7 +327,7 @@ def report_json(report: RunReport, include_timings: bool = True) -> str:
     }
     if include_timings:
         payload["timings_ms"] = report.timings_ms
-    return _stable_json(payload) + "\n"
+    return json.dumps(payload) + "\n"
 
 
 def records_csv(report: RunReport) -> str:

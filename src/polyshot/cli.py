@@ -60,8 +60,12 @@ def _seed_default() -> int:
 
 def _target_fn(name: str):
     if name.startswith("poly:"):
-        coeffs = [float(v) for v in name[len("poly:"):].split(",")]
-        poly = Polynomial(tuple(coeffs))
+        try:
+            poly = Polynomial(tuple(float(v) for v in name[len("poly:"):].split(",")))
+        except ValueError:  # a float() failure or PolyError: not finite numbers
+            raise UsageError(
+                f"target {name!r}: poly:<c0,c1,...> takes a list of finite numbers"
+            ) from None
         return lambda x: eval_poly(poly, x)
     if name in BUILTIN_TARGETS:
         return BUILTIN_TARGETS[name]
@@ -120,7 +124,7 @@ def cmd_evaluate(args) -> int:
         "stderr": est.stderr,
         "truth_if_known": truth,
     }
-    print(bench._stable_json(payload))
+    print(json.dumps(payload))
     return 0
 
 
@@ -147,7 +151,7 @@ def cmd_bench(args) -> int:
     else:  # shots
         result = bench.shot_scaling_experiment(master_seed=overrides["master_seed"])
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "shots.json").write_text(bench._stable_json(result) + "\n")
+        (out_dir / "shots.json").write_text(json.dumps(result) + "\n")
         lines = ["shots,rmse"] + [
             f"{r['shots']},{format(r['rmse'], '.17g')}" for r in result["per_shots"]
         ]

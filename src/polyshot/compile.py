@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import Circuit, Gate, depth as circuit_depth
-from .poly import NormalizedPolynomial, Polynomial
+from .poly import NormalizedPolynomial, Polynomial, is_finite_number
 
 HALF_PI = math.pi / 2.0
 
@@ -232,45 +232,27 @@ def reconstruct_coeffs(program: CompiledProgram) -> tuple[float, ...]:
 # --- file format -----------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def write_program(program: CompiledProgram, path: str | Path) -> None:
+    """Write the schedule and C as JSON.  The angles are not written: the
+    reader derives them from the weights."""
     sched = program.schedule
-    payload = "".join(
-        [
-            "{",
-            f'"order": "{sched.order}", ',
-            f'"C": {_fmt(program.rescale)}, ',
-            f'"degree": {sched.degree}, ',
-            '"weights": [' + ", ".join(_fmt(w) for w in sched.weights) + "], ",
-            '"angles": [' + ", ".join(_fmt(a) for a in sched.angles) + "], ",
-            '"signs": [' + ", ".join(str(s) for s in sched.signs) + "], ",
-            '"skips": [' + ", ".join("true" if s else "false" for s in sched.skip_flags) + "]",
-            "}\n",
-        ]
-    )
-    Path(path).write_text(payload)
-
-
-def _is_finite_number(v) -> bool:
-    """A JSON number that is a finite float: not a bool, a NaN, an infinity
-    or an int too large for a float."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
+    payload = {
+        "order": sched.order,
+        "C": program.rescale,
+        "degree": sched.degree,
+        "weights": sched.weights,
+        "signs": sched.signs,
+        "skips": sched.skip_flags,
+    }
+    Path(path).write_text(json.dumps(payload) + "\n")
 
 
 def read_program(path: str | Path) -> CompiledProgram:
     """Load a program file, raising CompileError naming the file for any
     content that is not a program write_program could have written.
 
-    The file's "angles" list is not read: the angles are derived from the
-    weights, so the two cannot disagree."""
+    The angles are derived from the weights, so the two cannot disagree; an
+    "angles" list in the file (older writers wrote one) is not read."""
     try:
         data = json.loads(Path(path).read_text())
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
@@ -289,10 +271,10 @@ def read_program(path: str | Path) -> CompiledProgram:
     for key in ("weights", "signs", "skips"):
         if not isinstance(data[key], list) or len(data[key]) != d + 1:
             raise CompileError(f"{path}: {key} must hold degree + 1 = {d + 1} entries")
-    if not (_is_finite_number(data["C"]) and data["C"] > 0):
+    if not (is_finite_number(data["C"]) and data["C"] > 0):
         raise CompileError(f"{path}: C must be a finite number > 0, got {data['C']!r}")
     rescale = float(data["C"])
-    if not all(_is_finite_number(w) for w in data["weights"]):
+    if not all(is_finite_number(w) for w in data["weights"]):
         raise CompileError(f"{path}: every weight must be a finite number, got {data['weights']}")
     weights = tuple(float(w) for w in data["weights"])
     try:

@@ -54,10 +54,6 @@ class NoiseModel:
         if not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.p2 <= 1.0):
             raise ValueError("noise probabilities must lie in [0, 1]")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.p1 == 0.0 and self.p2 == 0.0
-
 
 @dataclass(frozen=True)
 class ShotOutcome:

@@ -3,13 +3,17 @@ and the normalization that feeds the compiler.
 
 Normalization divides by the l1 norm of the coefficients so that downstream
 convex-weight aggregation telescopes exactly to the normalized polynomial.
-The sup norm over [-1, 1] is still computed and reported for comparison with
-the usual max-|P| convention; it never exceeds the l1 constant.
+sup_norm gives the usual max-|P| over [-1, 1] for comparison; it never
+exceeds the l1 constant.
+
+Coefficient files are written by json.dumps, so every coefficient is in its
+shortest round-trip form and reads back as the same double.
 """
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,7 +58,6 @@ class Polynomial:
 class NormalizedPolynomial:
     tilde_coeffs: tuple[float, ...]
     scale: float
-    sup_norm_report: float
 
     @property
     def degree(self) -> int:
@@ -190,7 +193,7 @@ def normalize(poly: Polynomial) -> NormalizedPolynomial:
     if l1 == 0.0:
         raise NormalizationError("all-zero polynomial cannot be normalized")
     tilde = a / l1
-    return NormalizedPolynomial(tuple(float(t) for t in tilde), l1, sup_norm(poly))
+    return NormalizedPolynomial(tuple(float(t) for t in tilde), l1)
 
 
 def sample_function(fn, config: FitConfig) -> list[tuple[float, float]]:
@@ -203,17 +206,37 @@ def sample_function(fn, config: FitConfig) -> list[tuple[float, float]]:
 # --- file formats ---------------------------------------------------------
 
 
+def is_finite_number(v) -> bool:
+    """A JSON number that is a finite float: not a bool, a NaN, an infinity
+    or an int too large for a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def write_coeffs(poly: Polynomial, path: str | Path) -> None:
-    Path(path).write_text(
-        '{"coeffs": [' + ", ".join(format(c, ".17g") for c in poly.coeffs) + "]}\n"
-    )
+    Path(path).write_text(json.dumps({"coeffs": poly.coeffs}) + "\n")
 
 
 def read_coeffs(path: str | Path) -> Polynomial:
-    data = json.loads(Path(path).read_text())
+    """Load a coefficient file, raising PolyError naming the file for text
+    that is not a JSON object whose "coeffs" is a non-empty list of finite
+    numbers."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
+        raise PolyError(f"{path}: not a JSON coefficient file ({exc})") from exc
     if not isinstance(data, dict) or "coeffs" not in data:
         raise PolyError(f"{path}: expected a JSON object with a 'coeffs' list")
-    return Polynomial(tuple(float(c) for c in data["coeffs"]))
+    coeffs = data["coeffs"]
+    if not isinstance(coeffs, list) or not coeffs:
+        raise PolyError(f"{path}: 'coeffs' must be a non-empty list, got {coeffs!r}")
+    if not all(is_finite_number(c) for c in coeffs):
+        raise PolyError(f"{path}: every coefficient must be a finite number, got {coeffs}")
+    return Polynomial(tuple(float(c) for c in coeffs))
 
 
 def read_samples(path: str | Path) -> list[tuple[float, float]]:

@@ -49,9 +49,11 @@ def test_gen_random_poly_golden_vector():
 
 @pytest.mark.parametrize("bound", [0.0, -0.5, float("nan"), float("inf")])
 def test_gen_random_poly_rejects_a_bound_with_no_draw(bound):
-    # 0.0 used to loop forever waiting for a non-zero draw from [-0, 0]
-    with pytest.raises(ValueError, match="coeff_bound"):
-        gen_random_poly(3, 11, coeff_bound=bound)
+    # a coeff_bound of 0.0 used to loop forever waiting for a non-zero draw
+    # from [-0, 0]; a sup_rescale_target of 0 or below rescales to no draw
+    for key in ("coeff_bound", "sup_rescale_target"):
+        with pytest.raises(ValueError, match=key):
+            gen_random_poly(3, 11, **{key: bound})
 
 
 def test_gen_random_poly_deterministic():
@@ -188,8 +190,7 @@ def test_summary_table_formats():
 def _noiseless_report_digests() -> dict:
     """sha256 of the seeded noiseless table1 (dense), stress (stream) and shots reports."""
     import hashlib
-
-    from polyshot.bench import _stable_json
+    import json
 
     def digest(text: str) -> str:
         return hashlib.sha256(text.encode()).hexdigest()
@@ -202,7 +203,7 @@ def _noiseless_report_digests() -> dict:
         "table1_csv": digest(records_csv(table1)),
         "stress_json": digest(report_json(stress, include_timings=False)),
         "stress_csv": digest(records_csv(stress)),
-        "shots_json": digest(_stable_json(shots)),
+        "shots_json": digest(json.dumps(shots)),
     }
 
 

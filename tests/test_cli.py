@@ -3,8 +3,12 @@ from pathlib import Path
 
 import pytest
 
+from polyshot import bench
 from polyshot.cli import main
-from polyshot.poly import read_coeffs, write_samples
+from polyshot.compile import build_circuit, read_program
+from polyshot.dense import draw_shots, expect_z, run_statevector
+from polyshot.estimate import point_estimate
+from polyshot.poly import eval_poly, read_coeffs, write_samples
 
 
 def run_cli(*argv):
@@ -87,6 +91,39 @@ def test_compile_rejects_zero_poly(tmp_path):
     assert run_cli("compile", "--coeffs", str(coeffs), "--out", str(tmp_path / "p.json")) == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        "[0.5]",
+        '{"coeffs": 5}',
+        '{"coeffs": []}',
+        '{"coeffs": [null, 1]}',
+        '{"coeffs": [true, 0.5]}',
+        '{"coeffs": ["0.5"]}',
+        '{"coeffs": [NaN]}',
+        '{"coeffs": [1e999]}',
+        '{"coeffs": [' + "9" * 400 + "]}",
+    ],
+)
+def test_compile_rejects_malformed_coeffs_without_traceback(tmp_path, capsys, text):
+    coeffs = tmp_path / "bad.json"
+    coeffs.write_text(text)
+    assert run_cli("compile", "--coeffs", str(coeffs), "--out", str(tmp_path / "p.json")) == 1
+    err = capsys.readouterr().err
+    assert str(coeffs) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["poly:1,abc", "poly:", "poly:0.5,inf", "nosuch"])
+def test_fit_rejects_a_bad_target_as_usage_error(tmp_path, capsys, target):
+    code = run_cli("fit", "--target", target, "--degree", "1", "--out", str(tmp_path / "o.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert repr(target) in err
+    assert "Traceback" not in err
+
+
 def test_evaluate_constant_program_deterministic(tmp_path, capsys):
     coeffs = tmp_path / "c.json"
     coeffs.write_text('{"coeffs": [-0.7]}\n')
@@ -120,8 +157,8 @@ def test_evaluate_seeded_golden(tmp_path, capsys):
     assert run_cli(*args) == 0
     first = capsys.readouterr().out
     assert first == (
-        '{"x": 0.5, "estimate": 0.27304687500000002, '
-        '"stderr": 0.0083479829509176713, "truth_if_known": 0.27500000000000002}\n'
+        '{"x": 0.5, "estimate": 0.273046875, '
+        '"stderr": 0.008347982950917671, "truth_if_known": 0.275}\n'
     )
     assert run_cli(*args) == 0
     assert capsys.readouterr().out == first
@@ -182,7 +219,7 @@ def test_evaluate_ignores_angles_that_disagree_with_weights(tmp_path, capsys):
     assert run_cli(*args) == 0
     want = capsys.readouterr().out
     data = json.loads(prog.read_text())
-    data["angles"] = data["angles"][:1]
+    data["angles"] = [3.0, 3.0, 3.0, 3.0]
     prog.write_text(json.dumps(data))
     assert run_cli(*args) == 0
     assert capsys.readouterr().out == want
@@ -290,6 +327,11 @@ def test_bench_rejects_mistyped_config_value(tmp_path, capsys, bad):
         ({"degrees": [1, -2]}, "degrees"),
         ({"trials": 1, "points_per_trial": 1}, "points_per_trial"),
         ({"points_per_trial": 0}, "points_per_trial"),
+        ({"sup_rescale_target": 0}, "sup_rescale_target"),
+        ({"sup_rescale_target": -1}, "sup_rescale_target"),
+        ({"window_cap": 0}, "window_cap"),
+        ({"pass_threshold": 0}, "pass_threshold"),
+        ({"pass_threshold": -0.03}, "pass_threshold"),
     ],
 )
 def test_bench_rejects_out_of_range_config_value(tmp_path, capsys, bad, key):
@@ -342,6 +384,51 @@ def test_bench_reports_identical_across_runs(tmp_path):
     run_cli("bench", "table1", "--config", str(config), "--out-dir", str(d1), "--seed", "5")
     run_cli("bench", "table1", "--config", str(config), "--out-dir", str(d2), "--seed", "5")
     assert (d1 / "table1_records.csv").read_bytes() == (d2 / "table1_records.csv").read_bytes()
+
+
+def _bits(value):
+    """The value with every float replaced by its exact hex form, so that ==
+    compares floats bit for bit (0.0 and -0.0 differ, a NaN equals itself)."""
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value.hex() if isinstance(value, float) else value
+
+
+def test_report_json_reads_back_every_float_bit_for_bit():
+    small = bench.ExperimentConfig(degrees=(1, 2, 3), points_per_trial=5, trials=2, shots=512)
+    stress = bench.stress_config(degrees=(1, 10, 20), points_per_trial=3, trials=2)
+    for report in (bench.table1_experiment(small), bench.stress_experiment(stress)):
+        back = json.loads(bench.report_json(report))
+        assert _bits(back["config"]) == _bits(vars(report.config))
+        assert _bits(back["per_degree"]) == _bits(report.per_degree)
+        assert _bits(back["records"]) == _bits([vars(r) for r in report.records])
+        assert _bits(back["timings_ms"]) == _bits(report.timings_ms)
+
+
+def test_shots_json_reads_back_every_float_bit_for_bit(tmp_path, capsys):
+    assert run_cli("bench", "shots", "--seed", "7", "--out-dir", str(tmp_path)) == 0
+    back = json.loads((tmp_path / "shots.json").read_text())
+    assert _bits(back) == _bits(bench.shot_scaling_experiment(master_seed=7))
+
+
+def test_evaluate_line_reads_back_every_float_bit_for_bit(tmp_path, capsys):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text('{"coeffs": [0.1, -0.23, 0.3, 0.07]}\n')
+    prog = tmp_path / "prog.json"
+    run_cli("compile", "--coeffs", str(coeffs), "--out", str(prog))
+    program = read_program(prog)
+    for x in (-0.9, -0.3, 1 / 3, 0.7):
+        capsys.readouterr()
+        assert run_cli("evaluate", "--program", str(prog), "--x", repr(x), "--seed", "11") == 0
+        back = json.loads(capsys.readouterr().out)
+        circuit = build_circuit(program, x)
+        z = expect_z(run_statevector(circuit), circuit.measured_qubit)
+        est = point_estimate(draw_shots(z, 4096, 11), program.rescale)
+        want = {"x": x, "estimate": est.value, "stderr": est.stderr,
+                "truth_if_known": eval_poly(program.source, x)}
+        assert _bits(back) == _bits(want)
 
 
 def test_help_covers_subcommands(capsys):
