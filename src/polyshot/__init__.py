@@ -9,13 +9,21 @@ from .compile import (
     WeightSchedule,
     angle_of_weight,
     build_circuit,
+    build_circuits,
     compile_poly,
     compute_weights,
     read_program,
     resources,
     write_program,
 )
-from .dense import NoiseModel, ShotOutcome, draw_shots, expect_z, run_statevector
+from .dense import (
+    NoiseModel,
+    ShotOutcome,
+    draw_shots,
+    expect_z,
+    expect_z_batch,
+    run_statevector,
+)
 from .estimate import Estimate, Metrics, point_estimate, run_metrics, shot_scaling_fit
 from .poly import (
     FitConfig,
@@ -53,6 +61,7 @@ __all__ = [
     "WeightSchedule",
     "angle_of_weight",
     "build_circuit",
+    "build_circuits",
     "compile_poly",
     "compute_weights",
     "depth",
@@ -60,6 +69,7 @@ __all__ = [
     "draw_shots",
     "eval_poly",
     "expect_z",
+    "expect_z_batch",
     "fit",
     "generator",
     "liveness",

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .compile import build_circuit, compile_poly, resources
-from .dense import NoiseModel, draw_shots, expect_z, prob_one, run_statevector
+from .compile import build_circuits, compile_poly, resources
+from .dense import NoiseModel, draw_shots, expect_z, expect_z_batch, prob_one, run_statevector
 from .estimate import Estimate, PASS_THRESHOLD, point_estimate, run_metrics, shot_scaling_fit
 from .poly import Polynomial, eval_poly, sup_norm
 from .rng import derive_seed, generator
@@ -160,14 +160,15 @@ def gen_random_poly(
 
 def _exact_z(circuits: list[Circuit], config: ExperimentConfig) -> list[float]:
     """Exact <Z> of each circuit's measured qubit, in order, on the configured
-    simulator, noise included: one windowed sweep of the batch (the circuits
-    share one gate skeleton, as the points of one program do), or one
-    statevector each.  A statevector cannot hold the mixed state the noise
-    channel produces, so a noisy circuit always takes the windowed sweep."""
+    simulator, noise included, from one sweep of the batch (the circuits share
+    one gate skeleton, as the points of one program do): windowed, or a
+    statevector in chunks.  A statevector cannot hold the mixed state the
+    noise channel produces, so a noisy circuit always takes the windowed
+    sweep."""
     noise = config.noise
     if config.simulator == "stream" or noise is not None:
         return run_window_batch(circuits, config.window_cap, noise)
-    return [expect_z(run_statevector(c), c.measured_qubit) for c in circuits]
+    return expect_z_batch(circuits)
 
 
 def _recovery_run(config: ExperimentConfig) -> RunReport:
@@ -179,28 +180,32 @@ def _recovery_run(config: ExperimentConfig) -> RunReport:
     timings: dict[str, float] = {}
     for degree in config.degrees:
         t_deg = time.perf_counter()
-        laps = dict.fromkeys(("build_circuit", "simulate", "sample"), 0.0)
+        laps = dict.fromkeys(
+            ("generate", "compile", "build_circuit", "simulate", "sample", "metrics"), 0.0
+        )
         pairs: list[tuple[float, float]] = []
         norm_pairs: list[tuple[float, float]] = []
         pred_errs: list[float] = []
         deg_resources = None
         for trial in range(config.trials):
+            t_gen = time.perf_counter()
             poly = gen_random_poly(
                 degree,
                 derive_seed(config.master_seed, degree, trial),
                 config.coeff_bound,
                 config.sup_rescale_target,
             )
+            t_compile = time.perf_counter()
             program = compile_poly(poly, config.order)
             t_build = time.perf_counter()
             try:
-                circuits = [build_circuit(program, x) for x in xs]
+                circuits = build_circuits(program, xs)
+                deg_resources = deg_resources or resources(circuits[0])
                 t_sim = time.perf_counter()
                 zs = _exact_z(circuits, config)
             except Exception as exc:
                 raise RuntimeError(f"degree={degree} trial={trial}: {exc}") from exc
             t_sample = time.perf_counter()
-            deg_resources = deg_resources or resources(circuits[0])
             for point, (x, z) in enumerate(zip(xs, zs)):
                 truth = eval_poly(poly, x)
                 if config.shots == 0:  # infinite-shot surrogate
@@ -216,9 +221,12 @@ def _recovery_run(config: ExperimentConfig) -> RunReport:
                 records.append(Record(degree, trial, point, x, truth, est.value, est.stderr))
                 pairs.append((truth, est.value))
                 norm_pairs.append((truth / program.rescale, est.value / program.rescale))
+            laps["generate"] += t_compile - t_gen
+            laps["compile"] += t_build - t_compile
             laps["build_circuit"] += t_sim - t_build
             laps["simulate"] += t_sample - t_sim
             laps["sample"] += time.perf_counter() - t_sample
+        t_metrics = time.perf_counter()
         metrics = run_metrics(pairs, config.pass_threshold)
         norm_metrics = run_metrics(norm_pairs, config.pass_threshold)
         row = {
@@ -238,6 +246,7 @@ def _recovery_run(config: ExperimentConfig) -> RunReport:
             row["paper_sim_rmse"] = paper[0]
             row["paper_sim_pass_pct"] = paper[2]
         per_degree.append(row)
+        laps["metrics"] = time.perf_counter() - t_metrics
         for layer, seconds in laps.items():
             timings[f"degree_{degree}.{layer}"] = 1000.0 * seconds
         timings[f"degree_{degree}"] = 1000.0 * (time.perf_counter() - t_deg)
@@ -283,7 +292,7 @@ def shot_scaling_experiment(
     program = compile_poly(poly, order)
     xs = [float(x) for x in np.linspace(x_domain[0], x_domain[1], points)]
     truths = [eval_poly(poly, x) for x in xs]
-    zs = _exact_z([build_circuit(program, x) for x in xs], ExperimentConfig(simulator="dense"))
+    zs = _exact_z(build_circuits(program, xs), ExperimentConfig(simulator="dense"))
     rows = []
     for n_idx, shots in enumerate(shots_list):
         sq_errs = []

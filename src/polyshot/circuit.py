@@ -2,7 +2,8 @@
 
 The gate set is deliberately tiny: RY, RZ, X and CX, plus a designated
 measured qubit on the circuit.  Emission to OpenQASM 3.0 is byte-stable:
-identical circuits serialize to identical text.
+identical circuits serialize to identical text.  plan() resolves a batch of
+circuits of one gate skeleton into the step list both simulators sweep.
 """
 from __future__ import annotations
 
@@ -100,6 +101,39 @@ def depth(circuit: Circuit) -> int:
             level[q] = d
         out = max(out, d)
     return out
+
+
+def plan(circuits: list[Circuit]) -> list[tuple]:
+    """(kind, qubits, angle) per gate of a batch of circuits that share one gate
+    skeleton (width, measured qubit, and each gate's kind and qubits), such as
+    the points of one program; raises ValueError for an empty batch or one of
+    several skeletons.
+
+    The angle is a float where every point holds the same gate, and an array
+    of one angle per point where the points differ.  A gate object shared by
+    every point (build_circuits shares all but the encoding gates) is resolved
+    by identity, without comparing its fields.
+    """
+    if not circuits:
+        raise ValueError("a batch needs at least one circuit")
+    first = circuits[0]
+    for c in circuits:
+        if (c.n_qubits, c.measured_qubit, len(c.gates)) != (
+            first.n_qubits,
+            first.measured_qubit,
+            len(first.gates),
+        ):
+            raise ValueError("a batch runs circuits of one gate skeleton")
+    steps = []
+    for gates in zip(*(c.gates for c in circuits)):
+        g = gates[0]
+        if gates.count(g) == len(gates):  # tuple.count tries identity first
+            steps.append((g.kind, g.qubits, g.angle))
+            continue
+        if any(h.kind != g.kind or h.qubits != g.qubits for h in gates):
+            raise ValueError("a batch runs circuits of one gate skeleton")
+        steps.append((g.kind, g.qubits, np.array([h.angle for h in gates])))
+    return steps
 
 
 def _fmt_angle(a: float) -> str:

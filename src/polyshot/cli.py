@@ -55,7 +55,12 @@ class UsageError(Exception):
 
 def _seed_default() -> int:
     env = os.environ.get("POLYSHOT_SEED")
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"POLYSHOT_SEED={env!r} is not an integer seed") from None
 
 
 def _target_fn(name: str):
@@ -108,6 +113,12 @@ def cmd_compile(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    seed = _seed_default() if args.seed is None else args.seed
+    if args.shots < 1:
+        raise UsageError(f"--shots {args.shots} must be >= 1")
+    for flag, p in (("--noise-p1", args.noise_p1), ("--noise-p2", args.noise_p2)):
+        if not 0.0 <= p <= 1.0:
+            raise UsageError(f"{flag} {p} must lie in [0, 1]")
     program = read_program(args.program)
     if abs(args.x) > 1.0:
         raise UsageError(f"--x {args.x} outside the encoding domain [-1, 1]")
@@ -115,7 +126,7 @@ def cmd_evaluate(args) -> int:
     config = bench.ExperimentConfig(
         simulator=args.sim, noise_p1=args.noise_p1, noise_p2=args.noise_p2
     )
-    outcome = draw_shots(bench._exact_z([circuit], config)[0], args.shots, args.seed)
+    outcome = draw_shots(bench._exact_z([circuit], config)[0], args.shots, seed)
     est = point_estimate(outcome, program.rescale)
     truth = eval_poly(program.source, args.x)
     payload = {
@@ -282,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and args.command == "evaluate":
-        args.seed = _seed_default()
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -151,19 +151,21 @@ def _sum_block(gates: list[Gate], term: int, sum_q: int, alpha: float) -> None:
     gates.append(Gate.rz(term, HALF_PI))
 
 
-def build_circuit(program: CompiledProgram, x: float) -> Circuit:
-    """Instantiate the compiled schedule at one evaluation point."""
-    if not np.isfinite(x) or abs(x) > 1.0:
-        raise EncodingDomainError(f"x = {x} outside the encoding domain [-1, 1]")
-    sched = program.schedule
+def _skeleton(sched: WeightSchedule) -> tuple[list[Gate | None], list[tuple[int, int]], int]:
+    """The schedule's gate list with each encoding Ry(arccos x) left as None,
+    the (index, qubit) of those slots, and the measured qubit."""
     d = sched.degree
     n = d + 1
-    theta = float(np.arccos(x))
-    gates: list[Gate] = []
+    gates: list[Gate | None] = []
+    slots: list[tuple[int, int]] = []
+
+    def encode(k: int) -> None:
+        slots.append((len(gates), k))
+        gates.append(None)
 
     if sched.order == "backward":
         for k in range(1, n):
-            gates.append(Gate.ry(k, theta))
+            encode(k)
         for k in range(2, n):
             gates.append(Gate.cx(k - 1, k))
         run_q = sched.seed_index
@@ -176,28 +178,52 @@ def build_circuit(program: CompiledProgram, x: float) -> Circuit:
                 gates.append(Gate.x(k))
             _sum_block(gates, k, run_q, sched.angles[k])
             run_q = k
-        return Circuit(n, tuple(gates), run_q)
+        return gates, slots, run_q
 
     # forward: emit encode/multiply/aggregate interleaved so that at most
     # three qubits are ever simultaneously live
-    if d == 0:
-        if sched.signs[0] < 0 and not sched.skip_flags[0]:
-            gates.append(Gate.x(0))
-        return Circuit(1, tuple(gates), 0)
     if sched.signs[0] < 0 and not sched.skip_flags[0]:
         gates.append(Gate.x(0))
-    gates.append(Gate.ry(1, theta))
+    if d == 0:
+        return gates, slots, 0
+    encode(1)
     run_q = 0
     for k in range(1, n):
         if k + 1 < n:  # extend the power chain before folding q_k
-            gates.append(Gate.ry(k + 1, theta))
+            encode(k + 1)
             gates.append(Gate.rz(k + 1, HALF_PI))
             gates.append(Gate.cx(k, k + 1))
         if not sched.skip_flags[k] and sched.signs[k] < 0:
             gates.append(Gate.x(k))
         _sum_block(gates, k, run_q, sched.angles[k])
         run_q = k
-    return Circuit(n, tuple(gates), run_q)
+    return gates, slots, run_q
+
+
+def build_circuits(program: CompiledProgram, xs) -> list[Circuit]:
+    """Instantiate the compiled schedule at each evaluation point, in order.
+
+    Only the encoding Ry(arccos x) gates depend on x: the gate list is emitted
+    once, and every other Gate object is shared by all the circuits, which
+    makes them one batch for the simulators (circuit.plan)."""
+    thetas = []
+    for x in xs:
+        if not np.isfinite(x) or abs(x) > 1.0:
+            raise EncodingDomainError(f"x = {x} outside the encoding domain [-1, 1]")
+        thetas.append(float(np.arccos(x)))
+    skeleton, slots, measured = _skeleton(program.schedule)
+    circuits = []
+    for theta in thetas:
+        gates = list(skeleton)
+        for i, k in slots:
+            gates[i] = Gate.ry(k, theta)
+        circuits.append(Circuit(program.n_qubits, tuple(gates), measured))
+    return circuits
+
+
+def build_circuit(program: CompiledProgram, x: float) -> Circuit:
+    """Instantiate the compiled schedule at one evaluation point."""
+    return build_circuits(program, [x])[0]
 
 
 def resources(circuit: Circuit) -> ResourceCounts:

@@ -13,14 +13,21 @@ by its phase, ry is a real 2x2 rotation that keeps one copy of the 0-half,
 and cx swaps the target's halves where the control is 1.  No gate matrix is
 built and no new state is made per gate (Haner & Steiger, "0.5 Petabyte
 Simulation of a 45-Qubit Quantum Circuit", 2017).  The peak is the state plus
-at most one state of scratch, and that peak is checked against the free
+at most as much again of scratch, and that peak is checked against the free
 memory before the state is allocated.
 
-The one-qubit kernel (_apply_1q) is shared with the windowed simulator, which
-runs it on the row and the column axes of its density matrix and passes a
-per-point angle array that broadcasts across its leading batch axis.  The
-statevector itself runs one point at a time: a batch axis would multiply its
-2^n state, which is the one allocation that limits it.
+Both simulators sweep a batch of circuits that share one gate skeleton, such
+as the points of one program, as a leading batch axis, with one angle per
+point where the points differ (circuit.plan): here the state is a tensor of
+shape [B] + [2]*n, and the windowed simulator runs the same one-qubit kernel
+on the row and the column axes of its density matrix.  expect_z_batch runs a
+batch in chunks whose state holds at most _CHUNK_AMPLITUDES amplitudes, and
+at least one point.  A small program (2-7 qubits in the Table-1 protocol)
+then runs a whole trial in one sweep, so each gate's Python dispatch is paid
+once per trial, not once per point.  A wide state (2^12 amplitudes and up)
+runs one point at a time: its cost per gate is memory traffic, which a batch
+does not cut, and a batch would multiply its peak memory, the one allocation
+that limits it.
 """
 from __future__ import annotations
 
@@ -29,13 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, plan
 from .rng import generator
 
 DEFAULT_QUBIT_CAP = 26
 # peak bytes of a run per amplitude: the complex128 state plus the ry
 # branch's scratch (a copy of one half and one half-sized temporary)
 _PEAK_BYTES_PER_AMPLITUDE = 2 * 16
+# the most amplitudes one chunk of expect_z_batch holds (see the module docstring)
+_CHUNK_AMPLITUDES = 2**12
 
 
 class CapacityError(RuntimeError):
@@ -105,8 +114,10 @@ def _halves(tensor: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 def _apply_1q(tensor: np.ndarray, kind: str, axis: int, angle) -> None:
     """One-qubit gate ("ry", "rz" or "x") in place on one axis of a tensor.
 
-    `angle` is a float, or an array that broadcasts against a half (one angle
-    per point of a batch); x takes none."""
+    `angle` is a float, or an array of one angle per point of the tensor's
+    leading batch axis; x takes none."""
+    if isinstance(angle, np.ndarray):  # broadcast against a half
+        angle = angle.reshape((-1,) + (1,) * (tensor.ndim - 2))
     a, b = _halves(tensor, axis)
     if kind == "x":
         a[...], b[...] = b, a.copy()
@@ -115,6 +126,8 @@ def _apply_1q(tensor: np.ndarray, kind: str, axis: int, angle) -> None:
         b *= np.exp(0.5j * angle)
     else:  # ry
         c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+        if isinstance(angle, np.ndarray):  # else each use casts them in a ufunc buffer
+            c, s = c.astype(complex), s.astype(complex)
         a0 = a.copy()
         a *= c
         a -= s * b
@@ -127,29 +140,54 @@ def _free_memory_bytes() -> int:
     return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def run_statevector(circuit: Circuit) -> np.ndarray:
-    """Apply all gates in order to |0...0>; returns the final amplitudes."""
-    n = circuit.n_qubits
+def _sweep(steps: list[tuple], n: int, lo: int, hi: int) -> np.ndarray:
+    """The states, shape [hi - lo] + [2]*n, that the plan of a batch leaves
+    its points lo..hi-1 in, from |0...0>, after the width and memory checks."""
     if n > DEFAULT_QUBIT_CAP:
         raise CapacityError(
             f"{n} qubits exceeds the dense cap of {DEFAULT_QUBIT_CAP}; "
             "route this circuit to the windowed stream simulator"
         )
-    need = _PEAK_BYTES_PER_AMPLITUDE * 2**n
+    need = _PEAK_BYTES_PER_AMPLITUDE * (hi - lo) * 2**n
     free = _free_memory_bytes()
     if need > free:
         raise CapacityError(
-            f"{n} qubits need about {need} bytes, but only {free} bytes are free; "
-            "route this circuit to the windowed stream simulator"
+            f"{hi - lo} state(s) of {n} qubits need about {need} bytes, but only {free} "
+            "bytes are free; route this circuit to the windowed stream simulator"
         )
-    state = np.zeros([2] * n, dtype=complex)
-    state[(0,) * n] = 1.0
-    for g in circuit.gates:
-        if g.kind == "cx":
-            _apply_cx(state, g.qubits[0], g.qubits[1])
+    state = np.zeros([hi - lo] + [2] * n, dtype=complex)
+    state[(slice(None),) + (0,) * n] = 1.0
+    for kind, qubits, angle in steps:
+        if kind == "cx":
+            _apply_cx(state, qubits[0] + 1, qubits[1] + 1)
         else:
-            _apply_1q(state, g.kind, g.qubits[0], g.angle)
-    return state.reshape(-1)
+            if isinstance(angle, np.ndarray):  # one per point: a chunk of one takes a scalar
+                angle = angle[lo] if hi - lo == 1 else angle[lo:hi]
+            _apply_1q(state, kind, qubits[0] + 1, angle)
+    return state
+
+
+def run_statevector(circuit: Circuit) -> np.ndarray:
+    """Apply all gates in order to |0...0>; returns the final amplitudes."""
+    return _sweep(plan([circuit]), circuit.n_qubits, 0, 1).reshape(-1)
+
+
+def expect_z_batch(circuits: list[Circuit]) -> list[float]:
+    """Exact <Z> of each circuit's measured qubit, in order, from statevector
+    sweeps of the batch in chunks; raises ValueError unless the circuits share
+    one gate skeleton.  Where the points differ only in ry angles, as those of
+    build_circuits do, each z is the one expect_z(run_statevector(circuit),
+    circuit.measured_qubit) gives, bit for bit: a real rotation rounds the same
+    with one angle or many.  A per-point rz phase may move the last bit."""
+    steps = plan(circuits)
+    n, qubit = circuits[0].n_qubits, circuits[0].measured_qubit
+    chunk = max(1, _CHUNK_AMPLITUDES >> n)
+    zs: list[float] = []
+    for lo in range(0, len(circuits), chunk):
+        hi = min(lo + chunk, len(circuits))
+        # the chunk's states are freed before the next chunk is allocated
+        zs += [expect_z(state, qubit) for state in _sweep(steps, n, lo, hi)]
+    return zs
 
 
 def expect_z(state: np.ndarray, qubit: int) -> float:

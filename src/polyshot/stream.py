@@ -9,6 +9,7 @@ forward-order compiler keeps w <= 3, which is what makes degree-35 programs
 One sweep runs a batch of circuits that share one gate skeleton, such as the
 points of one program (only the encoding Ry(arccos x) angles depend on x), so
 the liveness walk, each gate and each channel are paid once per batch.  The
+batch's steps come from circuit.plan, which the statevector shares.  The
 density matrix is a tensor of shape [B] + [2]*w + [2]*w: the batch axis, then
 w row (ket) and w column (bra) axes in the order the qubits were adjoined.
 A one-qubit gate U is the statevector's in-place kernel (dense._apply_1q), U
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dense
-from .circuit import Circuit
+from .circuit import Circuit, plan
 from .dense import NoiseModel
 
 DEFAULT_WINDOW_CAP = 8
@@ -72,23 +73,6 @@ def liveness(circuit: Circuit) -> RetirementSchedule:
         live -= sum(last[q] == i for q in g.qubits)
     peak = max(peak, 1)  # the measured qubit is live at measurement time
     return RetirementSchedule(tuple(first), tuple(last), peak)
-
-
-def _plan(circuits: list[Circuit]) -> list[tuple]:
-    """(kind, qubits, angle) per gate of the batch's one gate skeleton; the
-    angle is an array of one angle per point where the points differ."""
-    skeletons = {
-        (c.n_qubits, c.measured_qubit, tuple((g.kind, g.qubits) for g in c.gates))
-        for c in circuits
-    }
-    if len(skeletons) != 1:
-        raise ValueError(f"a window sweep runs circuits of one gate skeleton, not {len(skeletons)}")
-    plan = []
-    for gates in zip(*(c.gates for c in circuits)):
-        angles = [g.angle for g in gates]
-        same = angles.count(angles[0]) == len(angles)
-        plan.append((gates[0].kind, gates[0].qubits, angles[0] if same else np.array(angles)))
-    return plan
 
 
 def _adjoin(rho: np.ndarray, active: list[int], qubit: int, gate_index: int, cap: int):
@@ -143,11 +127,11 @@ def run_window_batch(
     With a noise model, each gate is followed by the depolarizing channel on
     every qubit it touches: strength p1 after a one-qubit gate, p2 after cx.
     """
-    plan = _plan(circuits)
+    steps = plan(circuits)
     sched = liveness(circuits[0])
     rho = np.ones(len(circuits), dtype=complex)  # each point's empty window
     active: list[int] = []
-    for i, (kind, qubits, angle) in enumerate(plan):
+    for i, (kind, qubits, angle) in enumerate(steps):
         for q in qubits:
             if sched.first_use[q] == i:
                 rho = _adjoin(rho, active, q, i, window_cap)
@@ -156,8 +140,6 @@ def run_window_batch(
         if kind == "cx":
             dense._apply_cx(dense._apply_cx(rho, *rows), rows[0] + w, rows[1] + w)
         else:
-            if isinstance(angle, np.ndarray):  # one per point: broadcast against a half
-                angle = angle.reshape((-1,) + (1,) * (2 * w - 1))
             dense._apply_1q(rho, kind, rows[0], angle)
             dense._apply_1q(rho, kind, rows[0] + w, -angle if kind == "rz" else angle)
         p = 0.0 if noise is None else noise.p2 if kind == "cx" else noise.p1
@@ -172,7 +154,7 @@ def run_window_batch(
                 active.remove(q)
                 rho = d0 + d1
     if not active:  # no gate touched the measured qubit, the only one live at the end
-        rho = _adjoin(rho, active, circuits[0].measured_qubit, len(plan), window_cap)
+        rho = _adjoin(rho, active, circuits[0].measured_qubit, len(steps), window_cap)
     return [float(z) for z in np.real(rho[:, 0, 0] - rho[:, 1, 1])]
 
 

@@ -94,7 +94,7 @@ def test_timings_split_each_degree_by_layer():
     for d in (1, 5):
         laps = [
             report.timings_ms[f"degree_{d}.{layer}"]
-            for layer in ("build_circuit", "simulate", "sample")
+            for layer in ("generate", "compile", "build_circuit", "simulate", "sample", "metrics")
         ]
         assert min(laps) > 0.0
         assert sum(laps) <= report.timings_ms[f"degree_{d}"]

@@ -6,6 +6,7 @@ from polyshot.circuit import (
     CircuitError,
     Gate,
     depth,
+    plan,
     to_qasm,
     validate,
     validate_qasm,
@@ -98,3 +99,22 @@ def test_qasm_validator_rejects_corruption():
     assert validate_qasm(good.replace("c = measure q[0];\n", ""))
     assert validate_qasm(good.replace("ry(", "rx("))
     assert validate_qasm(good.replace("q[1]", "q[7]"))
+
+
+def test_plan_resolves_a_gate_once_unless_its_angle_differs_by_point():
+    shared = Gate.cx(0, 1)
+    a = Circuit(2, (Gate.ry(0, 0.3), shared, Gate.rz(1, 0.5)), 1)
+    b = Circuit(2, (Gate.ry(0, 0.7), shared, Gate.rz(1, 0.5)), 1)
+    steps = plan([a, b])
+    assert steps[1:] == [("cx", (0, 1), None), ("rz", (1,), 0.5)]  # shared, then equal
+    kind, qubits, angle = steps[0]
+    assert (kind, qubits, angle.tolist()) == ("ry", (0,), [0.3, 0.7])
+    assert plan([a]) == [(g.kind, g.qubits, g.angle) for g in a.gates]
+
+
+def test_plan_rejects_an_empty_batch_and_mixed_skeletons():
+    with pytest.raises(ValueError):
+        plan([])
+    base = Circuit(2, (Gate.ry(0, 0.3), Gate.cx(0, 1)), 1)
+    with pytest.raises(ValueError, match="skeleton"):
+        plan([base, Circuit(2, (Gate.ry(0, 0.3), Gate.cx(1, 0)), 1)])

@@ -146,6 +146,43 @@ def test_evaluate_rejects_out_of_range_x(tmp_path):
     assert run_cli("evaluate", "--program", str(prog), "--x", "1.5") == 2
 
 
+def _linear_program(tmp_path):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text('{"coeffs": [0.5, 0.5]}\n')
+    prog = tmp_path / "prog.json"
+    run_cli("compile", "--coeffs", str(coeffs), "--out", str(prog))
+    return prog
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--noise-p1", "2"), ("--noise-p2", "-0.1"), ("--noise-p1", "nan"), ("--shots", "0")],
+)
+def test_evaluate_rejects_a_bad_flag_value_as_usage_error(tmp_path, capsys, flag, value):
+    prog = _linear_program(tmp_path)
+    capsys.readouterr()
+    assert run_cli("evaluate", "--program", str(prog), "--x", "0.2", flag, value) == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "bench"])
+def test_a_non_integer_seed_variable_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    prog = _linear_program(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setenv("POLYSHOT_SEED", "abc")
+    argv = {
+        "evaluate": ("evaluate", "--program", str(prog), "--x", "0.2"),
+        "bench": ("bench", "shots", "--out-dir", str(tmp_path / "r")),
+    }[command]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "POLYSHOT_SEED" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_evaluate_seeded_golden(tmp_path, capsys):
     coeffs = tmp_path / "c.json"
     coeffs.write_text('{"coeffs": [0.1, 0.2, 0.3]}\n')

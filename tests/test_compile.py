@@ -12,6 +12,7 @@ from polyshot.compile import (
     EncodingDomainError,
     angle_of_weight,
     build_circuit,
+    build_circuits,
     compile_poly,
     compute_weights,
     read_program,
@@ -225,6 +226,29 @@ def test_build_rejects_out_of_domain_x():
     program = compile_poly(Polynomial((0.2, 0.4)), "backward")
     with pytest.raises(EncodingDomainError):
         build_circuit(program, 1.5)
+
+
+def test_build_circuits_is_build_circuit_at_each_point_sharing_all_but_encoding():
+    rng = np.random.default_rng(21)
+    xs = [float(x) for x in np.linspace(-1, 1, 9)]
+    for order in ("backward", "forward"):
+        for d in range(9):
+            coeffs = rng.uniform(-1, 1, d + 1)
+            if d >= 2:
+                coeffs[1] = 0.0  # a skipped term
+            program = compile_poly(Polynomial(tuple(coeffs)), order)
+            circuits = build_circuits(program, xs)
+            assert circuits == [build_circuit(program, x) for x in xs]
+            differing = [
+                gates for gates in zip(*(c.gates for c in circuits))
+                if any(g is not gates[0] for g in gates)
+            ]
+            assert len(differing) == d  # one encoding Ry per qubit q_1..q_d
+            for gates in differing:
+                assert [g.kind for g in gates] == ["ry"] * len(xs)
+                assert [g.angle for g in gates] == [float(np.arccos(x)) for x in xs]
+    with pytest.raises(EncodingDomainError):
+        build_circuits(program, [0.1, 1.5])
 
 
 def test_qubit_count_is_degree_plus_one():

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from polyshot.circuit import Circuit, Gate
-from polyshot.compile import build_circuit, compile_poly
+from polyshot.compile import build_circuit, build_circuits, compile_poly
 from polyshot.dense import (
     CapacityError,
     NoiseModel,
     draw_shots,
     expect_z,
+    expect_z_batch,
     prob_one,
     run_statevector,
 )
@@ -176,6 +177,109 @@ def test_memory_check_raises_before_allocation(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need)
     assert expect_z(run_statevector(circuit), 4) == pytest.approx(math.cos(0.3), abs=1e-12)
+
+
+# --- a trial's points as one batched statevector sweep ----------------------
+
+
+@pytest.mark.parametrize("order", ["backward", "forward"])
+def test_batch_z_is_each_point_alone_bit_for_bit(order):
+    rng = np.random.default_rng(80)
+    xs = [float(x) for x in np.linspace(-0.9, 0.9, 15)]
+    for d in range(9):
+        for _ in range(3):
+            poly = Polynomial(tuple(rng.uniform(-1, 1, d + 1)))
+            program = compile_poly(poly, order)
+            circuits = build_circuits(program, xs)
+            zs = expect_z_batch(circuits)
+            assert zs == [expect_z(run_statevector(c), c.measured_qubit) for c in circuits]
+            for x, z in zip(xs, zs):
+                assert abs(program.rescale * z - eval_poly(poly, x)) < 1e-9
+
+
+def _kernel_batch(n: int, rng, n_points: int, measured: int, kinds: tuple) -> list[Circuit]:
+    """Points of one random kernel circuit: each keeps about half of its
+    rotations of the given kinds as the shared gate objects and draws its own
+    angle for the rest."""
+    base = _random_kernel_circuit(n, rng, measured)
+    fresh = [g.kind in kinds and rng.random() < 0.5 for g in base.gates]
+    return [
+        Circuit(
+            n,
+            tuple(
+                Gate(g.kind, g.qubits, float(rng.uniform(-math.pi, math.pi))) if new else g
+                for g, new in zip(base.gates, fresh)
+            ),
+            measured,
+        )
+        for _ in range(n_points)
+    ]
+
+
+def test_batch_matches_kron_oracle_on_every_kind_and_across_chunks():
+    # from n = 9 on, 15 points of n qubits overflow one chunk
+    rng = np.random.default_rng(81)
+    for n in range(1, 11):
+        measured = n // 2
+        # per-point ry angles, as build_circuits makes: bit for bit
+        circuits = _kernel_batch(n, rng, 15, measured, ("ry",))
+        zs = expect_z_batch(circuits)
+        assert zs == [expect_z(run_statevector(c), measured) for c in circuits]
+        # per-point rz phases too: the complex product may round differently
+        circuits = _kernel_batch(n, rng, 15, measured, ("ry", "rz"))
+        zs = expect_z_batch(circuits)
+        for circuit, z in zip(circuits, zs):
+            assert abs(z - expect_z(run_statevector(circuit), measured)) < 1e-14
+            if n <= 7:
+                assert abs(z - _oracle_expect_z(_oracle_state(circuit), measured, n)) < 1e-12
+
+
+def test_batch_rejects_an_empty_batch_and_mixed_skeletons():
+    with pytest.raises(ValueError):
+        expect_z_batch([])
+    base = Circuit(2, (Gate.ry(0, 0.3), Gate.cx(0, 1)), 1)
+    with pytest.raises(ValueError, match="skeleton"):
+        expect_z_batch([base, Circuit(2, (Gate.rz(0, 0.3), Gate.cx(0, 1)), 1)])
+
+
+def test_a_wide_batch_peaks_at_one_point_of_memory():
+    import tracemalloc
+
+    n = 15
+    circuits = [
+        Circuit(n, (Gate.ry(0, a), Gate.ry(n - 1, 0.2), Gate.cx(0, n - 1)), 0) for a in (0.3, 0.9)
+    ]
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    single = peak(lambda: run_statevector(circuits[0]))
+    assert peak(lambda: expect_z_batch(circuits)) <= 1.1 * single
+
+
+def test_batch_memory_check_raises_before_allocation(monkeypatch):
+    from polyshot import dense
+
+    # 15 points of 7 qubits run as one chunk: the states plus the ry scratch
+    circuits = [Circuit(7, (Gate.ry(3, a),), 3) for a in np.linspace(0.1, 0.5, 15)]
+    need = 2 * 16 * 15 * 2**7
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the states were allocated before the memory check")
+
+    monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need - 1)
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    with pytest.raises(CapacityError, match=f"{need} bytes.* {need - 1} bytes"):
+        expect_z_batch(circuits)
+    monkeypatch.undo()
+    monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need)
+    zs = expect_z_batch(circuits)
+    assert zs == pytest.approx([math.cos(a) for a in np.linspace(0.1, 0.5, 15)], abs=1e-14)
 
 
 def test_norm_preserved():
