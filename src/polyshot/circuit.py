@@ -88,19 +88,20 @@ def validate(circuit: Circuit) -> list[str]:
     return problems
 
 
-def depth(circuit: Circuit) -> int:
+def depth(circuit: Circuit, kinds: tuple[str, ...] = GATE_KINDS) -> int:
     """Longest chain in the dependency DAG; gates conflict iff they share a qubit.
 
-    Every gate, one- or two-qubit, counts as one layer unit.
+    Every gate of the given kinds counts as one layer unit and the others as
+    none, so depth(circuit, ("cx",)) is the two-qubit depth.
     """
-    level = [0] * circuit.n_qubits
-    out = 0
+    level = [0] * circuit.n_qubits  # the layer each qubit's last gate ends
     for g in circuit.gates:
-        d = 1 + max(level[q] for q in g.qubits)
-        for q in g.qubits:
-            level[q] = d
-        out = max(out, d)
-    return out
+        if len(g.qubits) == 1:
+            level[g.qubits[0]] += g.kind in kinds
+        else:
+            a, b = g.qubits
+            level[a] = level[b] = max(level[a], level[b]) + (g.kind in kinds)
+    return max(level, default=0)
 
 
 def plan(circuits: list[Circuit]) -> list[tuple]:

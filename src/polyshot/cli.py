@@ -107,7 +107,8 @@ def cmd_compile(args) -> int:
     print(f"wrote {args.out}")
     print(f"C = {format(program.rescale, '.17g')}")
     print(
-        f"forecast: {res.qubits} qubits, {res.two_qubit_gates} two-qubit gates, depth {res.depth}"
+        f"forecast: {res.qubits} qubits, {res.two_qubit_gates} two-qubit gates, depth {res.depth}, "
+        f"two-qubit depth {res.two_qubit_depth}"
     )
     return 0
 
@@ -159,8 +160,12 @@ def cmd_bench(args) -> int:
         report = run(_apply_overrides(base(), overrides))
         bench.write_report(report, out_dir, args.experiment)
         print(bench.summary_table(report))
-    else:  # shots
-        result = bench.shot_scaling_experiment(master_seed=overrides["master_seed"])
+    else:  # shots reads the master seed alone
+        for key in overrides:
+            if key != "master_seed":
+                raise UsageError(f"config key {key!r} is not read by bench shots")
+        seed = _config_value("master_seed", overrides["master_seed"], DEFAULT_SEED)
+        result = bench.shot_scaling_experiment(master_seed=seed)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "shots.json").write_text(json.dumps(result) + "\n")
         lines = ["shots,rmse"] + [

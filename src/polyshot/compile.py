@@ -91,6 +91,7 @@ class ResourceCounts:
     two_qubit_gates: int
     single_qubit_gates: int
     depth: int
+    two_qubit_depth: int
 
 
 def angle_of_weight(w: float, tol: float = 1e-12) -> float:
@@ -227,12 +228,14 @@ def build_circuit(program: CompiledProgram, x: float) -> Circuit:
 
 
 def resources(circuit: Circuit) -> ResourceCounts:
-    """Exact gate counts and dependency depth from the IR."""
+    """Exact gate counts, dependency depth and two-qubit depth (the longest
+    chain of CX layers) from the IR."""
     return ResourceCounts(
         qubits=circuit.n_qubits,
         two_qubit_gates=circuit.two_qubit_count,
         single_qubit_gates=circuit.one_qubit_count,
         depth=circuit_depth(circuit),
+        two_qubit_depth=circuit_depth(circuit, ("cx",)),
     )
 
 

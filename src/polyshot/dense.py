@@ -28,6 +28,19 @@ once per trial, not once per point.  A wide state (2^12 amplitudes and up)
 runs one point at a time: its cost per gate is memory traffic, which a batch
 does not cut, and a batch would multiply its peak memory, the one allocation
 that limits it.
+
+On a wide state the traffic is cut instead by gate fusion.  The compiled
+programs are chains of two-qubit sum blocks, 6-7 gates on one qubit pair, so
+each maximal run of consecutive gates on one pair becomes one 4x4 matrix
+(_fuse), built by sweeping the run's own gates over the identity's columns.
+A fused step costs two passes over the state: the pair's two axes are copied
+to the front of a scratch tensor, and matrix @ scratch is written back into
+the state's own buffer.  The state's axes are then permuted (the pair first),
+so the sweep keeps the qubit each axis holds and every later gate reads it;
+run_statevector returns the amplitudes in qubit order, and expect_z_batch
+reads z on the measured qubit's current axis.  Only a chunk of one point is
+fused: on a small batched state a matrix per point costs the same dispatch as
+the gates it replaces.
 """
 from __future__ import annotations
 
@@ -40,8 +53,9 @@ from .circuit import Circuit, plan
 from .rng import generator
 
 DEFAULT_QUBIT_CAP = 26
-# peak bytes of a run per amplitude: the complex128 state plus the ry
-# branch's scratch (a copy of one half and one half-sized temporary)
+# peak bytes of a run per amplitude: the complex128 state plus one state of
+# scratch (ry's copy of one half and one half-sized temporary, a fused step's
+# copy of the state, or the qubit-order copy run_statevector returns)
 _PEAK_BYTES_PER_AMPLITUDE = 2 * 16
 # the most amplitudes one chunk of expect_z_batch holds (see the module docstring)
 _CHUNK_AMPLITUDES = 2**12
@@ -140,9 +154,68 @@ def _free_memory_bytes() -> int:
     return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _sweep(steps: list[tuple], n: int, lo: int, hi: int) -> np.ndarray:
+def _pair_matrix(run: list[tuple], pair: tuple[int, int], batch: int) -> np.ndarray:
+    """The 4x4 matrix of a run of steps on one qubit pair, [b, 4, 4] with row
+    and column index 2*bit(pair[0]) + bit(pair[1]): the run's own gates swept
+    over the identity's columns.  b is the batch where a step holds one angle
+    per point, else 1."""
+    b = batch if any(isinstance(angle, np.ndarray) for _, _, angle in run) else 1
+    cols = np.tile(np.eye(4, dtype=complex).reshape(1, 2, 2, 4), (b, 1, 1, 1))
+    for kind, qubits, angle in run:
+        axes = [1 + pair.index(q) for q in qubits]
+        if kind == "cx":
+            _apply_cx(cols, *axes)
+        else:
+            _apply_1q(cols, kind, axes[0], angle)
+    return cols.reshape(b, 4, 4)
+
+
+def _fuse(steps: list[tuple], batch: int) -> list[tuple]:
+    """The plan of a batch with each maximal run of consecutive steps whose
+    qubits fit in one pair merged into one step ("u", (qa, qb), matrix); a run
+    of one step stays as it is."""
+    runs: list[tuple[tuple, list]] = []  # (the run's qubits, its steps)
+    for step in steps:
+        qubits, run = runs[-1] if runs else ((), [])
+        union = qubits + tuple(q for q in step[1] if q not in qubits)
+        if run and len(union) <= 2:
+            runs[-1] = (union, run)
+            run.append(step)
+        else:
+            runs.append((tuple(step[1]), [step]))
+    fused = []
+    for pair, run in runs:
+        if len(run) == 1:
+            fused += run
+        else:
+            if len(pair) == 1:  # a run on one qubit: any other qubit makes the pair
+                pair += (0 if pair[0] else 1,)
+            fused.append(("u", pair, _pair_matrix(run, pair, batch)))
+    return fused
+
+
+def _apply_u(state: np.ndarray, matrix: np.ndarray, a_axis: int, b_axis: int) -> None:
+    """A two-qubit matrix on two axes of a batched state: the two axes are
+    copied to the front of a scratch tensor, and matrix @ scratch is written
+    into the state's own buffer, whose axes then hold those two qubits first
+    and the others in their old order."""
+    scratch = np.moveaxis(state, (a_axis, b_axis), (1, 2)).copy()
+    shape = (len(state), 4, -1)
+    np.matmul(matrix, scratch.reshape(shape), out=state.reshape(shape))
+
+
+def _plan(circuits: list[Circuit]) -> list[tuple]:
+    """The steps of a batch, fused where a chunk holds one point."""
+    steps = plan(circuits)
+    if 2 ** circuits[0].n_qubits >= _CHUNK_AMPLITUDES:
+        steps = _fuse(steps, len(circuits))
+    return steps
+
+
+def _sweep(steps: list[tuple], n: int, lo: int, hi: int) -> tuple[np.ndarray, list[int]]:
     """The states, shape [hi - lo] + [2]*n, that the plan of a batch leaves
-    its points lo..hi-1 in, from |0...0>, after the width and memory checks."""
+    its points lo..hi-1 in, from |0...0>, after the width and memory checks,
+    and the qubit each axis after the batch axis holds."""
     if n > DEFAULT_QUBIT_CAP:
         raise CapacityError(
             f"{n} qubits exceeds the dense cap of {DEFAULT_QUBIT_CAP}; "
@@ -157,36 +230,46 @@ def _sweep(steps: list[tuple], n: int, lo: int, hi: int) -> np.ndarray:
         )
     state = np.zeros([hi - lo] + [2] * n, dtype=complex)
     state[(slice(None),) + (0,) * n] = 1.0
-    for kind, qubits, angle in steps:
-        if kind == "cx":
-            _apply_cx(state, qubits[0] + 1, qubits[1] + 1)
+    order = list(range(n))
+    for kind, qubits, arg in steps:
+        axes = [1 + order.index(q) for q in qubits]
+        if kind == "u":  # one matrix per point, or one for all
+            _apply_u(state, arg if len(arg) == 1 else arg[lo:hi], *axes)
+            order = list(qubits) + [q for q in order if q not in qubits]
+        elif kind == "cx":
+            _apply_cx(state, *axes)
         else:
-            if isinstance(angle, np.ndarray):  # one per point: a chunk of one takes a scalar
-                angle = angle[lo] if hi - lo == 1 else angle[lo:hi]
-            _apply_1q(state, kind, qubits[0] + 1, angle)
-    return state
+            if isinstance(arg, np.ndarray):  # one per point: a chunk of one takes a scalar
+                arg = arg[lo] if hi - lo == 1 else arg[lo:hi]
+            _apply_1q(state, kind, axes[0], arg)
+    return state, order
 
 
 def run_statevector(circuit: Circuit) -> np.ndarray:
     """Apply all gates in order to |0...0>; returns the final amplitudes."""
-    return _sweep(plan([circuit]), circuit.n_qubits, 0, 1).reshape(-1)
+    state, order = _sweep(_plan([circuit]), circuit.n_qubits, 0, 1)
+    return state[0].transpose(np.argsort(order)).reshape(-1)
 
 
 def expect_z_batch(circuits: list[Circuit]) -> list[float]:
     """Exact <Z> of each circuit's measured qubit, in order, from statevector
     sweeps of the batch in chunks; raises ValueError unless the circuits share
     one gate skeleton.  Where the points differ only in ry angles, as those of
-    build_circuits do, each z is the one expect_z(run_statevector(circuit),
-    circuit.measured_qubit) gives, bit for bit: a real rotation rounds the same
-    with one angle or many.  A per-point rz phase may move the last bit."""
-    steps = plan(circuits)
+    build_circuits do, each state is the one run_statevector(circuit) gives,
+    bit for bit: a real rotation rounds the same with one angle or many.  A
+    per-point rz phase may move the last bit.  Below 2^12 amplitudes each z is
+    also expect_z(run_statevector(circuit), circuit.measured_qubit) bit for
+    bit; above, the fused sweep leaves the axes permuted, and the sum over
+    them may round differently (by about 1e-15)."""
+    steps = _plan(circuits)
     n, qubit = circuits[0].n_qubits, circuits[0].measured_qubit
     chunk = max(1, _CHUNK_AMPLITUDES >> n)
     zs: list[float] = []
     for lo in range(0, len(circuits), chunk):
         hi = min(lo + chunk, len(circuits))
-        # the chunk's states are freed before the next chunk is allocated
-        zs += [expect_z(state, qubit) for state in _sweep(steps, n, lo, hi)]
+        states, order = _sweep(steps, n, lo, hi)
+        zs += [expect_z(state, order.index(qubit)) for state in states]
+        del states  # freed before the next chunk is allocated
     return zs
 
 

@@ -57,6 +57,20 @@ def run_metrics(
     return Metrics(rmse, pearson, pass_rate, threshold, len(pairs))
 
 
+def predicted_pearson(truth, var, shots: float) -> float:
+    """Pearson of estimate against truth when shot noise is the only error,
+    sqrt(s^2 / (s^2 + mean(var) / N)): s^2 is the variance of the truths, var
+    the per-shot variance of each estimate (C^2 (1 - z^2) for one binomial
+    draw) and N the shots.  The truths must vary."""
+    s2 = float(np.var(truth))
+    return math.sqrt(s2 / (s2 + float(np.mean(var)) / shots))
+
+
+def shots_for_pearson(truth, var, target: float) -> float:
+    """Shots at which predicted_pearson reaches target, 0 < target < 1."""
+    return float(np.mean(var)) / (float(np.var(truth)) * (target**-2 - 1.0))
+
+
 def shot_scaling_fit(samples: list[tuple[int, float]]) -> float:
     """Least-squares slope of log(rmse) against log(shots)."""
     if len({n for n, _ in samples}) < 4:

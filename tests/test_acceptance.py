@@ -24,6 +24,7 @@ from polyshot.bench import (
 from polyshot.circuit import Circuit, Gate, to_qasm, validate_qasm
 from polyshot.compile import build_circuit, compile_poly, resources
 from polyshot.dense import expect_z, run_statevector
+from polyshot.estimate import predicted_pearson, shots_for_pearson
 from polyshot.poly import Polynomial, eval_poly
 from polyshot.rng import derive_seed
 from polyshot.stream import run_window
@@ -238,18 +239,6 @@ def _shot_noise_by_degree(report):
     return {d: tuple(np.asarray(v) for v in cols) for d, cols in by_degree.items()}
 
 
-def _predicted_corr(truth, var, shots):
-    """Pearson of estimate against truth when shot noise is the only error:
-    sqrt(s^2 / (s^2 + mean var / N)), s^2 the variance of the truths."""
-    s2 = float(np.var(truth))
-    return math.sqrt(s2 / (s2 + float(np.mean(var)) / shots))
-
-
-def _shots_for_corr(truth, var):
-    """Shots N* at which _predicted_corr reaches TARGET_CORR."""
-    return float(np.mean(var)) / (float(np.var(truth)) * (TARGET_CORR**-2 - 1.0))
-
-
 def _residual_faults(label, resid):
     """chi^2(n)/n band on the mean square and a 4/sqrt(n) bound on the mean."""
     n = len(resid)
@@ -291,7 +280,7 @@ def test_criterion_6_stress_reproduction():
     qubit_fails = [r["degree"] for r in report.per_degree if r["qubits"] != r["degree"] + 1]
     stats = _shot_noise_by_degree(report)
     faults = _shot_noise_faults(stats, config.shots)
-    n_star = {d: _shots_for_corr(truth, var) for d, (_, truth, var) in stats.items()}
+    n_star = {d: shots_for_pearson(truth, var, TARGET_CORR) for d, (_, truth, var) in stats.items()}
     budget = 1 << (math.ceil(4.0 * max(n_star.values())) - 1).bit_length()
 
     t0 = time.perf_counter()
@@ -307,7 +296,7 @@ def test_criterion_6_stress_reproduction():
         (resid, truth, var), (resid_n, _, _) = stats[d], stats_n[d]
         print(
             f"    degree {d:>2}: qubits {row['qubits']:>2}, N={config.shots} pearson "
-            f"{row['pearson']:.4f} (pred {_predicted_corr(truth, var, config.shots):.4f}), chi2/n {np.mean(resid**2):.2f}, "
+            f"{row['pearson']:.4f} (pred {predicted_pearson(truth, var, config.shots):.4f}), chi2/n {np.mean(resid**2):.2f}, "
             f"mean {np.mean(resid):+.2f} | N*={n_star[d]:.0f} | N={budget} pearson "
             f"{row_n['pearson']:.5f}, chi2/n {np.mean(resid_n**2):.2f}, "
             f"mean {np.mean(resid_n):+.2f}"

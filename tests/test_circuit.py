@@ -50,6 +50,13 @@ def test_depth_serial_chain():
     assert depth(c) == 3
 
 
+def test_depth_counts_only_the_given_kinds():
+    c = Circuit(3, (Gate.ry(0, 0.1), Gate.cx(0, 1), Gate.rz(1, 0.2), Gate.cx(1, 2), Gate.x(0)), 2)
+    assert depth(c) == 4
+    assert depth(c, ("cx",)) == 2
+    assert depth(c, ()) == 0
+
+
 def test_depth_invariant_under_commuting_swap():
     a = Circuit(3, (Gate.ry(0, 0.1), Gate.ry(2, 0.2), Gate.cx(0, 1)), 0)
     b = Circuit(3, (Gate.ry(2, 0.2), Gate.ry(0, 0.1), Gate.cx(0, 1)), 0)

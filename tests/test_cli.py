@@ -69,6 +69,7 @@ def test_compile_prints_l1_constant(tmp_path, capsys):
     assert run_cli("compile", "--coeffs", str(coeffs), "--out", str(out)) == 0
     printed = capsys.readouterr().out
     assert "C = 0.600" in printed
+    assert "forecast: 3 qubits, 5 two-qubit gates, depth 14, two-qubit depth 5" in printed
     data = json.loads(out.read_text())
     assert data["order"] == "backward"
     assert data["degree"] == 2
@@ -325,6 +326,32 @@ def test_bench_rejects_unknown_config_key(tmp_path):
     assert run_cli(
         "bench", "table1", "--config", str(config), "--out-dir", str(tmp_path / "r")
     ) == 2
+
+
+@pytest.mark.parametrize("experiment", ["table1", "shots"])
+@pytest.mark.parametrize(
+    "bad", [{"nosuch": 1}, {"master_seed": 1.5}, {"master_seed": "abc"}, {"master_seed": True}]
+)
+def test_bench_checks_the_config_of_every_experiment(tmp_path, capsys, experiment, bad):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(bad))
+    out_dir = tmp_path / "r"
+    assert run_cli("bench", experiment, "--config", str(config), "--out-dir", str(out_dir)) == 2
+    err = capsys.readouterr().err
+    (key,) = bad
+    assert repr(key) in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_bench_shots_rejects_a_key_it_does_not_read(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"trials": 2}\n')
+    assert run_cli("bench", "shots", "--config", str(config), "--out-dir", str(tmp_path)) == 2
+    assert "'trials'" in capsys.readouterr().err
+    config.write_text('{"master_seed": 7}\n')
+    assert run_cli("bench", "shots", "--config", str(config), "--out-dir", str(tmp_path)) == 0
+    assert json.loads((tmp_path / "shots.json").read_text())["master_seed"] == 7
 
 
 @pytest.mark.parametrize(

@@ -286,6 +286,16 @@ def test_resource_counts_against_frozen_formulas():
             assert res.depth == depth(circuit)
 
 
+def test_two_qubit_depth_at_the_papers_size():
+    # the paper's 36-qubit programs report "circuit depths of 70": the CX
+    # layers of the forward order, not its depth over every gate
+    coeffs = tuple(np.full(36, 1.0 / 36))
+    forward = resources(build_circuit(compile_poly(Polynomial(coeffs), "forward"), 0.4))
+    assert (forward.qubits, forward.two_qubit_gates, forward.two_qubit_depth) == (36, 104, 71)
+    backward = resources(build_circuit(compile_poly(Polynomial(coeffs), "backward"), 0.4))
+    assert backward.two_qubit_depth == 104
+
+
 def test_resource_scaling_affine_r2():
     ds = np.arange(1, 21)
     two_q, depths = [], []

@@ -282,6 +282,79 @@ def test_batch_memory_check_raises_before_allocation(monkeypatch):
     assert zs == pytest.approx([math.cos(a) for a in np.linspace(0.1, 0.5, 15)], abs=1e-14)
 
 
+# --- wide states: runs of gates on one qubit pair fused into one matmul -----
+
+
+def _unfused(circuits: list[Circuit], i: int) -> np.ndarray:
+    """Point i's amplitudes, in qubit order, from the gate-by-gate sweep."""
+    from polyshot import dense
+    from polyshot.circuit import plan
+
+    state, order = dense._sweep(plan(circuits), circuits[0].n_qubits, i, i + 1)
+    assert order == list(range(circuits[0].n_qubits))
+    return state.reshape(-1)
+
+
+def test_only_a_state_of_one_point_per_chunk_is_fused():
+    from polyshot import dense
+
+    for n, fused in ((11, False), (12, True)):
+        circuits = _kernel_batch(n, np.random.default_rng(n), 3, 0, ("ry",))
+        assert any(kind == "u" for kind, _, _ in dense._plan(circuits)) == fused
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_fused_sweep_matches_the_gate_by_gate_sweep(n):
+    rng = np.random.default_rng(90 + n)
+    for measured in (0, n // 2, n - 1):
+        circuits = _kernel_batch(n, rng, 3, measured, ("ry",))
+        zs = expect_z_batch(circuits)
+        for i, (circuit, z) in enumerate(zip(circuits, zs)):
+            want = _unfused(circuits, i)
+            got = run_statevector(circuit)
+            assert np.abs(got - want).max() < 1e-13
+            z_want = expect_z(want, measured)
+            assert abs(z - z_want) < 1e-14
+            assert abs(expect_z(got, measured) - z_want) < 1e-14
+
+
+def test_fused_backward_programs_are_exact():
+    rng = np.random.default_rng(91)
+    xs = [-0.85, 0.1, 0.6]
+    for d in range(11, 16):
+        poly = Polynomial(tuple(rng.uniform(-1, 1, d + 1)))
+        program = compile_poly(poly, "backward")
+        for x, z in zip(xs, expect_z_batch(build_circuits(program, xs))):
+            assert abs(program.rescale * z - eval_poly(poly, x)) < 1e-9
+
+
+def test_fused_forward_programs_agree_with_the_window():
+    rng = np.random.default_rng(92)
+    xs = [-0.3, 0.75]
+    for d in range(12, 17):
+        program = compile_poly(Polynomial(tuple(rng.uniform(-1, 1, d + 1))), "forward")
+        circuits = build_circuits(program, xs)
+        for circuit, z in zip(circuits, expect_z_batch(circuits)):
+            assert abs(z - run_window(circuit)) < 1e-10
+
+
+def test_a_fused_run_peaks_within_the_checked_bytes_per_amplitude():
+    import tracemalloc
+
+    from polyshot import dense
+
+    d = 14
+    poly = Polynomial(tuple(np.random.default_rng(93).uniform(-1, 1, d + 1)))
+    circuit = build_circuit(compile_poly(poly, "backward"), 0.4)
+    tracemalloc.start()
+    try:
+        run_statevector(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * dense._PEAK_BYTES_PER_AMPLITUDE * 2 ** (d + 1)
+
+
 def test_norm_preserved():
     rng = np.random.default_rng(4)
     poly = Polynomial(tuple(rng.uniform(-1, 1, 7)))

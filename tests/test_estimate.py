@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from polyshot.dense import ShotOutcome
-from polyshot.estimate import point_estimate, run_metrics, shot_scaling_fit
+from polyshot.estimate import (
+    point_estimate,
+    predicted_pearson,
+    run_metrics,
+    shot_scaling_fit,
+    shots_for_pearson,
+)
 
 
 def test_point_estimate_basic():
@@ -93,3 +99,19 @@ def test_scaling_fit_rejects_nonpositive_rmse():
     samples = [(256, 0.1), (1024, 0.0), (4096, 0.01), (65536, 0.005)]
     with pytest.raises(ValueError, match="positive"):
         shot_scaling_fit(samples)
+
+
+def test_predicted_pearson_is_one_without_shot_noise():
+    truth = [-0.4, 0.1, 0.7]
+    assert predicted_pearson(truth, [0.0, 0.0, 0.0], 1024) == 1.0
+
+
+@pytest.mark.parametrize("target", [0.5, 0.9, 0.999])
+def test_predicted_pearson_reaches_its_target_at_the_prescribed_shots(target):
+    truth = np.array([-0.8, -0.1, 0.3, 0.65])
+    var = 2.5**2 * (1.0 - (truth / 2.5) ** 2)  # C^2 (1 - z^2) with C = 2.5
+    shots = shots_for_pearson(truth, var, target)
+    # closed form: s^2 / (s^2 + mean(var) / N) = target^2
+    s2, v = float(np.var(truth)), float(np.mean(var))
+    assert shots == pytest.approx(v * target**2 / (s2 * (1.0 - target**2)), rel=1e-12)
+    assert abs(predicted_pearson(truth, var, shots) - target) < 1e-12
