@@ -121,7 +121,7 @@ def cmd_evaluate(args) -> int:
         if not 0.0 <= p <= 1.0:
             raise UsageError(f"{flag} {p} must lie in [0, 1]")
     program = read_program(args.program)
-    if abs(args.x) > 1.0:
+    if not abs(args.x) <= 1.0:  # NaN too
         raise UsageError(f"--x {args.x} outside the encoding domain [-1, 1]")
     circuit = build_circuit(program, args.x)
     config = bench.ExperimentConfig(
@@ -221,7 +221,7 @@ def _config_value(key: str, value, default):
 
 def cmd_export_qasm(args) -> int:
     program = read_program(args.program)
-    if abs(args.x) > 1.0:
+    if not abs(args.x) <= 1.0:  # NaN too
         raise UsageError(f"--x {args.x} outside the encoding domain [-1, 1]")
     circuit = build_circuit(program, args.x)
     Path(args.out).write_text(to_qasm(circuit))

@@ -19,10 +19,10 @@ memory before the state is allocated.
 Both simulators sweep a batch of circuits that share one gate skeleton, such
 as the points of one program, as a leading batch axis, with one angle per
 point where the points differ (circuit.plan): here the state is a tensor of
-shape [B] + [2]*n, and the windowed simulator runs the same one-qubit kernel
-on the row and the column axes of its density matrix.  expect_z_batch runs a
-batch in chunks whose state holds at most _CHUNK_AMPLITUDES amplitudes, and
-at least one point.  A small program (2-7 qubits in the Table-1 protocol)
+shape [B] + [2]*n.  The windowed simulator has kernels of its own, one real
+matrix per gate in the Pauli-transfer basis (see stream.py).  expect_z_batch
+runs a batch in chunks whose state holds at most _CHUNK_AMPLITUDES
+amplitudes, and at least one point.  A small program (2-7 qubits in the Table-1 protocol)
 then runs a whole trial in one sweep, so each gate's Python dispatch is paid
 once per trial, not once per point.  A wide state (2^12 amplitudes and up)
 runs one point at a time: its cost per gate is memory traffic, which a batch

@@ -1,29 +1,27 @@
 """Windowed density-matrix simulator with qubit retirement, batched over points.
 
 Sweeps the gate list in order, adjoining each qubit to the active window at
-its first use and tracing it out after its last use.  The state is a density
-matrix over the active window only, so memory is 4^w for window size w; the
-forward-order compiler keeps w <= 3, which is what makes degree-35 programs
-(36 qubits) cheap to evaluate exactly.
+its first use and tracing it out after its last use, so memory is 4^w for
+window size w; the forward-order compiler keeps w <= 3, which is what makes
+degree-35 programs (36 qubits) cheap to evaluate exactly.  One sweep runs a
+batch of circuits that share one gate skeleton (circuit.plan), such as the
+points of one program, whose encoding Ry(arccos x) angles alone depend on x.
 
-One sweep runs a batch of circuits that share one gate skeleton, such as the
-points of one program (only the encoding Ry(arccos x) angles depend on x), so
-the liveness walk, each gate and each channel are paid once per batch.  The
-batch's steps come from circuit.plan, which the statevector shares.  The
-density matrix is a tensor of shape [B] + [2]*w + [2]*w: the batch axis, then
-w row (ket) and w column (bra) axes in the order the qubits were adjoined.
-A one-qubit gate U is the statevector's in-place kernel (dense._apply_1q), U
-on the qubit's row axis and U* on its column axis (ry and x are real;
-rz(t)* = rz(-t)), with one angle per point where the points differ; cx is the
-same swap on the row and column axes.
+The window is held in the real Pauli-transfer basis (Greenbaum, "Introduction
+to Quantum Gate Set Tomography", 2015): a real tensor of shape [B] + [4]*w,
+the batch axis and then one axis per live qubit, holding the coefficients r_P
+of rho = 2^-w sum_P r_P P over the products P of I, X, Y and Z.  A qubit is
+adjoined as |0><0| = (I + Z)/2, the coefficients (1, 0, 0, 1); tracing it out
+keeps its I slice, a view; and <Z> of the last live qubit is its Z
+coefficient.  Each step is one real transfer matrix on its qubits' axes: ry(t)
+turns the (Z, X) plane by t, rz(t) the (X, Y) plane, x is diag(1, 1, -1, -1)
+and cx a 16x16 signed permutation.
 
-Noise is the exact depolarizing channel on the window density matrix: after
-each gate every touched qubit q goes through
-rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z)
-   = (1 - 4p/3) rho + (4p/3) (I/2 (x) Tr_q rho)
-(Nielsen & Chuang, section 8.3), so one sweep gives the exact noisy <Z>.  In
-place on the four blocks of q's row and column, the diagonal blocks move
-toward their mean by 4p/3 and the off-diagonal blocks scale by 1 - 4p/3.
+Noise is the exact depolarizing channel after each gate on every qubit it
+touches, rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z) (Nielsen &
+Chuang, section 8.3).  It keeps r_I and scales r_X, r_Y and r_Z by
+f = 1 - 4p/3, a scale folded into the rows of the gate's transfer matrix, so
+a noisy gate costs what a noiseless one does.
 """
 from __future__ import annotations
 
@@ -36,6 +34,16 @@ from .circuit import Circuit, plan
 from .dense import NoiseModel
 
 DEFAULT_WINDOW_CAP = 8
+
+# I, X, Y and Z; the transfer matrices of cx on (control, target), index
+# 4 * P_control + P_target and entry (P, Q) = Tr(P CX Q CX) / 4, and of x
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI_PAIRS = np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4)
+_CNOT = np.eye(4)[[0, 1, 3, 2]]
+_CX = np.einsum("pij,jk,qkl,li->pq", _PAULI_PAIRS, _CNOT, _PAULI_PAIRS, _CNOT).real / 4
+_X = np.diag([1.0, 1.0, -1.0, -1.0])
+# the plane (i, j) each rotation turns: entry (j, i) is sin t and (i, j) is -sin t
+_PLANES = {"ry": (3, 1), "rz": (1, 2)}
 
 
 class WindowOverflowError(RuntimeError):
@@ -68,9 +76,9 @@ def liveness(circuit: Circuit) -> RetirementSchedule:
     last[mq] = end
     live = peak = 0
     for i, g in enumerate(circuit.gates):
-        live += sum(first[q] == i for q in g.qubits)
+        live += [first[q] for q in g.qubits].count(i)
         peak = max(peak, live)
-        live -= sum(last[q] == i for q in g.qubits)
+        live -= [last[q] for q in g.qubits].count(i)
     peak = max(peak, 1)  # the measured qubit is live at measurement time
     return RetirementSchedule(tuple(first), tuple(last), peak)
 
@@ -91,28 +99,33 @@ def _adjoin(rho: np.ndarray, active: list[int], qubit: int, gate_index: int, cap
             f"a {w + 1}-qubit window over {batch} points needs about {need} bytes, "
             f"but only {free} bytes are free"
         )
-    grown = np.zeros((batch, 2**w, 2, 2**w, 2), dtype=complex)
-    grown[:, :, 0, :, 0] = rho.reshape(batch, 2**w, 2**w)
+    grown = np.zeros((batch, 4**w, 4))
+    grown[:, :, 0] = grown[:, :, 3] = rho.reshape(batch, 4**w)
     active.append(qubit)
-    return grown.reshape((batch,) + (2,) * (2 * w + 2))
+    return grown.reshape((batch,) + (4,) * (w + 1))
 
 
-def _blocks(rho: np.ndarray, row: int, w: int) -> tuple[np.ndarray, ...]:
-    """Views of the blocks (row 0, col 0), (0, 1), (1, 0), (1, 1) of the qubit
-    whose row axis is `row` in a window of w qubits."""
-    zero, one = dense._halves(rho, row)
-    return dense._halves(zero, row + w - 1) + dense._halves(one, row + w - 1)
-
-
-def _depolarize(rho: np.ndarray, p: float, row: int, w: int) -> None:
-    """Depolarizing channel of strength p in place (see the module docstring)."""
-    mix = 4.0 * p / 3.0
-    d0, off01, off10, d1 = _blocks(rho, row, w)
-    shift = (0.5 * mix) * (d1 - d0)
-    d0 += shift
-    d1 -= shift
-    off01 *= 1.0 - mix
-    off10 *= 1.0 - mix
+def _transfer_matrices(steps: list[tuple], noise: NoiseModel | None) -> list[np.ndarray]:
+    """One real transfer matrix per step, the channel on each touched qubit folded
+    into its rows: [16, 16] for cx, [4, 4] for a one-qubit gate, [B, 1, 4, 4] for
+    one angle per point.  One vectorized call builds a kind's rotations per shape."""
+    f1, f2 = (1.0, 1.0) if noise is None else (1 - 4 * noise.p1 / 3, 1 - 4 * noise.p2 / 3)
+    scale1, scale2 = np.array([[1.0], [f1], [f1], [f1]]), np.array([1.0, f2, f2, f2])
+    cx, x = np.outer(scale2, scale2).reshape(16, 1) * _CX, scale1 * _X
+    mats = [cx if kind == "cx" else x for kind, _, _ in steps]
+    groups: dict[tuple[str, bool], list[int]] = {}  # (kind, one angle per point): steps
+    for k, (kind, _, angle) in enumerate(steps):
+        if kind in _PLANES:
+            groups.setdefault((kind, isinstance(angle, np.ndarray)), []).append(k)
+    for (kind, each), at in groups.items():
+        (i, j), t = _PLANES[kind], np.array([steps[k][2] for k in at])  # [steps(, B)]
+        rot = np.tile(np.eye(4), t.shape + (1, 1))
+        rot[..., i, i] = rot[..., j, j] = np.cos(t)
+        rot[..., j, i], rot[..., i, j] = np.sin(t), -np.sin(t)
+        rot *= scale1
+        for k, m in zip(at, rot):
+            mats[k] = m[:, None] if each else m
+    return mats
 
 
 def run_window_batch(
@@ -127,35 +140,28 @@ def run_window_batch(
     With a noise model, each gate is followed by the depolarizing channel on
     every qubit it touches: strength p1 after a one-qubit gate, p2 after cx.
     """
-    steps = plan(circuits)
-    sched = liveness(circuits[0])
-    rho = np.ones(len(circuits), dtype=complex)  # each point's empty window
-    active: list[int] = []
-    for i, (kind, qubits, angle) in enumerate(steps):
+    steps, sched = plan(circuits), liveness(circuits[0])
+    rho, active = np.ones(len(circuits)), []  # each point's empty window, no live qubit
+    for i, ((kind, qubits, _), mat) in enumerate(zip(steps, _transfer_matrices(steps, noise))):
         for q in qubits:
             if sched.first_use[q] == i:
                 rho = _adjoin(rho, active, q, i, window_cap)
-        w = len(active)
-        rows = [1 + active.index(q) for q in qubits]
-        if kind == "cx":
-            dense._apply_cx(dense._apply_cx(rho, *rows), rows[0] + w, rows[1] + w)
+        axes = [1 + active.index(q) for q in qubits]
+        if kind == "cx":  # the pair's axes move to the front for one matmul, and stay
+            order = axes + [k for k in range(1, rho.ndim) if k not in axes]
+            rho = (mat @ rho.transpose([0] + order).reshape(len(rho), 16, -1)).reshape(rho.shape)
+            active = [active[k - 1] for k in order]
         else:
-            dense._apply_1q(rho, kind, rows[0], angle)
-            dense._apply_1q(rho, kind, rows[0] + w, -angle if kind == "rz" else angle)
-        p = 0.0 if noise is None else noise.p2 if kind == "cx" else noise.p1
-        if p > 0.0:
-            for row in rows:
-                _depolarize(rho, p, row, w)
+            rho = (mat @ rho.reshape(len(rho), 4 ** (axes[0] - 1), 4, -1)).reshape(rho.shape)
         if check_invariants:
-            _check_window(rho, i)
+            _check_window(_density(rho), i)
         for q in qubits:
-            if sched.last_use[q] == i:  # trace it out
-                d0, _, _, d1 = _blocks(rho, 1 + active.index(q), len(active))
+            if sched.last_use[q] == i:  # trace it out: keep its I slice
+                rho = rho[(slice(None),) * (1 + active.index(q)) + (0,)]
                 active.remove(q)
-                rho = d0 + d1
     if not active:  # no gate touched the measured qubit, the only one live at the end
         rho = _adjoin(rho, active, circuits[0].measured_qubit, len(steps), window_cap)
-    return [float(z) for z in np.real(rho[:, 0, 0] - rho[:, 1, 1])]
+    return [float(z) for z in rho[:, 3]]
 
 
 def run_window(
@@ -168,10 +174,19 @@ def run_window(
     return run_window_batch([circuit], window_cap, noise, check_invariants)[0]
 
 
+def _density(rho: np.ndarray) -> np.ndarray:
+    """The window as [B, 2^w, 2^w] density matrices, qubits in window order:
+    each Pauli axis in turn becomes a (row, column) pair of axes at the end."""
+    w, mat = rho.ndim - 1, rho / 2 ** (rho.ndim - 1)
+    for _ in range(w):
+        mat = np.tensordot(mat, _PAULI, axes=(1, 0))
+    order = [0] + list(range(1, 2 * w, 2)) + list(range(2, 2 * w + 1, 2))
+    return mat.transpose(order).reshape(len(rho), 2**w, 2**w)
+
+
 def _check_window(rho: np.ndarray, gate_index: int) -> None:
-    """Trace, Hermiticity and positivity of every point's window."""
-    dim = 2 ** ((rho.ndim - 1) // 2)
-    for point, mat in enumerate(rho.reshape(-1, dim, dim)):
+    """Trace, Hermiticity and positivity of every point's [dim, dim] matrix."""
+    for point, mat in enumerate(rho):
         where = f"at point {point} after gate {gate_index}"
         if abs(np.trace(mat) - 1.0) > 1e-10:
             raise AssertionError(f"trace drifted to {np.trace(mat)} {where}")

@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 from polyshot import bench
 from polyshot.cli import main
@@ -508,3 +510,67 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# --- whole evaluate runs over generated arguments ---------------------------
+
+# deterministic examples, so a tier-1 run is the same on every rerun
+CLI_PROPERTY = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    phases=(Phase.explicit, Phase.generate, Phase.shrink),
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+# most examples are in range, so the runs reach the simulators as often as
+# the argument checks
+probability = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.001, 0.75, 1.0]),
+    st.sampled_from([float("nan"), -0.1, 1.5, float("inf")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+point = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([-1.0, 1.0, -0.0]),
+    st.sampled_from([1.0000001, -3.0, float("nan"), float("-inf")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+shot_count = st.one_of(st.integers(1, 4096), st.integers(1, 8), st.integers(-5, 0))
+
+
+@CLI_PROPERTY
+@given(
+    order=st.sampled_from(["forward", "backward"]),
+    sim=st.sampled_from(["dense", "stream"]),
+    p1=probability,
+    p2=probability,
+    x=point,
+    shots=shot_count,
+)
+def test_evaluate_exits_with_a_documented_code_and_no_traceback(
+    tmp_path, capsys, order, sim, p1, p2, x, shots
+):
+    # forward d=3 fits any window; backward d=9 outgrows the window cap, which
+    # binds on --sim stream and on any noisy run
+    coeffs = [0.1, -0.2, 0.3, 0.4] if order == "forward" else [0.1] * 10
+    prog = tmp_path / f"{order}.json"
+    if not prog.exists():
+        (tmp_path / "c.json").write_text(json.dumps({"coeffs": coeffs}))
+        assert run_cli("compile", "--coeffs", str(tmp_path / "c.json"), "--order", order,
+                       "--out", str(prog)) == 0
+    capsys.readouterr()
+    code = run_cli("evaluate", "--program", str(prog), f"--x={x!r}", f"--shots={shots}",
+                   f"--sim={sim}", f"--noise-p1={p1!r}", f"--noise-p2={p2!r}", "--seed=3")
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    bad = shots < 1 or not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0 and abs(x) <= 1.0)
+    if bad:
+        assert code == 2 and err.startswith("error: ")
+    elif order == "backward" and (sim == "stream" or p1 or p2):
+        assert code == 1 and "forward" in err
+    else:
+        assert code == 0
+        assert json.loads(out)["x"] == x

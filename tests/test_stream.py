@@ -294,3 +294,85 @@ def test_batch_memory_check_raises_before_allocation(monkeypatch):
     monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need)
     zs = run_window_batch(circuits)
     assert zs == pytest.approx([math.cos(a) for a in np.linspace(0.1, 0.5, 5)], abs=1e-14)
+
+
+# --- the Pauli-transfer window ----------------------------------------------
+
+NOISE_LEVELS = [(0.001, 0.005), (0.01, 0.03), (0.75, 1.0)]
+
+
+@pytest.mark.parametrize("p1, p2", NOISE_LEVELS)
+@pytest.mark.parametrize("order, d", [("forward", d) for d in (1, 3, 5, 8, 12)]
+                         + [("backward", d) for d in (1, 3, 5)])
+def test_noisy_z_is_an_exact_degree_d_polynomial_in_x(order, d, p1, p2):
+    # the channel scales Pauli coefficients and each x enters through one
+    # Ry(arccos x) per power, so the noisy <Z> is still of degree d: a
+    # degree-(d+3) interpolant through d+4 Chebyshev nodes has no top terms
+    nodes = np.cos(np.pi * (np.arange(d + 4) + 0.5) / (d + 4))
+    circuits = [build_circuit(dense_program(d, order, seed=90 + d), float(x)) for x in nodes]
+    zs = run_window_batch(circuits, noise=NoiseModel(p1, p2))
+    top = np.polynomial.chebyshev.chebfit(nodes, zs, d + 3)[d + 1:]
+    assert np.abs(top).max() < 1e-12
+
+
+def _random_batch(rng, n_points):
+    """Circuits of one skeleton on 2-4 qubits holding every gate kind and cx in
+    both directions, whose points differ in some ry and some rz angles."""
+    n = int(rng.integers(2, 5))
+    a, b = (int(q) for q in rng.choice(n, 2, replace=False))
+    kinds = ["ry", "rz", "x", "cx", "ry", "rz"] + list(rng.choice(["ry", "rz", "x", "cx"], 8))
+    rng.shuffle(kinds)
+    skeleton = [("cx", (a, b)), ("cx", (b, a))]
+    for kind in kinds:
+        qubits = tuple(int(q) for q in rng.choice(n, 2 if kind == "cx" else 1, replace=False))
+        skeleton.insert(int(rng.integers(len(skeleton) + 1)), (kind, qubits))
+    per_point = {"ry": True, "rz": True}  # the first of each kind varies per point
+    columns = []
+    for kind, qubits in skeleton:
+        if kind in per_point and (per_point[kind] or rng.random() < 0.3):
+            per_point[kind] = False
+            columns.append([Gate(kind, qubits, float(t)) for t in rng.uniform(-4, 4, n_points)])
+        else:
+            angle = float(rng.uniform(-4, 4)) if kind in per_point else None
+            columns.append([Gate(kind, qubits, angle)] * n_points)
+    measured = int(rng.integers(n))
+    return [Circuit(n, tuple(gates), measured) for gates in zip(*columns)]
+
+
+@pytest.mark.parametrize("p1", [0.0, 0.05, 0.75, 1.0])
+@pytest.mark.parametrize("p2", [0.0, 0.05, 0.75, 1.0])
+def test_random_circuits_match_kraus_reference(p1, p2):
+    # p = 3/4 makes the channel's scale 0 and p = 1 makes it negative
+    noise = NoiseModel(p1, p2)
+    rng = np.random.default_rng(int(400 * p1 + 40 * p2))
+    for _ in range(12):
+        circuits = _random_batch(rng, 3)
+        zs = run_window_batch(circuits, noise=noise)
+        for circuit, z in zip(circuits, zs):
+            assert abs(z - _kraus_reference_z(circuit, noise)) < 1e-12
+            assert abs(z - run_window(circuit, noise=noise)) < 1e-14
+
+
+def test_noisy_degree_12_batch_passes_the_invariant_checks():
+    circuits = _points(dense_program(12, "forward", seed=12), 10)
+    zs = run_window_batch(circuits, noise=NoiseModel(0.001, 0.005), check_invariants=True)
+    assert zs == run_window_batch(circuits, noise=NoiseModel(0.001, 0.005))
+
+
+def test_density_of_adjoined_qubits_and_of_ry_then_rz():
+    for w in (1, 2, 3):
+        rho, active = np.ones(2), []
+        for q in range(w):
+            rho = stream._adjoin(rho, active, q, q, stream.DEFAULT_WINDOW_CAP)
+        want = np.zeros((2**w, 2**w))
+        want[0, 0] = 1.0
+        assert np.abs(stream._density(rho) - want).max() < 1e-15
+    t, s = 0.7, 1.9
+    ry, rz = stream._transfer_matrices([("ry", (0,), t), ("rz", (0,), s)], None)
+    rho = (ry @ np.array([1.0, 0.0, 0.0, 1.0]))[None]
+    ket = np.array([math.cos(t / 2), math.sin(t / 2)])
+    assert np.abs(stream._density(rho)[0] - np.outer(ket, ket)).max() < 1e-15
+    # <Z> cannot tell rz(s) from rz(-s) in these circuits; the density can
+    ket = ket * np.exp([-0.5j * s, 0.5j * s])
+    want = np.outer(ket, ket.conj())
+    assert np.abs(stream._density((rz @ rho[0])[None])[0] - want).max() < 1e-15
