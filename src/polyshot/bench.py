@@ -18,13 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import Circuit, Gate
-from .compile import build_circuits, compile_poly, resources
-from .dense import NoiseModel, draw_shots, expect_z, expect_z_batch, prob_one, run_statevector
+from .circuit import Circuit, Gate, Plan
+from .compile import ORDERS, build_circuit, compile_poly, plan_programs, resources, skeleton_key
+from .dense import NoiseModel, draw_shots, draw_shots_batch, expect_z, expect_z_plan, prob_one
+from .dense import run_statevector
 from .estimate import Estimate, PASS_THRESHOLD, point_estimate, run_metrics, shot_scaling_fit
 from .poly import Polynomial, eval_poly, sup_norm
 from .rng import derive_seed, generator
-from .stream import DEFAULT_WINDOW_CAP, run_window_batch
+from .stream import DEFAULT_WINDOW_CAP, run_window_plan
 
 TABLE1_PAPER_SIM = {
     # degree: (rmse, corr, pass %) from the reference simulator column
@@ -81,6 +82,8 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must lie in [0, 1], got {p}")
         if self.simulator not in ("dense", "stream"):
             raise ValueError(f"unknown simulator {self.simulator!r}")
+        if self.order not in ORDERS:
+            raise ValueError(f"order must be one of {ORDERS}, got {self.order!r}")
 
     @property
     def noise(self) -> NoiseModel | None:
@@ -158,20 +161,20 @@ def gen_random_poly(
     return Polynomial(tuple(c * scale for c in a))
 
 
-def _exact_z(circuits: list[Circuit], config: ExperimentConfig) -> list[float]:
-    """Exact <Z> of each circuit's measured qubit, in order, on the configured
-    simulator, noise included, from one sweep of the batch (the circuits share
-    one gate skeleton, as the points of one program do): windowed, or a
+def _exact_z(batch: Plan, config: ExperimentConfig) -> list[float]:
+    """Exact <Z> at each point of a plan, in order, on the configured
+    simulator, noise included, from one sweep of the batch: windowed, or a
     statevector in chunks.  A statevector cannot hold the mixed state the
-    noise channel produces, so a noisy circuit always takes the windowed
-    sweep."""
+    noise channel produces, so a noisy plan always takes the windowed sweep."""
     noise = config.noise
     if config.simulator == "stream" or noise is not None:
-        return run_window_batch(circuits, config.window_cap, noise)
-    return expect_z_batch(circuits)
+        return run_window_plan(batch, config.window_cap, noise)
+    return expect_z_plan(batch)
 
 
 def _recovery_run(config: ExperimentConfig) -> RunReport:
+    """Each degree's trials run as one batch per skeleton_key (random draws make
+    one): one plan of trials x points, one sweep, and one re-keyed Philox."""
     t0 = time.perf_counter()
     lo, hi = config.x_domain
     xs = [float(x) for x in np.linspace(lo, hi, config.points_per_trial)]
@@ -180,61 +183,58 @@ def _recovery_run(config: ExperimentConfig) -> RunReport:
     timings: dict[str, float] = {}
     for degree in config.degrees:
         t_deg = time.perf_counter()
-        laps = dict.fromkeys(
-            ("generate", "compile", "build_circuit", "simulate", "sample", "metrics"), 0.0
-        )
-        pairs: list[tuple[float, float]] = []
-        norm_pairs: list[tuple[float, float]] = []
-        pred_errs: list[float] = []
-        deg_resources = None
-        for trial in range(config.trials):
-            t_gen = time.perf_counter()
-            poly = gen_random_poly(
-                degree,
-                derive_seed(config.master_seed, degree, trial),
-                config.coeff_bound,
-                config.sup_rescale_target,
-            )
-            t_compile = time.perf_counter()
-            program = compile_poly(poly, config.order)
+        seeds = [derive_seed(config.master_seed, degree, trial) for trial in range(config.trials)]
+        bound, target = config.coeff_bound, config.sup_rescale_target
+        polys = [gen_random_poly(degree, seed, bound, target) for seed in seeds]
+        t_compile = time.perf_counter()
+        programs = [compile_poly(poly, config.order) for poly in polys]
+        t_build = time.perf_counter()
+        deg_resources = resources(build_circuit(programs[0], xs[0]))
+        laps = {"generate": t_compile - t_deg, "compile": t_build - t_compile, "simulate": 0.0}
+        laps["build_circuit"] = time.perf_counter() - t_build
+        groups: dict[tuple, list[int]] = {}  # the trials of one skeleton share a plan
+        for trial, program in enumerate(programs):
+            groups.setdefault(skeleton_key(program), []).append(trial)
+        zs: dict[int, list[float]] = {}  # each trial's, one per x
+        for trials in groups.values():
             t_build = time.perf_counter()
             try:
-                circuits = build_circuits(program, xs)
-                deg_resources = deg_resources or resources(circuits[0])
+                batch = plan_programs([programs[t] for t in trials], xs)
                 t_sim = time.perf_counter()
-                zs = _exact_z(circuits, config)
+                batch_zs = _exact_z(batch, config)
             except Exception as exc:
-                raise RuntimeError(f"degree={degree} trial={trial}: {exc}") from exc
-            t_sample = time.perf_counter()
-            for point, (x, z) in enumerate(zip(xs, zs)):
-                truth = eval_poly(poly, x)
-                if config.shots == 0:  # infinite-shot surrogate
-                    est = Estimate(program.rescale * z, 0.0, 0, program.rescale)
-                else:
-                    seed = derive_seed(config.master_seed, degree, trial, point)
-                    est = point_estimate(draw_shots(z, config.shots, seed), program.rescale)
-                    if config.noise is None:
-                        p1 = prob_one(z)
-                        pred_errs.append(
-                            2.0 * program.rescale * np.sqrt(p1 * (1.0 - p1) / config.shots)
-                        )
-                records.append(Record(degree, trial, point, x, truth, est.value, est.stderr))
-                pairs.append((truth, est.value))
-                norm_pairs.append((truth / program.rescale, est.value / program.rescale))
-            laps["generate"] += t_compile - t_gen
-            laps["compile"] += t_build - t_compile
+                raise RuntimeError(f"degree={degree} trials={trials}: {exc}") from exc
+            zs.update((t, batch_zs[j * len(xs) : (j + 1) * len(xs)]) for j, t in enumerate(trials))
             laps["build_circuit"] += t_sim - t_build
-            laps["simulate"] += t_sample - t_sim
-            laps["sample"] += time.perf_counter() - t_sample
+            laps["simulate"] += time.perf_counter() - t_sim
+        t_sample = time.perf_counter()
+        points = [(trial, point) for trial in range(config.trials) for point in range(len(xs))]
+        if config.shots:
+            seeds = [derive_seed(config.master_seed, degree, t, p) for t, p in points]
+            outcomes = draw_shots_batch([zs[t][p] for t, p in points], config.shots, seeds)
+        pairs, norm_resid, pred_errs = [], [], []
+        for i, (trial, point) in enumerate(points):
+            x, z, c = xs[point], zs[trial][point], programs[trial].rescale
+            truth = eval_poly(polys[trial], x)
+            if config.shots == 0:  # infinite-shot surrogate
+                est = Estimate(c * z, 0.0, 0, c)
+            else:
+                est = point_estimate(outcomes[i], c)
+                if config.noise is None:
+                    p1 = prob_one(z)
+                    pred_errs.append(2.0 * c * np.sqrt(p1 * (1.0 - p1) / config.shots))
+            records.append(Record(degree, trial, point, x, truth, est.value, est.stderr))
+            pairs.append((truth, est.value))
+            norm_resid.append(est.value / c - truth / c)
         t_metrics = time.perf_counter()
+        laps["sample"] = t_metrics - t_sample
         metrics = run_metrics(pairs, config.pass_threshold)
-        norm_metrics = run_metrics(norm_pairs, config.pass_threshold)
         row = {
             "degree": degree,
             "rmse": metrics.rmse,
             "pearson": metrics.pearson,
             "pass_rate": metrics.pass_rate,
-            "rmse_normalized": norm_metrics.rmse,
+            "rmse_normalized": float(np.sqrt(np.mean(np.array(norm_resid) ** 2))),
             "qubits": deg_resources.qubits,
             "two_qubit_gates": deg_resources.two_qubit_gates,
             "depth": deg_resources.depth,
@@ -247,8 +247,8 @@ def _recovery_run(config: ExperimentConfig) -> RunReport:
             row["paper_sim_pass_pct"] = paper[2]
         per_degree.append(row)
         laps["metrics"] = time.perf_counter() - t_metrics
-        for layer, seconds in laps.items():
-            timings[f"degree_{degree}.{layer}"] = 1000.0 * seconds
+        for layer in ("generate", "compile", "build_circuit", "simulate", "sample", "metrics"):
+            timings[f"degree_{degree}.{layer}"] = 1000.0 * laps[layer]
         timings[f"degree_{degree}"] = 1000.0 * (time.perf_counter() - t_deg)
     timings["total"] = 1000.0 * (time.perf_counter() - t0)
     return RunReport(config, per_degree, records, timings)
@@ -292,15 +292,15 @@ def shot_scaling_experiment(
     program = compile_poly(poly, order)
     xs = [float(x) for x in np.linspace(x_domain[0], x_domain[1], points)]
     truths = [eval_poly(poly, x) for x in xs]
-    zs = _exact_z(build_circuits(program, xs), ExperimentConfig(simulator="dense"))
-    rows = []
+    zs = _exact_z(plan_programs([program], xs), ExperimentConfig(simulator="dense"))
+    rows, keys = [], [(rep, point) for rep in range(repetitions) for point in range(points)]
     for n_idx, shots in enumerate(shots_list):
-        sq_errs = []
-        for rep in range(repetitions):
-            for point, (z, truth) in enumerate(zip(zs, truths)):
-                seed = derive_seed(master_seed, degree, n_idx, rep, point)
-                est = point_estimate(draw_shots(z, shots, seed), program.rescale)
-                sq_errs.append((est.value - truth) ** 2)
+        seeds = [derive_seed(master_seed, degree, n_idx, rep, point) for rep, point in keys]
+        outcomes = draw_shots_batch(zs * repetitions, shots, seeds)
+        sq_errs = [
+            (point_estimate(outcome, program.rescale).value - truth) ** 2
+            for outcome, truth in zip(outcomes, truths * repetitions)
+        ]
         rows.append({"shots": shots, "rmse": float(np.sqrt(np.mean(sq_errs)))})
     slope = shot_scaling_fit([(r["shots"], r["rmse"]) for r in rows])
     return {

@@ -3,7 +3,8 @@
 The gate set is deliberately tiny: RY, RZ, X and CX, plus a designated
 measured qubit on the circuit.  Emission to OpenQASM 3.0 is byte-stable:
 identical circuits serialize to identical text.  plan() resolves a batch of
-circuits of one gate skeleton into the step list both simulators sweep.
+circuits of one gate skeleton into the Plan, the list of steps, both simulators
+sweep; compile.plan_programs makes one for trials x points.
 """
 from __future__ import annotations
 
@@ -104,7 +105,15 @@ def depth(circuit: Circuit, kinds: tuple[str, ...] = GATE_KINDS) -> int:
     return max(level, default=0)
 
 
-def plan(circuits: list[Circuit]) -> list[tuple]:
+class Plan(list):
+    """The steps of a batch (see plan), with its width, measured qubit and size."""
+
+    def __init__(self, steps, n_qubits: int, measured_qubit: int, batch: int):
+        super().__init__(steps)
+        self.n_qubits, self.measured_qubit, self.batch = n_qubits, measured_qubit, batch
+
+
+def plan(circuits: list[Circuit]) -> Plan:
     """(kind, qubits, angle) per gate of a batch of circuits that share one gate
     skeleton (width, measured qubit, and each gate's kind and qubits), such as
     the points of one program; raises ValueError for an empty batch or one of
@@ -113,18 +122,13 @@ def plan(circuits: list[Circuit]) -> list[tuple]:
     The angle is a float where every point holds the same gate, and an array
     of one angle per point where the points differ.  A gate object shared by
     every point (build_circuits shares all but the encoding gates) is resolved
-    by identity, without comparing its fields.
+    by identity, without comparing its fields.  A Plan of several programs may
+    also hold ("x", (q,), mask): an x on the points whose mask entry is set.
     """
     if not circuits:
         raise ValueError("a batch needs at least one circuit")
-    first = circuits[0]
-    for c in circuits:
-        if (c.n_qubits, c.measured_qubit, len(c.gates)) != (
-            first.n_qubits,
-            first.measured_qubit,
-            len(first.gates),
-        ):
-            raise ValueError("a batch runs circuits of one gate skeleton")
+    if len({(c.n_qubits, c.measured_qubit, len(c.gates)) for c in circuits}) > 1:
+        raise ValueError("a batch runs circuits of one gate skeleton")
     steps = []
     for gates in zip(*(c.gates for c in circuits)):
         g = gates[0]
@@ -134,7 +138,7 @@ def plan(circuits: list[Circuit]) -> list[tuple]:
         if any(h.kind != g.kind or h.qubits != g.qubits for h in gates):
             raise ValueError("a batch runs circuits of one gate skeleton")
         steps.append((g.kind, g.qubits, np.array([h.angle for h in gates])))
-    return steps
+    return Plan(steps, circuits[0].n_qubits, circuits[0].measured_qubit, len(circuits))
 
 
 def _fmt_angle(a: float) -> str:

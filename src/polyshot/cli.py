@@ -20,6 +20,7 @@ from .compile import (
     CompileError,
     build_circuit,
     compile_poly,
+    plan_programs,
     read_program,
     resources,
     write_program,
@@ -123,11 +124,11 @@ def cmd_evaluate(args) -> int:
     program = read_program(args.program)
     if not abs(args.x) <= 1.0:  # NaN too
         raise UsageError(f"--x {args.x} outside the encoding domain [-1, 1]")
-    circuit = build_circuit(program, args.x)
     config = bench.ExperimentConfig(
         simulator=args.sim, noise_p1=args.noise_p1, noise_p2=args.noise_p2
     )
-    outcome = draw_shots(bench._exact_z([circuit], config)[0], args.shots, seed)
+    z = bench._exact_z(plan_programs([program], [args.x]), config)[0]
+    outcome = draw_shots(z, args.shots, seed)
     est = point_estimate(outcome, program.rescale)
     truth = eval_poly(program.source, args.x)
     payload = {

@@ -1,4 +1,5 @@
-"""Map normalized coefficients to convex weights, rotation angles and circuits.
+"""Map normalized coefficients to convex weights, rotation angles and circuits,
+or straight to one plan of a degree's trials x points (plan_programs).
 
 Aggregation folds monomial terms into a running weighted sum, one two-qubit
 sum block per term.  Weights are chosen so the recursion telescopes exactly
@@ -40,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import Circuit, Gate, depth as circuit_depth
+from .circuit import Circuit, Gate, Plan, depth as circuit_depth
 from .poly import NormalizedPolynomial, Polynomial, is_finite_number
 
 HALF_PI = math.pi / 2.0
@@ -141,85 +142,111 @@ def compile_poly(poly: Polynomial, order: str = "backward") -> CompiledProgram:
     return CompiledProgram(schedule, np_poly.scale, poly)
 
 
-def _sum_block(gates: list[Gate], term: int, sum_q: int, alpha: float) -> None:
-    gates.append(Gate.rz(sum_q, HALF_PI))
-    gates.append(Gate.cx(term, sum_q))
+def _sum_block(steps: list[tuple], term: int, sum_q: int, alpha: float) -> None:
+    steps.append(("rz", (sum_q,), HALF_PI))
+    steps.append(("cx", (term, sum_q), None))
     if alpha != 0.0:
-        gates.append(Gate.ry(term, alpha / 2.0))
-    gates.append(Gate.cx(sum_q, term))
+        steps.append(("ry", (term,), "+a/2"))
+    steps.append(("cx", (sum_q, term), None))
     if alpha != 0.0:
-        gates.append(Gate.ry(term, -alpha / 2.0))
-    gates.append(Gate.rz(term, HALF_PI))
+        steps.append(("ry", (term,), "-a/2"))
+    steps.append(("rz", (term,), HALF_PI))
 
 
-def _skeleton(sched: WeightSchedule) -> tuple[list[Gate | None], list[tuple[int, int]], int]:
-    """The schedule's gate list with each encoding Ry(arccos x) left as None,
-    the (index, qubit) of those slots, and the measured qubit."""
+def _skeleton(sched: WeightSchedule) -> tuple[list[tuple], int]:
+    """The schedule's steps (kind, qubits, arg) and the measured qubit.  An arg
+    is the gate's angle, or a slot each point fills: "encode" for Ry(arccos x),
+    "sign" for the X of a negative term, "+a/2" and "-a/2" for the sum block's
+    Ry(+-a/2).  The programs of one skeleton_key share it."""
     d = sched.degree
     n = d + 1
-    gates: list[Gate | None] = []
-    slots: list[tuple[int, int]] = []
-
-    def encode(k: int) -> None:
-        slots.append((len(gates), k))
-        gates.append(None)
-
+    steps: list[tuple] = []
     if sched.order == "backward":
         for k in range(1, n):
-            encode(k)
+            steps.append(("ry", (k,), "encode"))
         for k in range(2, n):
-            gates.append(Gate.cx(k - 1, k))
+            steps.append(("cx", (k - 1, k), None))
         run_q = sched.seed_index
-        if sched.signs[run_q] < 0:
-            gates.append(Gate.x(run_q))
+        steps.append(("x", (run_q,), "sign"))
         for k in range(run_q - 1, -1, -1):
             if sched.skip_flags[k]:
                 continue
-            if sched.signs[k] < 0:
-                gates.append(Gate.x(k))
-            _sum_block(gates, k, run_q, sched.angles[k])
+            steps.append(("x", (k,), "sign"))
+            _sum_block(steps, k, run_q, sched.angles[k])
             run_q = k
-        return gates, slots, run_q
+        return steps, run_q
 
     # forward: emit encode/multiply/aggregate interleaved so that at most
     # three qubits are ever simultaneously live
-    if sched.signs[0] < 0 and not sched.skip_flags[0]:
-        gates.append(Gate.x(0))
+    if not sched.skip_flags[0]:
+        steps.append(("x", (0,), "sign"))
     if d == 0:
-        return gates, slots, 0
-    encode(1)
+        return steps, 0
+    steps.append(("ry", (1,), "encode"))
     run_q = 0
     for k in range(1, n):
         if k + 1 < n:  # extend the power chain before folding q_k
-            encode(k + 1)
-            gates.append(Gate.rz(k + 1, HALF_PI))
-            gates.append(Gate.cx(k, k + 1))
-        if not sched.skip_flags[k] and sched.signs[k] < 0:
-            gates.append(Gate.x(k))
-        _sum_block(gates, k, run_q, sched.angles[k])
+            steps.append(("ry", (k + 1,), "encode"))
+            steps.append(("rz", (k + 1,), HALF_PI))
+            steps.append(("cx", (k, k + 1), None))
+        if not sched.skip_flags[k]:
+            steps.append(("x", (k,), "sign"))
+        _sum_block(steps, k, run_q, sched.angles[k])
         run_q = k
-    return gates, slots, run_q
+    return steps, run_q
+
+
+def skeleton_key(program: CompiledProgram) -> tuple:
+    """Programs with equal keys have one skeleton, so they can share a plan."""
+    s = program.schedule
+    return s.order, s.skip_flags, s.seed_index, tuple(a == 0.0 for a in s.angles)
+
+
+def plan_programs(programs: list[CompiledProgram], xs) -> Plan:
+    """The plan (circuit.plan) of programs of one skeleton_key at each x, point
+    t * len(xs) + p being programs[t] at xs[p], made from their schedules with
+    no Gate per point; raises ValueError for no point or several skeletons.  A
+    value that every point shares is a float; a sign slot is dropped where no
+    point is negative, an x where all are, and else ("x", (q,), mask).  For one
+    program it is plan(build_circuits(program, xs)), step for step."""
+    xs = np.asarray(xs, dtype=float)
+    bad = xs[~(np.abs(xs) <= 1.0)]  # NaN too
+    if len(bad):
+        raise EncodingDomainError(f"x = {bad[0]} outside the encoding domain [-1, 1]")
+    if not programs or not len(xs) or len({skeleton_key(p) for p in programs}) > 1:
+        raise ValueError("a plan runs one or more points of programs of one skeleton")
+    skeleton, measured = _skeleton(programs[0].schedule)
+    scheds, m, thetas = [p.schedule for p in programs], len(xs), np.arccos(xs)
+    encoding = float(thetas[0]) if (thetas == thetas[0]).all() else np.tile(thetas, len(scheds))
+    steps = []
+    for kind, qubits, arg in skeleton:
+        if arg == "sign":
+            negative = [s.signs[qubits[0]] < 0 for s in scheds]
+            if any(negative):
+                steps.append((kind, qubits, None if all(negative) else np.repeat(negative, m)))
+            continue
+        if arg == "encode":
+            arg = encoding
+        elif arg in ("+a/2", "-a/2"):
+            arg = [s.angles[qubits[0]] * (0.5 if arg == "+a/2" else -0.5) for s in scheds]
+            arg = float(arg[0]) if arg.count(arg[0]) == len(arg) else np.repeat(arg, m)
+        steps.append((kind, qubits, arg))
+    return Plan(steps, programs[0].n_qubits, measured, len(programs) * m)
 
 
 def build_circuits(program: CompiledProgram, xs) -> list[Circuit]:
     """Instantiate the compiled schedule at each evaluation point, in order.
 
-    Only the encoding Ry(arccos x) gates depend on x: the gate list is emitted
-    once, and every other Gate object is shared by all the circuits, which
-    makes them one batch for the simulators (circuit.plan)."""
-    thetas = []
-    for x in xs:
-        if not np.isfinite(x) or abs(x) > 1.0:
-            raise EncodingDomainError(f"x = {x} outside the encoding domain [-1, 1]")
-        thetas.append(float(np.arccos(x)))
-    skeleton, slots, measured = _skeleton(program.schedule)
-    circuits = []
-    for theta in thetas:
-        gates = list(skeleton)
-        for i, k in slots:
-            gates[i] = Gate.ry(k, theta)
-        circuits.append(Circuit(program.n_qubits, tuple(gates), measured))
-    return circuits
+    Only the encoding Ry(arccos x) gates depend on x: every other Gate object
+    is shared by all the circuits, which makes them one batch for the
+    simulators (circuit.plan)."""
+    batch = plan_programs([program], xs)
+    shared = [None if isinstance(a, np.ndarray) else Gate(k, q, a) for k, q, a in batch]
+    per_point = [
+        tuple(g or Gate(k, q, float(a[i])) for g, (k, q, a) in zip(shared, batch))
+        for i in range(batch.batch)
+    ]
+    return [Circuit(batch.n_qubits, gates, batch.measured_qubit) for gates in per_point]
 
 
 def build_circuit(program: CompiledProgram, x: float) -> Circuit:

@@ -16,18 +16,19 @@ Simulation of a 45-Qubit Quantum Circuit", 2017).  The peak is the state plus
 at most as much again of scratch, and that peak is checked against the free
 memory before the state is allocated.
 
-Both simulators sweep a batch of circuits that share one gate skeleton, such
-as the points of one program, as a leading batch axis, with one angle per
-point where the points differ (circuit.plan): here the state is a tensor of
-shape [B] + [2]*n.  The windowed simulator has kernels of its own, one real
-matrix per gate in the Pauli-transfer basis (see stream.py).  expect_z_batch
-runs a batch in chunks whose state holds at most _CHUNK_AMPLITUDES
-amplitudes, and at least one point.  A small program (2-7 qubits in the Table-1 protocol)
-then runs a whole trial in one sweep, so each gate's Python dispatch is paid
-once per trial, not once per point.  A wide state (2^12 amplitudes and up)
-runs one point at a time: its cost per gate is memory traffic, which a batch
-does not cut, and a batch would multiply its peak memory, the one allocation
-that limits it.
+Both simulators sweep a plan (circuit.plan, compile.plan_programs): a batch
+of points of one gate skeleton, such as the trials x points of one degree,
+with one angle per point where the points differ and a mask where an x (the
+sign of a negative term) acts on some points only.  Here the state is a
+tensor of shape [B] + [2]*n, and a masked x swaps the halves of its points
+alone; the windowed simulator has kernels of its own (see stream.py).
+expect_z_plan runs a plan in chunks whose state holds at most
+_CHUNK_AMPLITUDES amplitudes, and at least one point, so a small program
+(2-7 qubits in the Table-1 protocol) runs a whole degree in one sweep, and
+each gate's Python dispatch is paid once per degree, not once per point.  A
+wide state (2^12 amplitudes and up) runs one point at a time: its cost per
+gate is memory traffic, which a batch does not cut, and a batch would
+multiply its peak memory, the one allocation that limits it.
 
 On a wide state the traffic is cut instead by gate fusion.  The compiled
 programs are chains of two-qubit sum blocks, 6-7 gates on one qubit pair, so
@@ -37,10 +38,10 @@ A fused step costs two passes over the state: the pair's two axes are copied
 to the front of a scratch tensor, and matrix @ scratch is written back into
 the state's own buffer.  The state's axes are then permuted (the pair first),
 so the sweep keeps the qubit each axis holds and every later gate reads it;
-run_statevector returns the amplitudes in qubit order, and expect_z_batch
+run_statevector returns the amplitudes in qubit order, and expect_z_plan
 reads z on the measured qubit's current axis.  Only a chunk of one point is
-fused: on a small batched state a matrix per point costs the same dispatch as
-the gates it replaces.
+fused, over the steps of its own circuit (each masked x made an x or
+dropped), so its runs and their rounding are those of its trial alone.
 """
 from __future__ import annotations
 
@@ -49,15 +50,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, plan
-from .rng import generator
+from .circuit import Circuit, Plan, plan
+from .rng import rekeyed
 
 DEFAULT_QUBIT_CAP = 26
 # peak bytes of a run per amplitude: the complex128 state plus one state of
 # scratch (ry's copy of one half and one half-sized temporary, a fused step's
 # copy of the state, or the qubit-order copy run_statevector returns)
 _PEAK_BYTES_PER_AMPLITUDE = 2 * 16
-# the most amplitudes one chunk of expect_z_batch holds (see the module docstring)
+# the most amplitudes one chunk of expect_z_plan holds (see the module docstring)
 _CHUNK_AMPLITUDES = 2**12
 
 
@@ -94,28 +95,22 @@ def prob_one(z: float) -> float:
     return min(max(0.5 * (1.0 - z), 0.0), 1.0)
 
 
+def draw_shots_batch(zs, shots: int, seeds) -> list[ShotOutcome]:
+    """draw_shots(z, shots, seed) for each z and seed in turn, from one Philox
+    re-keyed per draw (rng.rekeyed) instead of a generator per draw."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    n1s = [int(gen.binomial(shots, prob_one(z))) for z, gen in zip(zs, rekeyed(seeds), strict=True)]
+    return [ShotOutcome(shots - n1, n1) for n1 in n1s]
+
+
 def draw_shots(z: float, shots: int, seed: int) -> ShotOutcome:
     """`shots` measurements of a qubit whose exact <Z> is z.
 
     The shots are independent, so the count of 1s is one binomial draw with
-    probability prob_one(z).
+    probability prob_one(z), from generator(seed).
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    n1 = int(generator(seed).binomial(shots, prob_one(z)))
-    return ShotOutcome(shots - n1, n1)
-
-
-def _apply_cx(tensor: np.ndarray, c_axis: int, t_axis: int) -> np.ndarray:
-    """CX in place on a tensor with one axis per qubit: where the control is 1,
-    swap the target's two slices."""
-    hi = [slice(None)] * tensor.ndim
-    hi[c_axis] = 1
-    lo = list(hi)
-    hi[t_axis], lo[t_axis] = 1, 0
-    hi, lo = tuple(hi), tuple(lo)
-    tensor[lo], tensor[hi] = tensor[hi], tensor[lo].copy()
-    return tensor
+    return draw_shots_batch([z], shots, [seed])[0]
 
 
 def _halves(tensor: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,17 +120,23 @@ def _halves(tensor: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return tensor[lead + (0, ...)], tensor[lead + (1, ...)]
 
 
-def _apply_1q(tensor: np.ndarray, kind: str, axis: int, angle) -> None:
-    """One-qubit gate ("ry", "rz" or "x") in place on one axis of a tensor.
-
-    `angle` is a float, or an array of one angle per point of the tensor's
-    leading batch axis; x takes none."""
+def _apply_gate(tensor: np.ndarray, kind: str, axes: list[int], angle) -> None:
+    """One gate in place on its qubits' axes of a tensor whose first axis is the
+    batch.  `angle` is ry's or rz's: a float, or an array of one angle per
+    point; x takes none, or a mask of the points it acts on (an array, or one
+    bool for a tensor of one point); cx is x on the target where the control
+    is 1."""
+    if kind == "cx":
+        c, t = axes
+        tensor, kind, axes = _halves(tensor, c)[1], "x", [t - (t > c)]
+    a, b = _halves(tensor, axes[0])
+    if kind == "x":
+        at = ... if angle is None else angle
+        a[at], b[at] = b[at], a[at].copy()
+        return
     if isinstance(angle, np.ndarray):  # broadcast against a half
         angle = angle.reshape((-1,) + (1,) * (tensor.ndim - 2))
-    a, b = _halves(tensor, axis)
-    if kind == "x":
-        a[...], b[...] = b, a.copy()
-    elif kind == "rz":
+    if kind == "rz":
         a *= np.exp(-0.5j * angle)
         b *= np.exp(0.5j * angle)
     else:  # ry
@@ -162,11 +163,7 @@ def _pair_matrix(run: list[tuple], pair: tuple[int, int], batch: int) -> np.ndar
     b = batch if any(isinstance(angle, np.ndarray) for _, _, angle in run) else 1
     cols = np.tile(np.eye(4, dtype=complex).reshape(1, 2, 2, 4), (b, 1, 1, 1))
     for kind, qubits, angle in run:
-        axes = [1 + pair.index(q) for q in qubits]
-        if kind == "cx":
-            _apply_cx(cols, *axes)
-        else:
-            _apply_1q(cols, kind, axes[0], angle)
+        _apply_gate(cols, kind, [1 + pair.index(q) for q in qubits], angle)
     return cols.reshape(b, 4, 4)
 
 
@@ -206,10 +203,20 @@ def _apply_u(state: np.ndarray, matrix: np.ndarray, a_axis: int, b_axis: int) ->
 
 def _plan(circuits: list[Circuit]) -> list[tuple]:
     """The steps of a batch, fused where a chunk holds one point."""
-    steps = plan(circuits)
-    if 2 ** circuits[0].n_qubits >= _CHUNK_AMPLITUDES:
-        steps = _fuse(steps, len(circuits))
-    return steps
+    steps, n = plan(circuits), circuits[0].n_qubits
+    return _fuse(steps, len(circuits)) if 2**n >= _CHUNK_AMPLITUDES else steps
+
+
+def _by_signs(batch: Plan):
+    """The points of a plan grouped by the masked x steps that act on them, each
+    group with the steps of its circuits: every masked x made an x or dropped."""
+    masks = {i: a for i, (kind, _, a) in enumerate(batch) if kind == "x" and a is not None}
+    groups: dict[tuple, list[int]] = {}
+    for point in range(batch.batch):
+        groups.setdefault(tuple(bool(m[point]) for m in masks.values()), []).append(point)
+    for acts, points in groups.items():
+        on, steps = dict(zip(masks, acts)), enumerate(batch)
+        yield [(k, q, None if i in on else a) for i, (k, q, a) in steps if on.get(i, True)], points
 
 
 def _sweep(steps: list[tuple], n: int, lo: int, hi: int) -> tuple[np.ndarray, list[int]]:
@@ -236,12 +243,10 @@ def _sweep(steps: list[tuple], n: int, lo: int, hi: int) -> tuple[np.ndarray, li
         if kind == "u":  # one matrix per point, or one for all
             _apply_u(state, arg if len(arg) == 1 else arg[lo:hi], *axes)
             order = list(qubits) + [q for q in order if q not in qubits]
-        elif kind == "cx":
-            _apply_cx(state, *axes)
         else:
             if isinstance(arg, np.ndarray):  # one per point: a chunk of one takes a scalar
                 arg = arg[lo] if hi - lo == 1 else arg[lo:hi]
-            _apply_1q(state, kind, axes[0], arg)
+            _apply_gate(state, kind, axes, arg)
     return state, order
 
 
@@ -252,24 +257,32 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
 
 
 def expect_z_batch(circuits: list[Circuit]) -> list[float]:
-    """Exact <Z> of each circuit's measured qubit, in order, from statevector
-    sweeps of the batch in chunks; raises ValueError unless the circuits share
-    one gate skeleton.  Where the points differ only in ry angles, as those of
+    """Exact <Z> of each circuit's measured qubit, in order: expect_z_plan of
+    the batch's plan; raises ValueError unless the circuits share one gate
+    skeleton.  Where the points differ only in ry angles, as those of
     build_circuits do, each state is the one run_statevector(circuit) gives,
     bit for bit: a real rotation rounds the same with one angle or many.  A
     per-point rz phase may move the last bit.  Below 2^12 amplitudes each z is
     also expect_z(run_statevector(circuit), circuit.measured_qubit) bit for
     bit; above, the fused sweep leaves the axes permuted, and the sum over
     them may round differently (by about 1e-15)."""
-    steps = _plan(circuits)
-    n, qubit = circuits[0].n_qubits, circuits[0].measured_qubit
+    return expect_z_plan(plan(circuits))
+
+
+def expect_z_plan(batch: Plan) -> list[float]:
+    """Exact <Z> of the measured qubit at each point of a plan, in order, from
+    statevector sweeps of its points in chunks (fused where a chunk is one point)."""
+    n, zs = batch.n_qubits, [0.0] * batch.batch
     chunk = max(1, _CHUNK_AMPLITUDES >> n)
-    zs: list[float] = []
-    for lo in range(0, len(circuits), chunk):
-        hi = min(lo + chunk, len(circuits))
-        states, order = _sweep(steps, n, lo, hi)
-        zs += [expect_z(state, order.index(qubit)) for state in states]
-        del states  # freed before the next chunk is allocated
+    sweeps = [(batch, range(0, batch.batch, chunk))]
+    if chunk == 1:
+        sweeps = [(_fuse(steps, batch.batch), points) for steps, points in _by_signs(batch)]
+    for steps, starts in sweeps:
+        for lo in starts:
+            hi = min(lo + chunk, batch.batch)
+            states, order = _sweep(steps, n, lo, hi)
+            zs[lo:hi] = [expect_z(state, order.index(batch.measured_qubit)) for state in states]
+            del states  # freed before the next chunk is allocated
     return zs
 
 

@@ -37,3 +37,14 @@ def derive_seed(*labels: int) -> int:
 def generator(seed: int) -> np.random.Generator:
     """Philox generator keyed by a 64-bit seed."""
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
+
+
+def rekeyed(seeds):
+    """generator(seed) for each seed in turn, as one Philox re-keyed in place:
+    key [seed, 0], counter 0 and an empty buffer, the state Philox(seed) starts in."""
+    bits = np.random.Philox(key=0)
+    gen, state = np.random.Generator(bits), bits.state
+    for seed in seeds:
+        state["state"]["key"][0] = seed & _MASK64
+        bits.state = state
+        yield gen

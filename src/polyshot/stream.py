@@ -4,8 +4,9 @@ Sweeps the gate list in order, adjoining each qubit to the active window at
 its first use and tracing it out after its last use, so memory is 4^w for
 window size w; the forward-order compiler keeps w <= 3, which is what makes
 degree-35 programs (36 qubits) cheap to evaluate exactly.  One sweep runs a
-batch of circuits that share one gate skeleton (circuit.plan), such as the
-points of one program, whose encoding Ry(arccos x) angles alone depend on x.
+plan (circuit.plan, compile.plan_programs): the points of one gate skeleton,
+such as the trials x points of one degree, whose trials differ only in their
+sum-block Ry angles and in the x of a negative term, a mask of points.
 
 The window is held in the real Pauli-transfer basis (Greenbaum, "Introduction
 to Quantum Gate Set Tomography", 2015): a real tensor of shape [B] + [4]*w,
@@ -15,7 +16,8 @@ adjoined as |0><0| = (I + Z)/2, the coefficients (1, 0, 0, 1); tracing it out
 keeps its I slice, a view; and <Z> of the last live qubit is its Z
 coefficient.  Each step is one real transfer matrix on its qubits' axes: ry(t)
 turns the (Z, X) plane by t, rz(t) the (X, Y) plane, x is diag(1, 1, -1, -1)
-and cx a 16x16 signed permutation.
+(a masked x is the identity on the points it skips) and cx a 16x16 signed
+permutation.
 
 Noise is the exact depolarizing channel after each gate on every qubit it
 touches, rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z) (Nielsen &
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dense
-from .circuit import Circuit, plan
+from .circuit import Circuit, Plan, plan
 from .dense import NoiseModel
 
 DEFAULT_WINDOW_CAP = 8
@@ -108,11 +110,15 @@ def _adjoin(rho: np.ndarray, active: list[int], qubit: int, gate_index: int, cap
 def _transfer_matrices(steps: list[tuple], noise: NoiseModel | None) -> list[np.ndarray]:
     """One real transfer matrix per step, the channel on each touched qubit folded
     into its rows: [16, 16] for cx, [4, 4] for a one-qubit gate, [B, 1, 4, 4] for
-    one angle per point.  One vectorized call builds a kind's rotations per shape."""
+    one angle or x mask per point.  One vectorized call builds a kind's rotations
+    per shape."""
     f1, f2 = (1.0, 1.0) if noise is None else (1 - 4 * noise.p1 / 3, 1 - 4 * noise.p2 / 3)
     scale1, scale2 = np.array([[1.0], [f1], [f1], [f1]]), np.array([1.0, f2, f2, f2])
     cx, x = np.outer(scale2, scale2).reshape(16, 1) * _CX, scale1 * _X
     mats = [cx if kind == "cx" else x for kind, _, _ in steps]
+    for k, (kind, _, mask) in enumerate(steps):
+        if kind == "x" and mask is not None:  # the exact identity where no x acts
+            mats[k] = np.where(mask[:, None, None, None], x, np.eye(4))
     groups: dict[tuple[str, bool], list[int]] = {}  # (kind, one angle per point): steps
     for k, (kind, _, angle) in enumerate(steps):
         if kind in _PLANES:
@@ -134,17 +140,31 @@ def run_window_batch(
     noise: NoiseModel | None = None,
     check_invariants: bool = False,
 ) -> list[float]:
-    """Exact <Z> of each circuit's measured qubit, in order, from one windowed
-    sweep of the batch; raises ValueError unless they share one gate skeleton.
+    """Exact <Z> of each circuit's measured qubit, in order: run_window_plan of
+    the batch's plan; raises ValueError unless they share one gate skeleton."""
+    return run_window_plan(plan(circuits), window_cap, noise, check_invariants)
 
-    With a noise model, each gate is followed by the depolarizing channel on
-    every qubit it touches: strength p1 after a one-qubit gate, p2 after cx.
-    """
-    steps, sched = plan(circuits), liveness(circuits[0])
-    rho, active = np.ones(len(circuits)), []  # each point's empty window, no live qubit
-    for i, ((kind, qubits, _), mat) in enumerate(zip(steps, _transfer_matrices(steps, noise))):
+
+def run_window_plan(
+    batch: Plan,
+    window_cap: int = DEFAULT_WINDOW_CAP,
+    noise: NoiseModel | None = None,
+    check_invariants: bool = False,
+) -> list[float]:
+    """Exact <Z> of the measured qubit at each point of a plan, in order, from one
+    windowed sweep.  With a noise model, each gate (a masked x where it acts) is
+    followed by the depolarizing channel on every qubit it touches: strength p1
+    after a one-qubit gate, p2 after cx."""
+    first, last = {}, {}  # each qubit's first and last step
+    for i, (_, qubits, _) in enumerate(batch):
         for q in qubits:
-            if sched.first_use[q] == i:
+            first.setdefault(q, i)
+            last[q] = i
+    last[batch.measured_qubit] = len(batch)  # the measured qubit lives to the end
+    rho, active = np.ones(batch.batch), []  # each point's empty window, no live qubit
+    for i, ((kind, qubits, _), mat) in enumerate(zip(batch, _transfer_matrices(batch, noise))):
+        for q in qubits:
+            if first[q] == i:
                 rho = _adjoin(rho, active, q, i, window_cap)
         axes = [1 + active.index(q) for q in qubits]
         if kind == "cx":  # the pair's axes move to the front for one matmul, and stay
@@ -156,11 +176,11 @@ def run_window_batch(
         if check_invariants:
             _check_window(_density(rho), i)
         for q in qubits:
-            if sched.last_use[q] == i:  # trace it out: keep its I slice
+            if last[q] == i:  # trace it out: keep its I slice
                 rho = rho[(slice(None),) * (1 + active.index(q)) + (0,)]
                 active.remove(q)
     if not active:  # no gate touched the measured qubit, the only one live at the end
-        rho = _adjoin(rho, active, circuits[0].measured_qubit, len(steps), window_cap)
+        rho = _adjoin(rho, active, batch.measured_qubit, len(batch), window_cap)
     return [float(z) for z in rho[:, 3]]
 
 

@@ -101,6 +101,51 @@ def test_timings_split_each_degree_by_layer():
     assert list(report.timings_ms)[-1] == "total"
 
 
+def _with_a_zero_term(monkeypatch, trial_with_zero: int):
+    """Trial `trial_with_zero` of every degree draws a polynomial with a zero
+    x term, so its program skips that term's block; counts the plans built."""
+    from polyshot import bench
+
+    draw, bench_plan, plans = bench.gen_random_poly, bench.plan_programs, []
+
+    def gen(degree, seed, *args):
+        poly = draw(degree, seed, *args)
+        if degree >= 1 and seed == derive_seed(SMALL.master_seed, degree, trial_with_zero):
+            poly = Polynomial(poly.coeffs[:1] + (0.0,) + poly.coeffs[2:])
+        return poly
+
+    def plan_programs(programs, xs):
+        plans.append(len(programs))
+        return bench_plan(programs, xs)
+
+    monkeypatch.setattr(bench, "gen_random_poly", gen)
+    monkeypatch.setattr(bench, "plan_programs", plan_programs)
+    return plans
+
+
+@pytest.mark.parametrize("simulator, order", [("dense", "backward"), ("stream", "forward")])
+def test_trials_of_several_skeletons_split_into_batches_with_the_per_trial_report(
+    monkeypatch, simulator, order
+):
+    from dataclasses import replace
+
+    from polyshot import bench
+
+    config = replace(SMALL, trials=4, simulator=simulator, order=order)
+    plans = _with_a_zero_term(monkeypatch, trial_with_zero=2)
+    report = table1_experiment(config)
+    assert plans == [3, 1] * 3  # per degree: trials 0, 1 and 3, then trial 2
+    assert [r.trial for r in report.records[:20]] == [t for t in range(4) for _ in range(5)]
+    # one batch per trial gives the same report, byte for byte
+    monkeypatch.setattr(bench, "skeleton_key", lambda program: id(program))
+    per_trial = table1_experiment(config)
+    assert plans[6:] == [1] * 12
+    assert report_json(report, include_timings=False) == report_json(
+        per_trial, include_timings=False
+    )
+    assert records_csv(report) == records_csv(per_trial)
+
+
 def test_stress_requires_stream_forward():
     with pytest.raises(ValueError):
         stress_experiment(stress_config(simulator="dense"))

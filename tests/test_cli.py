@@ -398,6 +398,7 @@ def test_bench_rejects_mistyped_config_value(tmp_path, capsys, bad):
         ({"window_cap": 0}, "window_cap"),
         ({"pass_threshold": 0}, "pass_threshold"),
         ({"pass_threshold": -0.03}, "pass_threshold"),
+        ({"order": "sideways"}, "order"),
     ],
 )
 def test_bench_rejects_out_of_range_config_value(tmp_path, capsys, bad, key):
@@ -574,3 +575,94 @@ def test_evaluate_exits_with_a_documented_code_and_no_traceback(
     else:
         assert code == 0
         assert json.loads(out)["x"] == x
+
+
+# --- whole bench runs over generated config files ---------------------------
+
+BENCH_PROPERTY = settings(CLI_PROPERTY, max_examples=100)
+# a config of small, well-typed values, and in about half of the examples one
+# entry that is out of range, of the wrong type, or an unknown key
+good_values = st.fixed_dictionaries(
+    {  # the size keys are always given, so no run takes an experiment's full size
+        "degrees": st.lists(st.integers(0, 8), min_size=1, max_size=3),
+        "trials": st.integers(1, 3),
+        "points_per_trial": st.integers(2, 4),
+    },
+    optional={
+        "shots": st.integers(0, 64),
+        "simulator": st.sampled_from(["dense", "stream"]),
+        "order": st.sampled_from(["backward", "forward"]),
+        "noise_p1": st.one_of(st.just(0.0), st.floats(0.0, 0.1)),
+        "noise_p2": st.one_of(st.just(0.0), st.floats(0.0, 0.2)),
+        "window_cap": st.integers(1, 8),
+    },
+)
+bad_entry = st.sampled_from([
+    ("degrees", []), ("degrees", [-1]), ("degrees", 3), ("degrees", [1.5]),
+    ("trials", 0), ("trials", "2"), ("trials", 2.0), ("points_per_trial", 0),
+    ("points_per_trial", None),
+    ("shots", -1), ("shots", True), ("simulator", "gpu"), ("simulator", 1),
+    ("order", "sideways"), ("noise_p1", 1.5), ("noise_p1", "0"), ("noise_p2", -0.1),
+    ("window_cap", 0), ("window_cap", 2.5), ("no_such_key", 1),
+])
+
+
+@BENCH_PROPERTY
+@given(
+    experiment=st.sampled_from(["table1", "stress", "noise"]),
+    overrides=good_values,
+    bad=st.one_of(st.none(), bad_entry),
+)
+def test_bench_exits_with_a_documented_code_and_no_traceback(
+    tmp_path, capsys, experiment, overrides, bad
+):
+    from dataclasses import replace
+
+    from polyshot.compile import compile_poly
+    from polyshot.poly import Polynomial
+    from polyshot.stream import liveness
+
+    overrides = dict(overrides, **dict([bad] if bad else []))
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(overrides))
+    out_dir = tmp_path / "runs"
+    code = run_cli("bench", experiment, "--config", str(config_path), "--out-dir", str(out_dir))
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if bad:
+        assert code == 2 and err.startswith("error: ") and bad[0] in err
+        return
+    base = {"table1": bench.ExperimentConfig, "stress": bench.stress_config,
+            "noise": bench.noise_config}[experiment]()
+    config = replace(base, **dict(overrides, degrees=tuple(overrides["degrees"])))
+    if experiment == "stress" and (config.simulator, config.order) != ("stream", "forward"):
+        assert code == 1 and "requires" in err
+        return
+    windowed = config.simulator == "stream" or config.noise is not None
+    too_wide = [
+        d for d in config.degrees if windowed and config.window_cap < liveness(
+            build_circuit(compile_poly(Polynomial((0.1,) * (d + 1)), config.order), 0.0)
+        ).peak_window
+    ]
+    if too_wide:
+        trials = list(range(config.trials))
+        assert code == 1 and err.startswith(f"error: degree={too_wide[0]} trials={trials}: ")
+    else:
+        assert code == 0, err
+        report = json.loads((out_dir / f"{experiment}.json").read_text())
+        assert len(report["records"]) == (
+            len(config.degrees) * config.trials * config.points_per_trial
+        )
+
+
+def test_bench_names_the_degree_and_trials_of_a_failing_batch(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(
+        {"degrees": [2, 6], "trials": 3, "simulator": "stream", "window_cap": 4}
+    ))
+    out_dir = tmp_path / "runs"
+    assert run_cli("bench", "table1", "--config", str(config), "--out-dir", str(out_dir)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: degree=6 trials=[0, 1, 2]: window grows to 5 qubits")
+    assert "forward" in err and "Traceback" not in err
+    assert not out_dir.exists()

@@ -1,11 +1,12 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from polyshot.circuit import depth
+from polyshot.circuit import depth, plan
 from polyshot.compile import (
     CompileError,
     CompiledProgram,
@@ -15,9 +16,11 @@ from polyshot.compile import (
     build_circuits,
     compile_poly,
     compute_weights,
+    plan_programs,
     read_program,
     reconstruct_coeffs,
     resources,
+    skeleton_key,
     write_program,
 )
 from polyshot.poly import Polynomial, eval_poly, normalize
@@ -249,6 +252,98 @@ def test_build_circuits_is_build_circuit_at_each_point_sharing_all_but_encoding(
                 assert [g.angle for g in gates] == [float(np.arccos(x)) for x in xs]
     with pytest.raises(EncodingDomainError):
         build_circuits(program, [0.1, 1.5])
+
+
+# --- the plan of a degree's trials, straight from their schedules ----------
+
+
+def assert_same_steps(got, want):
+    """Step for step: kind, qubits, and the same float or array, bit for bit."""
+    assert (got.n_qubits, got.measured_qubit, got.batch) == (
+        want.n_qubits, want.measured_qubit, want.batch
+    )
+    assert len(got) == len(want)
+    for (kind, qubits, arg), (want_kind, want_qubits, want_arg) in zip(got, want):
+        assert (kind, qubits, type(arg)) == (want_kind, want_qubits, type(want_arg))
+        if isinstance(arg, np.ndarray):
+            assert arg.dtype == want_arg.dtype and arg.tobytes() == want_arg.tobytes()
+        else:
+            assert arg == want_arg
+
+
+@pytest.mark.parametrize("order", ["backward", "forward"])
+def test_plan_of_one_program_is_the_plan_of_its_circuits(order):
+    rng = np.random.default_rng(33)
+    for d in range(9):
+        for trial in range(4):
+            coeffs = rng.uniform(-1, 1, d + 1)
+            if trial == 1:
+                coeffs = -np.abs(coeffs)  # every term negative
+            if trial >= 2 and d >= 1:
+                coeffs[rng.integers(d + 1)] = 0.0  # a skipped term
+            if trial == 3 and d >= 2:
+                coeffs[0] = 0.0
+            if not coeffs.any():
+                coeffs[d] = 0.5
+            program = compile_poly(Polynomial(tuple(coeffs)), order)
+            for xs in ([0.3], [float(x) for x in np.linspace(-1, 1, 9)], [-0.5, -0.5]):
+                assert_same_steps(plan_programs([program], xs), plan(build_circuits(program, xs)))
+
+
+def test_plan_of_trials_shares_what_they_share_and_masks_signs():
+    xs = [-0.6, 0.1, 0.8]
+    polys = [(0.2, -0.3, 0.4), (-0.2, -0.1, 0.6), (0.5, -0.3, 0.1), (0.2, -0.3, 0.4)]
+    programs = [compile_poly(Polynomial(p), "backward") for p in polys]
+    steps = plan_programs(programs, xs)
+    assert steps.batch == 12 and steps.n_qubits == 3
+    # point t * 3 + p is program t at xs[p]
+    encoding = [arg for kind, _, arg in steps if kind == "ry" and isinstance(arg, np.ndarray)][0]
+    assert encoding.tolist() == [float(np.arccos(x)) for x in xs] * 4
+    signs = {qubits[0]: arg for kind, qubits, arg in steps if kind == "x"}
+    assert 2 not in signs  # no trial has a negative x^2 term
+    assert signs[1] is None  # every trial has a negative x term: a plain x
+    assert signs[0].tolist() == [False] * 3 + [True] * 3 + [False] * 6
+    # each Ry holds the angles of the trials' own plans, one float where they agree
+    alone = [[arg for kind, _, arg in plan_programs([p], xs) if kind == "ry"] for p in programs]
+    rys = [arg for kind, _, arg in steps if kind == "ry"]
+    assert len(rys) == len(alone[0]) == 2 + 4
+    for i, arg in enumerate(rys):
+        want = np.concatenate([np.broadcast_to(angles[i], 3) for angles in alone])
+        assert np.broadcast_to(arg, 12).tobytes() == want.tobytes()
+        assert isinstance(arg, float) == (len(set(want.tolist())) == 1)
+    assert sum(isinstance(arg, float) for arg in rys) == 0
+    # two equal programs share every angle but the encoding
+    same = plan_programs([programs[0], programs[3]], xs)
+    assert [type(arg) for kind, _, arg in same if kind == "ry"] == [np.ndarray] * 2 + [float] * 4
+
+
+def test_plan_of_trials_rejects_programs_of_several_skeletons():
+    full = compile_poly(Polynomial((0.2, 0.3, 0.4)), "forward")
+    skipped = compile_poly(Polynomial((0.2, 0.0, 0.4)), "forward")
+    assert skeleton_key(full) != skeleton_key(skipped)
+    with pytest.raises(ValueError, match="skeleton"):
+        plan_programs([full, skipped], [0.1])
+    backward = compile_poly(Polynomial((0.2, 0.3, 0.4)), "backward")
+    with pytest.raises(ValueError, match="skeleton"):
+        plan_programs([full, backward], [0.1])
+    # a live term of weight 0 (a program file may hold one) elides its Ry pair
+    sched = full.schedule
+    weightless = CompiledProgram(
+        replace(sched, weights=(0.0, 0.0, 1.0), angles=(0.0, 0.0, math.pi)), 1.0, full.source
+    )
+    assert skeleton_key(weightless) != skeleton_key(full)
+    with pytest.raises(ValueError, match="skeleton"):
+        plan_programs([full, weightless], [0.1])
+    xs = [-0.4, 0.9]
+    assert_same_steps(plan_programs([weightless], xs), plan(build_circuits(weightless, xs)))
+    assert sum(kind == "ry" for kind, _, _ in plan_programs([weightless], xs)) == 2 + 2
+    with pytest.raises(ValueError):
+        plan_programs([], [0.1])
+    with pytest.raises(ValueError):
+        plan_programs([full], [])
+    for bad in (1.5, float("nan"), -float("inf")):
+        with pytest.raises(EncodingDomainError):
+            plan_programs([full], [0.1, bad])
 
 
 def test_qubit_count_is_degree_plus_one():

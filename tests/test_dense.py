@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from polyshot.circuit import Circuit, Gate
-from polyshot.compile import build_circuit, build_circuits, compile_poly
+from polyshot.compile import build_circuit, build_circuits, compile_poly, plan_programs
 from polyshot.dense import (
     CapacityError,
     NoiseModel,
     draw_shots,
+    draw_shots_batch,
     expect_z,
     expect_z_batch,
+    expect_z_plan,
     prob_one,
     run_statevector,
 )
@@ -282,6 +284,49 @@ def test_batch_memory_check_raises_before_allocation(monkeypatch):
     assert zs == pytest.approx([math.cos(a) for a in np.linspace(0.1, 0.5, 15)], abs=1e-14)
 
 
+# --- a degree's trials x points as one batched statevector sweep -----------
+
+
+def _trials(rng, d: int, order: str, n: int) -> list:
+    """n random programs of degree d with signs that differ across trials."""
+    return [compile_poly(Polynomial(tuple(rng.uniform(-1, 1, d + 1))), order) for _ in range(n)]
+
+
+@pytest.mark.parametrize("order", ["backward", "forward"])
+def test_degree_batch_is_each_trial_alone_bit_for_bit(order):
+    rng = np.random.default_rng(82)
+    xs = [float(x) for x in np.linspace(-0.9, 0.9, 15)]
+    for d in range(9):
+        programs = _trials(rng, d, order, 5)
+        zs = expect_z_plan(plan_programs(programs, xs))
+        assert zs == [z for p in programs for z in expect_z_batch(build_circuits(p, xs))]
+
+
+def test_degree_batch_across_chunks_is_each_trial_alone_bit_for_bit():
+    # 7 qubits: chunks of 32 points, so 10 trials x 15 points span 5 chunks
+    from polyshot import dense
+
+    assert dense._CHUNK_AMPLITUDES >> 7 == 32
+    xs = [float(x) for x in np.linspace(-0.9, 0.9, 15)]
+    for order in ("backward", "forward"):
+        programs = _trials(np.random.default_rng(83), 6, order, 10)
+        zs = expect_z_plan(plan_programs(programs, xs))
+        assert zs == [z for p in programs for z in expect_z_batch(build_circuits(p, xs))]
+
+
+@pytest.mark.parametrize("order, d", [("backward", 11), ("backward", 12), ("forward", 12)])
+def test_fused_degree_batch_of_mixed_signs_is_each_trial_alone_bit_for_bit(order, d):
+    # a wide state runs one point at a time, fused over its own trial's gates
+    rng = np.random.default_rng(84 + d)
+    xs = [-0.7, 0.2, 0.55]
+    programs = _trials(rng, d, order, 2)
+    assert programs[0].schedule.signs != programs[1].schedule.signs
+    batch = plan_programs(programs, xs)
+    assert any(kind == "x" and isinstance(arg, np.ndarray) for kind, _, arg in batch)
+    zs = expect_z_plan(batch)
+    assert zs == [z for p in programs for z in expect_z_batch(build_circuits(p, xs))]
+
+
 # --- wide states: runs of gates on one qubit pair fused into one matmul -----
 
 
@@ -418,6 +463,26 @@ def test_sampler_unbiased_over_seeds():
         estimates.append((outcome.n0 - outcome.n1) / n)
     se = math.sqrt((1 - x * x) / n / 200)
     assert abs(np.mean(estimates) - x) < 5 * se
+
+
+@pytest.mark.parametrize("shots", [1, 4096])
+def test_batched_draws_are_a_generator_per_seed(shots):
+    rng = np.random.default_rng(85)
+    seeds = [0, 2**64 - 1] + [derive_seed(85, i) for i in range(1000)]
+    for z in (1.0, -1.0, 0.0, None):  # p = 0, 1, 0.5 and random
+        zs = list(rng.uniform(-1, 1, len(seeds))) if z is None else [z] * len(seeds)
+        want = [int(generator(s).binomial(shots, prob_one(z))) for s, z in zip(seeds, zs)]
+        outcomes = draw_shots_batch(zs, shots, seeds)
+        assert [o.n1 for o in outcomes] == want
+        assert all(o.n0 + o.n1 == shots for o in outcomes)
+        # no state leaks from one draw into the next
+        order = rng.permutation(len(seeds))
+        shuffled = draw_shots_batch([zs[i] for i in order], shots, [seeds[i] for i in order])
+        assert [o.n1 for o in shuffled] == [want[i] for i in order]
+    with pytest.raises(ValueError):
+        draw_shots_batch([0.0], 0, [1])
+    with pytest.raises(ValueError):  # a z without its seed
+        draw_shots_batch([0.0, 0.5], 8, [1])
 
 
 def test_prob_one_matches_expectation():

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from polyshot.circuit import Circuit, Gate
-from polyshot.compile import build_circuit, compile_poly
+from polyshot.compile import build_circuit, build_circuits, compile_poly, plan_programs
 from polyshot import dense, stream
 from polyshot.dense import CapacityError, NoiseModel, draw_shots, expect_z, run_statevector
 from polyshot.poly import Polynomial, eval_poly
 from polyshot.rng import derive_seed
-from polyshot.stream import WindowOverflowError, liveness, run_window, run_window_batch
+from polyshot.stream import (
+    WindowOverflowError,
+    liveness,
+    run_window,
+    run_window_batch,
+    run_window_plan,
+)
 
 
 def dense_program(d, order, seed=0):
@@ -376,3 +382,49 @@ def test_density_of_adjoined_qubits_and_of_ry_then_rz():
     ket = ket * np.exp([-0.5j * s, 0.5j * s])
     want = np.outer(ket, ket.conj())
     assert np.abs(stream._density((rz @ rho[0])[None])[0] - want).max() < 1e-15
+
+
+# --- a degree's trials x points as one windowed sweep -----------------------
+
+
+def _mixed_sign_trials(d, order, n, seed):
+    rng = np.random.default_rng(seed)
+    programs = [compile_poly(Polynomial(tuple(rng.uniform(-1, 1, d + 1))), order) for _ in range(n)]
+    if d >= 1:
+        assert len({p.schedule.signs for p in programs}) > 1
+    return programs
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel(0.001, 0.005), NoiseModel(0.05, 0.1)])
+@pytest.mark.parametrize("order", ["backward", "forward"])
+def test_degree_batch_is_each_trial_alone_bit_for_bit(order, noise):
+    xs = [float(x) for x in np.linspace(-0.9, 0.9, 6)]
+    for d in range(0, 8 if order == "backward" else 13):
+        programs = _mixed_sign_trials(d, order, 4, seed=110 + d)
+        zs = run_window_plan(plan_programs(programs, xs), noise=noise)
+        want = [z for p in programs for z in run_window_batch(build_circuits(p, xs), noise=noise)]
+        assert zs == want
+        # and the dense sweep of the same batch agrees with the window
+        if noise is None:
+            dense_zs = dense.expect_z_plan(plan_programs(programs, xs))
+            assert np.abs(np.array(zs) - dense_zs).max() < 1e-10
+
+
+def test_a_masked_x_is_noisy_only_where_it_acts():
+    # x alone on the measured qubit, on the first point only: p1 = 3/4 sends
+    # that point to I/2 and leaves the other in |0>
+    x = compile_poly(Polynomial((-0.5,)), "forward")
+    plus = compile_poly(Polynomial((0.5,)), "forward")
+    batch = plan_programs([x, plus], [0.0])
+    assert [(kind, arg.tolist()) for kind, _, arg in batch] == [("x", [True, False])]
+    assert run_window_plan(batch, noise=NoiseModel(p1=0.75)) == [0.0, 1.0]
+    assert run_window_plan(batch) == [-1.0, 1.0]
+
+
+def test_noisy_mixed_sign_degree_batch_passes_the_invariant_checks():
+    programs = _mixed_sign_trials(6, "forward", 3, seed=120)
+    batch = plan_programs(programs, [-0.8, 0.0, 0.7])
+    assert any(kind == "x" and isinstance(arg, np.ndarray) for kind, _, arg in batch)
+    noise = NoiseModel(0.05, 0.1)
+    zs = run_window_plan(batch, noise=noise, check_invariants=True)
+    assert zs == run_window_plan(batch, noise=noise)
