@@ -9,21 +9,13 @@ from .compile import (
     WeightSchedule,
     angle_of_weight,
     build_circuit,
-    build_circuits,
     compile_poly,
     compute_weights,
     read_program,
     resources,
     write_program,
 )
-from .dense import (
-    NoiseModel,
-    ShotOutcome,
-    draw_shots,
-    expect_z,
-    expect_z_batch,
-    run_statevector,
-)
+from .dense import NoiseModel, ShotOutcome, draw_shots, expect_z, run_statevector
 from .estimate import Estimate, Metrics, point_estimate, run_metrics, shot_scaling_fit
 from .poly import (
     FitConfig,
@@ -40,7 +32,7 @@ from .poly import (
     write_samples,
 )
 from .rng import derive_seed, generator
-from .stream import RetirementSchedule, liveness, run_window, run_window_batch
+from .stream import RetirementSchedule, liveness, run_window
 
 __version__ = "0.1.0"
 
@@ -61,7 +53,6 @@ __all__ = [
     "WeightSchedule",
     "angle_of_weight",
     "build_circuit",
-    "build_circuits",
     "compile_poly",
     "compute_weights",
     "depth",
@@ -69,7 +60,6 @@ __all__ = [
     "draw_shots",
     "eval_poly",
     "expect_z",
-    "expect_z_batch",
     "fit",
     "generator",
     "liveness",
@@ -82,7 +72,6 @@ __all__ = [
     "run_metrics",
     "run_statevector",
     "run_window",
-    "run_window_batch",
     "shot_scaling_fit",
     "sup_norm",
     "to_qasm",

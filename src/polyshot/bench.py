@@ -163,8 +163,8 @@ def gen_random_poly(
 
 def _exact_z(batch: Plan, config: ExperimentConfig) -> list[float]:
     """Exact <Z> at each point of a plan, in order, on the configured
-    simulator, noise included, from one sweep of the batch: windowed, or a
-    statevector in chunks.  A statevector cannot hold the mixed state the
+    simulator, noise included, from a sweep of the batch in chunks: windowed,
+    or a statevector.  A statevector cannot hold the mixed state the
     noise channel produces, so a noisy plan always takes the windowed sweep."""
     noise = config.noise
     if config.simulator == "stream" or noise is not None:
@@ -292,7 +292,7 @@ def shot_scaling_experiment(
     program = compile_poly(poly, order)
     xs = [float(x) for x in np.linspace(x_domain[0], x_domain[1], points)]
     truths = [eval_poly(poly, x) for x in xs]
-    zs = _exact_z(plan_programs([program], xs), ExperimentConfig(simulator="dense"))
+    zs = expect_z_plan(plan_programs([program], xs))
     rows, keys = [], [(rep, point) for rep in range(repetitions) for point in range(points)]
     for n_idx, shots in enumerate(shots_list):
         seeds = [derive_seed(master_seed, degree, n_idx, rep, point) for rep, point in keys]

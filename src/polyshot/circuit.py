@@ -121,9 +121,11 @@ def plan(circuits: list[Circuit]) -> Plan:
 
     The angle is a float where every point holds the same gate, and an array
     of one angle per point where the points differ.  A gate object shared by
-    every point (build_circuits shares all but the encoding gates) is resolved
-    by identity, without comparing its fields.  A Plan of several programs may
-    also hold ("x", (q,), mask): an x on the points whose mask entry is set.
+    every point is resolved by identity, without comparing its fields.  A
+    Plan of several programs (compile.plan_programs) may also hold
+    ("x", (q,), mask): an x on the points whose mask entry is set.  A plan is
+    the one batch input of both simulators; one circuit is the plan of one
+    point.
     """
     if not circuits:
         raise ValueError("a batch needs at least one circuit")

@@ -208,7 +208,7 @@ def plan_programs(programs: list[CompiledProgram], xs) -> Plan:
     no Gate per point; raises ValueError for no point or several skeletons.  A
     value that every point shares is a float; a sign slot is dropped where no
     point is negative, an x where all are, and else ("x", (q,), mask).  For one
-    program it is plan(build_circuits(program, xs)), step for step."""
+    program it is plan([build_circuit(program, x) for x in xs]), step for step."""
     xs = np.asarray(xs, dtype=float)
     bad = xs[~(np.abs(xs) <= 1.0)]  # NaN too
     if len(bad):
@@ -234,24 +234,11 @@ def plan_programs(programs: list[CompiledProgram], xs) -> Plan:
     return Plan(steps, programs[0].n_qubits, measured, len(programs) * m)
 
 
-def build_circuits(program: CompiledProgram, xs) -> list[Circuit]:
-    """Instantiate the compiled schedule at each evaluation point, in order.
-
-    Only the encoding Ry(arccos x) gates depend on x: every other Gate object
-    is shared by all the circuits, which makes them one batch for the
-    simulators (circuit.plan)."""
-    batch = plan_programs([program], xs)
-    shared = [None if isinstance(a, np.ndarray) else Gate(k, q, a) for k, q, a in batch]
-    per_point = [
-        tuple(g or Gate(k, q, float(a[i])) for g, (k, q, a) in zip(shared, batch))
-        for i in range(batch.batch)
-    ]
-    return [Circuit(batch.n_qubits, gates, batch.measured_qubit) for gates in per_point]
-
-
 def build_circuit(program: CompiledProgram, x: float) -> Circuit:
-    """Instantiate the compiled schedule at one evaluation point."""
-    return build_circuits(program, [x])[0]
+    """Instantiate the compiled schedule at one evaluation point: the plan of
+    one point, whose every arg is a float or None."""
+    batch = plan_programs([program], [x])
+    return Circuit(batch.n_qubits, [Gate(*step) for step in batch], batch.measured_qubit)
 
 
 def resources(circuit: Circuit) -> ResourceCounts:

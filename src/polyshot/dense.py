@@ -21,14 +21,15 @@ of points of one gate skeleton, such as the trials x points of one degree,
 with one angle per point where the points differ and a mask where an x (the
 sign of a negative term) acts on some points only.  Here the state is a
 tensor of shape [B] + [2]*n, and a masked x swaps the halves of its points
-alone; the windowed simulator has kernels of its own (see stream.py).
-expect_z_plan runs a plan in chunks whose state holds at most
-_CHUNK_AMPLITUDES amplitudes, and at least one point, so a small program
-(2-7 qubits in the Table-1 protocol) runs a whole degree in one sweep, and
-each gate's Python dispatch is paid once per degree, not once per point.  A
-wide state (2^12 amplitudes and up) runs one point at a time: its cost per
-gate is memory traffic, which a batch does not cut, and a batch would
-multiply its peak memory, the one allocation that limits it.
+alone; the windowed simulator has kernels of its own (see stream.py).  One
+circuit is the plan of one point.  Every run goes through one chunk driver,
+_states, whose chunks hold at most _CHUNK_AMPLITUDES amplitudes, and at
+least one point, so a small program (2-7 qubits in the Table-1 protocol)
+runs a whole degree in one sweep, and each gate's Python dispatch is paid
+once per degree, not once per point.  A wide state (2^12 amplitudes and up)
+runs one point at a time: its cost per gate is memory traffic, which a batch
+does not cut, and a batch would multiply its peak memory, the one allocation
+that limits it.
 
 On a wide state the traffic is cut instead by gate fusion.  The compiled
 programs are chains of two-qubit sum blocks, 6-7 gates on one qubit pair, so
@@ -58,7 +59,7 @@ DEFAULT_QUBIT_CAP = 26
 # scratch (ry's copy of one half and one half-sized temporary, a fused step's
 # copy of the state, or the qubit-order copy run_statevector returns)
 _PEAK_BYTES_PER_AMPLITUDE = 2 * 16
-# the most amplitudes one chunk of expect_z_plan holds (see the module docstring)
+# the most amplitudes one chunk of _states holds (see the module docstring)
 _CHUNK_AMPLITUDES = 2**12
 
 
@@ -201,12 +202,6 @@ def _apply_u(state: np.ndarray, matrix: np.ndarray, a_axis: int, b_axis: int) ->
     np.matmul(matrix, scratch.reshape(shape), out=state.reshape(shape))
 
 
-def _plan(circuits: list[Circuit]) -> list[tuple]:
-    """The steps of a batch, fused where a chunk holds one point."""
-    steps, n = plan(circuits), circuits[0].n_qubits
-    return _fuse(steps, len(circuits)) if 2**n >= _CHUNK_AMPLITUDES else steps
-
-
 def _by_signs(batch: Plan):
     """The points of a plan grouped by the masked x steps that act on them, each
     group with the steps of its circuits: every masked x made an x or dropped."""
@@ -250,29 +245,13 @@ def _sweep(steps: list[tuple], n: int, lo: int, hi: int) -> tuple[np.ndarray, li
     return state, order
 
 
-def run_statevector(circuit: Circuit) -> np.ndarray:
-    """Apply all gates in order to |0...0>; returns the final amplitudes."""
-    state, order = _sweep(_plan([circuit]), circuit.n_qubits, 0, 1)
-    return state[0].transpose(np.argsort(order)).reshape(-1)
-
-
-def expect_z_batch(circuits: list[Circuit]) -> list[float]:
-    """Exact <Z> of each circuit's measured qubit, in order: expect_z_plan of
-    the batch's plan; raises ValueError unless the circuits share one gate
-    skeleton.  Where the points differ only in ry angles, as those of
-    build_circuits do, each state is the one run_statevector(circuit) gives,
-    bit for bit: a real rotation rounds the same with one angle or many.  A
-    per-point rz phase may move the last bit.  Below 2^12 amplitudes each z is
-    also expect_z(run_statevector(circuit), circuit.measured_qubit) bit for
-    bit; above, the fused sweep leaves the axes permuted, and the sum over
-    them may round differently (by about 1e-15)."""
-    return expect_z_plan(plan(circuits))
-
-
-def expect_z_plan(batch: Plan) -> list[float]:
-    """Exact <Z> of the measured qubit at each point of a plan, in order, from
-    statevector sweeps of its points in chunks (fused where a chunk is one point)."""
-    n, zs = batch.n_qubits, [0.0] * batch.batch
+def _states(batch: Plan):
+    """lo, hi, the states of the plan's points lo..hi-1 and the qubit each of
+    their axes after the batch axis holds, for each chunk of at most
+    _CHUNK_AMPLITUDES amplitudes and at least one point.  A chunk of one point
+    is swept over the fused steps of its own circuit; the caller drops each
+    chunk's states before asking for the next."""
+    n = batch.n_qubits
     chunk = max(1, _CHUNK_AMPLITUDES >> n)
     sweeps = [(batch, range(0, batch.batch, chunk))]
     if chunk == 1:
@@ -280,9 +259,27 @@ def expect_z_plan(batch: Plan) -> list[float]:
     for steps, starts in sweeps:
         for lo in starts:
             hi = min(lo + chunk, batch.batch)
-            states, order = _sweep(steps, n, lo, hi)
-            zs[lo:hi] = [expect_z(state, order.index(batch.measured_qubit)) for state in states]
-            del states  # freed before the next chunk is allocated
+            yield (lo, hi, *_sweep(steps, n, lo, hi))
+
+
+def run_statevector(circuit: Circuit) -> np.ndarray:
+    """Apply all gates in order to |0...0>; returns the final amplitudes."""
+    ((_, _, states, order),) = _states(plan([circuit]))
+    return states[0].transpose(np.argsort(order)).reshape(-1)
+
+
+def expect_z_plan(batch: Plan) -> list[float]:
+    """Exact <Z> of the measured qubit at each point of a plan, in order.  Where
+    the points differ only in ry angles, each point's state is the one
+    run_statevector(circuit) gives, bit for bit: a real rotation rounds the
+    same with one angle or many (a per-point rz phase may move the last bit).  Below 2^12
+    amplitudes it is also expect_z(run_statevector(circuit), measured) bit
+    for bit; above, the fused sweep leaves the axes permuted, and the sum
+    over them may round differently (by about 1e-15)."""
+    zs = [0.0] * batch.batch
+    for lo, hi, states, order in _states(batch):
+        zs[lo:hi] = [expect_z(state, order.index(batch.measured_qubit)) for state in states]
+        del states  # freed before the next chunk is allocated
     return zs
 
 

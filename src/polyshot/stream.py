@@ -3,10 +3,16 @@
 Sweeps the gate list in order, adjoining each qubit to the active window at
 its first use and tracing it out after its last use, so memory is 4^w for
 window size w; the forward-order compiler keeps w <= 3, which is what makes
-degree-35 programs (36 qubits) cheap to evaluate exactly.  One sweep runs a
-plan (circuit.plan, compile.plan_programs): the points of one gate skeleton,
-such as the trials x points of one degree, whose trials differ only in their
-sum-block Ry angles and in the x of a negative term, a mask of points.
+degree-35 programs (36 qubits) cheap to evaluate exactly.  The simulator
+sweeps a plan (circuit.plan, compile.plan_programs): the points of one gate
+skeleton, such as the trials x points of one degree, whose trials differ only
+in their sum-block Ry angles and in the x of a negative term, a mask of
+points; one circuit is the plan of one point.  One lifetime pass over the
+plan's steps (_lifetimes, which liveness reports) gives each qubit's first
+and last step and the peak window w, and the points run in chunks of at most
+_CHUNK_ENTRIES window entries, points x 4^w, so a backward program's window
+(w up to d + 1) does not grow with the trial count.  Every kernel is a matmul
+per point, so the chunking moves no bit of any z.
 
 The window is held in the real Pauli-transfer basis (Greenbaum, "Introduction
 to Quantum Gate Set Tomography", 2015): a real tensor of shape [B] + [4]*w,
@@ -28,6 +34,7 @@ a noisy gate costs what a noiseless one does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -36,6 +43,8 @@ from .circuit import Circuit, Plan, plan
 from .dense import NoiseModel
 
 DEFAULT_WINDOW_CAP = 8
+# the most window entries, points x 4^peak window, that one chunk holds
+_CHUNK_ENTRIES = 2**16
 
 # I, X, Y and Z; the transfer matrices of cx on (control, target), index
 # 4 * P_control + P_target and entry (P, Q) = Tr(P CX Q CX) / 4, and of x
@@ -61,28 +70,30 @@ class RetirementSchedule:
     peak_window: int
 
 
-def liveness(circuit: Circuit) -> RetirementSchedule:
-    """Qubit lifetimes in emitted gate order; the measured qubit lives to the end."""
-    n = circuit.n_qubits
-    end = len(circuit.gates)
-    first = [-1] * n
-    last = [-1] * n
-    for i, g in enumerate(circuit.gates):
-        for q in g.qubits:
+def _lifetimes(batch: Plan) -> RetirementSchedule:
+    """Qubit lifetimes over a plan's steps: each qubit is adjoined at its first
+    step and traced out after its last; the measured qubit lives to the end,
+    step len(batch)."""
+    first, last, end = [-1] * batch.n_qubits, [-1] * batch.n_qubits, len(batch)
+    for i, (_, qubits, _) in enumerate(batch):
+        for q in qubits:
             if first[q] < 0:
                 first[q] = i
             last[q] = i
-    mq = circuit.measured_qubit
-    if first[mq] < 0:
-        first[mq] = end
-    last[mq] = end
-    live = peak = 0
-    for i, g in enumerate(circuit.gates):
-        live += [first[q] for q in g.qubits].count(i)
-        peak = max(peak, live)
-        live -= [last[q] for q in g.qubits].count(i)
-    peak = max(peak, 1)  # the measured qubit is live at measurement time
+    if first[batch.measured_qubit] < 0:
+        first[batch.measured_qubit] = end
+    last[batch.measured_qubit] = end
+    delta = [0] * (end + 2)  # the window at step i is the sum of delta[: i + 1]
+    for f, l in zip(first, last):
+        delta[f] += 0 <= f < end  # adjoined at its first step
+        delta[l + 1] -= 0 <= l < end  # traced out after its last
+    peak = max([1, *accumulate(delta[:end])])  # the measured qubit is live at measurement time
     return RetirementSchedule(tuple(first), tuple(last), peak)
+
+
+def liveness(circuit: Circuit) -> RetirementSchedule:
+    """Qubit lifetimes in emitted gate order; the measured qubit lives to the end."""
+    return _lifetimes(plan([circuit]))
 
 
 def _adjoin(rho: np.ndarray, active: list[int], qubit: int, gate_index: int, cap: int):
@@ -134,38 +145,37 @@ def _transfer_matrices(steps: list[tuple], noise: NoiseModel | None) -> list[np.
     return mats
 
 
-def run_window_batch(
-    circuits: list[Circuit],
-    window_cap: int = DEFAULT_WINDOW_CAP,
-    noise: NoiseModel | None = None,
-    check_invariants: bool = False,
-) -> list[float]:
-    """Exact <Z> of each circuit's measured qubit, in order: run_window_plan of
-    the batch's plan; raises ValueError unless they share one gate skeleton."""
-    return run_window_plan(plan(circuits), window_cap, noise, check_invariants)
-
-
 def run_window_plan(
     batch: Plan,
     window_cap: int = DEFAULT_WINDOW_CAP,
     noise: NoiseModel | None = None,
     check_invariants: bool = False,
 ) -> list[float]:
-    """Exact <Z> of the measured qubit at each point of a plan, in order, from one
-    windowed sweep.  With a noise model, each gate (a masked x where it acts) is
-    followed by the depolarizing channel on every qubit it touches: strength p1
-    after a one-qubit gate, p2 after cx."""
-    first, last = {}, {}  # each qubit's first and last step
-    for i, (_, qubits, _) in enumerate(batch):
-        for q in qubits:
-            first.setdefault(q, i)
-            last[q] = i
-    last[batch.measured_qubit] = len(batch)  # the measured qubit lives to the end
-    rho, active = np.ones(batch.batch), []  # each point's empty window, no live qubit
-    for i, ((kind, qubits, _), mat) in enumerate(zip(batch, _transfer_matrices(batch, noise))):
+    """Exact <Z> of the measured qubit at each point of a plan, in order, from
+    windowed sweeps of its points in chunks of at most _CHUNK_ENTRIES entries
+    at the peak window (and at least one point).  With a noise model, each
+    gate (a masked x where it acts) is followed by the depolarizing channel on
+    every qubit it touches: strength p1 after a one-qubit gate, p2 after cx."""
+    life, mats = _lifetimes(batch), _transfer_matrices(batch, noise)
+    chunk, zs = max(1, _CHUNK_ENTRIES // 4**life.peak_window), []
+    for lo in range(0, batch.batch, chunk):
+        hi = min(lo + chunk, batch.batch)
+        part = mats if hi - lo == batch.batch else [m[lo:hi] if m.ndim == 4 else m for m in mats]
+        zs += _sweep(batch, part, life, range(lo, hi), window_cap, check_invariants)
+    return zs
+
+
+def _sweep(
+    batch: Plan, mats: list, life: RetirementSchedule, points: range, cap: int, check: bool
+) -> list[float]:
+    """<Z> at some points of a plan from one windowed sweep of their transfer
+    matrices (a per-point matrix holds those points only)."""
+    first, last = life.first_use, life.last_use
+    rho, active = np.ones(len(points)), []  # each point's empty window, no live qubit
+    for i, ((kind, qubits, _), mat) in enumerate(zip(batch, mats)):
         for q in qubits:
             if first[q] == i:
-                rho = _adjoin(rho, active, q, i, window_cap)
+                rho = _adjoin(rho, active, q, i, cap)
         axes = [1 + active.index(q) for q in qubits]
         if kind == "cx":  # the pair's axes move to the front for one matmul, and stay
             order = axes + [k for k in range(1, rho.ndim) if k not in axes]
@@ -173,14 +183,14 @@ def run_window_plan(
             active = [active[k - 1] for k in order]
         else:
             rho = (mat @ rho.reshape(len(rho), 4 ** (axes[0] - 1), 4, -1)).reshape(rho.shape)
-        if check_invariants:
-            _check_window(_density(rho), i)
+        if check:
+            _check_window(_density(rho), i, points.start)
         for q in qubits:
             if last[q] == i:  # trace it out: keep its I slice
                 rho = rho[(slice(None),) * (1 + active.index(q)) + (0,)]
                 active.remove(q)
     if not active:  # no gate touched the measured qubit, the only one live at the end
-        rho = _adjoin(rho, active, batch.measured_qubit, len(batch), window_cap)
+        rho = _adjoin(rho, active, batch.measured_qubit, len(batch), cap)
     return [float(z) for z in rho[:, 3]]
 
 
@@ -191,7 +201,7 @@ def run_window(
     check_invariants: bool = False,
 ) -> float:
     """Exact <Z> of the measured qubit via a single windowed sweep."""
-    return run_window_batch([circuit], window_cap, noise, check_invariants)[0]
+    return run_window_plan(plan([circuit]), window_cap, noise, check_invariants)[0]
 
 
 def _density(rho: np.ndarray) -> np.ndarray:
@@ -204,9 +214,10 @@ def _density(rho: np.ndarray) -> np.ndarray:
     return mat.transpose(order).reshape(len(rho), 2**w, 2**w)
 
 
-def _check_window(rho: np.ndarray, gate_index: int) -> None:
-    """Trace, Hermiticity and positivity of every point's [dim, dim] matrix."""
-    for point, mat in enumerate(rho):
+def _check_window(rho: np.ndarray, gate_index: int, lo: int = 0) -> None:
+    """Trace, Hermiticity and positivity of every point's [dim, dim] matrix,
+    the first being point lo of its plan."""
+    for point, mat in enumerate(rho, lo):
         where = f"at point {point} after gate {gate_index}"
         if abs(np.trace(mat) - 1.0) > 1e-10:
             raise AssertionError(f"trace drifted to {np.trace(mat)} {where}")

@@ -125,3 +125,11 @@ def test_plan_rejects_an_empty_batch_and_mixed_skeletons():
     base = Circuit(2, (Gate.ry(0, 0.3), Gate.cx(0, 1)), 1)
     with pytest.raises(ValueError, match="skeleton"):
         plan([base, Circuit(2, (Gate.ry(0, 0.3), Gate.cx(1, 0)), 1)])
+
+
+def test_every_public_name_resolves():
+    import polyshot
+
+    for name in polyshot.__all__:
+        assert getattr(polyshot, name) is not None, name
+    assert not {"build_circuits", "expect_z_batch", "run_window_batch"} & set(polyshot.__all__)

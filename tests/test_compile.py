@@ -13,7 +13,6 @@ from polyshot.compile import (
     EncodingDomainError,
     angle_of_weight,
     build_circuit,
-    build_circuits,
     compile_poly,
     compute_weights,
     plan_programs,
@@ -231,7 +230,11 @@ def test_build_rejects_out_of_domain_x():
         build_circuit(program, 1.5)
 
 
-def test_build_circuits_is_build_circuit_at_each_point_sharing_all_but_encoding():
+def _plan_of_points(program, xs):
+    return plan([build_circuit(program, x) for x in xs])
+
+
+def test_the_points_of_a_program_differ_only_in_the_encoding():
     rng = np.random.default_rng(21)
     xs = [float(x) for x in np.linspace(-1, 1, 9)]
     for order in ("backward", "forward"):
@@ -240,18 +243,15 @@ def test_build_circuits_is_build_circuit_at_each_point_sharing_all_but_encoding(
             if d >= 2:
                 coeffs[1] = 0.0  # a skipped term
             program = compile_poly(Polynomial(tuple(coeffs)), order)
-            circuits = build_circuits(program, xs)
-            assert circuits == [build_circuit(program, x) for x in xs]
-            differing = [
-                gates for gates in zip(*(c.gates for c in circuits))
-                if any(g is not gates[0] for g in gates)
-            ]
-            assert len(differing) == d  # one encoding Ry per qubit q_1..q_d
-            for gates in differing:
-                assert [g.kind for g in gates] == ["ry"] * len(xs)
-                assert [g.angle for g in gates] == [float(np.arccos(x)) for x in xs]
+            steps = _plan_of_points(program, xs)
+            per_point = [step for step in steps if isinstance(step[2], np.ndarray)]
+            # one encoding Ry per qubit q_1..q_d
+            assert sorted(qubits for _, qubits, _ in per_point) == [(k,) for k in range(1, d + 1)]
+            for kind, _, angles in per_point:
+                assert kind == "ry"
+                assert angles.tolist() == [float(np.arccos(x)) for x in xs]
     with pytest.raises(EncodingDomainError):
-        build_circuits(program, [0.1, 1.5])
+        [build_circuit(program, x) for x in [0.1, 1.5]]
 
 
 # --- the plan of a degree's trials, straight from their schedules ----------
@@ -287,7 +287,7 @@ def test_plan_of_one_program_is_the_plan_of_its_circuits(order):
                 coeffs[d] = 0.5
             program = compile_poly(Polynomial(tuple(coeffs)), order)
             for xs in ([0.3], [float(x) for x in np.linspace(-1, 1, 9)], [-0.5, -0.5]):
-                assert_same_steps(plan_programs([program], xs), plan(build_circuits(program, xs)))
+                assert_same_steps(plan_programs([program], xs), _plan_of_points(program, xs))
 
 
 def test_plan_of_trials_shares_what_they_share_and_masks_signs():
@@ -335,7 +335,7 @@ def test_plan_of_trials_rejects_programs_of_several_skeletons():
     with pytest.raises(ValueError, match="skeleton"):
         plan_programs([full, weightless], [0.1])
     xs = [-0.4, 0.9]
-    assert_same_steps(plan_programs([weightless], xs), plan(build_circuits(weightless, xs)))
+    assert_same_steps(plan_programs([weightless], xs), _plan_of_points(weightless, xs))
     assert sum(kind == "ry" for kind, _, _ in plan_programs([weightless], xs)) == 2 + 2
     with pytest.raises(ValueError):
         plan_programs([], [0.1])

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from polyshot.circuit import Circuit, Gate
-from polyshot.compile import build_circuit, build_circuits, compile_poly, plan_programs
+from polyshot.circuit import Circuit, Gate, plan
+from polyshot.compile import build_circuit, compile_poly, plan_programs
 from polyshot.dense import (
     CapacityError,
     NoiseModel,
     draw_shots,
     draw_shots_batch,
     expect_z,
-    expect_z_batch,
     expect_z_plan,
     prob_one,
     run_statevector,
@@ -192,8 +191,8 @@ def test_batch_z_is_each_point_alone_bit_for_bit(order):
         for _ in range(3):
             poly = Polynomial(tuple(rng.uniform(-1, 1, d + 1)))
             program = compile_poly(poly, order)
-            circuits = build_circuits(program, xs)
-            zs = expect_z_batch(circuits)
+            circuits = [build_circuit(program, x) for x in xs]
+            zs = expect_z_plan(plan(circuits))
             assert zs == [expect_z(run_statevector(c), c.measured_qubit) for c in circuits]
             for x, z in zip(xs, zs):
                 assert abs(program.rescale * z - eval_poly(poly, x)) < 1e-9
@@ -223,13 +222,13 @@ def test_batch_matches_kron_oracle_on_every_kind_and_across_chunks():
     rng = np.random.default_rng(81)
     for n in range(1, 11):
         measured = n // 2
-        # per-point ry angles, as build_circuits makes: bit for bit
+        # per-point ry angles, as the encoding of a program's points: bit for bit
         circuits = _kernel_batch(n, rng, 15, measured, ("ry",))
-        zs = expect_z_batch(circuits)
+        zs = expect_z_plan(plan(circuits))
         assert zs == [expect_z(run_statevector(c), measured) for c in circuits]
         # per-point rz phases too: the complex product may round differently
         circuits = _kernel_batch(n, rng, 15, measured, ("ry", "rz"))
-        zs = expect_z_batch(circuits)
+        zs = expect_z_plan(plan(circuits))
         for circuit, z in zip(circuits, zs):
             assert abs(z - expect_z(run_statevector(circuit), measured)) < 1e-14
             if n <= 7:
@@ -238,10 +237,10 @@ def test_batch_matches_kron_oracle_on_every_kind_and_across_chunks():
 
 def test_batch_rejects_an_empty_batch_and_mixed_skeletons():
     with pytest.raises(ValueError):
-        expect_z_batch([])
+        expect_z_plan(plan([]))
     base = Circuit(2, (Gate.ry(0, 0.3), Gate.cx(0, 1)), 1)
     with pytest.raises(ValueError, match="skeleton"):
-        expect_z_batch([base, Circuit(2, (Gate.rz(0, 0.3), Gate.cx(0, 1)), 1)])
+        expect_z_plan(plan([base, Circuit(2, (Gate.rz(0, 0.3), Gate.cx(0, 1)), 1)]))
 
 
 def test_a_wide_batch_peaks_at_one_point_of_memory():
@@ -261,7 +260,7 @@ def test_a_wide_batch_peaks_at_one_point_of_memory():
             tracemalloc.stop()
 
     single = peak(lambda: run_statevector(circuits[0]))
-    assert peak(lambda: expect_z_batch(circuits)) <= 1.1 * single
+    assert peak(lambda: expect_z_plan(plan(circuits))) <= 1.1 * single
 
 
 def test_batch_memory_check_raises_before_allocation(monkeypatch):
@@ -277,10 +276,10 @@ def test_batch_memory_check_raises_before_allocation(monkeypatch):
     monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need - 1)
     monkeypatch.setattr(np, "zeros", no_allocation)
     with pytest.raises(CapacityError, match=f"{need} bytes.* {need - 1} bytes"):
-        expect_z_batch(circuits)
+        expect_z_plan(plan(circuits))
     monkeypatch.undo()
     monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need)
-    zs = expect_z_batch(circuits)
+    zs = expect_z_plan(plan(circuits))
     assert zs == pytest.approx([math.cos(a) for a in np.linspace(0.1, 0.5, 15)], abs=1e-14)
 
 
@@ -292,6 +291,11 @@ def _trials(rng, d: int, order: str, n: int) -> list:
     return [compile_poly(Polynomial(tuple(rng.uniform(-1, 1, d + 1))), order) for _ in range(n)]
 
 
+def _each_trial_alone(programs: list, xs: list[float]) -> list[float]:
+    """The z of each program's own circuits at xs, as one plan per program."""
+    return [z for p in programs for z in expect_z_plan(plan([build_circuit(p, x) for x in xs]))]
+
+
 @pytest.mark.parametrize("order", ["backward", "forward"])
 def test_degree_batch_is_each_trial_alone_bit_for_bit(order):
     rng = np.random.default_rng(82)
@@ -299,7 +303,7 @@ def test_degree_batch_is_each_trial_alone_bit_for_bit(order):
     for d in range(9):
         programs = _trials(rng, d, order, 5)
         zs = expect_z_plan(plan_programs(programs, xs))
-        assert zs == [z for p in programs for z in expect_z_batch(build_circuits(p, xs))]
+        assert zs == _each_trial_alone(programs, xs)
 
 
 def test_degree_batch_across_chunks_is_each_trial_alone_bit_for_bit():
@@ -311,7 +315,7 @@ def test_degree_batch_across_chunks_is_each_trial_alone_bit_for_bit():
     for order in ("backward", "forward"):
         programs = _trials(np.random.default_rng(83), 6, order, 10)
         zs = expect_z_plan(plan_programs(programs, xs))
-        assert zs == [z for p in programs for z in expect_z_batch(build_circuits(p, xs))]
+        assert zs == _each_trial_alone(programs, xs)
 
 
 @pytest.mark.parametrize("order, d", [("backward", 11), ("backward", 12), ("forward", 12)])
@@ -324,7 +328,7 @@ def test_fused_degree_batch_of_mixed_signs_is_each_trial_alone_bit_for_bit(order
     batch = plan_programs(programs, xs)
     assert any(kind == "x" and isinstance(arg, np.ndarray) for kind, _, arg in batch)
     zs = expect_z_plan(batch)
-    assert zs == [z for p in programs for z in expect_z_batch(build_circuits(p, xs))]
+    assert zs == _each_trial_alone(programs, xs)
 
 
 # --- wide states: runs of gates on one qubit pair fused into one matmul -----
@@ -340,12 +344,24 @@ def _unfused(circuits: list[Circuit], i: int) -> np.ndarray:
     return state.reshape(-1)
 
 
-def test_only_a_state_of_one_point_per_chunk_is_fused():
+def test_only_a_state_of_one_point_per_chunk_is_fused(monkeypatch):
     from polyshot import dense
 
-    for n, fused in ((11, False), (12, True)):
+    swept, sweep = [], dense._sweep
+
+    def spy(steps, n, lo, hi):  # each chunk's size and whether its steps are fused
+        swept.append((hi - lo, any(kind == "u" for kind, _, _ in steps)))
+        return sweep(steps, n, lo, hi)
+
+    monkeypatch.setattr(dense, "_sweep", spy)
+    for n, chunks in ((11, [(2, False), (1, False)]), (12, [(1, True)] * 3)):
         circuits = _kernel_batch(n, np.random.default_rng(n), 3, 0, ("ry",))
-        assert any(kind == "u" for kind, _, _ in dense._plan(circuits)) == fused
+        swept.clear()
+        expect_z_plan(plan(circuits))
+        assert swept == chunks
+        swept.clear()
+        run_statevector(circuits[0])
+        assert swept == chunks[-1:]
 
 
 @pytest.mark.parametrize("n", [12, 13])
@@ -353,7 +369,7 @@ def test_fused_sweep_matches_the_gate_by_gate_sweep(n):
     rng = np.random.default_rng(90 + n)
     for measured in (0, n // 2, n - 1):
         circuits = _kernel_batch(n, rng, 3, measured, ("ry",))
-        zs = expect_z_batch(circuits)
+        zs = expect_z_plan(plan(circuits))
         for i, (circuit, z) in enumerate(zip(circuits, zs)):
             want = _unfused(circuits, i)
             got = run_statevector(circuit)
@@ -369,7 +385,7 @@ def test_fused_backward_programs_are_exact():
     for d in range(11, 16):
         poly = Polynomial(tuple(rng.uniform(-1, 1, d + 1)))
         program = compile_poly(poly, "backward")
-        for x, z in zip(xs, expect_z_batch(build_circuits(program, xs))):
+        for x, z in zip(xs, expect_z_plan(plan([build_circuit(program, x) for x in xs]))):
             assert abs(program.rescale * z - eval_poly(poly, x)) < 1e-9
 
 
@@ -378,8 +394,8 @@ def test_fused_forward_programs_agree_with_the_window():
     xs = [-0.3, 0.75]
     for d in range(12, 17):
         program = compile_poly(Polynomial(tuple(rng.uniform(-1, 1, d + 1))), "forward")
-        circuits = build_circuits(program, xs)
-        for circuit, z in zip(circuits, expect_z_batch(circuits)):
+        circuits = [build_circuit(program, x) for x in xs]
+        for circuit, z in zip(circuits, expect_z_plan(plan(circuits))):
             assert abs(z - run_window(circuit)) < 1e-10
 
 

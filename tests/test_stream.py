@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from polyshot.circuit import Circuit, Gate
-from polyshot.compile import build_circuit, build_circuits, compile_poly, plan_programs
+from polyshot.circuit import Circuit, Gate, plan
+from polyshot.compile import build_circuit, compile_poly, plan_programs
 from polyshot import dense, stream
 from polyshot.dense import CapacityError, NoiseModel, draw_shots, expect_z, run_statevector
 from polyshot.poly import Polynomial, eval_poly
@@ -13,7 +13,6 @@ from polyshot.stream import (
     WindowOverflowError,
     liveness,
     run_window,
-    run_window_batch,
     run_window_plan,
 )
 
@@ -213,7 +212,7 @@ def _points(program, n_points):
 def test_batch_matches_kraus_reference_and_each_point_alone(order, n_points, noise):
     for d in (1, 3, 5):
         circuits = _points(dense_program(d, order, seed=60 + d), n_points)
-        zs = run_window_batch(circuits, noise=noise)
+        zs = run_window_plan(plan(circuits), noise=noise)
         assert len(zs) == n_points
         for circuit, z in zip(circuits, zs):
             assert abs(z - _kraus_reference_z(circuit, noise)) < 1e-12
@@ -225,7 +224,7 @@ def test_batch_degree_35_forward_matches_horner_oracle():
     poly = Polynomial(tuple(rng.uniform(-1, 1, 36)))
     program = compile_poly(poly, "forward")
     xs = np.linspace(-0.9, 0.9, 5)
-    zs = run_window_batch([build_circuit(program, float(x)) for x in xs])
+    zs = run_window_plan(plan([build_circuit(program, float(x)) for x in xs]))
     for x, z in zip(xs, zs):
         assert abs(program.rescale * z - eval_poly(poly, float(x))) < 1e-9
 
@@ -240,24 +239,24 @@ def test_batch_rejects_circuits_of_different_skeletons():
         Circuit(2, (Gate.ry(0, 0.3),), 1),  # fewer gates
     ):
         with pytest.raises(ValueError, match="skeleton"):
-            run_window_batch([base, other])
+            run_window_plan(plan([base, other]))
     with pytest.raises(ValueError):
-        run_window_batch([])
+        run_window_plan(plan([]))
     # only the angles differ: one sweep
-    zs = run_window_batch([base, Circuit(2, (Gate.ry(0, 1.1), Gate.cx(0, 1)), 1)])
+    zs = run_window_plan(plan([base, Circuit(2, (Gate.ry(0, 1.1), Gate.cx(0, 1)), 1)]))
     assert zs == pytest.approx([math.cos(0.3), math.cos(1.1)], abs=1e-14)
 
 
 def test_batch_overflow_reports_gate_and_suggests_forward():
     circuits = _points(dense_program(10, "backward"), 5)
     with pytest.raises(WindowOverflowError, match=r"at gate \d+ .*forward"):
-        run_window_batch(circuits, window_cap=8)
+        run_window_plan(plan(circuits), window_cap=8)
 
 
 def test_batch_invariant_checks_pass_for_every_point():
     circuits = _points(dense_program(5, "forward"), 5)
     for noise in (None, NoiseModel(p1=0.05, p2=0.1)):
-        zs = run_window_batch(circuits, noise=noise, check_invariants=True)
+        zs = run_window_plan(plan(circuits), noise=noise, check_invariants=True)
         assert all(-1.0 <= z <= 1.0 for z in zs)
 
 
@@ -295,10 +294,10 @@ def test_batch_memory_check_raises_before_allocation(monkeypatch):
     monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need - 1)
     monkeypatch.setattr(np, "zeros", small_allocations_only)
     with pytest.raises(CapacityError, match=f"{need} bytes.* {need - 1} bytes"):
-        run_window_batch(circuits)
+        run_window_plan(plan(circuits))
     monkeypatch.undo()
     monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need)
-    zs = run_window_batch(circuits)
+    zs = run_window_plan(plan(circuits))
     assert zs == pytest.approx([math.cos(a) for a in np.linspace(0.1, 0.5, 5)], abs=1e-14)
 
 
@@ -316,7 +315,7 @@ def test_noisy_z_is_an_exact_degree_d_polynomial_in_x(order, d, p1, p2):
     # degree-(d+3) interpolant through d+4 Chebyshev nodes has no top terms
     nodes = np.cos(np.pi * (np.arange(d + 4) + 0.5) / (d + 4))
     circuits = [build_circuit(dense_program(d, order, seed=90 + d), float(x)) for x in nodes]
-    zs = run_window_batch(circuits, noise=NoiseModel(p1, p2))
+    zs = run_window_plan(plan(circuits), noise=NoiseModel(p1, p2))
     top = np.polynomial.chebyshev.chebfit(nodes, zs, d + 3)[d + 1:]
     assert np.abs(top).max() < 1e-12
 
@@ -353,7 +352,7 @@ def test_random_circuits_match_kraus_reference(p1, p2):
     rng = np.random.default_rng(int(400 * p1 + 40 * p2))
     for _ in range(12):
         circuits = _random_batch(rng, 3)
-        zs = run_window_batch(circuits, noise=noise)
+        zs = run_window_plan(plan(circuits), noise=noise)
         for circuit, z in zip(circuits, zs):
             assert abs(z - _kraus_reference_z(circuit, noise)) < 1e-12
             assert abs(z - run_window(circuit, noise=noise)) < 1e-14
@@ -361,8 +360,8 @@ def test_random_circuits_match_kraus_reference(p1, p2):
 
 def test_noisy_degree_12_batch_passes_the_invariant_checks():
     circuits = _points(dense_program(12, "forward", seed=12), 10)
-    zs = run_window_batch(circuits, noise=NoiseModel(0.001, 0.005), check_invariants=True)
-    assert zs == run_window_batch(circuits, noise=NoiseModel(0.001, 0.005))
+    zs = run_window_plan(plan(circuits), noise=NoiseModel(0.001, 0.005), check_invariants=True)
+    assert zs == run_window_plan(plan(circuits), noise=NoiseModel(0.001, 0.005))
 
 
 def test_density_of_adjoined_qubits_and_of_ry_then_rz():
@@ -402,7 +401,10 @@ def test_degree_batch_is_each_trial_alone_bit_for_bit(order, noise):
     for d in range(0, 8 if order == "backward" else 13):
         programs = _mixed_sign_trials(d, order, 4, seed=110 + d)
         zs = run_window_plan(plan_programs(programs, xs), noise=noise)
-        want = [z for p in programs for z in run_window_batch(build_circuits(p, xs), noise=noise)]
+        want = [
+            z for p in programs
+            for z in run_window_plan(plan([build_circuit(p, x) for x in xs]), noise=noise)
+        ]
         assert zs == want
         # and the dense sweep of the same batch agrees with the window
         if noise is None:
@@ -428,3 +430,137 @@ def test_noisy_mixed_sign_degree_batch_passes_the_invariant_checks():
     noise = NoiseModel(0.05, 0.1)
     zs = run_window_plan(batch, noise=noise, check_invariants=True)
     assert zs == run_window_plan(batch, noise=noise)
+
+
+# --- the window's points in chunks ------------------------------------------
+
+
+def _sweeps(monkeypatch) -> list[int]:
+    """The size of each chunk run_window_plan sweeps, recorded as it runs."""
+    sizes, sweep = [], stream._sweep
+
+    def spy(batch, mats, life, points, *args):
+        sizes.append(len(points))
+        return sweep(batch, mats, life, points, *args)
+
+    monkeypatch.setattr(stream, "_sweep", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel(0.001, 0.005), NoiseModel(0.05, 0.1)])
+@pytest.mark.parametrize("order, d", [("backward", d) for d in (1, 3, 6)]
+                         + [("forward", d) for d in (1, 5, 12)])
+def test_a_chunked_window_is_the_one_chunk_sweep_bit_for_bit(order, d, noise, monkeypatch):
+    # 4 trials x 6 points of mixed signs: chunks of 4, 5 and 7 points straddle
+    # the trials' boundaries
+    xs = [float(x) for x in np.linspace(-0.9, 0.9, 6)]
+    batch = plan_programs(_mixed_sign_trials(d, order, 4, seed=130 + d), xs)
+    assert any(isinstance(arg, np.ndarray) for kind, _, arg in batch if kind == "ry")
+    if d >= 3:
+        assert any(kind == "x" and isinstance(arg, np.ndarray) for kind, _, arg in batch)
+    sizes = _sweeps(monkeypatch)
+    monkeypatch.setattr(stream, "_CHUNK_ENTRIES", 2**62)
+    whole = run_window_plan(batch, window_cap=10, noise=noise)
+    assert sizes == [24]
+    w = stream._lifetimes(batch).peak_window
+    for points in (1, 4, 5, 7):
+        sizes.clear()
+        monkeypatch.setattr(stream, "_CHUNK_ENTRIES", points * 4**w + 4**w - 1)
+        assert run_window_plan(batch, window_cap=10, noise=noise) == whole
+        assert sizes == [points] * (24 // points) + [24 % points] * (24 % points > 0)
+    assert run_window_plan(batch, window_cap=10, noise=noise, check_invariants=True) == whole
+
+
+def test_the_window_memory_check_is_per_chunk(monkeypatch):
+    # 10 trials x 15 points of a backward degree-6 program: the checked bytes
+    # are those of one chunk, not of the 150 points
+    xs = [float(x) for x in np.linspace(-0.9, 0.9, 15)]
+    programs = _mixed_sign_trials(6, "backward", 10, seed=140)
+    batch = plan_programs(programs, xs)
+    w = stream._lifetimes(batch).peak_window
+    chunk = stream._CHUNK_ENTRIES // 4**w
+    assert 1 < chunk < batch.batch
+    need = 2 * 16 * chunk * 4**w
+    monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need - 1)
+    message = f"{w}-qubit window over {chunk} points needs about {need} bytes"
+    with pytest.raises(CapacityError, match=message):
+        run_window_plan(batch)
+    monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need)
+    alone = [z for p in programs for z in run_window_plan(plan_programs([p], xs))]
+    assert run_window_plan(batch) == alone
+
+
+def test_a_many_trial_window_peaks_at_about_one_chunk():
+    import tracemalloc
+
+    def peak(batch):
+        tracemalloc.start()
+        try:
+            run_window_plan(batch)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    xs = [float(x) for x in np.linspace(-0.9, 0.9, 15)]
+    programs = _mixed_sign_trials(6, "backward", 10, seed=140)
+    batch = plan_programs(programs, xs)
+    w = stream._lifetimes(batch).peak_window
+    # one trial's 15 points are one chunk, and 10 trials' are 10 chunks
+    assert -(-batch.batch // (stream._CHUNK_ENTRIES // 4**w)) == 10
+    one_trial = peak(plan_programs(programs[:1], xs))
+    assert peak(batch) <= 1.5 * one_trial
+
+
+def test_window_check_names_the_point_of_the_plan():
+    rho = np.zeros((2, 2, 2), dtype=complex)
+    rho[:, 0, 0] = 1.0
+    rho[1] *= 2.0
+    with pytest.raises(AssertionError, match="at point 11 after gate 7"):
+        stream._check_window(rho, 7, 10)
+
+
+# --- the lifetime pass ------------------------------------------------------
+
+
+def _reference_liveness(circuit: Circuit) -> stream.RetirementSchedule:
+    """The gate-by-gate lifetime loop, with the peak counted per gate."""
+    n = circuit.n_qubits
+    end = len(circuit.gates)
+    first = [-1] * n
+    last = [-1] * n
+    for i, g in enumerate(circuit.gates):
+        for q in g.qubits:
+            if first[q] < 0:
+                first[q] = i
+            last[q] = i
+    mq = circuit.measured_qubit
+    if first[mq] < 0:
+        first[mq] = end
+    last[mq] = end
+    live = peak = 0
+    for i, g in enumerate(circuit.gates):
+        live += [first[q] for q in g.qubits].count(i)
+        peak = max(peak, live)
+        live -= [last[q] for q in g.qubits].count(i)
+    peak = max(peak, 1)
+    return stream.RetirementSchedule(tuple(first), tuple(last), peak)
+
+
+def test_liveness_is_the_gate_by_gate_reference():
+    rng = np.random.default_rng(150)
+    circuits = []
+    for order in ("backward", "forward"):
+        for d in range(16):
+            coeffs = rng.uniform(-1, 1, d + 1)
+            coeffs[rng.integers(d + 1, size=d // 3)] = 0.0  # zero coefficients
+            if not coeffs.any():
+                coeffs[d] = 0.5
+            circuits.append(build_circuit(compile_poly(Polynomial(tuple(coeffs)), order), 0.3))
+    circuits += [_random_batch(rng, 1)[0] for _ in range(40)]
+    circuits += [
+        Circuit(3, (), 1),  # no gate
+        Circuit(4, (Gate.ry(0, 0.3), Gate.cx(0, 2), Gate.x(3)), 1),  # no gate on the measured qubit
+        Circuit(3, (Gate.ry(0, 0.3), Gate.cx(0, 2)), 0),  # the last gate adjoins a qubit
+    ]
+    for circuit in circuits:
+        assert liveness(circuit) == _reference_liveness(circuit)
