@@ -20,8 +20,8 @@ import numpy as np
 
 from .circuit import Circuit, Gate, Plan
 from .compile import ORDERS, build_circuit, compile_poly, plan_programs, resources, skeleton_key
-from .dense import NoiseModel, draw_shots, draw_shots_batch, expect_z, expect_z_plan, prob_one
-from .dense import run_statevector
+from .dense import MAX_SHOTS, NoiseModel, draw_shots, draw_shots_batch, expect_z, expect_z_plan
+from .dense import prob_one, run_statevector
 from .estimate import Estimate, PASS_THRESHOLD, point_estimate, run_metrics, shot_scaling_fit
 from .poly import Polynomial, eval_poly, sup_norm
 from .rng import derive_seed, generator
@@ -68,8 +68,11 @@ class ExperimentConfig:
             raise ValueError(
                 "trials * points_per_trial must be >= 2: the metrics need two points per degree"
             )
-        if self.shots < 0:
-            raise ValueError("shots must be >= 0 (0 = exact-expectation surrogate)")
+        if not 0 <= self.shots <= MAX_SHOTS:
+            raise ValueError(
+                f"shots must lie in [0, {MAX_SHOTS}] (0 = exact-expectation surrogate), "
+                f"got {self.shots}"
+            )
         for key in ("coeff_bound", "sup_rescale_target", "pass_threshold"):
             v = getattr(self, key)
             if not (np.isfinite(v) and v > 0.0):

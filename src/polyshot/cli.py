@@ -25,7 +25,7 @@ from .compile import (
     resources,
     write_program,
 )
-from .dense import draw_shots
+from .dense import MAX_SHOTS, draw_shots
 from .estimate import point_estimate
 from .poly import (
     FitConfig,
@@ -83,6 +83,8 @@ def _target_fn(name: str):
 def cmd_fit(args) -> int:
     if (args.samples is None) == (args.target is None):
         raise UsageError("fit needs exactly one of --samples or --target")
+    if args.degree < 0:
+        raise UsageError(f"--degree {args.degree} must be >= 0")
     config = FitConfig(
         method=args.method,
         sample_count=args.sample_count,
@@ -116,8 +118,8 @@ def cmd_compile(args) -> int:
 
 def cmd_evaluate(args) -> int:
     seed = _seed_default() if args.seed is None else args.seed
-    if args.shots < 1:
-        raise UsageError(f"--shots {args.shots} must be >= 1")
+    if not 1 <= args.shots <= MAX_SHOTS:
+        raise UsageError(f"--shots {args.shots} must lie in [1, {MAX_SHOTS}]")
     for flag, p in (("--noise-p1", args.noise_p1), ("--noise-p2", args.noise_p2)):
         if not 0.0 <= p <= 1.0:
             raise UsageError(f"{flag} {p} must lie in [0, 1]")

@@ -42,7 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import Circuit, Gate, Plan, depth as circuit_depth
-from .poly import NormalizedPolynomial, Polynomial, is_finite_number
+from .poly import NormalizedPolynomial, Polynomial, PolyError, coeffs_of, load_json_object
+from .poly import normalize
 
 HALF_PI = math.pi / 2.0
 
@@ -135,8 +136,6 @@ def compute_weights(np_poly: NormalizedPolynomial, order: str) -> WeightSchedule
 
 def compile_poly(poly: Polynomial, order: str = "backward") -> CompiledProgram:
     """Normalize and compile in one step."""
-    from .poly import normalize
-
     np_poly = normalize(poly)
     schedule = compute_weights(np_poly, order)
     return CompiledProgram(schedule, np_poly.scale, poly)
@@ -276,81 +275,20 @@ def reconstruct_coeffs(program: CompiledProgram) -> tuple[float, ...]:
 
 
 def write_program(program: CompiledProgram, path: str | Path) -> None:
-    """Write the schedule and C as JSON.  The angles are not written: the
-    reader derives them from the weights."""
-    sched = program.schedule
-    payload = {
-        "order": sched.order,
-        "C": program.rescale,
-        "degree": sched.degree,
-        "weights": sched.weights,
-        "signs": sched.signs,
-        "skips": sched.skip_flags,
-    }
+    """Write the order and the source coefficients as JSON: everything else
+    in a program is compiled from these two."""
+    payload = {"order": program.schedule.order, "coeffs": program.source.coeffs}
     Path(path).write_text(json.dumps(payload) + "\n")
 
 
 def read_program(path: str | Path) -> CompiledProgram:
-    """Load a program file, raising CompileError naming the file for any
-    content that is not a program write_program could have written.
-
-    The angles are derived from the weights, so the two cannot disagree; an
-    "angles" list in the file (older writers wrote one) is not read."""
+    """Load a program file by compiling its order and coefficients, raising
+    CompileError naming the file for content write_program could not have
+    written, or coefficients compile_poly rejects."""
     try:
-        data = json.loads(Path(path).read_text())
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
-        raise CompileError(f"{path}: not a JSON program file ({exc})") from exc
-    if not isinstance(data, dict):
-        raise CompileError(f"{path}: a program file holds a JSON object")
-    for key in ("order", "C", "degree", "weights", "signs", "skips"):
-        if key not in data:
-            raise CompileError(f"{path}: missing key {key!r}")
-    order = data["order"]
-    if order not in ORDERS:
-        raise CompileError(f"{path}: bad order {order!r}")
-    d = data["degree"]
-    if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-        raise CompileError(f"{path}: degree must be an int >= 0, got {d!r}")
-    for key in ("weights", "signs", "skips"):
-        if not isinstance(data[key], list) or len(data[key]) != d + 1:
-            raise CompileError(f"{path}: {key} must hold degree + 1 = {d + 1} entries")
-    if not (is_finite_number(data["C"]) and data["C"] > 0):
-        raise CompileError(f"{path}: C must be a finite number > 0, got {data['C']!r}")
-    rescale = float(data["C"])
-    if not all(is_finite_number(w) for w in data["weights"]):
-        raise CompileError(f"{path}: every weight must be a finite number, got {data['weights']}")
-    weights = tuple(float(w) for w in data["weights"])
-    try:
-        angles = tuple(angle_of_weight(w) for w in weights)
-    except CompileError as exc:
+        data = load_json_object(path)
+        if sorted(data) != ["coeffs", "order"]:
+            raise CompileError(f"a program holds the keys 'order' and 'coeffs', got {sorted(data)}")
+        return compile_poly(coeffs_of(data), data["order"])
+    except (PolyError, CompileError) as exc:
         raise CompileError(f"{path}: {exc}") from exc
-    if any(isinstance(s, bool) or s not in (1, -1) for s in data["signs"]):
-        raise CompileError(f"{path}: every sign must be 1 or -1, got {data['signs']}")
-    if not all(isinstance(s, bool) for s in data["skips"]):
-        raise CompileError(f"{path}: every skip must be true or false, got {data['skips']}")
-    skips = tuple(data["skips"])
-    if any(s and w != 0.0 for s, w in zip(skips, weights)):
-        raise CompileError(f"{path}: a skipped term has a non-zero weight")
-    if order == "backward":
-        live = [k for k in range(d + 1) if not skips[k]]
-        if not live:
-            raise CompileError(f"{path}: all terms skipped")
-        seed = max(live)
-    else:
-        seed = 0
-    if weights[seed] != 0.0:  # compute_weights writes 0 at the seed index
-        raise CompileError(f"{path}: the seed weight w[{seed}] = {weights[seed]!r} is not 0")
-    sched = WeightSchedule(
-        order, weights, angles, tuple(int(s) for s in data["signs"]), skips, seed
-    )
-    # recover the source coefficients from the schedule itself, at C = 1 first:
-    # their magnitudes sum to 1 exactly when the weights telescope (checked
-    # unscaled, so a tiny C loses no precision), and scaling them by C is the
-    # same product reconstruct_coeffs forms
-    unit = reconstruct_coeffs(CompiledProgram(sched, 1.0, Polynomial((0.0,))))
-    mass = math.fsum(abs(c) for c in unit)
-    if abs(mass - 1.0) > 1e-12:
-        raise CompileError(
-            f"{path}: the weights do not telescope to 1 (the terms hold {mass!r} of C)"
-        )
-    return CompiledProgram(sched, rescale, Polynomial(tuple(c * rescale for c in unit)))

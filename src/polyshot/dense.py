@@ -55,6 +55,8 @@ from .circuit import Circuit, Plan, plan
 from .rng import rekeyed
 
 DEFAULT_QUBIT_CAP = 26
+# the most shots one draw takes: numpy's binomial reads its count as a C long
+MAX_SHOTS = 2**63 - 1
 # peak bytes of a run per amplitude: the complex128 state plus one state of
 # scratch (ry's copy of one half and one half-sized temporary, a fused step's
 # copy of the state, or the qubit-order copy run_statevector returns)
@@ -99,8 +101,8 @@ def prob_one(z: float) -> float:
 def draw_shots_batch(zs, shots: int, seeds) -> list[ShotOutcome]:
     """draw_shots(z, shots, seed) for each z and seed in turn, from one Philox
     re-keyed per draw (rng.rekeyed) instead of a generator per draw."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
     n1s = [int(gen.binomial(shots, prob_one(z))) for z, gen in zip(zs, rekeyed(seeds), strict=True)]
     return [ShotOutcome(shots - n1, n1) for n1 in n1s]
 

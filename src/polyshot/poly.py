@@ -120,6 +120,8 @@ def fit(samples: list[tuple[float, float]], degree: int, config: FitConfig | Non
     fixed-step descent on the same loss.
     """
     config = config or FitConfig()
+    if degree < 0:
+        raise FitError(f"degree must be >= 0, got {degree}")
     if len(samples) == 0:
         raise FitError("no samples")
     if len(samples) < degree + 1:
@@ -186,10 +188,13 @@ def normalize(poly: Polynomial) -> NormalizedPolynomial:
     """Scale coefficients so their absolute values sum to one: scale = sum|a_k|.
 
     Raises on the all-zero polynomial, which callers must short-circuit to a
-    constant-zero estimate.
+    constant-zero estimate, and on coefficients whose l1 norm overflows.
     """
     a = np.asarray(poly.coeffs, dtype=float)
-    l1 = float(np.sum(np.abs(a)))
+    with np.errstate(over="ignore"):
+        l1 = float(np.sum(np.abs(a)))
+    if not math.isfinite(l1):
+        raise NormalizationError("the l1 norm of the coefficients is not finite")
     if l1 == 0.0:
         raise NormalizationError("all-zero polynomial cannot be normalized")
     tilde = a / l1
@@ -221,22 +226,39 @@ def write_coeffs(poly: Polynomial, path: str | Path) -> None:
     Path(path).write_text(json.dumps({"coeffs": poly.coeffs}) + "\n")
 
 
+def load_json_object(path: str | Path) -> dict:
+    """The JSON object a file holds, raising PolyError for text that is not
+    JSON (bad UTF-8 and nesting too deep included) or not an object."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise PolyError(f"not a JSON file ({exc})") from exc
+    if not isinstance(data, dict):
+        raise PolyError(f"expected a JSON object, got {type(data).__name__}")
+    return data
+
+
+def coeffs_of(data: dict) -> Polynomial:
+    """The polynomial of an object's "coeffs", raising PolyError unless it is a
+    non-empty list of finite numbers."""
+    if "coeffs" not in data:
+        raise PolyError("missing key 'coeffs'")
+    coeffs = data["coeffs"]
+    if not isinstance(coeffs, list) or not coeffs:
+        raise PolyError(f"'coeffs' must be a non-empty list, got {coeffs!r}")
+    if not all(is_finite_number(c) for c in coeffs):
+        raise PolyError(f"every coefficient must be a finite number, got {coeffs}")
+    return Polynomial(tuple(float(c) for c in coeffs))
+
+
 def read_coeffs(path: str | Path) -> Polynomial:
     """Load a coefficient file, raising PolyError naming the file for text
     that is not a JSON object whose "coeffs" is a non-empty list of finite
     numbers."""
     try:
-        data = json.loads(Path(path).read_text())
-    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nested too deep
-        raise PolyError(f"{path}: not a JSON coefficient file ({exc})") from exc
-    if not isinstance(data, dict) or "coeffs" not in data:
-        raise PolyError(f"{path}: expected a JSON object with a 'coeffs' list")
-    coeffs = data["coeffs"]
-    if not isinstance(coeffs, list) or not coeffs:
-        raise PolyError(f"{path}: 'coeffs' must be a non-empty list, got {coeffs!r}")
-    if not all(is_finite_number(c) for c in coeffs):
-        raise PolyError(f"{path}: every coefficient must be a finite number, got {coeffs}")
-    return Polynomial(tuple(float(c) for c in coeffs))
+        return coeffs_of(load_json_object(path))
+    except PolyError as exc:
+        raise PolyError(f"{path}: {exc}") from exc
 
 
 def read_samples(path: str | Path) -> list[tuple[float, float]]:

@@ -72,9 +72,7 @@ def test_compile_prints_l1_constant(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "C = 0.600" in printed
     assert "forecast: 3 qubits, 5 two-qubit gates, depth 14, two-qubit depth 5" in printed
-    data = json.loads(out.read_text())
-    assert data["order"] == "backward"
-    assert data["degree"] == 2
+    assert json.loads(out.read_text()) == {"order": "backward", "coeffs": [0.1, 0.2, 0.3]}
 
 
 def test_compile_orders_share_constant(tmp_path):
@@ -83,9 +81,9 @@ def test_compile_orders_share_constant(tmp_path):
     back, fwd = tmp_path / "b.json", tmp_path / "f.json"
     run_cli("compile", "--coeffs", str(coeffs), "--order", "backward", "--out", str(back))
     run_cli("compile", "--coeffs", str(coeffs), "--order", "forward", "--out", str(fwd))
-    b, f = json.loads(back.read_text()), json.loads(fwd.read_text())
-    assert b["C"] == f["C"]
-    assert b["weights"] != f["weights"]
+    b, f = read_program(back), read_program(fwd)
+    assert b.rescale == f.rescale
+    assert b.schedule.weights != f.schedule.weights
 
 
 def test_compile_rejects_zero_poly(tmp_path):
@@ -110,12 +108,37 @@ def test_compile_rejects_zero_poly(tmp_path):
     ],
 )
 def test_compile_rejects_malformed_coeffs_without_traceback(tmp_path, capsys, text):
+    """Each text fails as a coefficient file, and as a program file once it
+    is given an order: both readers check coefficients with the same code."""
     coeffs = tmp_path / "bad.json"
     coeffs.write_text(text)
+    program = tmp_path / "bad_program.json"
+    program.write_text(text.replace("{", '{"order": "forward", ', 1))
+    for argv, path in (
+        (("compile", "--coeffs", str(coeffs), "--out", str(tmp_path / "p.json")), coeffs),
+        (("evaluate", "--program", str(program), "--x", "0.5"), program),
+    ):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert "Traceback" not in err
+
+
+def test_compile_rejects_an_l1_norm_that_overflows_without_a_warning(tmp_path, capsys):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text('{"coeffs": [1e308, 1e308]}\n')
     assert run_cli("compile", "--coeffs", str(coeffs), "--out", str(tmp_path / "p.json")) == 1
     err = capsys.readouterr().err
-    assert str(coeffs) in err
-    assert "Traceback" not in err
+    assert err == "error: the l1 norm of the coefficients is not finite\n"
+
+
+@pytest.mark.parametrize("degree", ["-1", "-3"])
+def test_fit_rejects_a_negative_degree_as_usage_error(tmp_path, capsys, degree):
+    out = tmp_path / "o.json"
+    assert run_cli("fit", "--target", "sin", "--degree", degree, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --degree {degree} ") and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("target", ["poly:1,abc", "poly:", "poly:0.5,inf", "nosuch"])
@@ -159,7 +182,8 @@ def _linear_program(tmp_path):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--noise-p1", "2"), ("--noise-p2", "-0.1"), ("--noise-p1", "nan"), ("--shots", "0")],
+    [("--noise-p1", "2"), ("--noise-p2", "-0.1"), ("--noise-p1", "nan"), ("--shots", "0"),
+     ("--shots", str(2**63)), ("--shots", str(10**20))],
 )
 def test_evaluate_rejects_a_bad_flag_value_as_usage_error(tmp_path, capsys, flag, value):
     prog = _linear_program(tmp_path)
@@ -249,23 +273,9 @@ def test_evaluate_noisy_backward_above_window_cap_names_forward(tmp_path, capsys
     assert "Traceback" not in err
 
 
-def test_evaluate_ignores_angles_that_disagree_with_weights(tmp_path, capsys):
-    coeffs = tmp_path / "c.json"
-    coeffs.write_text('{"coeffs": [0.1, 0.2, 0.3, -0.4]}\n')
-    prog = tmp_path / "prog.json"
-    run_cli("compile", "--coeffs", str(coeffs), "--order", "forward", "--out", str(prog))
-    args = ("evaluate", "--program", str(prog), "--x", "0.3", "--seed", "5")
-    capsys.readouterr()
-    assert run_cli(*args) == 0
-    want = capsys.readouterr().out
-    data = json.loads(prog.read_text())
-    data["angles"] = [3.0, 3.0, 3.0, 3.0]
-    prog.write_text(json.dumps(data))
-    assert run_cli(*args) == 0
-    assert capsys.readouterr().out == want
-
-
 def test_evaluate_rejects_bad_sign_without_traceback(tmp_path, capsys):
+    """A program file holds no signs: a signs list, as older files carry, is
+    an unknown key."""
     coeffs = tmp_path / "c.json"
     coeffs.write_text('{"coeffs": [0.1, 0.2, 0.3, -0.4]}\n')
     prog = tmp_path / "prog.json"
@@ -276,7 +286,7 @@ def test_evaluate_rejects_bad_sign_without_traceback(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("evaluate", "--program", str(prog), "--x", "0.3") == 1
     err = capsys.readouterr().err
-    assert "sign" in err
+    assert "'signs'" in err
     assert "Traceback" not in err
 
 
@@ -425,9 +435,9 @@ def _edited(**edits):
 @pytest.mark.parametrize(
     "corrupt",
     [
-        _edited(C=-1.0),
-        _edited(skips=[False, True, False, False]),
-        _edited(weights=[0.0, 0.5, 0.5, 0.4], skips=[True, False, False, False]),
+        _edited(order="sideways"),
+        _edited(C=1.0),
+        _edited(coeffs=[1e308, 1e308]),
         lambda text: text[:20],
     ],
 )
@@ -441,7 +451,7 @@ def test_evaluate_rejects_malformed_program_without_traceback(tmp_path, capsys, 
     assert run_cli("evaluate", "--program", str(prog), "--x", "0.3") == 1
     err = capsys.readouterr().err
     assert str(prog) in err
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 def test_bench_reports_identical_across_runs(tmp_path):
@@ -494,7 +504,7 @@ def test_evaluate_line_reads_back_every_float_bit_for_bit(tmp_path, capsys):
         z = expect_z(run_statevector(circuit), circuit.measured_qubit)
         est = point_estimate(draw_shots(z, 4096, 11), program.rescale)
         want = {"x": x, "estimate": est.value, "stderr": est.stderr,
-                "truth_if_known": eval_poly(program.source, x)}
+                "truth_if_known": eval_poly(read_coeffs(coeffs), x)}
         assert _bits(back) == _bits(want)
 
 
@@ -539,7 +549,9 @@ point = st.one_of(
     st.sampled_from([1.0000001, -3.0, float("nan"), float("-inf")]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
-shot_count = st.one_of(st.integers(1, 4096), st.integers(1, 8), st.integers(-5, 0))
+# numpy's binomial takes at most 2**63 - 1 shots; more is a usage error
+shot_count = st.one_of(st.integers(1, 4096), st.integers(1, 8), st.integers(-5, 0),
+                       st.sampled_from([2**63 - 1, 2**63, 10**20]))
 
 
 @CLI_PROPERTY
@@ -567,7 +579,8 @@ def test_evaluate_exits_with_a_documented_code_and_no_traceback(
                    f"--sim={sim}", f"--noise-p1={p1!r}", f"--noise-p2={p2!r}", "--seed=3")
     out, err = capsys.readouterr()
     assert "Traceback" not in out + err
-    bad = shots < 1 or not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0 and abs(x) <= 1.0)
+    in_range = 0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0 and abs(x) <= 1.0
+    bad = not (1 <= shots <= 2**63 - 1 and in_range)
     if bad:
         assert code == 2 and err.startswith("error: ")
     elif order == "backward" and (sim == "stream" or p1 or p2):
@@ -601,7 +614,8 @@ bad_entry = st.sampled_from([
     ("degrees", []), ("degrees", [-1]), ("degrees", 3), ("degrees", [1.5]),
     ("trials", 0), ("trials", "2"), ("trials", 2.0), ("points_per_trial", 0),
     ("points_per_trial", None),
-    ("shots", -1), ("shots", True), ("simulator", "gpu"), ("simulator", 1),
+    ("shots", -1), ("shots", True), ("shots", 2**63), ("shots", 10**20),
+    ("simulator", "gpu"), ("simulator", 1),
     ("order", "sideways"), ("noise_p1", 1.5), ("noise_p1", "0"), ("noise_p2", -0.1),
     ("window_cap", 0), ("window_cap", 2.5), ("no_such_key", 1),
 ])

@@ -144,9 +144,7 @@ def test_program_file_roundtrip_is_byte_stable(tmp_path):
     write_program(program, path)
     first = path.read_bytes()
     back = read_program(path)
-    assert back.schedule == program.schedule
-    assert back.rescale == program.rescale
-    assert np.allclose(back.source.coeffs, program.source.coeffs, atol=1e-12)
+    assert back == program
     write_program(back, path)
     assert path.read_bytes() == first
 
@@ -159,61 +157,57 @@ def test_program_file_matches_frozen_fixture(tmp_path):
     write_program(program, out)
     fixture = Path(__file__).parent / "goldens" / "program_deg3_forward.json"
     assert out.read_bytes() == fixture.read_bytes()
-    assert read_program(fixture).schedule == program.schedule
+    assert read_program(fixture) == program
 
 
-def _edited_program_file(tmp_path, **edits):
-    path = tmp_path / "program.json"
-    write_program(compile_poly(Polynomial((0.1, 0.2, 0.3, -0.4)), "forward"), path)
-    data = json.loads(path.read_text())
-    data.update(edits)
-    path.write_text(json.dumps(data))
-    return path
-
-
-def test_read_program_derives_angles_from_weights(tmp_path):
-    program = compile_poly(Polynomial((0.1, 0.2, 0.3, -0.4)), "forward")
-    for angles in ([0.0], [3.0, 3.0, 3.0, 3.0]):
-        back = read_program(_edited_program_file(tmp_path, angles=angles))
-        assert back.schedule == program.schedule
+# a program file as an older writer wrote it: the compiled schedule, not the
+# coefficients it came from
+OLD_FORMAT = {"order": "forward", "C": 1.0, "degree": 3,
+              "weights": [0.0, 0.7499999999999999, 0.6, 0.5], "signs": [1, -1, 1, -1],
+              "skips": [False, False, False, False]}
 
 
 @pytest.mark.parametrize(
-    "edits",
+    "edits",  # (edits, a fragment the error names)
     [
-        {"weights": [0.0, 1.7, 0.5, 0.5]},
-        {"weights": [0.0, -0.1, 0.5, 0.5]},
-        {"signs": [1, 7, 1, -1]},
-        {"signs": [1, 0, 1, -1]},
-        {"weights": [0.0, 0.5, 0.5]},
-        {"signs": [1, 1, 1]},
-        {"skips": [False, False, False, False, False]},
-        {"weights": 0.5},
-        {"degree": -1, "weights": [], "signs": [], "skips": []},
-        {"degree": 3.0},
-        {"weights": [0.0, "0.5", 0.5, 0.5]},
-        {"weights": [0.0, float("nan"), 0.5, 0.5]},
-        {"signs": [1, True, 1, -1]},
-        {"skips": [0, 0, 0, 0]},
-        {"C": 0.0},
-        {"C": -1.2},
-        {"C": "1.2"},
-        {"C": float("nan")},
-        {"C": float("inf")},
-        {"C": 10**400},
-        # a skipped term that still carries weight
-        {"skips": [False, True, False, False]},
-        # q_0 skipped and the first live forward weight below 1: the terms
-        # hold only part of C
-        {"weights": [0.0, 0.5, 0.5, 0.4], "skips": [True, False, False, False]},
-        # a weight at the forward seed index q_0, which no program reads
-        {"weights": [0.5, 2.0 / 3.0, 0.5, 0.4]},
+        ({"order": None}, "order"),
+        ({"coeffs": None}, "coeffs"),
+        ({"order": None, "coeffs": None}, "order"),
+        ({"angles": [0.0, 1.0]}, "angles"),
+        ({"C": 1.0}, "'C'"),
+        ({**OLD_FORMAT, "coeffs": None}, "'coeffs'"),
+        ({"order": "sideways"}, "sideways"),
+        ({"order": "Forward"}, "Forward"),
+        ({"order": ["forward"]}, "order"),
+        ({"order": 1}, "order"),
+        ({"coeffs": [0.0, 0.0, 0.0]}, "all-zero"),
+        ({"coeffs": [-0.0]}, "all-zero"),
+        ({"coeffs": [1e308, 1e308]}, "not finite"),
+        ({"coeffs": [1.7e308, 0.0, -1.7e308]}, "not finite"),
+        ({"coeffs": 0.5}, "coeffs"),
+        ({"coeffs": []}, "coeffs"),
+        ({"coeffs": {"0": 0.5}}, "coeffs"),
+        ({"coeffs": [0.5, None]}, "finite number"),
+        ({"coeffs": [0.5, True]}, "finite number"),
+        ({"coeffs": ["0.5"]}, "finite number"),
+        ({"coeffs": [[0.5]]}, "finite number"),
+        ({"coeffs": [float("nan")]}, "finite number"),
+        ({"coeffs": [10**400]}, "finite number"),
     ],
 )
 def test_read_program_rejects_malformed_schedule(tmp_path, edits):
-    path = _edited_program_file(tmp_path, **edits)
-    with pytest.raises(CompileError, match=re.escape(str(path))):
+    """Each file is one no schedule compiles from: a key missing (an edit to
+    None deletes it) or unknown, the schedule of an older writer, an order
+    other than the two, or coefficients compile_poly rejects."""
+    edits, named = edits
+    path = tmp_path / "program.json"
+    write_program(compile_poly(Polynomial((0.1, 0.2, 0.3, -0.4)), "forward"), path)
+    data = {**json.loads(path.read_text()), **edits}
+    data = {k: v for k, v in data.items() if v is not None}
+    path.write_text(json.dumps(data))
+    with pytest.raises(CompileError, match=re.escape(named)) as exc:
         read_program(path)
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("text", ['{"order": "forward", "C": 1', "[1, 2]", "\udcff"])

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,13 @@ def test_fit_runge_matches_normal_equations_oracle():
     assert result.mse == pytest.approx(oracle_mse, rel=1e-6)
 
 
+@pytest.mark.parametrize("degree", [-1, -3])
+def test_fit_rejects_a_negative_degree(degree):
+    samples = [(x, x) for x in (-0.5, 0.0, 0.5)]
+    with pytest.raises(FitError, match=f"degree must be >= 0, got {degree}"):
+        fit(samples, degree)
+
+
 def test_fit_too_few_samples():
     with pytest.raises(FitError):
         fit([(0.0, 0.0), (0.5, 0.5), (1.0, 1.0)], 5)
@@ -147,6 +155,14 @@ def test_sup_norm_interior_extremum():
 def test_normalize_rejects_zero_poly():
     with pytest.raises(NormalizationError):
         normalize(Polynomial((0.0, 0.0)))
+
+
+@pytest.mark.parametrize("coeffs", [(1e308, 1e308), (-1.7e308, 0.0, 1.7e308)])
+def test_normalize_rejects_an_l1_norm_that_overflows_without_a_warning(coeffs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NormalizationError, match="l1 norm .* not finite"):
+            normalize(Polynomial(coeffs))
 
 
 def test_normalize_scale_equivariant():

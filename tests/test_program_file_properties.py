@@ -2,6 +2,7 @@
 read_program gives back, and a corrupted file raises CompileError and nothing
 else."""
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, Phase, given, settings
@@ -21,15 +22,14 @@ PROPERTY = settings(
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 
-coefficient = st.one_of(st.just(0.0), st.floats(-1.0, 1.0, allow_nan=False))
+coefficient = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0, allow_nan=False))
 coefficients = st.lists(coefficient, min_size=1, max_size=13).filter(any)
 json_value = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner),
     max_leaves=6,
 )
-KEYS = ("order", "C", "degree", "weights", "angles", "signs", "skips")
-REQUIRED = ("order", "C", "degree", "weights", "signs", "skips")
+KEYS = ("order", "coeffs")
 
 
 def _program_text(tmp_path, coeffs, order) -> str:
@@ -39,29 +39,28 @@ def _program_text(tmp_path, coeffs, order) -> str:
 
 
 def _load_or_compile_error(tmp_path, text: str) -> None:
-    """read_program either raises CompileError or loads a program that
-    write_program writes back to a file read_program loads unchanged."""
+    """read_program either raises CompileError naming the file or loads a
+    program that write_program writes back to a file read_program loads as
+    the same program."""
     path = tmp_path / "program.json"
     path.write_text(text, errors="surrogateescape")
     try:
         program = read_program(path)
-    except CompileError:
+    except CompileError as exc:
+        assert str(path) in str(exc)
         return
     write_program(program, path)
-    again = read_program(path)
-    assert again.schedule == program.schedule
-    assert again.rescale == program.rescale
+    assert read_program(path) == program
 
 
 @PROPERTY
 @given(coeffs=coefficients, order=st.sampled_from(ORDERS))
-def test_write_then_read_gives_back_the_schedule_and_c(tmp_path, coeffs, order):
+def test_write_then_read_gives_back_the_program(tmp_path, coeffs, order):
     program = compile_poly(Polynomial(tuple(coeffs)), order)
     path = tmp_path / "program.json"
     write_program(program, path)
-    back = read_program(path)
-    assert back.schedule == program.schedule
-    assert back.rescale == program.rescale
+    assert list(json.loads(path.read_text())) == list(KEYS)
+    assert read_program(path) == program
 
 
 @PROPERTY
@@ -74,20 +73,34 @@ def test_a_replaced_value_loads_or_raises_compile_error(tmp_path, coeffs, order,
 
 
 @PROPERTY
-@given(coeffs=coefficients, order=st.sampled_from(ORDERS),
-       key=st.sampled_from(("weights", "signs", "skips")), index=st.integers(0, 12),
+@given(coeffs=coefficients, order=st.sampled_from(ORDERS), index=st.integers(0, 12),
        value=json_value)
 def test_a_replaced_entry_loads_or_raises_compile_error(
-    tmp_path, coeffs, order, key, index, value
+    tmp_path, coeffs, order, index, value
 ):
     data = json.loads(_program_text(tmp_path, coeffs, order))
-    data[key][index % len(data[key])] = value
+    data["coeffs"][index % len(data["coeffs"])] = value
     _load_or_compile_error(tmp_path, json.dumps(data))
 
 
 @PROPERTY
+@given(coeffs=coefficients, order=st.sampled_from(ORDERS), key=st.text(max_size=6),
+       value=json_value)
+def test_an_added_key_raises_compile_error_naming_it(tmp_path, coeffs, order, key, value):
+    data = json.loads(_program_text(tmp_path, coeffs, order))
+    if key in data:
+        return
+    data[key] = value
+    path = tmp_path / "program.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(CompileError, match=re.escape(repr(key))) as exc:
+        read_program(path)
+    assert str(path) in str(exc.value)
+
+
+@PROPERTY
 @given(coeffs=coefficients, order=st.sampled_from(ORDERS), cut=st.floats(0.0, 1.0),
-       key=st.sampled_from(REQUIRED))
+       key=st.sampled_from(KEYS))
 def test_a_truncated_file_or_a_missing_key_raises_compile_error(tmp_path, coeffs, order, cut,
                                                                 key):
     text = _program_text(tmp_path, coeffs, order)
