@@ -1,6 +1,5 @@
 """Experiment harness: random-polynomial recovery runs, shot-noise scaling,
-the high-degree windowed stress run, the noise sweep, and the single-qubit
-direct-encoding baseline.
+the high-degree windowed stress run and the noise sweep.
 
 Reports are deterministic: every stochastic draw is keyed by
 derive_seed(master_seed, degree, trial, point), so scheduling cannot change
@@ -18,10 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import Circuit, Gate, Plan
+from .circuit import Circuit
 from .compile import ORDERS, build_circuit, compile_poly, plan_programs, resources, skeleton_key
-from .dense import MAX_SHOTS, NoiseModel, draw_shots, draw_shots_batch, expect_z, expect_z_plan
-from .dense import prob_one, run_statevector
+from .dense import MAX_SHOTS, NoiseModel, draw_shots_batch, expect_z_plan, prob_one
 from .estimate import Estimate, PASS_THRESHOLD, point_estimate, run_metrics, shot_scaling_fit
 from .poly import Polynomial, eval_poly, sup_norm
 from .rng import derive_seed, generator
@@ -164,11 +162,11 @@ def gen_random_poly(
     return Polynomial(tuple(c * scale for c in a))
 
 
-def _exact_z(batch: Plan, config: ExperimentConfig) -> list[float]:
-    """Exact <Z> at each point of a plan, in order, on the configured
+def _exact_z(batch: Circuit, config: ExperimentConfig) -> list[float]:
+    """Exact <Z> at each point of a circuit, in order, on the configured
     simulator, noise included, from a sweep of the batch in chunks: windowed,
-    or a statevector.  A statevector cannot hold the mixed state the
-    noise channel produces, so a noisy plan always takes the windowed sweep."""
+    or a statevector.  A statevector cannot hold the mixed state the noise
+    channel produces, so a noisy circuit always takes the windowed sweep."""
     noise = config.noise
     if config.simulator == "stream" or noise is not None:
         return run_window_plan(batch, config.window_cap, noise)
@@ -177,7 +175,7 @@ def _exact_z(batch: Plan, config: ExperimentConfig) -> list[float]:
 
 def _recovery_run(config: ExperimentConfig) -> RunReport:
     """Each degree's trials run as one batch per skeleton_key (random draws make
-    one): one plan of trials x points, one sweep, and one re-keyed Philox."""
+    one): one circuit of trials x points, one sweep, and one re-keyed Philox."""
     t0 = time.perf_counter()
     lo, hi = config.x_domain
     xs = [float(x) for x in np.linspace(lo, hi, config.points_per_trial)]
@@ -195,7 +193,7 @@ def _recovery_run(config: ExperimentConfig) -> RunReport:
         deg_resources = resources(build_circuit(programs[0], xs[0]))
         laps = {"generate": t_compile - t_deg, "compile": t_build - t_compile, "simulate": 0.0}
         laps["build_circuit"] = time.perf_counter() - t_build
-        groups: dict[tuple, list[int]] = {}  # the trials of one skeleton share a plan
+        groups: dict[tuple, list[int]] = {}  # the trials of one skeleton share a circuit
         for trial, program in enumerate(programs):
             groups.setdefault(skeleton_key(program), []).append(trial)
         zs: dict[int, list[float]] = {}  # each trial's, one per x
@@ -281,23 +279,24 @@ def noise_sweep(config: ExperimentConfig | None = None) -> RunReport:
     return _recovery_run(config)
 
 
-def shot_scaling_experiment(
-    master_seed: int = 20250808,
-    degree: int = 4,
-    shots_list: tuple[int, ...] = (2**8, 2**10, 2**12, 2**14, 2**16),
-    repetitions: int = 50,
-    points: int = 15,
-    x_domain: tuple[float, float] = (-0.9, 0.9),
-    order: str = "backward",
-) -> dict:
+# the shot-scaling run: a backward program of this degree, sampled at this
+# many points over [-0.9, 0.9], this many times at each shot count
+SHOTS_DEGREE = 4
+SHOTS_POINTS = 15
+SHOTS_REPETITIONS = 50
+SHOTS_LIST = (2**8, 2**10, 2**12, 2**14, 2**16)
+
+
+def shot_scaling_experiment(master_seed: int = 20250808) -> dict:
     """Empirical RMSE against shot count for one fixed random program."""
+    degree, points, repetitions = SHOTS_DEGREE, SHOTS_POINTS, SHOTS_REPETITIONS
     poly = gen_random_poly(degree, derive_seed(master_seed, degree, 0))
-    program = compile_poly(poly, order)
-    xs = [float(x) for x in np.linspace(x_domain[0], x_domain[1], points)]
+    program = compile_poly(poly, "backward")
+    xs = [float(x) for x in np.linspace(-0.9, 0.9, points)]
     truths = [eval_poly(poly, x) for x in xs]
     zs = expect_z_plan(plan_programs([program], xs))
     rows, keys = [], [(rep, point) for rep in range(repetitions) for point in range(points)]
-    for n_idx, shots in enumerate(shots_list):
+    for n_idx, shots in enumerate(SHOTS_LIST):
         seeds = [derive_seed(master_seed, degree, n_idx, rep, point) for rep, point in keys]
         outcomes = draw_shots_batch(zs * repetitions, shots, seeds)
         sq_errs = [
@@ -314,18 +313,6 @@ def shot_scaling_experiment(
         "per_shots": rows,
         "slope": slope,
     }
-
-
-def direct_baseline_eval(poly: Polynomial, x: float, shots: int, seed: int) -> Estimate:
-    """Classical evaluation encoded on a single qubit, then sampled and rescaled."""
-    c_direct = sup_norm(poly)
-    y = eval_poly(poly, x) / c_direct
-    if abs(y) > 1.0 + 1e-12:
-        raise ValueError(f"normalized value {y} outside the encoding range")
-    y = min(max(y, -1.0), 1.0)
-    circuit = Circuit(1, (Gate.ry(0, float(np.arccos(y))),), 0)
-    outcome = draw_shots(expect_z(run_statevector(circuit), 0), shots, seed)
-    return point_estimate(outcome, c_direct)
 
 
 # --- serialization ---------------------------------------------------------

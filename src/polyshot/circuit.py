@@ -1,15 +1,18 @@
 """Flat gate-level circuit representation shared by the compiler and simulators.
 
 The gate set is deliberately tiny: RY, RZ, X and CX, plus a designated
-measured qubit on the circuit.  Emission to OpenQASM 3.0 is byte-stable:
-identical circuits serialize to identical text.  plan() resolves a batch of
-circuits of one gate skeleton into the Plan, the list of steps, both simulators
-sweep; compile.plan_programs makes one for trials x points.
+measured qubit on the circuit.  A Circuit is also the one batch input of both
+simulators: a circuit of `batch` points that share one gate skeleton, where a
+gate's angle is one float for every point or an array of one angle per point,
+and an x may hold a mask of the points it acts on (compile.plan_programs makes
+one for a degree's trials x points).  Emission to OpenQASM 3.0 is byte-stable:
+identical circuits of one point serialize to identical text.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,11 +20,10 @@ GATE_KINDS = ("ry", "rz", "x", "cx")
 _PARAMETRIC = ("ry", "rz")
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     kind: str
     qubits: tuple[int, ...]
-    angle: float | None = None
+    angle: float | np.ndarray | None = None
 
     @staticmethod
     def ry(q: int, angle: float) -> "Gate":
@@ -45,6 +47,7 @@ class Circuit:
     n_qubits: int
     gates: tuple[Gate, ...]
     measured_qubit: int
+    batch: int = 1  # the points it runs, each gate's angle or mask holding one per point
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
@@ -59,7 +62,10 @@ class Circuit:
 
 
 def validate(circuit: Circuit) -> list[str]:
-    """Return every structural violation; an empty list means the circuit is ok."""
+    """Return every structural violation of a circuit of one point; an empty
+    list means the circuit is ok."""
+    if circuit.batch != 1:
+        return [f"a circuit of {circuit.batch} points, not one"]
     problems: list[str] = []
     n = circuit.n_qubits
     if n < 1:
@@ -105,42 +111,29 @@ def depth(circuit: Circuit, kinds: tuple[str, ...] = GATE_KINDS) -> int:
     return max(level, default=0)
 
 
-class Plan(list):
-    """The steps of a batch (see plan), with its width, measured qubit and size."""
-
-    def __init__(self, steps, n_qubits: int, measured_qubit: int, batch: int):
-        super().__init__(steps)
-        self.n_qubits, self.measured_qubit, self.batch = n_qubits, measured_qubit, batch
-
-
-def plan(circuits: list[Circuit]) -> Plan:
-    """(kind, qubits, angle) per gate of a batch of circuits that share one gate
-    skeleton (width, measured qubit, and each gate's kind and qubits), such as
-    the points of one program; raises ValueError for an empty batch or one of
-    several skeletons.
-
-    The angle is a float where every point holds the same gate, and an array
-    of one angle per point where the points differ.  A gate object shared by
-    every point is resolved by identity, without comparing its fields.  A
-    Plan of several programs (compile.plan_programs) may also hold
-    ("x", (q,), mask): an x on the points whose mask entry is set.  A plan is
-    the one batch input of both simulators; one circuit is the plan of one
-    point.
-    """
+def plan(circuits: list[Circuit]) -> Circuit:
+    """Circuits of one point that share one gate skeleton (width, measured
+    qubit, and each gate's kind and qubits) stacked into one circuit of
+    len(circuits) points; raises ValueError for an empty batch or one of
+    several skeletons.  A gate every point holds alike stays as it is, found
+    by identity first; a gate whose angle differs holds an array of one angle
+    per point."""
     if not circuits:
         raise ValueError("a batch needs at least one circuit")
-    if len({(c.n_qubits, c.measured_qubit, len(c.gates)) for c in circuits}) > 1:
-        raise ValueError("a batch runs circuits of one gate skeleton")
+    first = circuits[0]
+    skeleton = {(first.n_qubits, first.measured_qubit, len(first.gates), 1)}
+    if {(c.n_qubits, c.measured_qubit, len(c.gates), c.batch) for c in circuits} != skeleton:
+        raise ValueError("a batch runs circuits of one point and one gate skeleton")
     steps = []
     for gates in zip(*(c.gates for c in circuits)):
         g = gates[0]
         if gates.count(g) == len(gates):  # tuple.count tries identity first
-            steps.append((g.kind, g.qubits, g.angle))
+            steps.append(g)
             continue
         if any(h.kind != g.kind or h.qubits != g.qubits for h in gates):
-            raise ValueError("a batch runs circuits of one gate skeleton")
-        steps.append((g.kind, g.qubits, np.array([h.angle for h in gates])))
-    return Plan(steps, circuits[0].n_qubits, circuits[0].measured_qubit, len(circuits))
+            raise ValueError("a batch runs circuits of one point and one gate skeleton")
+        steps.append(g._replace(angle=np.array([h.angle for h in gates])))
+    return Circuit(first.n_qubits, steps, first.measured_qubit, len(circuits))
 
 
 def _fmt_angle(a: float) -> str:
@@ -148,9 +141,9 @@ def _fmt_angle(a: float) -> str:
 
 
 def to_qasm(circuit: Circuit) -> str:
-    """Emit OpenQASM 3.0 text for the circuit.
+    """Emit OpenQASM 3.0 text for a circuit of one point.
 
-    Refuses invalid circuits; output is deterministic down to the byte.
+    Refuses invalid circuits and batches; output is deterministic down to the byte.
     """
     problems = validate(circuit)
     if problems:

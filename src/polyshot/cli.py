@@ -20,7 +20,6 @@ from .compile import (
     CompileError,
     build_circuit,
     compile_poly,
-    plan_programs,
     read_program,
     resources,
     write_program,
@@ -33,6 +32,7 @@ from .poly import (
     Polynomial,
     eval_poly,
     fit,
+    load_json_object,
     read_coeffs,
     read_samples,
     sample_function,
@@ -85,6 +85,11 @@ def cmd_fit(args) -> int:
         raise UsageError("fit needs exactly one of --samples or --target")
     if args.degree < 0:
         raise UsageError(f"--degree {args.degree} must be >= 0")
+    for flag, count in (("--sample-count", args.sample_count), ("--epochs", args.epochs)):
+        if count < 1:
+            raise UsageError(f"{flag} {count} must be >= 1")
+    if not (math.isfinite(args.step_size) and args.step_size > 0.0):
+        raise UsageError(f"--step-size {args.step_size} must be finite and > 0")
     config = FitConfig(
         method=args.method,
         sample_count=args.sample_count,
@@ -103,7 +108,10 @@ def cmd_fit(args) -> int:
 
 def cmd_compile(args) -> int:
     poly = read_coeffs(args.coeffs)
-    program = compile_poly(poly, args.order)
+    try:
+        program = compile_poly(poly, args.order)
+    except PolyError as exc:  # coefficients that do not normalize
+        raise PolyError(f"{args.coeffs}: {exc}") from exc
     write_program(program, args.out)
     circuit = build_circuit(program, 0.0)
     res = resources(circuit)
@@ -129,7 +137,7 @@ def cmd_evaluate(args) -> int:
     config = bench.ExperimentConfig(
         simulator=args.sim, noise_p1=args.noise_p1, noise_p2=args.noise_p2
     )
-    z = bench._exact_z(plan_programs([program], [args.x]), config)[0]
+    z = bench._exact_z(build_circuit(program, args.x), config)[0]
     outcome = draw_shots(z, args.shots, seed)
     est = point_estimate(outcome, program.rescale)
     truth = eval_poly(program.source, args.x)
@@ -146,9 +154,10 @@ def cmd_evaluate(args) -> int:
 def cmd_bench(args) -> int:
     overrides = {}
     if args.config:
-        overrides = json.loads(Path(args.config).read_text())
-        if not isinstance(overrides, dict):
-            raise UsageError("--config must hold a JSON object")
+        try:
+            overrides = load_json_object(args.config)
+        except PolyError as exc:
+            raise UsageError(f"--config {args.config}: {exc}") from None
     if args.seed is not None:
         overrides["master_seed"] = args.seed
     overrides.setdefault("master_seed", _seed_default())

@@ -1,5 +1,6 @@
-"""Map normalized coefficients to convex weights, rotation angles and circuits,
-or straight to one plan of a degree's trials x points (plan_programs).
+"""Map normalized coefficients to convex weights, rotation angles and one
+circuit of any number of programs x points (plan_programs): a degree's trials
+x points in one batch, or one program at one point (build_circuit).
 
 Aggregation folds monomial terms into a running weighted sum, one two-qubit
 sum block per term.  Weights are chosen so the recursion telescopes exactly
@@ -41,11 +42,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import Circuit, Gate, Plan, depth as circuit_depth
+from .circuit import Circuit, Gate, depth as circuit_depth
 from .poly import NormalizedPolynomial, Polynomial, PolyError, coeffs_of, load_json_object
 from .poly import normalize
 
 HALF_PI = math.pi / 2.0
+# how far outside [0, 1] a weight may round before angle_of_weight rejects it
+_WEIGHT_TOL = 1e-12
 
 ORDERS = ("backward", "forward")
 
@@ -96,9 +99,9 @@ class ResourceCounts:
     two_qubit_depth: int
 
 
-def angle_of_weight(w: float, tol: float = 1e-12) -> float:
-    """a = arccos(1 - 2w), in [0, pi].  Clamps w within tol of [0, 1]."""
-    if w < -tol or w > 1.0 + tol:
+def angle_of_weight(w: float) -> float:
+    """a = arccos(1 - 2w), in [0, pi].  Clamps w within _WEIGHT_TOL of [0, 1]."""
+    if w < -_WEIGHT_TOL or w > 1.0 + _WEIGHT_TOL:
         raise CompileError(f"weight {w} outside [0, 1]")
     w = min(max(w, 0.0), 1.0)
     return float(np.arccos(1.0 - 2.0 * w))
@@ -196,24 +199,25 @@ def _skeleton(sched: WeightSchedule) -> tuple[list[tuple], int]:
 
 
 def skeleton_key(program: CompiledProgram) -> tuple:
-    """Programs with equal keys have one skeleton, so they can share a plan."""
+    """Programs with equal keys have one skeleton, so they can share a circuit."""
     s = program.schedule
     return s.order, s.skip_flags, s.seed_index, tuple(a == 0.0 for a in s.angles)
 
 
-def plan_programs(programs: list[CompiledProgram], xs) -> Plan:
-    """The plan (circuit.plan) of programs of one skeleton_key at each x, point
+def plan_programs(programs: list[CompiledProgram], xs) -> Circuit:
+    """The circuit of programs of one skeleton_key at each x, point
     t * len(xs) + p being programs[t] at xs[p], made from their schedules with
-    no Gate per point; raises ValueError for no point or several skeletons.  A
-    value that every point shares is a float; a sign slot is dropped where no
-    point is negative, an x where all are, and else ("x", (q,), mask).  For one
-    program it is plan([build_circuit(program, x) for x in xs]), step for step."""
+    one Gate per step, not per point; raises ValueError for no point or several
+    skeletons.  A value that every point shares is a float; a sign slot is
+    dropped where no point is negative, an x where all are, and else
+    Gate("x", (q,), mask).  For one program it is circuit.plan of
+    [build_circuit(program, x) for x in xs], gate for gate."""
     xs = np.asarray(xs, dtype=float)
     bad = xs[~(np.abs(xs) <= 1.0)]  # NaN too
     if len(bad):
         raise EncodingDomainError(f"x = {bad[0]} outside the encoding domain [-1, 1]")
     if not programs or not len(xs) or len({skeleton_key(p) for p in programs}) > 1:
-        raise ValueError("a plan runs one or more points of programs of one skeleton")
+        raise ValueError("a circuit runs one or more points of programs of one skeleton")
     skeleton, measured = _skeleton(programs[0].schedule)
     scheds, m, thetas = [p.schedule for p in programs], len(xs), np.arccos(xs)
     encoding = float(thetas[0]) if (thetas == thetas[0]).all() else np.tile(thetas, len(scheds))
@@ -222,22 +226,21 @@ def plan_programs(programs: list[CompiledProgram], xs) -> Plan:
         if arg == "sign":
             negative = [s.signs[qubits[0]] < 0 for s in scheds]
             if any(negative):
-                steps.append((kind, qubits, None if all(negative) else np.repeat(negative, m)))
+                steps.append(Gate(kind, qubits, None if all(negative) else np.repeat(negative, m)))
             continue
         if arg == "encode":
             arg = encoding
         elif arg in ("+a/2", "-a/2"):
             arg = [s.angles[qubits[0]] * (0.5 if arg == "+a/2" else -0.5) for s in scheds]
             arg = float(arg[0]) if arg.count(arg[0]) == len(arg) else np.repeat(arg, m)
-        steps.append((kind, qubits, arg))
-    return Plan(steps, programs[0].n_qubits, measured, len(programs) * m)
+        steps.append(Gate(kind, qubits, arg))
+    return Circuit(programs[0].n_qubits, steps, measured, len(programs) * m)
 
 
 def build_circuit(program: CompiledProgram, x: float) -> Circuit:
-    """Instantiate the compiled schedule at one evaluation point: the plan of
-    one point, whose every arg is a float or None."""
-    batch = plan_programs([program], [x])
-    return Circuit(batch.n_qubits, [Gate(*step) for step in batch], batch.measured_qubit)
+    """Instantiate the compiled schedule at one evaluation point: a circuit of
+    one point, whose every angle is a float or None."""
+    return plan_programs([program], [x])
 
 
 def resources(circuit: Circuit) -> ResourceCounts:

@@ -16,20 +16,19 @@ Simulation of a 45-Qubit Quantum Circuit", 2017).  The peak is the state plus
 at most as much again of scratch, and that peak is checked against the free
 memory before the state is allocated.
 
-Both simulators sweep a plan (circuit.plan, compile.plan_programs): a batch
-of points of one gate skeleton, such as the trials x points of one degree,
+Both simulators sweep a circuit of `batch` points (compile.plan_programs):
+the points of one gate skeleton, such as the trials x points of one degree,
 with one angle per point where the points differ and a mask where an x (the
 sign of a negative term) acts on some points only.  Here the state is a
 tensor of shape [B] + [2]*n, and a masked x swaps the halves of its points
-alone; the windowed simulator has kernels of its own (see stream.py).  One
-circuit is the plan of one point.  Every run goes through one chunk driver,
-_states, whose chunks hold at most _CHUNK_AMPLITUDES amplitudes, and at
-least one point, so a small program (2-7 qubits in the Table-1 protocol)
-runs a whole degree in one sweep, and each gate's Python dispatch is paid
-once per degree, not once per point.  A wide state (2^12 amplitudes and up)
-runs one point at a time: its cost per gate is memory traffic, which a batch
-does not cut, and a batch would multiply its peak memory, the one allocation
-that limits it.
+alone; the windowed simulator has kernels of its own (see stream.py).  Every
+run goes through one chunk driver, _states, whose chunks hold at most
+_CHUNK_AMPLITUDES amplitudes, and at least one point, so a small program
+(2-7 qubits in the Table-1 protocol) runs a whole degree in one sweep, and
+each gate's Python dispatch is paid once per degree, not once per point.  A
+wide state (2^12 amplitudes and up) runs one point at a time: its cost per
+gate is memory traffic, which a batch does not cut, and a batch would
+multiply its peak memory, the one allocation that limits it.
 
 On a wide state the traffic is cut instead by gate fusion.  The compiled
 programs are chains of two-qubit sum blocks, 6-7 gates on one qubit pair, so
@@ -41,8 +40,8 @@ the state's own buffer.  The state's axes are then permuted (the pair first),
 so the sweep keeps the qubit each axis holds and every later gate reads it;
 run_statevector returns the amplitudes in qubit order, and expect_z_plan
 reads z on the measured qubit's current axis.  Only a chunk of one point is
-fused, over the steps of its own circuit (each masked x made an x or
-dropped), so its runs and their rounding are those of its trial alone.
+fused, over its own gates (each masked x made an x or dropped), so its runs
+and their rounding are those of its trial alone.
 """
 from __future__ import annotations
 
@@ -51,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Plan, plan
+from .circuit import Circuit
 from .rng import rekeyed
 
 DEFAULT_QUBIT_CAP = 26
@@ -159,9 +158,9 @@ def _free_memory_bytes() -> int:
 
 
 def _pair_matrix(run: list[tuple], pair: tuple[int, int], batch: int) -> np.ndarray:
-    """The 4x4 matrix of a run of steps on one qubit pair, [b, 4, 4] with row
+    """The 4x4 matrix of a run of gates on one qubit pair, [b, 4, 4] with row
     and column index 2*bit(pair[0]) + bit(pair[1]): the run's own gates swept
-    over the identity's columns.  b is the batch where a step holds one angle
+    over the identity's columns.  b is the batch where a gate holds one angle
     per point, else 1."""
     b = batch if any(isinstance(angle, np.ndarray) for _, _, angle in run) else 1
     cols = np.tile(np.eye(4, dtype=complex).reshape(1, 2, 2, 4), (b, 1, 1, 1))
@@ -171,9 +170,9 @@ def _pair_matrix(run: list[tuple], pair: tuple[int, int], batch: int) -> np.ndar
 
 
 def _fuse(steps: list[tuple], batch: int) -> list[tuple]:
-    """The plan of a batch with each maximal run of consecutive steps whose
+    """The gates of a batch with each maximal run of consecutive gates whose
     qubits fit in one pair merged into one step ("u", (qa, qb), matrix); a run
-    of one step stays as it is."""
+    of one gate stays as it is."""
     runs: list[tuple[tuple, list]] = []  # (the run's qubits, its steps)
     for step in steps:
         qubits, run = runs[-1] if runs else ((), [])
@@ -204,22 +203,24 @@ def _apply_u(state: np.ndarray, matrix: np.ndarray, a_axis: int, b_axis: int) ->
     np.matmul(matrix, scratch.reshape(shape), out=state.reshape(shape))
 
 
-def _by_signs(batch: Plan):
-    """The points of a plan grouped by the masked x steps that act on them, each
-    group with the steps of its circuits: every masked x made an x or dropped."""
-    masks = {i: a for i, (kind, _, a) in enumerate(batch) if kind == "x" and a is not None}
+def _by_signs(circuit: Circuit):
+    """The points of a circuit grouped by the masked x gates that act on them,
+    each group with the gates of its points: every masked x made an x or
+    dropped."""
+    gates = circuit.gates
+    masks = {i: g.angle for i, g in enumerate(gates) if g.kind == "x" and g.angle is not None}
     groups: dict[tuple, list[int]] = {}
-    for point in range(batch.batch):
+    for point in range(circuit.batch):
         groups.setdefault(tuple(bool(m[point]) for m in masks.values()), []).append(point)
     for acts, points in groups.items():
-        on, steps = dict(zip(masks, acts)), enumerate(batch)
+        on, steps = dict(zip(masks, acts)), enumerate(gates)
         yield [(k, q, None if i in on else a) for i, (k, q, a) in steps if on.get(i, True)], points
 
 
 def _sweep(steps: list[tuple], n: int, lo: int, hi: int) -> tuple[np.ndarray, list[int]]:
-    """The states, shape [hi - lo] + [2]*n, that the plan of a batch leaves
-    its points lo..hi-1 in, from |0...0>, after the width and memory checks,
-    and the qubit each axis after the batch axis holds."""
+    """The states, shape [hi - lo] + [2]*n, that the gates (or fused steps) of
+    a batch leave its points lo..hi-1 in, from |0...0>, after the width and
+    memory checks, and the qubit each axis after the batch axis holds."""
     if n > DEFAULT_QUBIT_CAP:
         raise CapacityError(
             f"{n} qubits exceeds the dense cap of {DEFAULT_QUBIT_CAP}; "
@@ -247,40 +248,44 @@ def _sweep(steps: list[tuple], n: int, lo: int, hi: int) -> tuple[np.ndarray, li
     return state, order
 
 
-def _states(batch: Plan):
-    """lo, hi, the states of the plan's points lo..hi-1 and the qubit each of
-    their axes after the batch axis holds, for each chunk of at most
+def _states(circuit: Circuit):
+    """lo, hi, the states of the circuit's points lo..hi-1 and the qubit each
+    of their axes after the batch axis holds, for each chunk of at most
     _CHUNK_AMPLITUDES amplitudes and at least one point.  A chunk of one point
-    is swept over the fused steps of its own circuit; the caller drops each
+    is swept over the fused gates of its own point; the caller drops each
     chunk's states before asking for the next."""
-    n = batch.n_qubits
+    n, batch = circuit.n_qubits, circuit.batch
     chunk = max(1, _CHUNK_AMPLITUDES >> n)
-    sweeps = [(batch, range(0, batch.batch, chunk))]
+    sweeps = [(circuit.gates, range(0, batch, chunk))]
     if chunk == 1:
-        sweeps = [(_fuse(steps, batch.batch), points) for steps, points in _by_signs(batch)]
+        sweeps = [(_fuse(steps, batch), points) for steps, points in _by_signs(circuit)]
     for steps, starts in sweeps:
         for lo in starts:
-            hi = min(lo + chunk, batch.batch)
+            hi = min(lo + chunk, batch)
             yield (lo, hi, *_sweep(steps, n, lo, hi))
 
 
 def run_statevector(circuit: Circuit) -> np.ndarray:
-    """Apply all gates in order to |0...0>; returns the final amplitudes."""
-    ((_, _, states, order),) = _states(plan([circuit]))
+    """Apply all gates of a circuit of one point in order to |0...0>; returns
+    the final amplitudes."""
+    if circuit.batch != 1:
+        raise ValueError(f"run_statevector runs a circuit of one point, not {circuit.batch}")
+    ((_, _, states, order),) = _states(circuit)
     return states[0].transpose(np.argsort(order)).reshape(-1)
 
 
-def expect_z_plan(batch: Plan) -> list[float]:
-    """Exact <Z> of the measured qubit at each point of a plan, in order.  Where
-    the points differ only in ry angles, each point's state is the one
-    run_statevector(circuit) gives, bit for bit: a real rotation rounds the
-    same with one angle or many (a per-point rz phase may move the last bit).  Below 2^12
-    amplitudes it is also expect_z(run_statevector(circuit), measured) bit
-    for bit; above, the fused sweep leaves the axes permuted, and the sum
-    over them may round differently (by about 1e-15)."""
-    zs = [0.0] * batch.batch
-    for lo, hi, states, order in _states(batch):
-        zs[lo:hi] = [expect_z(state, order.index(batch.measured_qubit)) for state in states]
+def expect_z_plan(circuit: Circuit) -> list[float]:
+    """Exact <Z> of the measured qubit at each point of a circuit, in order.
+    Where the points differ only in ry angles, each point's state is the one
+    run_statevector gives for that point alone, bit for bit: a real rotation
+    rounds the same with one angle or many (a per-point rz phase may move the
+    last bit).  Below 2^12 amplitudes it is also
+    expect_z(run_statevector(point), measured) bit for bit; above, the fused
+    sweep leaves the axes permuted, and the sum over them may round
+    differently (by about 1e-15)."""
+    zs = [0.0] * circuit.batch
+    for lo, hi, states, order in _states(circuit):
+        zs[lo:hi] = [expect_z(state, order.index(circuit.measured_qubit)) for state in states]
         del states  # freed before the next chunk is allocated
     return zs
 

@@ -67,8 +67,7 @@ class NormalizedPolynomial:
 @dataclass(frozen=True)
 class FitConfig:
     method: str = "least_squares"  # or "gradient_descent"
-    sample_count: int = 101
-    sample_domain: tuple[float, float] = (-1.0, 1.0)
+    sample_count: int = 101  # grid points over [-1, 1] for a target function
     epochs: int = 2000  # gradient only
     step_size: float = 0.1  # gradient only
 
@@ -77,13 +76,10 @@ class FitConfig:
             raise FitError(f"unknown fit method {self.method!r}")
         if self.sample_count < 1:
             raise FitError("sample_count must be positive")
-        lo, hi = self.sample_domain
-        if not (-1.0 <= lo < hi <= 1.0):
-            raise FitError("sample_domain must be a closed interval inside [-1, 1]")
         if self.epochs < 1:
             raise FitError("epochs must be positive")
-        if self.step_size <= 0:
-            raise FitError("step size must be positive")
+        if not (math.isfinite(self.step_size) and self.step_size > 0.0):
+            raise FitError(f"step_size must be finite and > 0, got {self.step_size}")
 
 
 @dataclass(frozen=True)
@@ -151,16 +147,21 @@ def fit(samples: list[tuple[float, float]], degree: int, config: FitConfig | Non
     return FitResult(Polynomial(tuple(coeffs)), mse, config.method)
 
 
-def sup_norm(poly: Polynomial, grid_points: int = 10001, tol: float = 1e-12) -> float:
+# sup_norm's grid over [-1, 1], and the bracket width its refinement stops at
+_SUP_GRID_POINTS = 10001
+_SUP_TOL = 1e-12
+
+
+def sup_norm(poly: Polynomial) -> float:
     """max |P(x)| over [-1, 1]: dense grid scan plus golden-section refinement."""
-    grid = np.linspace(-1.0, 1.0, grid_points)
+    grid = np.linspace(-1.0, 1.0, _SUP_GRID_POINTS)
     vals = np.abs(eval_poly_many(poly, grid))
     i = int(np.argmax(vals))
     if poly.degree == 0:
         return float(vals[i])
     lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid_points - 1)]
-    refined = _golden_max(lambda x: abs(eval_poly(poly, x)), lo, hi, tol)
+    hi = grid[min(i + 1, _SUP_GRID_POINTS - 1)]
+    refined = _golden_max(lambda x: abs(eval_poly(poly, x)), lo, hi, _SUP_TOL)
     return float(max(vals[i], refined))
 
 
@@ -202,9 +203,8 @@ def normalize(poly: Polynomial) -> NormalizedPolynomial:
 
 
 def sample_function(fn, config: FitConfig) -> list[tuple[float, float]]:
-    """Evaluate a target on a uniform grid over the config's sample domain."""
-    lo, hi = config.sample_domain
-    xs = np.linspace(lo, hi, config.sample_count)
+    """Evaluate a target on a uniform grid of the config's size over [-1, 1]."""
+    xs = np.linspace(-1.0, 1.0, config.sample_count)
     return [(float(x), float(fn(x))) for x in xs]
 
 

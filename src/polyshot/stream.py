@@ -4,15 +4,14 @@ Sweeps the gate list in order, adjoining each qubit to the active window at
 its first use and tracing it out after its last use, so memory is 4^w for
 window size w; the forward-order compiler keeps w <= 3, which is what makes
 degree-35 programs (36 qubits) cheap to evaluate exactly.  The simulator
-sweeps a plan (circuit.plan, compile.plan_programs): the points of one gate
-skeleton, such as the trials x points of one degree, whose trials differ only
-in their sum-block Ry angles and in the x of a negative term, a mask of
-points; one circuit is the plan of one point.  One lifetime pass over the
-plan's steps (_lifetimes, which liveness reports) gives each qubit's first
-and last step and the peak window w, and the points run in chunks of at most
-_CHUNK_ENTRIES window entries, points x 4^w, so a backward program's window
-(w up to d + 1) does not grow with the trial count.  Every kernel is a matmul
-per point, so the chunking moves no bit of any z.
+sweeps a circuit of `batch` points (compile.plan_programs): the points of one
+gate skeleton, such as the trials x points of one degree, whose trials differ
+only in their sum-block Ry angles and in the x of a negative term, a mask of
+points.  One lifetime pass over the circuit's gates (liveness) gives each
+qubit's first and last gate and the peak window w, and the points run in
+chunks of at most _CHUNK_ENTRIES window entries, points x 4^w, so a backward
+program's window (w up to d + 1) does not grow with the trial count.  Every
+kernel is a matmul per point, so the chunking moves no bit of any z.
 
 The window is held in the real Pauli-transfer basis (Greenbaum, "Introduction
 to Quantum Gate Set Tomography", 2015): a real tensor of shape [B] + [4]*w,
@@ -39,7 +38,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import dense
-from .circuit import Circuit, Plan, plan
+from .circuit import Circuit, Gate
 from .dense import NoiseModel
 
 DEFAULT_WINDOW_CAP = 8
@@ -70,30 +69,25 @@ class RetirementSchedule:
     peak_window: int
 
 
-def _lifetimes(batch: Plan) -> RetirementSchedule:
-    """Qubit lifetimes over a plan's steps: each qubit is adjoined at its first
-    step and traced out after its last; the measured qubit lives to the end,
-    step len(batch)."""
-    first, last, end = [-1] * batch.n_qubits, [-1] * batch.n_qubits, len(batch)
-    for i, (_, qubits, _) in enumerate(batch):
+def liveness(circuit: Circuit) -> RetirementSchedule:
+    """Qubit lifetimes in emitted gate order: each qubit is adjoined at its
+    first gate and traced out after its last; the measured qubit lives to the
+    end, gate len(circuit.gates)."""
+    first, last, end = [-1] * circuit.n_qubits, [-1] * circuit.n_qubits, len(circuit.gates)
+    for i, (_, qubits, _) in enumerate(circuit.gates):
         for q in qubits:
             if first[q] < 0:
                 first[q] = i
             last[q] = i
-    if first[batch.measured_qubit] < 0:
-        first[batch.measured_qubit] = end
-    last[batch.measured_qubit] = end
+    if first[circuit.measured_qubit] < 0:
+        first[circuit.measured_qubit] = end
+    last[circuit.measured_qubit] = end
     delta = [0] * (end + 2)  # the window at step i is the sum of delta[: i + 1]
     for f, l in zip(first, last):
         delta[f] += 0 <= f < end  # adjoined at its first step
         delta[l + 1] -= 0 <= l < end  # traced out after its last
     peak = max([1, *accumulate(delta[:end])])  # the measured qubit is live at measurement time
     return RetirementSchedule(tuple(first), tuple(last), peak)
-
-
-def liveness(circuit: Circuit) -> RetirementSchedule:
-    """Qubit lifetimes in emitted gate order; the measured qubit lives to the end."""
-    return _lifetimes(plan([circuit]))
 
 
 def _adjoin(rho: np.ndarray, active: list[int], qubit: int, gate_index: int, cap: int):
@@ -118,8 +112,8 @@ def _adjoin(rho: np.ndarray, active: list[int], qubit: int, gate_index: int, cap
     return grown.reshape((batch,) + (4,) * (w + 1))
 
 
-def _transfer_matrices(steps: list[tuple], noise: NoiseModel | None) -> list[np.ndarray]:
-    """One real transfer matrix per step, the channel on each touched qubit folded
+def _transfer_matrices(steps: tuple[Gate, ...], noise: NoiseModel | None) -> list[np.ndarray]:
+    """One real transfer matrix per gate, the channel on each touched qubit folded
     into its rows: [16, 16] for cx, [4, 4] for a one-qubit gate, [B, 1, 4, 4] for
     one angle or x mask per point.  One vectorized call builds a kind's rotations
     per shape."""
@@ -146,33 +140,33 @@ def _transfer_matrices(steps: list[tuple], noise: NoiseModel | None) -> list[np.
 
 
 def run_window_plan(
-    batch: Plan,
+    circuit: Circuit,
     window_cap: int = DEFAULT_WINDOW_CAP,
     noise: NoiseModel | None = None,
     check_invariants: bool = False,
 ) -> list[float]:
-    """Exact <Z> of the measured qubit at each point of a plan, in order, from
+    """Exact <Z> of the measured qubit at each point of a circuit, in order, from
     windowed sweeps of its points in chunks of at most _CHUNK_ENTRIES entries
     at the peak window (and at least one point).  With a noise model, each
     gate (a masked x where it acts) is followed by the depolarizing channel on
     every qubit it touches: strength p1 after a one-qubit gate, p2 after cx."""
-    life, mats = _lifetimes(batch), _transfer_matrices(batch, noise)
-    chunk, zs = max(1, _CHUNK_ENTRIES // 4**life.peak_window), []
-    for lo in range(0, batch.batch, chunk):
-        hi = min(lo + chunk, batch.batch)
-        part = mats if hi - lo == batch.batch else [m[lo:hi] if m.ndim == 4 else m for m in mats]
-        zs += _sweep(batch, part, life, range(lo, hi), window_cap, check_invariants)
+    life, mats = liveness(circuit), _transfer_matrices(circuit.gates, noise)
+    batch, chunk, zs = circuit.batch, max(1, _CHUNK_ENTRIES // 4**life.peak_window), []
+    for lo in range(0, batch, chunk):
+        hi = min(lo + chunk, batch)
+        part = mats if hi - lo == batch else [m[lo:hi] if m.ndim == 4 else m for m in mats]
+        zs += _sweep(circuit, part, life, range(lo, hi), window_cap, check_invariants)
     return zs
 
 
 def _sweep(
-    batch: Plan, mats: list, life: RetirementSchedule, points: range, cap: int, check: bool
+    circuit: Circuit, mats: list, life: RetirementSchedule, points: range, cap: int, check: bool
 ) -> list[float]:
-    """<Z> at some points of a plan from one windowed sweep of their transfer
+    """<Z> at some points of a circuit from one windowed sweep of their transfer
     matrices (a per-point matrix holds those points only)."""
     first, last = life.first_use, life.last_use
     rho, active = np.ones(len(points)), []  # each point's empty window, no live qubit
-    for i, ((kind, qubits, _), mat) in enumerate(zip(batch, mats)):
+    for i, ((kind, qubits, _), mat) in enumerate(zip(circuit.gates, mats)):
         for q in qubits:
             if first[q] == i:
                 rho = _adjoin(rho, active, q, i, cap)
@@ -190,7 +184,7 @@ def _sweep(
                 rho = rho[(slice(None),) * (1 + active.index(q)) + (0,)]
                 active.remove(q)
     if not active:  # no gate touched the measured qubit, the only one live at the end
-        rho = _adjoin(rho, active, batch.measured_qubit, len(batch), cap)
+        rho = _adjoin(rho, active, circuit.measured_qubit, len(circuit.gates), cap)
     return [float(z) for z in rho[:, 3]]
 
 
@@ -200,8 +194,11 @@ def run_window(
     noise: NoiseModel | None = None,
     check_invariants: bool = False,
 ) -> float:
-    """Exact <Z> of the measured qubit via a single windowed sweep."""
-    return run_window_plan(plan([circuit]), window_cap, noise, check_invariants)[0]
+    """Exact <Z> of the measured qubit of a circuit of one point via a single
+    windowed sweep."""
+    if circuit.batch != 1:
+        raise ValueError(f"run_window runs a circuit of one point, not {circuit.batch}")
+    return run_window_plan(circuit, window_cap, noise, check_invariants)[0]
 
 
 def _density(rho: np.ndarray) -> np.ndarray:
@@ -216,7 +213,7 @@ def _density(rho: np.ndarray) -> np.ndarray:
 
 def _check_window(rho: np.ndarray, gate_index: int, lo: int = 0) -> None:
     """Trace, Hermiticity and positivity of every point's [dim, dim] matrix,
-    the first being point lo of its plan."""
+    the first being point lo of its circuit."""
     for point, mat in enumerate(rho, lo):
         where = f"at point {point} after gate {gate_index}"
         if abs(np.trace(mat) - 1.0) > 1e-10:

@@ -3,7 +3,6 @@ import pytest
 
 from polyshot.bench import (
     ExperimentConfig,
-    direct_baseline_eval,
     gen_random_poly,
     noise_config,
     noise_sweep,
@@ -16,7 +15,7 @@ from polyshot.bench import (
     table1_experiment,
     write_report,
 )
-from polyshot.poly import Polynomial, eval_poly, sup_norm
+from polyshot.poly import Polynomial, sup_norm
 from polyshot.rng import derive_seed
 
 SMALL = ExperimentConfig(degrees=(1, 2, 3), points_per_trial=5, trials=2, shots=512)
@@ -179,44 +178,6 @@ def test_noise_sweep_small_run_degrades():
     assert rows[16]["pearson"] < rows[1]["pearson"]
 
 
-def test_shot_scaling_small_slope():
-    result = shot_scaling_experiment(
-        master_seed=11,
-        shots_list=(2**8, 2**10, 2**12, 2**14, 2**16),
-        repetitions=10,
-        points=9,
-    )
-    assert -0.6 < result["slope"] < -0.4
-
-
-def test_direct_baseline_exact_cases():
-    poly = Polynomial((0.0, 1.0))
-    est = direct_baseline_eval(poly, 0.7, shots=4096, seed=derive_seed(3, 1))
-    assert abs(est.value - 0.7) < 5 * est.stderr + 1e-9
-    # n0 = N corner: truth at the encoding limit gives a deterministic outcome
-    top = direct_baseline_eval(poly, 1.0, shots=256, seed=derive_seed(3, 2))
-    assert top.value == pytest.approx(sup_norm(poly))
-
-
-def test_direct_vs_native_consistency():
-    from polyshot.compile import build_circuit, compile_poly
-    from polyshot.dense import draw_shots, expect_z, run_statevector
-    from polyshot.estimate import point_estimate
-
-    poly = gen_random_poly(3, derive_seed(9, 3), 0.5, 0.5)
-    x = 0.31
-    direct = direct_baseline_eval(poly, x, 8192, seed=derive_seed(9, 1))
-    program = compile_poly(poly, "backward")
-    circuit = build_circuit(program, x)
-    z = expect_z(run_statevector(circuit), circuit.measured_qubit)
-    native = point_estimate(draw_shots(z, 8192, derive_seed(9, 2)), program.rescale)
-    tol = 5 * (direct.stderr + native.stderr)
-    assert abs(direct.value - native.value) < tol
-    truth = eval_poly(poly, x)
-    assert abs(direct.value - truth) < 5 * direct.stderr + 1e-9
-    assert abs(native.value - truth) < 5 * native.stderr + 1e-9
-
-
 def test_infinite_shot_surrogate_is_exact():
     config = ExperimentConfig(degrees=(1, 3, 6), points_per_trial=7, trials=2, shots=0)
     report = table1_experiment(config)
@@ -232,17 +193,22 @@ def test_summary_table_formats():
     assert len(table.splitlines()) == 1 + len(report.per_degree)
 
 
-def _noiseless_report_digests() -> dict:
-    """sha256 of the seeded noiseless table1 (dense), stress (stream) and shots reports."""
+def _noiseless_report_digests(monkeypatch) -> dict:
+    """sha256 of the seeded noiseless table1 (dense), stress (stream) and shots
+    reports, the shots run at 3 repetitions of 5 points."""
     import hashlib
     import json
+
+    from polyshot import bench
 
     def digest(text: str) -> str:
         return hashlib.sha256(text.encode()).hexdigest()
 
     table1 = table1_experiment(SMALL)
     stress = stress_experiment(stress_config(degrees=(1, 10, 20), points_per_trial=3, trials=2))
-    shots = shot_scaling_experiment(repetitions=3, points=5)
+    monkeypatch.setattr(bench, "SHOTS_REPETITIONS", 3)
+    monkeypatch.setattr(bench, "SHOTS_POINTS", 5)
+    shots = shot_scaling_experiment()
     return {
         "table1_json": digest(report_json(table1, include_timings=False)),
         "table1_csv": digest(records_csv(table1)),
@@ -252,9 +218,9 @@ def _noiseless_report_digests() -> dict:
     }
 
 
-def test_noiseless_reports_match_golden_digests():
+def test_noiseless_reports_match_golden_digests(monkeypatch):
     import json
     from pathlib import Path
 
     golden = Path(__file__).parent / "goldens" / "noiseless_report_digests.json"
-    assert _noiseless_report_digests() == json.loads(golden.read_text())
+    assert _noiseless_report_digests(monkeypatch) == json.loads(golden.read_text())

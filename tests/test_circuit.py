@@ -112,11 +112,11 @@ def test_plan_resolves_a_gate_once_unless_its_angle_differs_by_point():
     shared = Gate.cx(0, 1)
     a = Circuit(2, (Gate.ry(0, 0.3), shared, Gate.rz(1, 0.5)), 1)
     b = Circuit(2, (Gate.ry(0, 0.7), shared, Gate.rz(1, 0.5)), 1)
-    steps = plan([a, b])
-    assert steps[1:] == [("cx", (0, 1), None), ("rz", (1,), 0.5)]  # shared, then equal
+    steps = plan([a, b]).gates
+    assert steps[1:] == (("cx", (0, 1), None), ("rz", (1,), 0.5))  # shared, then equal
     kind, qubits, angle = steps[0]
     assert (kind, qubits, angle.tolist()) == ("ry", (0,), [0.3, 0.7])
-    assert plan([a]) == [(g.kind, g.qubits, g.angle) for g in a.gates]
+    assert plan([a]).gates == tuple((g.kind, g.qubits, g.angle) for g in a.gates)
 
 
 def test_plan_rejects_an_empty_batch_and_mixed_skeletons():
@@ -125,6 +125,17 @@ def test_plan_rejects_an_empty_batch_and_mixed_skeletons():
     base = Circuit(2, (Gate.ry(0, 0.3), Gate.cx(0, 1)), 1)
     with pytest.raises(ValueError, match="skeleton"):
         plan([base, Circuit(2, (Gate.ry(0, 0.3), Gate.cx(1, 0)), 1)])
+
+
+def test_validate_and_qasm_refuse_a_circuit_of_several_points():
+    a = Circuit(2, (Gate.ry(0, 0.3), Gate.x(1), Gate.cx(0, 1)), 1)
+    b = Circuit(2, (Gate.ry(0, 0.7), Gate.x(1), Gate.cx(0, 1)), 1)
+    batch = plan([a, b])
+    assert validate(batch) == ["a circuit of 2 points, not one"]
+    masked = Circuit(2, (Gate("x", (1,), np.array([True, False])),), 1, batch=2)
+    for circuit in (batch, masked):
+        with pytest.raises(CircuitError, match="2 points"):
+            to_qasm(circuit)
 
 
 def test_every_public_name_resolves():

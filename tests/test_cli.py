@@ -86,10 +86,11 @@ def test_compile_orders_share_constant(tmp_path):
     assert b.schedule.weights != f.schedule.weights
 
 
-def test_compile_rejects_zero_poly(tmp_path):
+def test_compile_rejects_zero_poly(tmp_path, capsys):
     coeffs = tmp_path / "zero.json"
     coeffs.write_text('{"coeffs": [0.0, 0.0]}\n')
     assert run_cli("compile", "--coeffs", str(coeffs), "--out", str(tmp_path / "p.json")) == 1
+    assert capsys.readouterr().err == f"error: {coeffs}: all-zero polynomial cannot be normalized\n"
 
 
 @pytest.mark.parametrize(
@@ -129,7 +130,27 @@ def test_compile_rejects_an_l1_norm_that_overflows_without_a_warning(tmp_path, c
     coeffs.write_text('{"coeffs": [1e308, 1e308]}\n')
     assert run_cli("compile", "--coeffs", str(coeffs), "--out", str(tmp_path / "p.json")) == 1
     err = capsys.readouterr().err
-    assert err == "error: the l1 norm of the coefficients is not finite\n"
+    assert err == f"error: {coeffs}: the l1 norm of the coefficients is not finite\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--sample-count", "0"),
+        ("--epochs", "0"),
+        ("--step-size", "0"),
+        ("--step-size", "-1"),
+        ("--step-size", "nan"),
+        ("--step-size", "inf"),
+    ],
+)
+def test_fit_rejects_a_flag_value_as_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "o.json"
+    argv = ["fit", "--target", "sin", "--degree", "2", "--method", "gradient_descent"]
+    assert run_cli(*argv, flag, value, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("degree", ["-1", "-3"])
@@ -330,6 +351,20 @@ def test_bench_table1_writes_reports(tmp_path, capsys):
     report = json.loads((out_dir / "table1.json").read_text())
     assert report["config"]["master_seed"] == 99
     assert len(report["records"]) == 2 * 2 * 4
+
+
+@pytest.mark.parametrize(
+    "text", ["not json", "[" * 10**5 + "]" * 10**5], ids=["not-json", "nested-1e5-deep"]
+)
+def test_bench_rejects_a_config_file_that_is_not_json(tmp_path, capsys, text):
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    out_dir = tmp_path / "r"
+    assert run_cli("bench", "table1", "--config", str(config), "--out-dir", str(out_dir)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --config {config}: not a JSON file")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_bench_rejects_unknown_config_key(tmp_path):

@@ -237,7 +237,7 @@ def test_the_points_of_a_program_differ_only_in_the_encoding():
             if d >= 2:
                 coeffs[1] = 0.0  # a skipped term
             program = compile_poly(Polynomial(tuple(coeffs)), order)
-            steps = _plan_of_points(program, xs)
+            steps = _plan_of_points(program, xs).gates
             per_point = [step for step in steps if isinstance(step[2], np.ndarray)]
             # one encoding Ry per qubit q_1..q_d
             assert sorted(qubits for _, qubits, _ in per_point) == [(k,) for k in range(1, d + 1)]
@@ -256,8 +256,8 @@ def assert_same_steps(got, want):
     assert (got.n_qubits, got.measured_qubit, got.batch) == (
         want.n_qubits, want.measured_qubit, want.batch
     )
-    assert len(got) == len(want)
-    for (kind, qubits, arg), (want_kind, want_qubits, want_arg) in zip(got, want):
+    assert len(got.gates) == len(want.gates)
+    for (kind, qubits, arg), (want_kind, want_qubits, want_arg) in zip(got.gates, want.gates):
         assert (kind, qubits, type(arg)) == (want_kind, want_qubits, type(want_arg))
         if isinstance(arg, np.ndarray):
             assert arg.dtype == want_arg.dtype and arg.tobytes() == want_arg.tobytes()
@@ -288,8 +288,9 @@ def test_plan_of_trials_shares_what_they_share_and_masks_signs():
     xs = [-0.6, 0.1, 0.8]
     polys = [(0.2, -0.3, 0.4), (-0.2, -0.1, 0.6), (0.5, -0.3, 0.1), (0.2, -0.3, 0.4)]
     programs = [compile_poly(Polynomial(p), "backward") for p in polys]
-    steps = plan_programs(programs, xs)
-    assert steps.batch == 12 and steps.n_qubits == 3
+    batch = plan_programs(programs, xs)
+    assert batch.batch == 12 and batch.n_qubits == 3
+    steps = batch.gates
     # point t * 3 + p is program t at xs[p]
     encoding = [arg for kind, _, arg in steps if kind == "ry" and isinstance(arg, np.ndarray)][0]
     assert encoding.tolist() == [float(np.arccos(x)) for x in xs] * 4
@@ -298,7 +299,7 @@ def test_plan_of_trials_shares_what_they_share_and_masks_signs():
     assert signs[1] is None  # every trial has a negative x term: a plain x
     assert signs[0].tolist() == [False] * 3 + [True] * 3 + [False] * 6
     # each Ry holds the angles of the trials' own plans, one float where they agree
-    alone = [[arg for kind, _, arg in plan_programs([p], xs) if kind == "ry"] for p in programs]
+    alone = [[arg for kind, _, arg in plan_programs([p], xs).gates if kind == "ry"] for p in programs]
     rys = [arg for kind, _, arg in steps if kind == "ry"]
     assert len(rys) == len(alone[0]) == 2 + 4
     for i, arg in enumerate(rys):
@@ -308,7 +309,7 @@ def test_plan_of_trials_shares_what_they_share_and_masks_signs():
     assert sum(isinstance(arg, float) for arg in rys) == 0
     # two equal programs share every angle but the encoding
     same = plan_programs([programs[0], programs[3]], xs)
-    assert [type(arg) for kind, _, arg in same if kind == "ry"] == [np.ndarray] * 2 + [float] * 4
+    assert [type(arg) for kind, _, arg in same.gates if kind == "ry"] == [np.ndarray] * 2 + [float] * 4
 
 
 def test_plan_of_trials_rejects_programs_of_several_skeletons():
@@ -330,7 +331,7 @@ def test_plan_of_trials_rejects_programs_of_several_skeletons():
         plan_programs([full, weightless], [0.1])
     xs = [-0.4, 0.9]
     assert_same_steps(plan_programs([weightless], xs), _plan_of_points(weightless, xs))
-    assert sum(kind == "ry" for kind, _, _ in plan_programs([weightless], xs)) == 2 + 2
+    assert sum(kind == "ry" for kind, _, _ in plan_programs([weightless], xs).gates) == 2 + 2
     with pytest.raises(ValueError):
         plan_programs([], [0.1])
     with pytest.raises(ValueError):

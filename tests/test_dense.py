@@ -326,7 +326,7 @@ def test_fused_degree_batch_of_mixed_signs_is_each_trial_alone_bit_for_bit(order
     programs = _trials(rng, d, order, 2)
     assert programs[0].schedule.signs != programs[1].schedule.signs
     batch = plan_programs(programs, xs)
-    assert any(kind == "x" and isinstance(arg, np.ndarray) for kind, _, arg in batch)
+    assert any(kind == "x" and isinstance(arg, np.ndarray) for kind, _, arg in batch.gates)
     zs = expect_z_plan(batch)
     assert zs == _each_trial_alone(programs, xs)
 
@@ -339,7 +339,7 @@ def _unfused(circuits: list[Circuit], i: int) -> np.ndarray:
     from polyshot import dense
     from polyshot.circuit import plan
 
-    state, order = dense._sweep(plan(circuits), circuits[0].n_qubits, i, i + 1)
+    state, order = dense._sweep(plan(circuits).gates, circuits[0].n_qubits, i, i + 1)
     assert order == list(range(circuits[0].n_qubits))
     return state.reshape(-1)
 

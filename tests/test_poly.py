@@ -113,6 +113,12 @@ def test_fit_gradient_divergence_names_step():
         fit([(x, x) for x in xs], 3, config)
 
 
+@pytest.mark.parametrize("step_size", [math.nan, math.inf, 0.0, -1.0])
+def test_fit_config_rejects_a_step_size_that_is_not_finite_and_positive(step_size):
+    with pytest.raises(FitError, match="step_size"):
+        FitConfig(method="gradient_descent", step_size=step_size)
+
+
 def test_fit_recovers_exact_polynomial_coeffs():
     rng = np.random.default_rng(5)
     for d in range(1, 13):
@@ -214,7 +220,7 @@ def test_read_samples_rejects_bad_header(tmp_path):
 
 
 def test_sample_function_grid():
-    config = FitConfig(sample_count=5, sample_domain=(-1.0, 1.0))
+    config = FitConfig(sample_count=5)
     samples = sample_function(lambda x: x * x, config)
     assert len(samples) == 5
     assert samples[0] == (-1.0, 1.0)

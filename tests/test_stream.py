@@ -24,6 +24,17 @@ def dense_program(d, order, seed=0):
     return compile_poly(Polynomial(tuple(coeffs)), order)
 
 
+def test_single_point_entries_refuse_a_batch():
+    program = dense_program(3, "forward")
+    batch = plan_programs([program], [0.1, 0.5])
+    with pytest.raises(ValueError, match="one point"):
+        run_window(batch)
+    with pytest.raises(ValueError, match="one point"):
+        run_statevector(batch)
+    # liveness reads the gates alone, so a batch has its points' lifetimes
+    assert liveness(batch) == liveness(build_circuit(program, 0.1))
+
+
 def test_liveness_forward_window_small():
     circuit = build_circuit(dense_program(10, "forward"), 0.4)
     assert liveness(circuit).peak_window <= 4
@@ -418,7 +429,7 @@ def test_a_masked_x_is_noisy_only_where_it_acts():
     x = compile_poly(Polynomial((-0.5,)), "forward")
     plus = compile_poly(Polynomial((0.5,)), "forward")
     batch = plan_programs([x, plus], [0.0])
-    assert [(kind, arg.tolist()) for kind, _, arg in batch] == [("x", [True, False])]
+    assert [(kind, arg.tolist()) for kind, _, arg in batch.gates] == [("x", [True, False])]
     assert run_window_plan(batch, noise=NoiseModel(p1=0.75)) == [0.0, 1.0]
     assert run_window_plan(batch) == [-1.0, 1.0]
 
@@ -426,7 +437,7 @@ def test_a_masked_x_is_noisy_only_where_it_acts():
 def test_noisy_mixed_sign_degree_batch_passes_the_invariant_checks():
     programs = _mixed_sign_trials(6, "forward", 3, seed=120)
     batch = plan_programs(programs, [-0.8, 0.0, 0.7])
-    assert any(kind == "x" and isinstance(arg, np.ndarray) for kind, _, arg in batch)
+    assert any(kind == "x" and isinstance(arg, np.ndarray) for kind, _, arg in batch.gates)
     noise = NoiseModel(0.05, 0.1)
     zs = run_window_plan(batch, noise=noise, check_invariants=True)
     assert zs == run_window_plan(batch, noise=noise)
@@ -455,14 +466,14 @@ def test_a_chunked_window_is_the_one_chunk_sweep_bit_for_bit(order, d, noise, mo
     # the trials' boundaries
     xs = [float(x) for x in np.linspace(-0.9, 0.9, 6)]
     batch = plan_programs(_mixed_sign_trials(d, order, 4, seed=130 + d), xs)
-    assert any(isinstance(arg, np.ndarray) for kind, _, arg in batch if kind == "ry")
+    assert any(isinstance(arg, np.ndarray) for kind, _, arg in batch.gates if kind == "ry")
     if d >= 3:
-        assert any(kind == "x" and isinstance(arg, np.ndarray) for kind, _, arg in batch)
+        assert any(kind == "x" and isinstance(arg, np.ndarray) for kind, _, arg in batch.gates)
     sizes = _sweeps(monkeypatch)
     monkeypatch.setattr(stream, "_CHUNK_ENTRIES", 2**62)
     whole = run_window_plan(batch, window_cap=10, noise=noise)
     assert sizes == [24]
-    w = stream._lifetimes(batch).peak_window
+    w = stream.liveness(batch).peak_window
     for points in (1, 4, 5, 7):
         sizes.clear()
         monkeypatch.setattr(stream, "_CHUNK_ENTRIES", points * 4**w + 4**w - 1)
@@ -477,7 +488,7 @@ def test_the_window_memory_check_is_per_chunk(monkeypatch):
     xs = [float(x) for x in np.linspace(-0.9, 0.9, 15)]
     programs = _mixed_sign_trials(6, "backward", 10, seed=140)
     batch = plan_programs(programs, xs)
-    w = stream._lifetimes(batch).peak_window
+    w = stream.liveness(batch).peak_window
     chunk = stream._CHUNK_ENTRIES // 4**w
     assert 1 < chunk < batch.batch
     need = 2 * 16 * chunk * 4**w
@@ -504,7 +515,7 @@ def test_a_many_trial_window_peaks_at_about_one_chunk():
     xs = [float(x) for x in np.linspace(-0.9, 0.9, 15)]
     programs = _mixed_sign_trials(6, "backward", 10, seed=140)
     batch = plan_programs(programs, xs)
-    w = stream._lifetimes(batch).peak_window
+    w = stream.liveness(batch).peak_window
     # one trial's 15 points are one chunk, and 10 trials' are 10 chunks
     assert -(-batch.batch // (stream._CHUNK_ENTRIES // 4**w)) == 10
     one_trial = peak(plan_programs(programs[:1], xs))
