@@ -192,11 +192,12 @@ def cmd_bench(args) -> int:
 
 
 def _apply_overrides(config: bench.ExperimentConfig, overrides: dict) -> bench.ExperimentConfig:
-    from dataclasses import replace
+    from dataclasses import fields, replace
 
+    names = {f.name for f in fields(config)}
     known = {}
     for key, value in overrides.items():
-        if not hasattr(config, key):
+        if key not in names:
             raise UsageError(f"unknown config key {key!r}")
         known[key] = _config_value(key, value, getattr(config, key))
     try:

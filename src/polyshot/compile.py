@@ -1,6 +1,9 @@
 """Map normalized coefficients to convex weights, rotation angles and one
 circuit of any number of programs x points (plan_programs): a degree's trials
 x points in one batch, or one program at one point (build_circuit).
+plan_programs makes that circuit in one walk of the first program's schedule,
+in gate order: it emits each Gate where the walk reaches it, reading every
+trial's sign and angle there, with no intermediate step list.
 
 Aggregation folds monomial terms into a running weighted sum, one two-qubit
 sum block per term.  Weights are chosen so the recursion telescopes exactly
@@ -118,22 +121,20 @@ def compute_weights(np_poly: NormalizedPolynomial, order: str) -> WeightSchedule
     d = len(tilde) - 1
     signs = tuple(-1 if c < 0 else 1 for c in tilde)
     skips = tuple(bool(m == 0.0) for m in mags)
-    weights = [0.0] * (d + 1)
-    angles = [0.0] * (d + 1)
     if order == "backward":
         seed = max(k for k in range(d + 1) if not skips[k])
-        tails = np.cumsum(mags[::-1])[::-1]  # tails[k] = sum_{j>=k} mags[j]
-        for k in range(seed):
-            if not skips[k]:
-                weights[k] = float(mags[k] / tails[k])
-                angles[k] = angle_of_weight(weights[k])
+        mass = np.cumsum(mags[::-1])[::-1]  # tails: mass[k] = sum_{j>=k} mags[j]
+        folded = range(seed)
     else:
         seed = 0
-        heads = np.cumsum(mags)  # heads[k] = sum_{j<=k} mags[j]
-        for k in range(1, d + 1):
-            if not skips[k]:
-                weights[k] = float(mags[k] / heads[k])
-                angles[k] = angle_of_weight(weights[k])
+        mass = np.cumsum(mags)  # heads: mass[k] = sum_{j<=k} mags[j]
+        folded = range(1, d + 1)
+    weights = [0.0] * (d + 1)
+    angles = [0.0] * (d + 1)
+    for k in folded:
+        if not skips[k]:
+            weights[k] = float(mags[k] / mass[k])
+            angles[k] = angle_of_weight(weights[k])
     return WeightSchedule(order, tuple(weights), tuple(angles), signs, skips, seed)
 
 
@@ -144,60 +145,6 @@ def compile_poly(poly: Polynomial, order: str = "backward") -> CompiledProgram:
     return CompiledProgram(schedule, np_poly.scale, poly)
 
 
-def _sum_block(steps: list[tuple], term: int, sum_q: int, alpha: float) -> None:
-    steps.append(("rz", (sum_q,), HALF_PI))
-    steps.append(("cx", (term, sum_q), None))
-    if alpha != 0.0:
-        steps.append(("ry", (term,), "+a/2"))
-    steps.append(("cx", (sum_q, term), None))
-    if alpha != 0.0:
-        steps.append(("ry", (term,), "-a/2"))
-    steps.append(("rz", (term,), HALF_PI))
-
-
-def _skeleton(sched: WeightSchedule) -> tuple[list[tuple], int]:
-    """The schedule's steps (kind, qubits, arg) and the measured qubit.  An arg
-    is the gate's angle, or a slot each point fills: "encode" for Ry(arccos x),
-    "sign" for the X of a negative term, "+a/2" and "-a/2" for the sum block's
-    Ry(+-a/2).  The programs of one skeleton_key share it."""
-    d = sched.degree
-    n = d + 1
-    steps: list[tuple] = []
-    if sched.order == "backward":
-        for k in range(1, n):
-            steps.append(("ry", (k,), "encode"))
-        for k in range(2, n):
-            steps.append(("cx", (k - 1, k), None))
-        run_q = sched.seed_index
-        steps.append(("x", (run_q,), "sign"))
-        for k in range(run_q - 1, -1, -1):
-            if sched.skip_flags[k]:
-                continue
-            steps.append(("x", (k,), "sign"))
-            _sum_block(steps, k, run_q, sched.angles[k])
-            run_q = k
-        return steps, run_q
-
-    # forward: emit encode/multiply/aggregate interleaved so that at most
-    # three qubits are ever simultaneously live
-    if not sched.skip_flags[0]:
-        steps.append(("x", (0,), "sign"))
-    if d == 0:
-        return steps, 0
-    steps.append(("ry", (1,), "encode"))
-    run_q = 0
-    for k in range(1, n):
-        if k + 1 < n:  # extend the power chain before folding q_k
-            steps.append(("ry", (k + 1,), "encode"))
-            steps.append(("rz", (k + 1,), HALF_PI))
-            steps.append(("cx", (k, k + 1), None))
-        if not sched.skip_flags[k]:
-            steps.append(("x", (k,), "sign"))
-        _sum_block(steps, k, run_q, sched.angles[k])
-        run_q = k
-    return steps, run_q
-
-
 def skeleton_key(program: CompiledProgram) -> tuple:
     """Programs with equal keys have one skeleton, so they can share a circuit."""
     s = program.schedule
@@ -206,10 +153,11 @@ def skeleton_key(program: CompiledProgram) -> tuple:
 
 def plan_programs(programs: list[CompiledProgram], xs) -> Circuit:
     """The circuit of programs of one skeleton_key at each x, point
-    t * len(xs) + p being programs[t] at xs[p], made from their schedules with
-    one Gate per step, not per point; raises ValueError for no point or several
-    skeletons.  A value that every point shares is a float; a sign slot is
-    dropped where no point is negative, an x where all are, and else
+    t * len(xs) + p being programs[t] at xs[p]; raises ValueError for no point
+    or several skeletons.  One walk of the first schedule emits each gate as it
+    reaches it, reading every trial's sign and angle there, so a gate is made
+    once, not per point.  A value that every point shares is a float; a sign's
+    x is dropped where no point is negative, plain where all are, and else
     Gate("x", (q,), mask).  For one program it is circuit.plan of
     [build_circuit(program, x) for x in xs], gate for gate."""
     xs = np.asarray(xs, dtype=float)
@@ -218,23 +166,54 @@ def plan_programs(programs: list[CompiledProgram], xs) -> Circuit:
         raise EncodingDomainError(f"x = {bad[0]} outside the encoding domain [-1, 1]")
     if not programs or not len(xs) or len({skeleton_key(p) for p in programs}) > 1:
         raise ValueError("a circuit runs one or more points of programs of one skeleton")
-    skeleton, measured = _skeleton(programs[0].schedule)
     scheds, m, thetas = [p.schedule for p in programs], len(xs), np.arccos(xs)
+    head, d = scheds[0], scheds[0].degree
     encoding = float(thetas[0]) if (thetas == thetas[0]).all() else np.tile(thetas, len(scheds))
-    steps = []
-    for kind, qubits, arg in skeleton:
-        if arg == "sign":
-            negative = [s.signs[qubits[0]] < 0 for s in scheds]
-            if any(negative):
-                steps.append(Gate(kind, qubits, None if all(negative) else np.repeat(negative, m)))
-            continue
-        if arg == "encode":
-            arg = encoding
-        elif arg in ("+a/2", "-a/2"):
-            arg = [s.angles[qubits[0]] * (0.5 if arg == "+a/2" else -0.5) for s in scheds]
-            arg = float(arg[0]) if arg.count(arg[0]) == len(arg) else np.repeat(arg, m)
-        steps.append(Gate(kind, qubits, arg))
-    return Circuit(programs[0].n_qubits, steps, measured, len(programs) * m)
+    gates: list[Gate] = []
+
+    def half_angle(term: int, half: float) -> float | np.ndarray:
+        arg = [s.angles[term] * half for s in scheds]
+        return float(arg[0]) if arg.count(arg[0]) == len(arg) else np.repeat(arg, m)
+
+    def sign(q: int) -> None:  # the x of a term where it is negative
+        negative = [s.signs[q] < 0 for s in scheds]
+        if any(negative):
+            gates.append(Gate("x", (q,), None if all(negative) else np.repeat(negative, m)))
+
+    def fold(term: int, sum_q: int) -> None:  # term's sign, then its sum block into sum_q
+        sign(term)
+        live = head.angles[term] != 0.0  # a zero angle elides the block's Ry pair
+        gates.extend((Gate("rz", (sum_q,), HALF_PI), Gate("cx", (term, sum_q))))
+        if live:
+            gates.append(Gate("ry", (term,), half_angle(term, 0.5)))
+        gates.append(Gate("cx", (sum_q, term)))
+        if live:
+            gates.append(Gate("ry", (term,), half_angle(term, -0.5)))
+        gates.append(Gate("rz", (term,), HALF_PI))
+
+    if head.order == "backward":
+        gates.extend(Gate("ry", (k,), encoding) for k in range(1, d + 1))
+        gates.extend(Gate("cx", (k - 1, k)) for k in range(2, d + 1))
+        run_q = head.seed_index
+        sign(run_q)
+        for k in range(run_q - 1, -1, -1):
+            if not head.skip_flags[k]:
+                fold(k, run_q)
+                run_q = k
+        return Circuit(d + 1, gates, run_q, len(programs) * m)
+
+    # forward: encode, multiply and fold interleaved, so that at most three
+    # qubits are ever live; the sum walks qubit by qubit to q_d
+    sign(0)
+    if d:
+        gates.append(Gate("ry", (1,), encoding))
+    for k in range(1, d + 1):
+        if k < d:  # extend the power chain before folding q_k
+            gates.extend(
+                (Gate("ry", (k + 1,), encoding), Gate("rz", (k + 1,), HALF_PI), Gate("cx", (k, k + 1)))
+            )
+        fold(k, k - 1)
+    return Circuit(d + 1, gates, d, len(programs) * m)
 
 
 def build_circuit(program: CompiledProgram, x: float) -> Circuit:

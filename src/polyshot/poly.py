@@ -89,18 +89,11 @@ class FitResult:
     method: str
 
 
-def eval_poly(poly: Polynomial, x: float) -> float:
-    """Evaluate by Horner's rule."""
+def eval_poly(poly: Polynomial, x: float | np.ndarray) -> float | np.ndarray:
+    """Evaluate by Horner's rule at one x, or elementwise at an array of them."""
     acc = 0.0
     for a in reversed(poly.coeffs):
         acc = acc * x + a
-    return acc
-
-
-def eval_poly_many(poly: Polynomial, xs: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(np.asarray(xs, dtype=float))
-    for a in reversed(poly.coeffs):
-        acc = acc * xs + a
     return acc
 
 
@@ -155,7 +148,7 @@ _SUP_TOL = 1e-12
 def sup_norm(poly: Polynomial) -> float:
     """max |P(x)| over [-1, 1]: dense grid scan plus golden-section refinement."""
     grid = np.linspace(-1.0, 1.0, _SUP_GRID_POINTS)
-    vals = np.abs(eval_poly_many(poly, grid))
+    vals = np.abs(eval_poly(poly, grid))
     i = int(np.argmax(vals))
     if poly.degree == 0:
         return float(vals[i])

@@ -377,7 +377,11 @@ def test_bench_rejects_unknown_config_key(tmp_path):
 
 @pytest.mark.parametrize("experiment", ["table1", "shots"])
 @pytest.mark.parametrize(
-    "bad", [{"nosuch": 1}, {"master_seed": 1.5}, {"master_seed": "abc"}, {"master_seed": True}]
+    "bad",
+    [
+        {"nosuch": 1}, {"master_seed": 1.5}, {"master_seed": "abc"}, {"master_seed": True},
+        {"noise": None}, {"__doc__": "x"},
+    ],
 )
 def test_bench_checks_the_config_of_every_experiment(tmp_path, capsys, experiment, bad):
     config = tmp_path / "cfg.json"
@@ -653,6 +657,7 @@ bad_entry = st.sampled_from([
     ("simulator", "gpu"), ("simulator", 1),
     ("order", "sideways"), ("noise_p1", 1.5), ("noise_p1", "0"), ("noise_p2", -0.1),
     ("window_cap", 0), ("window_cap", 2.5), ("no_such_key", 1),
+    ("noise", None), ("__doc__", "x"),
 ])
 
 

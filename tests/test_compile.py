@@ -321,7 +321,7 @@ def test_plan_of_trials_rejects_programs_of_several_skeletons():
     backward = compile_poly(Polynomial((0.2, 0.3, 0.4)), "backward")
     with pytest.raises(ValueError, match="skeleton"):
         plan_programs([full, backward], [0.1])
-    # a live term of weight 0 (a program file may hold one) elides its Ry pair
+    # a live term of angle 0, here a schedule edited by hand, elides its Ry pair
     sched = full.schedule
     weightless = CompiledProgram(
         replace(sched, weights=(0.0, 0.0, 1.0), angles=(0.0, 0.0, math.pi)), 1.0, full.source
@@ -339,6 +339,37 @@ def test_plan_of_trials_rejects_programs_of_several_skeletons():
     for bad in (1.5, float("nan"), -float("inf")):
         with pytest.raises(EncodingDomainError):
             plan_programs([full], [0.1, bad])
+
+
+@pytest.mark.parametrize(
+    "order, coeffs, full",
+    [
+        ("forward", (1.0, 1e-17, 1.0), (1.0, 0.5, 1.0)),
+        ("backward", (1e-17, 1.0, 1.0), (0.5, 1.0, 1.0)),
+    ],
+)
+def test_a_live_term_whose_angle_rounds_to_zero_compiles_without_its_ry_pair(order, coeffs, full):
+    from polyshot.dense import expect_z, run_statevector
+    from polyshot.stream import run_window
+
+    program = compile_poly(Polynomial(coeffs), order)
+    q = 1 if order == "forward" else 0
+    assert not program.schedule.skip_flags[q] and program.schedule.weights[q] > 0.0
+    assert program.schedule.angles[q] == 0.0
+    full = compile_poly(Polynomial(full), order)
+    assert skeleton_key(program) != skeleton_key(full)
+    with pytest.raises(ValueError, match="skeleton"):
+        plan_programs([full, program], [0.1])
+    def ry_on_q(circuit):
+        return sum(g.kind == "ry" and g.qubits == (q,) for g in circuit.gates)
+
+    for x in (-0.7, 0.0, 0.35, 1.0):
+        circuit = build_circuit(program, x)
+        assert ry_on_q(circuit) == ry_on_q(build_circuit(full, x)) - 2
+        truth = eval_poly(program.source, x)
+        dense_z = expect_z(run_statevector(circuit), circuit.measured_qubit)
+        assert abs(program.rescale * dense_z - truth) < 1e-9
+        assert abs(program.rescale * run_window(circuit) - truth) < 1e-9
 
 
 def test_qubit_count_is_degree_plus_one():
