@@ -18,7 +18,6 @@ from .compile import (
 from .dense import NoiseModel, ShotOutcome, draw_shots, expect_z, run_statevector
 from .estimate import Estimate, Metrics, point_estimate, run_metrics, shot_scaling_fit
 from .poly import (
-    FitConfig,
     FitResult,
     NormalizedPolynomial,
     Polynomial,
@@ -40,7 +39,6 @@ __all__ = [
     "Circuit",
     "CompiledProgram",
     "Estimate",
-    "FitConfig",
     "FitResult",
     "Gate",
     "Metrics",

@@ -57,7 +57,7 @@ class ExperimentConfig:
         """Reject a config no run can use, naming the field, before any point runs."""
         lo, hi = self.x_domain
         if not (-1.0 <= lo < hi <= 1.0):
-            raise ValueError("x_domain must lie inside [-1, 1]")
+            raise ValueError(f"x_domain must satisfy -1 <= lo < hi <= 1, got {self.x_domain}")
         if not self.degrees or min(self.degrees) < 0:
             raise ValueError(f"degrees must be a non-empty list of ints >= 0, got {self.degrees}")
         if self.trials < 1:

@@ -27,7 +27,6 @@ from .compile import (
 from .dense import MAX_SHOTS, draw_shots
 from .estimate import point_estimate
 from .poly import (
-    FitConfig,
     PolyError,
     Polynomial,
     eval_poly,
@@ -85,22 +84,13 @@ def cmd_fit(args) -> int:
         raise UsageError("fit needs exactly one of --samples or --target")
     if args.degree < 0:
         raise UsageError(f"--degree {args.degree} must be >= 0")
-    for flag, count in (("--sample-count", args.sample_count), ("--epochs", args.epochs)):
-        if count < 1:
-            raise UsageError(f"{flag} {count} must be >= 1")
-    if not (math.isfinite(args.step_size) and args.step_size > 0.0):
-        raise UsageError(f"--step-size {args.step_size} must be finite and > 0")
-    config = FitConfig(
-        method=args.method,
-        sample_count=args.sample_count,
-        epochs=args.epochs,
-        step_size=args.step_size,
-    )
+    if args.sample_count < 1:
+        raise UsageError(f"--sample-count {args.sample_count} must be >= 1")
     if args.samples:
         samples = read_samples(args.samples)
     else:
-        samples = sample_function(_target_fn(args.target), config)
-    result = fit(samples, args.degree, config)
+        samples = sample_function(_target_fn(args.target), args.sample_count)
+    result = fit(samples, args.degree)
     write_coeffs(result.poly, args.out)
     print(f"wrote {args.out}; final MSE = {result.mse:.6e}")
     return 0
@@ -252,19 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentDefaultsHelpFormatter
 
     p_fit = sub.add_parser(
-        "fit", help="fit a polynomial to samples or a builtin target", formatter_class=fmt
+        "fit", help="least-squares fit of a polynomial to samples or a builtin target",
+        formatter_class=fmt,
     )
     p_fit.add_argument("--samples", help="CSV file with header x,y")
     p_fit.add_argument(
         "--target", help="builtin target name (sin, exp, tanh, runge, abs) or poly:<c0,c1,...>"
     )
     p_fit.add_argument("--degree", type=int, required=True)
-    p_fit.add_argument(
-        "--method", choices=["least_squares", "gradient_descent"], default="least_squares"
-    )
     p_fit.add_argument("--sample-count", type=int, default=101, help="grid size for --target")
-    p_fit.add_argument("--epochs", type=int, default=2000)
-    p_fit.add_argument("--step-size", type=float, default=0.1)
     p_fit.add_argument("--out", required=True, help="output coefficient JSON")
     p_fit.set_defaults(fn=cmd_fit)
 

@@ -1,5 +1,5 @@
-"""Real polynomials on [-1, 1]: evaluation, least-squares / gradient fitting,
-and the normalization that feeds the compiler.
+"""Real polynomials on [-1, 1]: evaluation, least-squares fitting, and the
+normalization that feeds the compiler.
 
 Normalization divides by the l1 norm of the coefficients so that downstream
 convex-weight aggregation telescopes exactly to the normalized polynomial.
@@ -50,9 +50,6 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x: float) -> float:
-        return eval_poly(self, x)
-
 
 @dataclass(frozen=True)
 class NormalizedPolynomial:
@@ -65,28 +62,9 @@ class NormalizedPolynomial:
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    method: str = "least_squares"  # or "gradient_descent"
-    sample_count: int = 101  # grid points over [-1, 1] for a target function
-    epochs: int = 2000  # gradient only
-    step_size: float = 0.1  # gradient only
-
-    def __post_init__(self):
-        if self.method not in ("least_squares", "gradient_descent"):
-            raise FitError(f"unknown fit method {self.method!r}")
-        if self.sample_count < 1:
-            raise FitError("sample_count must be positive")
-        if self.epochs < 1:
-            raise FitError("epochs must be positive")
-        if not (math.isfinite(self.step_size) and self.step_size > 0.0):
-            raise FitError(f"step_size must be finite and > 0, got {self.step_size}")
-
-
-@dataclass(frozen=True)
 class FitResult:
     poly: Polynomial
     mse: float
-    method: str
 
 
 def eval_poly(poly: Polynomial, x: float | np.ndarray) -> float | np.ndarray:
@@ -97,18 +75,10 @@ def eval_poly(poly: Polynomial, x: float | np.ndarray) -> float | np.ndarray:
     return acc
 
 
-def _vandermonde(xs: np.ndarray, degree: int) -> np.ndarray:
-    return np.vander(xs, degree + 1, increasing=True)
-
-
-def fit(samples: list[tuple[float, float]], degree: int, config: FitConfig | None = None) -> FitResult:
-    """Fit a degree-`degree` polynomial to (x, y) samples by minimizing the MSE.
-
-    least_squares solves the Vandermonde system with an orthogonal
-    factorization (exact minimizer); gradient_descent runs full-batch
-    fixed-step descent on the same loss.
-    """
-    config = config or FitConfig()
+def fit(samples: list[tuple[float, float]], degree: int) -> FitResult:
+    """Fit a degree-`degree` polynomial to (x, y) samples by least squares:
+    the Vandermonde system solved by an orthogonal factorization, which gives
+    the exact minimizer of the MSE."""
     if degree < 0:
         raise FitError(f"degree must be >= 0, got {degree}")
     if len(samples) == 0:
@@ -119,25 +89,14 @@ def fit(samples: list[tuple[float, float]], degree: int, config: FitConfig | Non
     ys = np.asarray([s[1] for s in samples], dtype=float)
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
         raise FitError("samples must be finite")
-    V = _vandermonde(xs, degree)
-    if config.method == "least_squares":
-        coeffs, _, rank, _ = np.linalg.lstsq(V, ys, rcond=None)
-        if rank < degree + 1:
-            raise FitError(
-                f"rank-deficient system: rank {rank} < {degree + 1}; need d+1 distinct x values"
-            )
-    else:
-        coeffs = np.zeros(degree + 1)
-        m = len(xs)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for epoch in range(config.epochs):
-                resid = V @ coeffs - ys
-                grad = (2.0 / m) * (V.T @ resid)
-                coeffs = coeffs - config.step_size * grad
-                if not np.all(np.isfinite(coeffs)):
-                    raise FitError(f"gradient descent diverged at step {epoch}")
+    V = np.vander(xs, degree + 1, increasing=True)
+    coeffs, _, rank, _ = np.linalg.lstsq(V, ys, rcond=None)
+    if rank < degree + 1:
+        raise FitError(
+            f"rank-deficient system: rank {rank} < {degree + 1}; need d+1 distinct x values"
+        )
     mse = float(np.mean((V @ coeffs - ys) ** 2))
-    return FitResult(Polynomial(tuple(coeffs)), mse, config.method)
+    return FitResult(Polynomial(tuple(coeffs)), mse)
 
 
 # sup_norm's grid over [-1, 1], and the bracket width its refinement stops at
@@ -195,9 +154,11 @@ def normalize(poly: Polynomial) -> NormalizedPolynomial:
     return NormalizedPolynomial(tuple(float(t) for t in tilde), l1)
 
 
-def sample_function(fn, config: FitConfig) -> list[tuple[float, float]]:
-    """Evaluate a target on a uniform grid of the config's size over [-1, 1]."""
-    xs = np.linspace(-1.0, 1.0, config.sample_count)
+def sample_function(fn, count: int = 101) -> list[tuple[float, float]]:
+    """Evaluate a target on a uniform grid of `count` points over [-1, 1]."""
+    if count < 1:
+        raise FitError(f"sample count must be >= 1, got {count}")
+    xs = np.linspace(-1.0, 1.0, count)
     return [(float(x), float(fn(x))) for x in xs]
 
 
@@ -255,7 +216,8 @@ def read_coeffs(path: str | Path) -> Polynomial:
 
 
 def read_samples(path: str | Path) -> list[tuple[float, float]]:
-    """CSV with header x,y; one pair per row."""
+    """CSV with header x,y; one pair per row. A row that is not two finite
+    numbers raises PolyError naming the file and line."""
     out: list[tuple[float, float]] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -271,6 +233,8 @@ def read_samples(path: str | Path) -> list[tuple[float, float]]:
                 raise PolyError(
                     f"{path}: line {reader.line_num}: expected two numbers x,y, got {row}"
                 ) from None
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise PolyError(f"{path}: line {reader.line_num}: x,y must be finite, got {row}")
             out.append((x, y))
     return out
 

@@ -1,12 +1,11 @@
 import json
-import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from polyshot.poly import (
-    FitConfig,
     FitError,
     NormalizationError,
     PolyError,
@@ -96,27 +95,6 @@ def test_fit_rank_deficient_duplicates():
     samples = [(0.5, 1.0)] * 8 + [(0.1, 0.2)] * 8
     with pytest.raises(FitError, match="rank"):
         fit(samples, 3)
-
-
-def test_fit_gradient_converges_on_linear():
-    xs = np.linspace(-1, 1, 30)
-    config = FitConfig(method="gradient_descent", epochs=4000, step_size=0.2)
-    result = fit([(x, 0.3 + 0.5 * x) for x in xs], 1, config)
-    assert result.poly.coeffs[0] == pytest.approx(0.3, abs=1e-6)
-    assert result.poly.coeffs[1] == pytest.approx(0.5, abs=1e-6)
-
-
-def test_fit_gradient_divergence_names_step():
-    xs = np.linspace(-1, 1, 30)
-    config = FitConfig(method="gradient_descent", epochs=500, step_size=1e6)
-    with pytest.raises(FitError, match=r"step \d+"):
-        fit([(x, x) for x in xs], 3, config)
-
-
-@pytest.mark.parametrize("step_size", [math.nan, math.inf, 0.0, -1.0])
-def test_fit_config_rejects_a_step_size_that_is_not_finite_and_positive(step_size):
-    with pytest.raises(FitError, match="step_size"):
-        FitConfig(method="gradient_descent", step_size=step_size)
 
 
 def test_fit_recovers_exact_polynomial_coeffs():
@@ -219,9 +197,18 @@ def test_read_samples_rejects_bad_header(tmp_path):
         read_samples(path)
 
 
+def test_read_samples_names_the_file_and_line_of_a_value_that_is_not_finite(tmp_path):
+    path = tmp_path / "xy.csv"
+    for row in ("nan,1", "0.3,inf", "1e400,1"):
+        path.write_text(f"x,y\n0.1,0.2\n{row}\n")
+        with pytest.raises(PolyError, match=f"^{re.escape(str(path))}: line 3: .*finite"):
+            read_samples(path)
+
+
 def test_sample_function_grid():
-    config = FitConfig(sample_count=5)
-    samples = sample_function(lambda x: x * x, config)
+    samples = sample_function(lambda x: x * x, 5)
     assert len(samples) == 5
     assert samples[0] == (-1.0, 1.0)
     assert samples[2] == (0.0, 0.0)
+    with pytest.raises(FitError, match="sample count"):
+        sample_function(lambda x: x * x, 0)
