@@ -1,5 +1,7 @@
-"""Experiment harness: random-polynomial recovery runs, shot-noise scaling,
-the high-degree windowed stress run and the noise sweep.
+"""Experiment harness: the random-polynomial recovery run and the shot-noise
+scaling run.  The paper's three recovery protocols are one run under three
+configs: Table 1 (ExperimentConfig), the high-degree windowed stress run
+(stress_config) and the noise sweep (noise_config).
 
 Reports are deterministic: every stochastic draw is keyed by
 derive_seed(master_seed, degree, trial, point), so scheduling cannot change
@@ -26,13 +28,13 @@ from .rng import derive_seed, generator
 from .stream import DEFAULT_WINDOW_CAP, run_window_plan
 
 TABLE1_PAPER_SIM = {
-    # degree: (rmse, corr, pass %) from the reference simulator column
-    1: (0.016, 0.999, 95.6),
-    2: (0.018, 0.997, 91.1),
-    3: (0.016, 0.998, 95.6),
-    4: (0.013, 0.997, 97.8),
-    5: (0.014, 0.998, 97.8),
-    6: (0.015, 0.996, 95.6),
+    # degree: (rmse, pass %) from the reference simulator column
+    1: (0.016, 95.6),
+    2: (0.018, 91.1),
+    3: (0.016, 95.6),
+    4: (0.013, 97.8),
+    5: (0.014, 97.8),
+    6: (0.015, 95.6),
 }
 
 
@@ -58,8 +60,10 @@ class ExperimentConfig:
         lo, hi = self.x_domain
         if not (-1.0 <= lo < hi <= 1.0):
             raise ValueError(f"x_domain must satisfy -1 <= lo < hi <= 1, got {self.x_domain}")
-        if not self.degrees or min(self.degrees) < 0:
-            raise ValueError(f"degrees must be a non-empty list of ints >= 0, got {self.degrees}")
+        if not self.degrees or min(self.degrees) < 0 or len(set(self.degrees)) < len(self.degrees):
+            raise ValueError(
+                f"degrees must be a non-empty list of distinct ints >= 0, got {self.degrees}"
+            )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.trials * self.points_per_trial < 2:
@@ -173,9 +177,14 @@ def _exact_z(batch: Circuit, config: ExperimentConfig) -> list[float]:
     return expect_z_plan(batch)
 
 
-def _recovery_run(config: ExperimentConfig) -> RunReport:
-    """Each degree's trials run as one batch per skeleton_key (random draws make
-    one): one circuit of trials x points, one sweep, and one re-keyed Philox."""
+def recovery_run(config: ExperimentConfig) -> RunReport:
+    """Draw, compile and sample `trials` random polynomials of each degree at
+    `points_per_trial` points, and score the estimates against the truths.
+
+    Each degree's trials run as one batch per skeleton_key (random draws make
+    one): one circuit of trials x points, one sweep, and one re-keyed Philox.
+    A noise model of two zero rates is no noise model, so it gives the
+    noiseless run bit for bit."""
     t0 = time.perf_counter()
     lo, hi = config.x_domain
     xs = [float(x) for x in np.linspace(lo, hi, config.points_per_trial)]
@@ -218,7 +227,7 @@ def _recovery_run(config: ExperimentConfig) -> RunReport:
             x, z, c = xs[point], zs[trial][point], programs[trial].rescale
             truth = eval_poly(polys[trial], x)
             if config.shots == 0:  # infinite-shot surrogate
-                est = Estimate(c * z, 0.0, 0, c)
+                est = Estimate(c * z, 0.0)
             else:
                 est = point_estimate(outcomes[i], c)
                 if config.noise is None:
@@ -242,10 +251,8 @@ def _recovery_run(config: ExperimentConfig) -> RunReport:
         }
         if pred_errs:
             row["rmse_pred"] = float(np.mean(pred_errs))
-        paper = TABLE1_PAPER_SIM.get(degree)
-        if paper is not None:
-            row["paper_sim_rmse"] = paper[0]
-            row["paper_sim_pass_pct"] = paper[2]
+        if degree in TABLE1_PAPER_SIM:
+            row["paper_sim_rmse"], row["paper_sim_pass_pct"] = TABLE1_PAPER_SIM[degree]
         per_degree.append(row)
         laps["metrics"] = time.perf_counter() - t_metrics
         for layer in ("generate", "compile", "build_circuit", "simulate", "sample", "metrics"):
@@ -253,30 +260,6 @@ def _recovery_run(config: ExperimentConfig) -> RunReport:
         timings[f"degree_{degree}"] = 1000.0 * (time.perf_counter() - t_deg)
     timings["total"] = 1000.0 * (time.perf_counter() - t0)
     return RunReport(config, per_degree, records, timings)
-
-
-def table1_experiment(config: ExperimentConfig | None = None) -> RunReport:
-    """Recovery run over low degrees with the reference protocol defaults."""
-    return _recovery_run(config or ExperimentConfig())
-
-
-def stress_experiment(config: ExperimentConfig | None = None) -> RunReport:
-    """High-degree sparse-sampled run on the windowed simulator."""
-    config = config or stress_config()
-    if config.simulator != "stream" or config.order != "forward":
-        raise ValueError("the stress run requires simulator='stream' and order='forward'")
-    return _recovery_run(config)
-
-
-def noise_sweep(config: ExperimentConfig | None = None) -> RunReport:
-    """Degree sweep under the exact depolarizing channel on the window density
-    matrix; correlation vs degree is the product.
-
-    A trivial noise model (both rates zero) degenerates to the noiseless run
-    bit for bit, same seeds included.
-    """
-    config = config or noise_config()
-    return _recovery_run(config)
 
 
 # the shot-scaling run: a backward program of this degree, sampled at this
@@ -287,7 +270,7 @@ SHOTS_REPETITIONS = 50
 SHOTS_LIST = (2**8, 2**10, 2**12, 2**14, 2**16)
 
 
-def shot_scaling_experiment(master_seed: int = 20250808) -> dict:
+def shot_scaling_experiment(master_seed: int = ExperimentConfig.master_seed) -> dict:
     """Empirical RMSE against shot count for one fixed random program."""
     degree, points, repetitions = SHOTS_DEGREE, SHOTS_POINTS, SHOTS_REPETITIONS
     poly = gen_random_poly(degree, derive_seed(master_seed, degree, 0))

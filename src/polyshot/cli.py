@@ -2,15 +2,14 @@
 
 Exit codes: 0 success, 1 numeric/runtime failure, 2 usage error.
 Flags override values from an optional JSON config file (--config for bench).
-The default master seed can be overridden with the POLYSHOT_SEED environment
-variable.
+`bench table1|stress|noise` is bench.recovery_run under that experiment's
+default config with the file's overrides; `bench shots` reads the seed alone.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -38,8 +37,6 @@ from .poly import (
     write_coeffs,
 )
 
-DEFAULT_SEED = 20250808
-
 BUILTIN_TARGETS = {
     "sin": lambda x: math.sin(math.pi * x),
     "exp": lambda x: math.exp(x),
@@ -53,14 +50,12 @@ class UsageError(Exception):
     pass
 
 
-def _seed_default() -> int:
-    env = os.environ.get("POLYSHOT_SEED")
-    if not env:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"POLYSHOT_SEED={env!r} is not an integer seed") from None
+# each recovery experiment's default config, before the overrides
+RECOVERY_CONFIGS = {
+    "table1": bench.ExperimentConfig,
+    "stress": bench.stress_config,
+    "noise": bench.noise_config,
+}
 
 
 def _target_fn(name: str):
@@ -115,7 +110,6 @@ def cmd_compile(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    seed = _seed_default() if args.seed is None else args.seed
     if not 1 <= args.shots <= MAX_SHOTS:
         raise UsageError(f"--shots {args.shots} must lie in [1, {MAX_SHOTS}]")
     for flag, p in (("--noise-p1", args.noise_p1), ("--noise-p2", args.noise_p2)):
@@ -128,7 +122,7 @@ def cmd_evaluate(args) -> int:
         simulator=args.sim, noise_p1=args.noise_p1, noise_p2=args.noise_p2
     )
     z = bench._exact_z(build_circuit(program, args.x), config)[0]
-    outcome = draw_shots(z, args.shots, seed)
+    outcome = draw_shots(z, args.shots, args.seed)
     est = point_estimate(outcome, program.rescale)
     truth = eval_poly(program.source, args.x)
     payload = {
@@ -150,24 +144,18 @@ def cmd_bench(args) -> int:
             raise UsageError(f"--config {args.config}: {exc}") from None
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    overrides.setdefault("master_seed", _seed_default())
     out_dir = Path(args.out_dir)
-    recovery_runs = {
-        "table1": (bench.ExperimentConfig, bench.table1_experiment),
-        "stress": (bench.stress_config, bench.stress_experiment),
-        "noise": (bench.noise_config, bench.noise_sweep),
-    }
-    if args.experiment in recovery_runs:
-        base, run = recovery_runs[args.experiment]
-        report = run(_apply_overrides(base(), overrides))
+    if args.experiment in RECOVERY_CONFIGS:
+        config = _apply_overrides(RECOVERY_CONFIGS[args.experiment](), overrides)
+        report = bench.recovery_run(config)
         bench.write_report(report, out_dir, args.experiment)
         print(bench.summary_table(report))
     else:  # shots reads the master seed alone
         for key in overrides:
             if key != "master_seed":
                 raise UsageError(f"config key {key!r} is not read by bench shots")
-        seed = _config_value("master_seed", overrides["master_seed"], DEFAULT_SEED)
-        result = bench.shot_scaling_experiment(master_seed=seed)
+        seed = _apply_overrides(bench.ExperimentConfig(), overrides).master_seed
+        result = bench.shot_scaling_experiment(seed)
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "shots.json").write_text(json.dumps(result) + "\n")
         lines = ["shots,rmse"] + [
@@ -268,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--program", required=True)
     p_eval.add_argument("--x", type=float, required=True)
     p_eval.add_argument("--shots", type=int, default=4096)
-    p_eval.add_argument("--seed", type=int, default=None)
+    p_eval.add_argument("--seed", type=int, default=bench.ExperimentConfig.master_seed)
     p_eval.add_argument("--sim", choices=["dense", "stream"], default="dense")
     p_eval.add_argument("--noise-p1", type=float, default=0.0)
     p_eval.add_argument("--noise-p2", type=float, default=0.0)
@@ -277,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench", help="run a benchmark experiment", formatter_class=fmt
     )
-    p_bench.add_argument("experiment", choices=["table1", "stress", "shots", "noise"])
+    p_bench.add_argument("experiment", choices=[*RECOVERY_CONFIGS, "shots"])
     p_bench.add_argument("--config", help="JSON file of config overrides")
     p_bench.add_argument("--seed", type=int, default=None, help="master seed override")
     p_bench.add_argument("--out-dir", required=True)

@@ -97,7 +97,6 @@ class CompiledProgram:
 class ResourceCounts:
     qubits: int
     two_qubit_gates: int
-    single_qubit_gates: int
     depth: int
     two_qubit_depth: int
 
@@ -228,7 +227,6 @@ def resources(circuit: Circuit) -> ResourceCounts:
     return ResourceCounts(
         qubits=circuit.n_qubits,
         two_qubit_gates=circuit.two_qubit_count,
-        single_qubit_gates=circuit.one_qubit_count,
         depth=circuit_depth(circuit),
         two_qubit_depth=circuit_depth(circuit, ("cx",)),
     )

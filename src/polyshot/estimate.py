@@ -15,8 +15,6 @@ PASS_THRESHOLD = 0.03
 class Estimate:
     value: float
     stderr: float
-    shots: int
-    rescale: float
 
 
 @dataclass(frozen=True)
@@ -24,8 +22,6 @@ class Metrics:
     rmse: float
     pearson: float | None  # None when truth variance is degenerate
     pass_rate: float
-    threshold: float
-    count: int
 
 
 def point_estimate(outcome: ShotOutcome, rescale: float) -> Estimate:
@@ -36,7 +32,7 @@ def point_estimate(outcome: ShotOutcome, rescale: float) -> Estimate:
     p = outcome.n1 / n
     value = rescale * (outcome.n0 - outcome.n1) / n
     stderr = 2.0 * abs(rescale) * math.sqrt(p * (1.0 - p) / n)
-    return Estimate(value, stderr, n, rescale)
+    return Estimate(value, stderr)
 
 
 def run_metrics(
@@ -54,7 +50,7 @@ def run_metrics(
         pearson = None  # degenerate variance: correlation undefined
     else:
         pearson = float(np.corrcoef(truth, est)[0, 1])
-    return Metrics(rmse, pearson, pass_rate, threshold, len(pairs))
+    return Metrics(rmse, pearson, pass_rate)
 
 
 def predicted_pearson(truth, var, shots: float) -> float:

@@ -13,13 +13,11 @@ from polyshot.bench import (
     ExperimentConfig,
     gen_random_poly,
     noise_config,
-    noise_sweep,
     records_csv,
+    recovery_run,
     report_json,
     shot_scaling_experiment,
     stress_config,
-    stress_experiment,
-    table1_experiment,
 )
 from polyshot.circuit import Circuit, Gate, to_qasm, validate_qasm
 from polyshot.compile import build_circuit, compile_poly, resources
@@ -147,7 +145,7 @@ def test_criterion_3_dense_stream_equivalence():
 
 def test_criterion_4_table1_analog():
     t0 = time.perf_counter()
-    report = table1_experiment(ExperimentConfig(master_seed=MASTER))
+    report = recovery_run(ExperimentConfig(master_seed=MASTER))
     elapsed = time.perf_counter() - t0
     problems = []
     for row in report.per_degree:
@@ -275,7 +273,7 @@ def test_criterion_6_stress_reproduction():
     # Pearson cannot.
     config = stress_config(master_seed=MASTER)
     t0 = time.perf_counter()
-    report = stress_experiment(config)
+    report = recovery_run(config)
     elapsed = time.perf_counter() - t0
     qubit_fails = [r["degree"] for r in report.per_degree if r["qubits"] != r["degree"] + 1]
     stats = _shot_noise_by_degree(report)
@@ -284,7 +282,7 @@ def test_criterion_6_stress_reproduction():
     budget = 1 << (math.ceil(4.0 * max(n_star.values())) - 1).bit_length()
 
     t0 = time.perf_counter()
-    report_n = stress_experiment(replace(config, shots=budget))
+    report_n = recovery_run(replace(config, shots=budget))
     elapsed_n = time.perf_counter() - t0
     stats_n = _shot_noise_by_degree(report_n)
     faults += _shot_noise_faults(stats_n, budget)
@@ -345,7 +343,7 @@ def test_criterion_7_resource_accounting():
 
 def test_criterion_8_noise_qualitative():
     config = noise_config(master_seed=MASTER)
-    report = noise_sweep(config)
+    report = recovery_run(config)
     corr = [row["pearson"] for row in report.per_degree]
     degrees = [row["degree"] for row in report.per_degree]
     # an adjacent increase counts as an inversion only when it is significant
@@ -370,15 +368,15 @@ def test_criterion_8_noise_qualitative():
 
 def test_criterion_9_determinism():
     t_config = ExperimentConfig(master_seed=MASTER, degrees=(1, 2, 3, 4, 5, 6))
-    a = table1_experiment(t_config)
-    b = table1_experiment(t_config)
+    a = recovery_run(t_config)
+    b = recovery_run(t_config)
     table_ok = (
         report_json(a, include_timings=False) == report_json(b, include_timings=False)
         and records_csv(a) == records_csv(b)
     )
     s_config = stress_config(master_seed=MASTER)
-    sa = stress_experiment(s_config)
-    sb = stress_experiment(s_config)
+    sa = recovery_run(s_config)
+    sb = recovery_run(s_config)
     stress_ok = (
         report_json(sa, include_timings=False) == report_json(sb, include_timings=False)
         and records_csv(sa) == records_csv(sb)

@@ -5,14 +5,12 @@ from polyshot.bench import (
     ExperimentConfig,
     gen_random_poly,
     noise_config,
-    noise_sweep,
     records_csv,
+    recovery_run,
     report_json,
     shot_scaling_experiment,
     stress_config,
-    stress_experiment,
     summary_table,
-    table1_experiment,
     write_report,
 )
 from polyshot.poly import Polynomial, sup_norm
@@ -62,7 +60,7 @@ def test_gen_random_poly_deterministic():
 
 
 def test_table1_report_shape():
-    report = table1_experiment(SMALL)
+    report = recovery_run(SMALL)
     assert len(report.records) == 3 * 2 * 5
     assert [row["degree"] for row in report.per_degree] == [1, 2, 3]
     for row in report.per_degree:
@@ -72,14 +70,14 @@ def test_table1_report_shape():
 
 
 def test_report_determinism_byte_identical():
-    a = table1_experiment(SMALL)
-    b = table1_experiment(SMALL)
+    a = recovery_run(SMALL)
+    b = recovery_run(SMALL)
     assert report_json(a, include_timings=False) == report_json(b, include_timings=False)
     assert records_csv(a) == records_csv(b)
 
 
 def test_write_report_files(tmp_path):
-    report = table1_experiment(SMALL)
+    report = recovery_run(SMALL)
     json_path, csv_path = write_report(report, tmp_path, "table1")
     assert json_path.exists() and csv_path.exists()
     text = csv_path.read_text().splitlines()
@@ -89,7 +87,7 @@ def test_write_report_files(tmp_path):
 
 
 def test_timings_split_each_degree_by_layer():
-    report = stress_experiment(stress_config(degrees=(1, 5), points_per_trial=3, trials=2))
+    report = recovery_run(stress_config(degrees=(1, 5), points_per_trial=3, trials=2))
     for d in (1, 5):
         laps = [
             report.timings_ms[f"degree_{d}.{layer}"]
@@ -132,12 +130,12 @@ def test_trials_of_several_skeletons_split_into_batches_with_the_per_trial_repor
 
     config = replace(SMALL, trials=4, simulator=simulator, order=order)
     plans = _with_a_zero_term(monkeypatch, trial_with_zero=2)
-    report = table1_experiment(config)
+    report = recovery_run(config)
     assert plans == [3, 1] * 3  # per degree: trials 0, 1 and 3, then trial 2
     assert [r.trial for r in report.records[:20]] == [t for t in range(4) for _ in range(5)]
     # one batch per trial gives the same report, byte for byte
     monkeypatch.setattr(bench, "skeleton_key", lambda program: id(program))
-    per_trial = table1_experiment(config)
+    per_trial = recovery_run(config)
     assert plans[6:] == [1] * 12
     assert report_json(report, include_timings=False) == report_json(
         per_trial, include_timings=False
@@ -145,49 +143,32 @@ def test_trials_of_several_skeletons_split_into_batches_with_the_per_trial_repor
     assert records_csv(report) == records_csv(per_trial)
 
 
-def test_stress_requires_stream_forward():
-    with pytest.raises(ValueError):
-        stress_experiment(stress_config(simulator="dense"))
-
-
 def test_stress_small_run_qubit_counts():
     config = stress_config(degrees=(1, 5, 10), trials=2, points_per_trial=3)
-    report = stress_experiment(config)
+    report = recovery_run(config)
     for row in report.per_degree:
         assert row["qubits"] == row["degree"] + 1
 
 
-def test_noise_sweep_zero_noise_matches_noiseless_bitwise():
-    config = noise_config(
-        degrees=(1, 2), points_per_trial=4, trials=2, shots=256,
-        noise_p1=0.0, noise_p2=0.0,
-    )
-    swept = noise_sweep(config)
-    noiseless = table1_experiment(config)
-    assert report_json(swept, include_timings=False) == report_json(
-        noiseless, include_timings=False
-    )
-
-
-def test_noise_sweep_small_run_degrades():
+def test_noise_config_small_run_degrades():
     config = noise_config(
         degrees=(1, 8, 16), points_per_trial=6, trials=2, shots=256, noise_p2=0.02
     )
-    report = noise_sweep(config)
+    report = recovery_run(config)
     rows = {row["degree"]: row for row in report.per_degree}
     assert rows[16]["pearson"] < rows[1]["pearson"]
 
 
 def test_infinite_shot_surrogate_is_exact():
     config = ExperimentConfig(degrees=(1, 3, 6), points_per_trial=7, trials=2, shots=0)
-    report = table1_experiment(config)
+    report = recovery_run(config)
     for row in report.per_degree:
         assert row["rmse"] < 1e-9
     assert all(r.stderr == 0.0 for r in report.records)
 
 
 def test_summary_table_formats():
-    report = table1_experiment(SMALL)
+    report = recovery_run(SMALL)
     table = summary_table(report)
     assert "deg" in table.splitlines()[0]
     assert len(table.splitlines()) == 1 + len(report.per_degree)
@@ -204,8 +185,8 @@ def _noiseless_report_digests(monkeypatch) -> dict:
     def digest(text: str) -> str:
         return hashlib.sha256(text.encode()).hexdigest()
 
-    table1 = table1_experiment(SMALL)
-    stress = stress_experiment(stress_config(degrees=(1, 10, 20), points_per_trial=3, trials=2))
+    table1 = recovery_run(SMALL)
+    stress = recovery_run(stress_config(degrees=(1, 10, 20), points_per_trial=3, trials=2))
     monkeypatch.setattr(bench, "SHOTS_REPETITIONS", 3)
     monkeypatch.setattr(bench, "SHOTS_POINTS", 5)
     shots = shot_scaling_experiment()

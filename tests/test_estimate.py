@@ -16,7 +16,7 @@ from polyshot.estimate import (
 def test_point_estimate_basic():
     est = point_estimate(ShotOutcome(3072, 1024), 1.0)
     assert est.value == pytest.approx(0.5)
-    assert est.shots == 4096
+    assert est.stderr == pytest.approx(2 * math.sqrt(0.25 * 0.75 / 4096), abs=1e-15)
 
 
 def test_point_estimate_degenerate_all_zeros():

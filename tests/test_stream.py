@@ -443,6 +443,14 @@ def test_noisy_mixed_sign_degree_batch_passes_the_invariant_checks():
     assert zs == run_window_plan(batch, noise=noise)
 
 
+@pytest.mark.parametrize("order, d", [("backward", 6), ("forward", 12)])
+def test_zero_rate_noise_is_the_noiseless_degree_batch_bit_for_bit(order, d):
+    programs = _mixed_sign_trials(d, order, 4, seed=130 + d)
+    batch = plan_programs(programs, [float(x) for x in np.linspace(-0.9, 0.9, 5)])
+    assert any(kind == "x" and isinstance(arg, np.ndarray) for kind, _, arg in batch.gates)
+    assert run_window_plan(batch, noise=NoiseModel(0.0, 0.0)) == run_window_plan(batch)
+
+
 # --- the window's points in chunks ------------------------------------------
 
 
