@@ -21,7 +21,8 @@ import numpy as np
 
 from .circuit import Circuit
 from .compile import ORDERS, build_circuit, compile_poly, plan_programs, resources, skeleton_key
-from .dense import MAX_SHOTS, NoiseModel, draw_shots_batch, expect_z_plan, prob_one
+from .dense import DEFAULT_QUBIT_CAP, MAX_SHOTS, CapacityError, NoiseModel, draw_shots_batch
+from .dense import expect_z_plan, prob_one
 from .estimate import Estimate, PASS_THRESHOLD, point_estimate, run_metrics, shot_scaling_fit
 from .poly import Polynomial, eval_poly, sup_norm
 from .rng import derive_seed, generator
@@ -184,7 +185,15 @@ def recovery_run(config: ExperimentConfig) -> RunReport:
     Each degree's trials run as one batch per skeleton_key (random draws make
     one): one circuit of trials x points, one sweep, and one re-keyed Philox.
     A noise model of two zero rates is no noise model, so it gives the
-    noiseless run bit for bit."""
+    noiseless run bit for bit.  A noiseless dense run with a degree wider than
+    the dense qubit cap raises CapacityError before any point runs."""
+    if config.simulator == "dense" and config.noise is None:
+        for degree in config.degrees:
+            if degree + 1 > DEFAULT_QUBIT_CAP:
+                raise CapacityError(
+                    f"degree {degree} needs {degree + 1} qubits, over the dense cap of "
+                    f"{DEFAULT_QUBIT_CAP}; run it on the windowed stream simulator"
+                )
     t0 = time.perf_counter()
     lo, hi = config.x_domain
     xs = [float(x) for x in np.linspace(lo, hi, config.points_per_trial)]

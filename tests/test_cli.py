@@ -717,3 +717,28 @@ def test_bench_names_the_degree_and_trials_of_a_failing_batch(tmp_path, capsys):
     assert err.startswith("error: degree=6 trials=[0, 1, 2]: window grows to 5 qubits")
     assert "forward" in err and "Traceback" not in err
     assert not out_dir.exists()
+
+
+def test_bench_refuses_a_dense_degree_over_the_qubit_cap_before_any_point_runs(
+    tmp_path, capsys, monkeypatch
+):
+    # the default stress degrees reach 35, and degree 30 is the first over the cap
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a polynomial was drawn before the qubit cap check")
+
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"simulator": "dense"}))
+    out_dir = tmp_path / "runs"
+    with monkeypatch.context() as patch:
+        patch.setattr(bench, "gen_random_poly", no_draw)
+        assert run_cli("bench", "stress", "--config", str(config), "--out-dir", str(out_dir)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: degree 30 needs 31 qubits, over the dense cap of 26")
+    assert "stream" in err and "Traceback" not in err
+    assert not out_dir.exists()
+    # a noisy config runs every degree in the window, so the cap does not bind
+    config.write_text(json.dumps(
+        {"simulator": "dense", "degrees": [30], "trials": 1, "points_per_trial": 2,
+         "noise_p2": 0.001}
+    ))
+    assert run_cli("bench", "stress", "--config", str(config), "--out-dir", str(out_dir)) == 0

@@ -246,6 +246,8 @@ def test_batch_rejects_an_empty_batch_and_mixed_skeletons():
 def test_a_wide_batch_peaks_at_one_point_of_memory():
     import tracemalloc
 
+    from polyshot import dense
+
     n = 15
     circuits = [
         Circuit(n, (Gate.ry(0, a), Gate.ry(n - 1, 0.2), Gate.cx(0, n - 1)), 0) for a in (0.3, 0.9)
@@ -259,8 +261,12 @@ def test_a_wide_batch_peaks_at_one_point_of_memory():
         finally:
             tracemalloc.stop()
 
-    single = peak(lambda: run_statevector(circuits[0]))
-    assert peak(lambda: expect_z_plan(plan(circuits))) <= 1.1 * single
+    # the circuit is all encoding, which run_statevector builds with no
+    # scratch, so the reference is a one-point run that also reads z
+    single = peak(lambda: expect_z_plan(plan(circuits[:1])))
+    batch = peak(lambda: expect_z_plan(plan(circuits)))
+    assert batch <= 1.1 * single
+    assert batch <= 1.05 * dense._PEAK_BYTES_PER_AMPLITUDE * 2**n
 
 
 def test_batch_memory_check_raises_before_allocation(monkeypatch):
@@ -335,11 +341,12 @@ def test_fused_degree_batch_of_mixed_signs_is_each_trial_alone_bit_for_bit(order
 
 
 def _unfused(circuits: list[Circuit], i: int) -> np.ndarray:
-    """Point i's amplitudes, in qubit order, from the gate-by-gate sweep."""
+    """Point i's amplitudes, in qubit order, from the gate-by-gate sweep of
+    every gate from |0...0>, with no encoding built."""
     from polyshot import dense
     from polyshot.circuit import plan
 
-    state, order = dense._sweep(plan(circuits).gates, circuits[0].n_qubits, i, i + 1)
+    state, order = dense._sweep(plan(circuits).gates, circuits[0].n_qubits, i, i + 1, [])
     assert order == list(range(circuits[0].n_qubits))
     return state.reshape(-1)
 
@@ -349,9 +356,9 @@ def test_only_a_state_of_one_point_per_chunk_is_fused(monkeypatch):
 
     swept, sweep = [], dense._sweep
 
-    def spy(steps, n, lo, hi):  # each chunk's size and whether its steps are fused
+    def spy(steps, n, lo, hi, encoding):  # each chunk's size and whether its steps are fused
         swept.append((hi - lo, any(kind == "u" for kind, _, _ in steps)))
-        return sweep(steps, n, lo, hi)
+        return sweep(steps, n, lo, hi, encoding)
 
     monkeypatch.setattr(dense, "_sweep", spy)
     for n, chunks in ((11, [(2, False), (1, False)]), (12, [(1, True)] * 3)):
@@ -414,6 +421,116 @@ def test_a_fused_run_peaks_within_the_checked_bytes_per_amplitude():
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * dense._PEAK_BYTES_PER_AMPLITUDE * 2 ** (d + 1)
+
+
+# --- the encoding: leading ry gates and their cx chain, built, not swept ----
+
+
+@pytest.mark.parametrize("order", ["backward", "forward"])
+def test_the_built_encoding_is_the_gate_sweep_bit_for_bit(order):
+    # below 2^12 amplitudes no chunk is fused, so each chunk's states are
+    # those of the sweep of every gate from |0...0>, bit for bit
+    from polyshot import dense
+
+    rng = np.random.default_rng(94)
+    xs = [-0.8, -0.1, 0.35, 0.9]
+    masked = False
+    for d in range(11):
+        batch = plan_programs(_trials(rng, d, order, 3), xs)
+        masked |= any(g.kind == "x" and g.angle is not None for g in batch.gates)
+        count, _ = dense._encoding(batch)
+        if order == "backward":
+            assert count == max(2 * d - 1, 0)
+        else:  # ry(1), ry(2), then the chain's rz; the x of a negative c_0 comes first
+            assert count == (0 if batch.gates and batch.gates[0].kind == "x" else min(d, 2))
+        for lo, hi, states, axes in dense._states(batch):
+            assert axes == list(range(d + 1))
+            want, _ = dense._sweep(batch.gates, d + 1, lo, hi, [])
+            assert np.array_equal(states, want)
+    assert masked
+
+
+# each near miss: the smallest encoding that shows it, and whether it needs a
+# qubit with no ry
+_NEAR_MISSES = {
+    None: (1, False),
+    "cx out of ry order": (3, False),
+    "cx against the ry order": (2, False),
+    "repeated ry qubit": (2, False),
+    "rz before the chain": (2, False),
+    "cx onto a qubit with no ry": (1, True),
+}
+
+
+def _encoded_points(n: int, rng, miss, n_points: int = 3) -> tuple[list[Circuit], int]:
+    """Points of one circuit that starts with an encoding, then runs a random
+    kernel circuit after an x on r_0, which ends the encoding: ry gates, one
+    angle per point, on distinct qubits r_0, r_1, ... in a random order, then
+    the cx chain over the first of them in that order.  `miss` breaks the
+    encoding one way.  Returns the points and
+    how many of their leading gates still make an encoding."""
+    r = [int(q) for q in rng.permutation(n)]
+    low, spare = _NEAR_MISSES[miss]
+    m = int(rng.integers(low, n - spare + 1))
+    links = int(rng.integers(0, m))
+    rys = [("ry", (q,)) for q in r[:m]]
+    chain = [("cx", (a, b)) for a, b in zip(r[:links], r[1 : links + 1])]
+    count = m + links
+    if miss == "cx out of ry order":
+        chain, count = [("cx", (r[1], r[2])), ("cx", (r[0], r[1]))], m
+    elif miss == "cx against the ry order":
+        chain, count = [("cx", (r[1], r[0]))], m
+    elif miss == "repeated ry qubit":
+        rys.insert(2, ("ry", (r[0],)))
+        count = 2
+    elif miss == "rz before the chain":
+        chain, count = [("rz", (r[0],))] + chain, m
+    elif miss == "cx onto a qubit with no ry":
+        chain.append(("cx", (r[links], r[m])))
+    kernel = _random_kernel_circuit(n, rng, int(rng.integers(n)))
+    points = []
+    for _ in range(n_points):
+        head = [
+            Gate(k, q, float(rng.uniform(-math.pi, math.pi)) if k == "ry" else 0.7 if k == "rz" else None)
+            for k, q in rys + chain
+        ]
+        points.append(Circuit(n, (*head, Gate.x(r[0]), *kernel.gates), kernel.measured_qubit))
+    return points, count
+
+
+@pytest.mark.parametrize("miss", list(_NEAR_MISSES))
+def test_an_encoding_and_its_near_misses_match_the_kron_oracle(miss):
+    from polyshot import dense
+
+    rng = np.random.default_rng(95)
+    low, spare = _NEAR_MISSES[miss]
+    for n in range(low + spare, 8):
+        for _ in range(3):
+            circuits, count = _encoded_points(n, rng, miss)
+            batch = plan(circuits)
+            assert dense._encoding(batch)[0] == count
+            for circuit, z in zip(circuits, expect_z_plan(batch)):
+                want = _oracle_state(circuit)
+                assert np.abs(run_statevector(circuit) - want).max() < 1e-12
+                assert abs(z - _oracle_expect_z(want, circuit.measured_qubit, n)) < 1e-12
+
+
+def test_a_fused_backward_run_is_the_gate_sweep_within_1e_15():
+    rng = np.random.default_rng(96)
+    for d in range(11, 17):
+        program = compile_poly(Polynomial(tuple(rng.uniform(-1, 1, d + 1))), "backward")
+        circuits = [build_circuit(program, x) for x in (-0.6, 0.45)]
+        for i, z in enumerate(expect_z_plan(plan(circuits))):
+            want = _unfused(circuits, i)
+            assert np.abs(run_statevector(circuits[i]) - want).max() < 1e-15
+            assert abs(z - expect_z(want, circuits[i].measured_qubit)) < 1e-15
+
+
+def test_a_degree_20_backward_point_is_exact():
+    poly = Polynomial(tuple(np.random.default_rng(97).uniform(-1, 1, 21)))
+    program = compile_poly(poly, "backward")
+    (z,) = expect_z_plan(build_circuit(program, -0.35))
+    assert abs(program.rescale * z - eval_poly(poly, -0.35)) < 1e-9
 
 
 def test_norm_preserved():
