@@ -39,18 +39,24 @@ qubit.  Multiplied in the gates' order, they are the sweep's bit for bit.
 The gates after the encoding are swept, or fused.
 
 On a wide state the traffic is cut instead by gate fusion.  The compiled
-programs are chains of two-qubit sum blocks, 6-7 gates on one qubit pair, so
-each maximal run of consecutive gates on one pair becomes one 4x4 matrix
-(_fuse), built by sweeping the run's own gates over the identity's columns.
-A fused step costs two passes over the state: the pair's two axes are copied
-to the front of a scratch tensor, and matrix @ scratch is written back into
-the state's own buffer.  The state's axes are then permuted (the pair first),
-so the sweep keeps the qubit each axis holds and every later gate reads it;
-run_statevector returns the amplitudes in qubit order, and expect_z_plan
-reads z on the measured qubit's current axis.  Only a chunk of one point is
-fused, over its own gates after the encoding (each masked x made an x or
-dropped), so its runs and their rounding are those of its trial alone.  A
-degree-20 backward point (21 qubits) takes about 0.4-0.5 s on a 2-vCPU host.
+programs are chains of two-qubit sum blocks, 6-7 gates on one qubit pair, and
+each block shares one qubit with the next, so each maximal run of consecutive
+gates on at most _FUSE_QUBITS = 3 qubits becomes one matrix of up to 8x8
+(_fuse), built by sweeping the run's own gates over the identity's columns; a
+backward point of degree d runs ceil(d/2) such steps after its encoding, two
+sum blocks each.  A fused step costs two passes over the state, whatever its
+size: the run's axes are copied to the front of a scratch tensor, and
+matrix @ scratch is written back into the state's own buffer.  So an 8x8 step
+costs about what a 4x4 one does, while a 16x16 one costs more and saves
+little per sum block (see _FUSE_QUBITS).  The state's axes are then permuted
+(the run's qubits first), so the sweep keeps the qubit each axis holds and
+every later gate reads it; run_statevector returns the amplitudes in qubit
+order, and expect_z_plan reads z on the measured qubit's current axis.  Only
+a chunk of one point is fused, and from its own gates (each masked x made an
+x or dropped): their encoding is built and the gates after it are fused, so
+its encoding, runs and their rounding are those of its trial alone.  A
+degree-20 backward point (21 qubits) takes about 0.21-0.37 s on a 2-vCPU
+host.
 """
 from __future__ import annotations
 
@@ -73,6 +79,12 @@ MAX_SHOTS = 2**63 - 1
 _PEAK_BYTES_PER_AMPLITUDE = 2 * 16
 # the most amplitudes one chunk of _states holds (see the module docstring)
 _CHUNK_AMPLITUDES = 2**12
+# the most qubits one fused step acts on.  A step is bound by its two passes
+# over the state, not by its flops: at 17 qubits (2-vCPU host, one BLAS
+# thread) a 4x4 step took 0.55 ms, an 8x8 one, which covers two sum blocks,
+# 0.61 ms, and a 16x16 one, which covers three, 0.88 ms: 0.29 ms per sum
+# block against 0.31, too little a gain to take
+_FUSE_QUBITS = 3
 
 
 class CapacityError(RuntimeError):
@@ -168,49 +180,47 @@ def _free_memory_bytes() -> int:
     return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _pair_matrix(run: list[tuple], pair: tuple[int, int], batch: int) -> np.ndarray:
-    """The 4x4 matrix of a run of gates on one qubit pair, [b, 4, 4] with row
-    and column index 2*bit(pair[0]) + bit(pair[1]): the run's own gates swept
-    over the identity's columns.  b is the batch where a gate holds one angle
-    per point, else 1."""
+def _run_matrix(run: list[tuple], qubits: tuple[int, ...], batch: int) -> np.ndarray:
+    """The 2^k x 2^k matrix of a run of gates on k qubits, [b, 2^k, 2^k] with
+    row and column index the bits of `qubits` in their order, the first the
+    most significant: the run's own gates swept over the identity's columns.
+    b is the batch where a gate holds one angle per point, else 1."""
+    k = len(qubits)
     b = batch if any(isinstance(angle, np.ndarray) for _, _, angle in run) else 1
-    cols = np.tile(np.eye(4, dtype=complex).reshape(1, 2, 2, 4), (b, 1, 1, 1))
-    for kind, qubits, angle in run:
-        _apply_gate(cols, kind, [1 + pair.index(q) for q in qubits], angle)
-    return cols.reshape(b, 4, 4)
+    eye = np.eye(2**k, dtype=complex).reshape((1,) + (2,) * k + (2**k,))
+    cols = np.tile(eye, (b,) + (1,) * (k + 1))
+    for kind, gate_qubits, angle in run:
+        _apply_gate(cols, kind, [1 + qubits.index(q) for q in gate_qubits], angle)
+    return cols.reshape(b, 2**k, 2**k)
 
 
 def _fuse(steps: list[tuple], batch: int) -> list[tuple]:
     """The gates of a batch with each maximal run of consecutive gates whose
-    qubits fit in one pair merged into one step ("u", (qa, qb), matrix); a run
-    of one gate stays as it is."""
+    qubits fit in _FUSE_QUBITS qubits merged into one step ("u", qubits,
+    matrix), on exactly the run's qubits in the order they first appear; a
+    run of one gate stays as it is."""
     runs: list[tuple[tuple, list]] = []  # (the run's qubits, its steps)
     for step in steps:
         qubits, run = runs[-1] if runs else ((), [])
         union = qubits + tuple(q for q in step[1] if q not in qubits)
-        if run and len(union) <= 2:
+        if run and len(union) <= _FUSE_QUBITS:
             runs[-1] = (union, run)
             run.append(step)
         else:
             runs.append((tuple(step[1]), [step]))
-    fused = []
-    for pair, run in runs:
-        if len(run) == 1:
-            fused += run
-        else:
-            if len(pair) == 1:  # a run on one qubit: any other qubit makes the pair
-                pair += (0 if pair[0] else 1,)
-            fused.append(("u", pair, _pair_matrix(run, pair, batch)))
-    return fused
+    return [
+        run[0] if len(run) == 1 else ("u", qubits, _run_matrix(run, qubits, batch))
+        for qubits, run in runs
+    ]
 
 
-def _apply_u(state: np.ndarray, matrix: np.ndarray, a_axis: int, b_axis: int) -> None:
-    """A two-qubit matrix on two axes of a batched state: the two axes are
-    copied to the front of a scratch tensor, and matrix @ scratch is written
-    into the state's own buffer, whose axes then hold those two qubits first
-    and the others in their old order."""
-    scratch = np.moveaxis(state, (a_axis, b_axis), (1, 2)).copy()
-    shape = (len(state), 4, -1)
+def _apply_u(state: np.ndarray, matrix: np.ndarray, *axes: int) -> None:
+    """A matrix on k axes of a batched state (_run_matrix's [b, 2^k, 2^k]):
+    the k axes are copied, in order, to the front of a scratch tensor, and
+    matrix @ scratch is written into the state's own buffer, whose axes then
+    hold those k qubits first and the others in their old order."""
+    scratch = np.moveaxis(state, axes, range(1, 1 + len(axes))).copy()
+    shape = (len(state), 2 ** len(axes), -1)
     np.matmul(matrix, scratch.reshape(shape), out=state.reshape(shape))
 
 
@@ -225,19 +235,22 @@ def _by_signs(circuit: Circuit):
         groups.setdefault(tuple(bool(m[point]) for m in masks.values()), []).append(point)
     for acts, points in groups.items():
         on, steps = dict(zip(masks, acts)), enumerate(gates)
-        yield [(k, q, None if i in on else a) for i, (k, q, a) in steps if on.get(i, True)], points
+        gates_on = [Gate(k, q, None if i in on else a) for i, (k, q, a) in steps if on.get(i, True)]
+        yield gates_on, points
 
 
-def _encoding(circuit: Circuit) -> tuple[int, list[tuple[int, bool, np.ndarray]]]:
-    """The leading gates of a circuit that make an encoding: ry gates on
+def _encoding(
+    gates: tuple[Gate, ...] | list[Gate],
+) -> tuple[int, list[tuple[int, bool, np.ndarray]]]:
+    """The leading gates of a gate list that make an encoding: ry gates on
     distinct qubits r_0, r_1, ... (untouched, so each acts on a 0), then cx
     gates that chain them in that order, cx(r_0, r_1), cx(r_1, r_2), ...
     Returns how many gates that is and, for each r_k in order, the qubit,
     whether the chain reaches it, and the factors f_k = (cos, sin) of half its
     angle, shape [2, b], b the batch where the angle holds one per point, else
-    1.  Each distinct angle's factors are computed once per circuit (the
+    1.  Each distinct angle's factors are computed once per call (the
     encodings of a program share one angle)."""
-    gates, qubits = circuit.gates, []
+    qubits = []
     for gate in gates:
         if gate.kind != "ry" or gate.qubits[0] in qubits:
             break
@@ -324,16 +337,15 @@ def _states(circuit: Circuit):
     of their axes after the batch axis holds, for each chunk of at most
     _CHUNK_AMPLITUDES amplitudes and at least one point.  Each chunk's state
     is built from the circuit's encoding (_encoding), then swept over the
-    gates after it; a chunk of one point is swept over the fused gates of its
-    own point.  The caller drops each chunk's states before asking for the
-    next."""
+    gates after it; a chunk of one point is built from the encoding of its
+    own point's gates (_by_signs), then swept over the fused gates after it.
+    The caller drops each chunk's states before asking for the next."""
     n, batch = circuit.n_qubits, circuit.batch
     chunk = max(1, _CHUNK_AMPLITUDES >> n)
-    count, encoding = _encoding(circuit)
-    sweeps = [(circuit.gates[count:], range(0, batch, chunk))]
-    if chunk == 1:
-        sweeps = [(_fuse(steps[count:], batch), points) for steps, points in _by_signs(circuit)]
-    for steps, starts in sweeps:
+    groups = _by_signs(circuit) if chunk == 1 else [(circuit.gates, range(0, batch, chunk))]
+    for gates, starts in groups:
+        count, encoding = _encoding(gates)
+        steps = _fuse(gates[count:], batch) if chunk == 1 else gates[count:]
         for lo in starts:
             hi = min(lo + chunk, batch)
             yield (lo, hi, *_sweep(steps, n, lo, hi, encoding))

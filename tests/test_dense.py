@@ -33,35 +33,40 @@ def _kron_all(mats):
     return out
 
 
+def _oracle_gate(gate: Gate, n: int) -> np.ndarray:
+    """The 2^n x 2^n matrix of one gate of one point, qubit 0 the most
+    significant bit."""
+    if gate.kind == "cx":
+        c, t = gate.qubits
+        full = np.zeros((2**n, 2**n), dtype=complex)
+        for basis in range(2**n):
+            bits = [(basis >> (n - 1 - i)) & 1 for i in range(n)]
+            if bits[c]:
+                bits[t] ^= 1
+            out = sum(b << (n - 1 - i) for i, b in enumerate(bits))
+            full[out, basis] = 1.0
+        return full
+    if gate.kind == "ry":
+        m = np.array(
+            [
+                [math.cos(gate.angle / 2), -math.sin(gate.angle / 2)],
+                [math.sin(gate.angle / 2), math.cos(gate.angle / 2)],
+            ],
+            dtype=complex,
+        )
+    elif gate.kind == "rz":
+        m = np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
+    else:
+        m = np.array([[0, 1], [1, 0]], dtype=complex)
+    return _kron_all([m if i == gate.qubits[0] else _I2 for i in range(n)])
+
+
 def _oracle_state(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     state = np.zeros(2**n, dtype=complex)
     state[0] = 1.0
     for g in circuit.gates:
-        if g.kind == "cx":
-            c, t = g.qubits
-            full = np.zeros((2**n, 2**n), dtype=complex)
-            for basis in range(2**n):
-                bits = [(basis >> (n - 1 - i)) & 1 for i in range(n)]
-                if bits[c]:
-                    bits[t] ^= 1
-                out = sum(b << (n - 1 - i) for i, b in enumerate(bits))
-                full[out, basis] = 1.0
-        else:
-            if g.kind == "ry":
-                m = np.array(
-                    [
-                        [math.cos(g.angle / 2), -math.sin(g.angle / 2)],
-                        [math.sin(g.angle / 2), math.cos(g.angle / 2)],
-                    ],
-                    dtype=complex,
-                )
-            elif g.kind == "rz":
-                m = np.diag([np.exp(-0.5j * g.angle), np.exp(0.5j * g.angle)])
-            else:
-                m = np.array([[0, 1], [1, 0]], dtype=complex)
-            full = _kron_all([m if i == g.qubits[0] else _I2 for i in range(n)])
-        state = full @ state
+        state = _oracle_gate(g, n) @ state
     return state
 
 
@@ -337,7 +342,54 @@ def test_fused_degree_batch_of_mixed_signs_is_each_trial_alone_bit_for_bit(order
     assert zs == _each_trial_alone(programs, xs)
 
 
-# --- wide states: runs of gates on one qubit pair fused into one matmul -----
+def _chunks(monkeypatch) -> list[tuple]:
+    """Spies on dense._sweep: each chunk's first point, fused steps and
+    encoding, in the order the chunks run."""
+    from polyshot import dense
+
+    swept, sweep = [], dense._sweep
+
+    def spy(steps, n, lo, hi, encoding):
+        swept.append((lo, steps, encoding))
+        return sweep(steps, n, lo, hi, encoding)
+
+    monkeypatch.setattr(dense, "_sweep", spy)
+    return swept
+
+
+def test_each_sign_group_of_a_fused_batch_has_its_trial_s_own_encoding_and_steps(monkeypatch):
+    # forward order: the x of a negative a_0 comes first and hides ry(1), ry(2)
+    # from the batch's encoding, so a trial without that x must find its
+    # encoding in its own gates
+    d, xs = 12, [-0.7, 0.2, 0.55]
+    coeffs = [np.random.default_rng(101 + t).uniform(-1, 1, d + 1) for t in range(2)]
+    coeffs[0][0], coeffs[1][0] = -abs(coeffs[0][0]), abs(coeffs[1][0])
+    programs = [compile_poly(Polynomial(tuple(c)), "forward") for c in coeffs]
+    swept = _chunks(monkeypatch)
+    expect_z_plan(plan_programs(programs, xs))
+    batch = {lo: (steps, encoding) for lo, steps, encoding in swept}
+    assert sorted(batch) == list(range(2 * len(xs)))
+    lengths = []
+    for t, program in enumerate(programs):
+        swept.clear()
+        expect_z_plan(plan([build_circuit(program, x) for x in xs]))
+        for i, own_steps, own_encoding in swept:
+            steps, encoding = batch[t * len(xs) + i]
+            lengths.append(len(encoding))
+            assert [(q, linked) for q, linked, _ in encoding] == [
+                (q, linked) for q, linked, _ in own_encoding
+            ]
+            for (_, _, f), (_, _, own_f) in zip(encoding, own_encoding):
+                assert np.array_equal(f[:, t * len(xs) + i], own_f[:, i])
+            assert [step[:2] for step in steps] == [step[:2] for step in own_steps]
+            for (kind, _, arg), (_, _, own_arg) in zip(steps, own_steps):
+                if kind == "u":  # one matrix per point, or one for all
+                    at = t * len(xs) + i if len(arg) > 1 else 0
+                    assert np.array_equal(arg[at], own_arg[i if len(own_arg) > 1 else 0])
+    assert lengths == [0] * len(xs) + [2] * len(xs)
+
+
+# --- wide states: runs of gates on up to three qubits fused into one matmul ---
 
 
 def _unfused(circuits: list[Circuit], i: int) -> np.ndarray:
@@ -423,6 +475,65 @@ def test_a_fused_run_peaks_within_the_checked_bytes_per_amplitude():
     assert peak <= 1.05 * dense._PEAK_BYTES_PER_AMPLITUDE * 2 ** (d + 1)
 
 
+def _random_run(qubits: tuple, rng, n_points: int, shared: bool) -> list[tuple]:
+    """A shuffled run of every gate kind on each of the qubits (cx both ways
+    to the next one), ry and rz with one angle per point unless `shared`."""
+    run = []
+    for i, q in enumerate(qubits):
+        for kind in ("ry", "rz"):
+            run.append((kind, (q,), rng.uniform(-math.pi, math.pi, None if shared else n_points)))
+        run.append(("x", (q,), None))
+        if len(qubits) > 1:
+            other = qubits[(i + 1) % len(qubits)]
+            run += [("cx", (q, other), None), ("cx", (other, q), None)]
+    rng.shuffle(run)
+    return run
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_fused_step_on_k_unsorted_axes_matches_the_kron_oracle(k, shared):
+    from polyshot import dense
+
+    rng = np.random.default_rng(98 + k)
+    n, n_points = 5, 3
+    qubits = (4, 1, 3)[:k]  # unsorted, and not the leading axes
+    run = _random_run(qubits, rng, n_points, shared)
+    matrix = dense._run_matrix(run, qubits, n_points)
+    assert matrix.shape == (1 if shared else n_points, 2**k, 2**k)
+    state = rng.normal(size=(n_points, 2**n)) + 1j * rng.normal(size=(n_points, 2**n))
+    got = state.reshape([n_points] + [2] * n).copy()
+    dense._apply_u(got, matrix, *(1 + q for q in qubits))
+    order = list(qubits) + [q for q in range(n) if q not in qubits]
+    got = got.transpose([0] + [1 + order.index(q) for q in range(n)]).reshape(n_points, -1)
+    for p in range(n_points):
+        local, full = np.eye(2**k, dtype=complex), np.eye(2**n, dtype=complex)
+        for kind, qs, angle in run:
+            angle = angle[p] if isinstance(angle, np.ndarray) else angle
+            at = tuple(qubits.index(q) for q in qs)  # the matrix's bit order
+            local = _oracle_gate(Gate(kind, at, angle), k) @ local
+            full = _oracle_gate(Gate(kind, qs, angle), n) @ full
+        assert np.abs(matrix[0 if shared else p] - local).max() < 1e-12
+        assert np.abs(got[p] - full @ state[p]).max() < 1e-12
+
+
+def test_a_fused_backward_point_runs_one_step_per_two_sum_blocks(monkeypatch):
+    # after the encoding, block k on (k, k+1) and block k-1 share qubit k,
+    # so each step on three qubits covers two blocks
+    rng = np.random.default_rng(99)
+    swept = _chunks(monkeypatch)
+    for d in range(11, 21):
+        poly = Polynomial(tuple(rng.uniform(-1, 1, d + 1)))
+        program = compile_poly(poly, "backward")
+        swept.clear()
+        (z,) = expect_z_plan(build_circuit(program, 0.3))
+        ((_, steps, encoding),) = swept
+        assert len(encoding) == d
+        assert len(steps) == math.ceil(d / 2)
+        assert all(kind == "u" and len(qubits) <= 3 for kind, qubits, _ in steps)
+        assert abs(program.rescale * z - eval_poly(poly, 0.3)) < 1e-9
+
+
 # --- the encoding: leading ry gates and their cx chain, built, not swept ----
 
 
@@ -438,7 +549,7 @@ def test_the_built_encoding_is_the_gate_sweep_bit_for_bit(order):
     for d in range(11):
         batch = plan_programs(_trials(rng, d, order, 3), xs)
         masked |= any(g.kind == "x" and g.angle is not None for g in batch.gates)
-        count, _ = dense._encoding(batch)
+        count, _ = dense._encoding(batch.gates)
         if order == "backward":
             assert count == max(2 * d - 1, 0)
         else:  # ry(1), ry(2), then the chain's rz; the x of a negative c_0 comes first
@@ -508,7 +619,7 @@ def test_an_encoding_and_its_near_misses_match_the_kron_oracle(miss):
         for _ in range(3):
             circuits, count = _encoded_points(n, rng, miss)
             batch = plan(circuits)
-            assert dense._encoding(batch)[0] == count
+            assert dense._encoding(batch.gates)[0] == count
             for circuit, z in zip(circuits, expect_z_plan(batch)):
                 want = _oracle_state(circuit)
                 assert np.abs(run_statevector(circuit) - want).max() < 1e-12
