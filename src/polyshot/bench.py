@@ -22,10 +22,10 @@ import numpy as np
 from .circuit import Circuit
 from .compile import ORDERS, build_circuit, compile_poly, plan_programs, resources, skeleton_key
 from .dense import DEFAULT_QUBIT_CAP, MAX_SHOTS, CapacityError, NoiseModel, draw_shots_batch
-from .dense import expect_z_plan, prob_one
+from .dense import expect_z_plan
 from .estimate import Estimate, PASS_THRESHOLD, point_estimate, run_metrics, shot_scaling_fit
 from .poly import Polynomial, eval_poly, sup_norm
-from .rng import derive_seed, generator
+from .rng import derive_seed, derive_seeds, generator
 from .stream import DEFAULT_WINDOW_CAP, run_window_plan
 
 TABLE1_PAPER_SIM = {
@@ -196,13 +196,14 @@ def recovery_run(config: ExperimentConfig) -> RunReport:
                 )
     t0 = time.perf_counter()
     lo, hi = config.x_domain
-    xs = [float(x) for x in np.linspace(lo, hi, config.points_per_trial)]
+    grid = np.linspace(lo, hi, config.points_per_trial)
+    xs = grid.tolist()
     records: list[Record] = []
     per_degree: list[dict] = []
     timings: dict[str, float] = {}
     for degree in config.degrees:
         t_deg = time.perf_counter()
-        seeds = [derive_seed(config.master_seed, degree, trial) for trial in range(config.trials)]
+        seeds = derive_seeds(config.master_seed, degree, range(config.trials))
         bound, target = config.coeff_bound, config.sup_rescale_target
         polys = [gen_random_poly(degree, seed, bound, target) for seed in seeds]
         t_compile = time.perf_counter()
@@ -228,38 +229,39 @@ def recovery_run(config: ExperimentConfig) -> RunReport:
             laps["simulate"] += time.perf_counter() - t_sim
         t_sample = time.perf_counter()
         points = [(trial, point) for trial in range(config.trials) for point in range(len(xs))]
-        if config.shots:
-            seeds = [derive_seed(config.master_seed, degree, t, p) for t, p in points]
-            outcomes = draw_shots_batch([zs[t][p] for t, p in points], config.shots, seeds)
-        pairs, norm_resid, pred_errs = [], [], []
-        for i, (trial, point) in enumerate(points):
-            x, z, c = xs[point], zs[trial][point], programs[trial].rescale
-            truth = eval_poly(polys[trial], x)
-            if config.shots == 0:  # infinite-shot surrogate
-                est = Estimate(c * z, 0.0)
-            else:
-                est = point_estimate(outcomes[i], c)
-                if config.noise is None:
-                    p1 = prob_one(z)
-                    pred_errs.append(2.0 * c * np.sqrt(p1 * (1.0 - p1) / config.shots))
-            records.append(Record(degree, trial, point, x, truth, est.value, est.stderr))
-            pairs.append((truth, est.value))
-            norm_resid.append(est.value / c - truth / c)
+        z_all = [zs[trial][point] for trial, point in points]
+        truths = [v for poly in polys for v in eval_poly(poly, grid).tolist()]
+        cs = [programs[trial].rescale for trial, _ in points]
+        if config.shots == 0:  # infinite-shot surrogate
+            estimates = [Estimate(c * z, 0.0) for c, z in zip(cs, z_all)]
+        else:  # one row of per-point seeds per trial
+            prefix = (config.master_seed, degree)
+            seeds = [derive_seeds(*prefix, trial, range(len(xs))) for trial in range(config.trials)]
+            outcomes = draw_shots_batch(z_all, config.shots, [s for row in seeds for s in row])
+            estimates = [point_estimate(outcome, c) for outcome, c in zip(outcomes, cs)]
+        values = [est.value for est in estimates]
+        records += [
+            Record(degree, trial, point, xs[point], truth, est.value, est.stderr)
+            for (trial, point), truth, est in zip(points, truths, estimates)
+        ]
         t_metrics = time.perf_counter()
         laps["sample"] = t_metrics - t_sample
-        metrics = run_metrics(pairs, config.pass_threshold)
+        metrics = run_metrics(list(zip(truths, values)), config.pass_threshold)
+        c = np.array(cs)
+        norm_resid = np.array(values) / c - np.array(truths) / c
         row = {
             "degree": degree,
             "rmse": metrics.rmse,
             "pearson": metrics.pearson,
             "pass_rate": metrics.pass_rate,
-            "rmse_normalized": float(np.sqrt(np.mean(np.array(norm_resid) ** 2))),
+            "rmse_normalized": float(np.sqrt(np.mean(norm_resid**2))),
             "qubits": deg_resources.qubits,
             "two_qubit_gates": deg_resources.two_qubit_gates,
             "depth": deg_resources.depth,
         }
-        if pred_errs:
-            row["rmse_pred"] = float(np.mean(pred_errs))
+        if config.shots and config.noise is None:  # the shot-noise prediction
+            p1 = np.clip(0.5 * (1.0 - np.array(z_all)), 0.0, 1.0)  # dense.prob_one
+            row["rmse_pred"] = float(np.mean(2.0 * c * np.sqrt(p1 * (1.0 - p1) / config.shots)))
         if degree in TABLE1_PAPER_SIM:
             row["paper_sim_rmse"], row["paper_sim_pass_pct"] = TABLE1_PAPER_SIM[degree]
         per_degree.append(row)
@@ -284,13 +286,15 @@ def shot_scaling_experiment(master_seed: int = ExperimentConfig.master_seed) -> 
     degree, points, repetitions = SHOTS_DEGREE, SHOTS_POINTS, SHOTS_REPETITIONS
     poly = gen_random_poly(degree, derive_seed(master_seed, degree, 0))
     program = compile_poly(poly, "backward")
-    xs = [float(x) for x in np.linspace(-0.9, 0.9, points)]
-    truths = [eval_poly(poly, x) for x in xs]
+    grid = np.linspace(-0.9, 0.9, points)
+    xs = grid.tolist()
+    truths = eval_poly(poly, grid).tolist()
     zs = expect_z_plan(plan_programs([program], xs))
-    rows, keys = [], [(rep, point) for rep in range(repetitions) for point in range(points)]
+    rows = []
     for n_idx, shots in enumerate(SHOTS_LIST):
-        seeds = [derive_seed(master_seed, degree, n_idx, rep, point) for rep, point in keys]
-        outcomes = draw_shots_batch(zs * repetitions, shots, seeds)
+        prefix = (master_seed, degree, n_idx)
+        seeds = [derive_seeds(*prefix, rep, range(points)) for rep in range(repetitions)]
+        outcomes = draw_shots_batch(zs * repetitions, shots, [s for row in seeds for s in row])
         sq_errs = [
             (point_estimate(outcome, program.rescale).value - truth) ** 2
             for outcome, truth in zip(outcomes, truths * repetitions)

@@ -22,10 +22,11 @@ with one angle per point where the points differ and a mask where an x (the
 sign of a negative term) acts on some points only.  Here the state is a
 tensor of shape [B] + [2]*n, and a masked x swaps the halves of its points
 alone; the windowed simulator has kernels of its own (see stream.py).  Every
-run goes through one chunk driver, _states, whose chunks hold at most
-_CHUNK_AMPLITUDES amplitudes, and at least one point, so a small program
-(2-7 qubits in the Table-1 protocol) runs a whole degree in one sweep, and
-each gate's Python dispatch is paid once per degree, not once per point.  A
+run goes through one chunk driver, _states.  A point narrower than
+_FUSE_AMPLITUDES (2^12) amplitudes runs in chunks of at most
+_CHUNK_AMPLITUDES (2^15) amplitudes, so a Table-1 degree (10 trials x 15
+points of 2-7 qubits) runs in one sweep, each gate's Python dispatch is paid
+once per degree, not once per point, and <Z> is one reduction per chunk.  A
 wide state (2^12 amplitudes and up) runs one point at a time: its cost per
 gate is memory traffic, which a batch does not cut, and a batch would
 multiply its peak memory, the one allocation that limits it.
@@ -52,9 +53,10 @@ little per sum block (see _FUSE_QUBITS).  The state's axes are then permuted
 (the run's qubits first), so the sweep keeps the qubit each axis holds and
 every later gate reads it; run_statevector returns the amplitudes in qubit
 order, and expect_z_plan reads z on the measured qubit's current axis.  Only
-a chunk of one point is fused, and from its own gates (each masked x made an
-x or dropped): their encoding is built and the gates after it are fused, so
-its encoding, runs and their rounding are those of its trial alone.  A
+a chunk of one point is fused, and from its sign group's gates (each masked
+x made an x or dropped): their encoding is built and the gates after it are
+fused, so its encoding, runs and their rounding are those of its trial
+alone.  A group's run matrices are built for its own points only.  A
 degree-20 backward point (21 qubits) takes about 0.21-0.37 s on a 2-vCPU
 host.
 """
@@ -77,8 +79,12 @@ MAX_SHOTS = 2**63 - 1
 # encoding build's copy of the real amplitudes it reads, at most 2 bytes per
 # amplitude)
 _PEAK_BYTES_PER_AMPLITUDE = 2 * 16
-# the most amplitudes one chunk of _states holds (see the module docstring)
-_CHUNK_AMPLITUDES = 2**12
+# a point of at least this many amplitudes runs alone, fused; narrower points
+# run in chunks of at most _CHUNK_AMPLITUDES (see the module docstring).  At
+# 2^15 a chunk's peak is 1 MiB, and the 150 points of 7 qubits of a Table-1
+# degree run as one chunk
+_FUSE_AMPLITUDES = 2**12
+_CHUNK_AMPLITUDES = 2**15
 # the most qubits one fused step acts on.  A step is bound by its two passes
 # over the state, not by its flops: at 17 qubits (2-vCPU host, one BLAS
 # thread) a 4x4 step took 0.55 ms, an 8x8 one, which covers two sum blocks,
@@ -194,11 +200,13 @@ def _run_matrix(run: list[tuple], qubits: tuple[int, ...], batch: int) -> np.nda
     return cols.reshape(b, 2**k, 2**k)
 
 
-def _fuse(steps: list[tuple], batch: int) -> list[tuple]:
+def _fuse(steps: list[tuple], points: list[int]) -> list[tuple]:
     """The gates of a batch with each maximal run of consecutive gates whose
     qubits fit in _FUSE_QUBITS qubits merged into one step ("u", qubits,
     matrix), on exactly the run's qubits in the order they first appear; a
-    run of one gate stays as it is."""
+    run of one gate stays as it is.  A matrix is built for the given points
+    alone: one per point, in their order, where a gate of the run holds one
+    angle per point, else one for all."""
     runs: list[tuple[tuple, list]] = []  # (the run's qubits, its steps)
     for step in steps:
         qubits, run = runs[-1] if runs else ((), [])
@@ -208,10 +216,13 @@ def _fuse(steps: list[tuple], batch: int) -> list[tuple]:
             run.append(step)
         else:
             runs.append((tuple(step[1]), [step]))
-    return [
-        run[0] if len(run) == 1 else ("u", qubits, _run_matrix(run, qubits, batch))
-        for qubits, run in runs
-    ]
+    fused = []
+    for qubits, run in runs:
+        if len(run) > 1:  # from the run's angles and masks at the points alone
+            run = [(k, q, a[points] if isinstance(a, np.ndarray) else a) for k, q, a in run]
+            run = [("u", qubits, _run_matrix(run, qubits, len(points)))]
+        fused += run
+    return fused
 
 
 def _apply_u(state: np.ndarray, matrix: np.ndarray, *axes: int) -> None:
@@ -322,8 +333,8 @@ def _sweep(
     order = list(range(n))
     for kind, qubits, arg in steps:
         axes = [1 + order.index(q) for q in qubits]
-        if kind == "u":  # one matrix per point, or one for all
-            _apply_u(state, arg if len(arg) == 1 else arg[lo:hi], *axes)
+        if kind == "u":  # a fused chunk's step: one matrix
+            _apply_u(state, arg, *axes)
             order = list(qubits) + [q for q in order if q not in qubits]
         else:
             if isinstance(arg, np.ndarray):  # one per point: a chunk of one takes a scalar
@@ -334,21 +345,28 @@ def _sweep(
 
 def _states(circuit: Circuit):
     """lo, hi, the states of the circuit's points lo..hi-1 and the qubit each
-    of their axes after the batch axis holds, for each chunk of at most
-    _CHUNK_AMPLITUDES amplitudes and at least one point.  Each chunk's state
-    is built from the circuit's encoding (_encoding), then swept over the
-    gates after it; a chunk of one point is built from the encoding of its
-    own point's gates (_by_signs), then swept over the fused gates after it.
-    The caller drops each chunk's states before asking for the next."""
+    of their axes after the batch axis holds, for each chunk in turn.  Points
+    narrower than _FUSE_AMPLITUDES run in chunks of at most _CHUNK_AMPLITUDES
+    amplitudes, each built from the circuit's encoding (_encoding), then swept
+    over the gates after it.  A wider point runs alone: it is built from the
+    encoding of its sign group's gates (_by_signs), then swept over the steps
+    that fuse the gates after it (_fuse), whose matrices are built for the
+    group's points alone and read at the point's position in the group.  The
+    caller drops each chunk's states before asking for the next."""
     n, batch = circuit.n_qubits, circuit.batch
-    chunk = max(1, _CHUNK_AMPLITUDES >> n)
-    groups = _by_signs(circuit) if chunk == 1 else [(circuit.gates, range(0, batch, chunk))]
-    for gates, starts in groups:
-        count, encoding = _encoding(gates)
-        steps = _fuse(gates[count:], batch) if chunk == 1 else gates[count:]
-        for lo in starts:
+    if 2**n < _FUSE_AMPLITUDES:
+        chunk = _CHUNK_AMPLITUDES >> n
+        count, encoding = _encoding(circuit.gates)
+        for lo in range(0, batch, chunk):
             hi = min(lo + chunk, batch)
-            yield (lo, hi, *_sweep(steps, n, lo, hi, encoding))
+            yield (lo, hi, *_sweep(circuit.gates[count:], n, lo, hi, encoding))
+        return
+    for gates, points in _by_signs(circuit):
+        count, encoding = _encoding(gates)
+        steps = _fuse(gates[count:], points)
+        for j, lo in enumerate(points):  # each point's own matrix, or the one for all
+            own = [(k, q, a[j : j + 1] if k == "u" and len(a) > 1 else a) for k, q, a in steps]
+            yield (lo, lo + 1, *_sweep(own, n, lo, lo + 1, encoding))
 
 
 def run_statevector(circuit: Circuit) -> np.ndarray:
@@ -361,19 +379,19 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
 
 
 def expect_z_plan(circuit: Circuit) -> list[float]:
-    """Exact <Z> of the measured qubit at each point of a circuit, in order.
-    Where the points differ only in ry angles, each point's state is the one
-    run_statevector gives for that point alone, bit for bit: a real rotation
-    rounds the same with one angle or many (a per-point rz phase may move the
-    last bit).  Below 2^12 amplitudes it is also
-    expect_z(run_statevector(point), measured) bit for bit; above, the fused
-    sweep leaves the axes permuted, and the sum over them may round
+    """Exact <Z> of the measured qubit at each point of a circuit, in order,
+    one reduction (_zs) per chunk.  Where the points differ only in ry
+    angles, each point's state is the one run_statevector gives for that point
+    alone, bit for bit: a real rotation rounds the same with one angle or many
+    (a per-point rz phase may move the last bit).  Below 2^12 amplitudes each
+    z is also expect_z(run_statevector(point), measured) bit for bit; above,
+    the fused sweep leaves the axes permuted, and the sum over them may round
     differently (by about 1e-15).  The encoding is built (_encoding) and only
     the gates after it are fused, so a fused point's z may also differ, by
     about 1e-16, from a fusion of all its gates, the encoding's included."""
     zs = [0.0] * circuit.batch
     for lo, hi, states, order in _states(circuit):
-        zs[lo:hi] = [expect_z(state, order.index(circuit.measured_qubit)) for state in states]
+        zs[lo:hi] = _zs(states, order.index(circuit.measured_qubit))
         del states  # freed before the next chunk is allocated
     return zs
 
@@ -381,6 +399,15 @@ def expect_z_plan(circuit: Circuit) -> list[float]:
 def expect_z(state: np.ndarray, qubit: int) -> float:
     """<Z> of one qubit: sum of |amp|^2 signed by that qubit's bit."""
     n = int(round(np.log2(state.size)))
-    probs = np.abs(state.reshape([2] * n)) ** 2
-    marg = probs.sum(axis=tuple(i for i in range(n) if i != qubit))
-    return float(marg[0] - marg[1])
+    return _zs(state.reshape([1] + [2] * n), qubit)[0]
+
+
+def _zs(states: np.ndarray, axis: int) -> list[float]:
+    """<Z> on one axis (after the batch axis) of each state of a batch
+    [B] + [2]*n, as one reduction: per state, the sum of |amp|^2 over every
+    other axis, 0-half minus 1-half.  Each state's sums run in the order a
+    lone state's would, so a state's z does not depend on its batch.  The
+    |amp|^2 scratch is bound to no name, so it is freed on return."""
+    others = tuple(1 + i for i in range(states.ndim - 1) if i != axis)
+    marg = (np.abs(states) ** 2).sum(axis=others)
+    return (marg[:, 0] - marg[:, 1]).tolist()

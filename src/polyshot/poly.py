@@ -101,23 +101,25 @@ def fit(samples: list[tuple[float, float]], degree: int) -> FitResult:
 
 # sup_norm's grid over [-1, 1], and the bracket width its refinement stops at
 _SUP_GRID_POINTS = 10001
+_SUP_GRID = np.linspace(-1.0, 1.0, _SUP_GRID_POINTS)
 _SUP_TOL = 1e-12
 
 
 def sup_norm(poly: Polynomial) -> float:
-    """max |P(x)| over [-1, 1]: dense grid scan plus golden-section refinement."""
-    grid = np.linspace(-1.0, 1.0, _SUP_GRID_POINTS)
-    vals = np.abs(eval_poly(poly, grid))
+    """max |P(x)| over [-1, 1]: dense grid scan plus golden-section refinement.
+    The refinement runs on Python floats: the same IEEE double arithmetic as
+    on numpy scalars, at about half the cost per step."""
+    vals = np.abs(eval_poly(poly, _SUP_GRID))
     i = int(np.argmax(vals))
     if poly.degree == 0:
         return float(vals[i])
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, _SUP_GRID_POINTS - 1)]
+    lo = float(_SUP_GRID[max(i - 1, 0)])
+    hi = float(_SUP_GRID[min(i + 1, _SUP_GRID_POINTS - 1)])
     refined = _golden_max(lambda x: abs(eval_poly(poly, x)), lo, hi, _SUP_TOL)
     return float(max(vals[i], refined))
 
 
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:

@@ -5,6 +5,8 @@ bit generator keyed by a 64-bit seed.  Child seeds are derived from a
 master seed plus integer labels (degree, trial, point index, ...) with a
 splitmix64 mixing chain, so results are independent of task scheduling:
 any (master, labels...) pair names the same stream on every platform.
+derive_seeds gives a row of such seeds, one per value of the last label, in
+one pass.
 """
 from __future__ import annotations
 
@@ -19,7 +21,9 @@ _MIX2 = 0x94D049BB133111EB
 _H0 = 0x243F6A8885A308D3
 
 
-def _splitmix64(z: int) -> int:
+def _splitmix64(z):
+    """One splitmix64 step on a 64-bit int, or on each entry of a uint64 array
+    (whose arithmetic wraps mod 2^64, as the masks do)."""
     z = (z + _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
@@ -32,6 +36,17 @@ def derive_seed(*labels: int) -> int:
     for part in labels:
         h = _splitmix64(h ^ (int(part) & _MASK64))
     return h
+
+
+def derive_seeds(*labels) -> list[int]:
+    """[derive_seed(*labels[:-1], part) for part in labels[-1]], bit for bit:
+    the leading labels are hashed once, and the last step of the chain runs
+    on a uint64 array of the parts.  Each part is masked to 64 bits as
+    derive_seed masks it, so a negative part or one of more than 64 bits names
+    the same seed."""
+    *prefix, parts = labels
+    z = np.array([int(part) & _MASK64 for part in parts], dtype=np.uint64)
+    return _splitmix64(z ^ derive_seed(*prefix)).tolist()
 
 
 def generator(seed: int) -> np.random.Generator:

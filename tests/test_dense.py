@@ -223,16 +223,19 @@ def _kernel_batch(n: int, rng, n_points: int, measured: int, kinds: tuple) -> li
 
 
 def test_batch_matches_kron_oracle_on_every_kind_and_across_chunks():
-    # from n = 9 on, 15 points of n qubits overflow one chunk
+    # from n = 9 on, 70 points of n qubits overflow one chunk
+    from polyshot import dense
+
+    assert dense._CHUNK_AMPLITUDES >> 9 < 70
     rng = np.random.default_rng(81)
     for n in range(1, 11):
         measured = n // 2
         # per-point ry angles, as the encoding of a program's points: bit for bit
-        circuits = _kernel_batch(n, rng, 15, measured, ("ry",))
+        circuits = _kernel_batch(n, rng, 70, measured, ("ry",))
         zs = expect_z_plan(plan(circuits))
         assert zs == [expect_z(run_statevector(c), measured) for c in circuits]
         # per-point rz phases too: the complex product may round differently
-        circuits = _kernel_batch(n, rng, 15, measured, ("ry", "rz"))
+        circuits = _kernel_batch(n, rng, 70, measured, ("ry", "rz"))
         zs = expect_z_plan(plan(circuits))
         for circuit, z in zip(circuits, zs):
             assert abs(z - expect_z(run_statevector(circuit), measured)) < 1e-14
@@ -318,13 +321,13 @@ def test_degree_batch_is_each_trial_alone_bit_for_bit(order):
 
 
 def test_degree_batch_across_chunks_is_each_trial_alone_bit_for_bit():
-    # 7 qubits: chunks of 32 points, so 10 trials x 15 points span 5 chunks
+    # 7 qubits: chunks of 256 points, so 40 trials x 15 points span 3 chunks
     from polyshot import dense
 
-    assert dense._CHUNK_AMPLITUDES >> 7 == 32
+    assert dense._CHUNK_AMPLITUDES >> 7 == 256
     xs = [float(x) for x in np.linspace(-0.9, 0.9, 15)]
     for order in ("backward", "forward"):
-        programs = _trials(np.random.default_rng(83), 6, order, 10)
+        programs = _trials(np.random.default_rng(83), 6, order, 40)
         zs = expect_z_plan(plan_programs(programs, xs))
         assert zs == _each_trial_alone(programs, xs)
 
@@ -389,6 +392,37 @@ def test_each_sign_group_of_a_fused_batch_has_its_trial_s_own_encoding_and_steps
     assert lengths == [0] * len(xs) + [2] * len(xs)
 
 
+def test_a_sign_group_s_fused_matrices_are_built_for_its_own_points(monkeypatch):
+    # trials 0 and 2 share their signs, so the groups hold 2 x 3 and 3 points;
+    # each run matrix is one per point of its group, or one for all
+    from polyshot import dense
+
+    rng = np.random.default_rng(87)
+    d, xs = 12, [-0.7, 0.2, 0.55]
+    coeffs = [rng.uniform(-1, 1, d + 1) for _ in range(2)]
+    coeffs.append(coeffs[0] * rng.uniform(0.5, 2.0, d + 1))
+    programs = [compile_poly(Polynomial(tuple(c)), "backward") for c in coeffs]
+    built, fuse, run_matrix = [], dense._fuse, dense._run_matrix
+
+    def fuse_spy(steps, points):
+        built.append((list(points), []))
+        return fuse(steps, points)
+
+    def run_matrix_spy(run, qubits, batch):
+        matrix = run_matrix(run, qubits, batch)
+        built[-1][1].append(len(matrix))
+        return matrix
+
+    monkeypatch.setattr(dense, "_fuse", fuse_spy)
+    monkeypatch.setattr(dense, "_run_matrix", run_matrix_spy)
+    zs = expect_z_plan(plan_programs(programs, xs))
+    assert sorted(points for points, _ in built) == [[0, 1, 2, 6, 7, 8], [3, 4, 5]]
+    for points, sizes in built:
+        assert len(points) in sizes and set(sizes) <= {1, len(points)}
+    monkeypatch.undo()
+    assert zs == _each_trial_alone(programs, xs)
+
+
 # --- wide states: runs of gates on up to three qubits fused into one matmul ---
 
 
@@ -413,14 +447,41 @@ def test_only_a_state_of_one_point_per_chunk_is_fused(monkeypatch):
         return sweep(steps, n, lo, hi, encoding)
 
     monkeypatch.setattr(dense, "_sweep", spy)
-    for n, chunks in ((11, [(2, False), (1, False)]), (12, [(1, True)] * 3)):
-        circuits = _kernel_batch(n, np.random.default_rng(n), 3, 0, ("ry",))
+    for n, points, chunks in ((11, 20, [(16, False), (4, False)]), (12, 3, [(1, True)] * 3)):
+        circuits = _kernel_batch(n, np.random.default_rng(n), points, 0, ("ry",))
         swept.clear()
         expect_z_plan(plan(circuits))
         assert swept == chunks
         swept.clear()
-        run_statevector(circuits[0])
-        assert swept == chunks[-1:]
+        run_statevector(circuits[0])  # a point alone: fused as the batch's chunks are
+        assert swept == [(1, chunks[0][1])]
+
+
+def _lone_z(state: np.ndarray, axis: int) -> float:
+    """<Z> on one axis of one state, reduced alone: the sum of |amp|^2 over
+    every other axis, 0-half minus 1-half."""
+    probs = np.abs(state) ** 2
+    marg = probs.sum(axis=tuple(i for i in range(state.ndim) if i != axis))
+    return float(marg[0] - marg[1])
+
+
+@pytest.mark.parametrize("n, points", [(9, 150), (11, 40), (12, 3), (13, 2)])
+def test_a_chunk_s_z_is_expect_z_of_each_of_its_states(n, points):
+    # one reduction per chunk: narrow batches of several chunks, and fused
+    # points, whose axes are permuted
+    from polyshot import dense
+
+    rng = np.random.default_rng(86 + n)
+    for measured in (0, n // 2, n - 1):
+        batch = plan(_kernel_batch(n, rng, points, measured, ("ry", "rz")))
+        want, chunks = [], 0
+        for _, _, states, order in dense._states(batch):
+            axis = order.index(measured)
+            want += [_lone_z(state, axis) for state in states]
+            assert [expect_z(state, axis) for state in states] == want[-len(states) :]
+            chunks += 1
+        assert chunks > 1
+        assert expect_z_plan(batch) == want
 
 
 @pytest.mark.parametrize("n", [12, 13])

@@ -130,6 +130,54 @@ def test_sup_norm_against_dense_grid_oracle():
     assert sup_norm(poly) == pytest.approx(vals.max(), abs=1e-9)
 
 
+def _numpy_scalar_sup_norm(coeffs) -> float:
+    """sup_norm as a fresh grid and a golden-section search on numpy scalars:
+    the arithmetic sup_norm must keep bit for bit."""
+    grid = np.linspace(-1.0, 1.0, 10001)
+    vals = np.abs(eval_poly(Polynomial(coeffs), grid))
+    i = int(np.argmax(vals))
+    if len(coeffs) == 1:
+        return float(vals[i])
+
+    def f(x):
+        acc = np.float64(0.0)
+        for a in reversed(coeffs):
+            acc = acc * x + np.float64(a)
+        return abs(acc)
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, 10000)]
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > 1e-12:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return float(max(vals[i], max(fc, fd)))
+
+
+def test_sup_norm_is_the_numpy_scalar_search_bit_for_bit():
+    rng = np.random.default_rng(24)
+    for d in range(36):
+        for _ in range(4):
+            coeffs = tuple(float(a) for a in rng.uniform(-1, 1, d + 1))
+            assert sup_norm(Polynomial(coeffs)) == _numpy_scalar_sup_norm(coeffs)
+
+
+def test_eval_poly_on_an_array_is_the_scalar_form_bit_for_bit():
+    # a run's truths are eval_poly on its grid of x, one array per trial
+    rng = np.random.default_rng(25)
+    for d in range(36):
+        poly = Polynomial(tuple(rng.uniform(-1, 1, d + 1)))
+        grid = np.concatenate((np.linspace(-0.9, 0.9, 15), rng.uniform(-1, 1, 50), [-1.0, 0.0, 1.0]))
+        assert eval_poly(poly, grid).tolist() == [eval_poly(poly, x) for x in grid.tolist()]
+
+
 def test_sup_norm_interior_extremum():
     # |2x^2 - 1| peaks at x = 0 (value 1) and x = +-1 (value 1)
     poly = Polynomial((-1.0, 0.0, 2.0))
