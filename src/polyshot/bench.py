@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import Circuit
-from .compile import ORDERS, build_circuit, compile_poly, plan_programs, resources, skeleton_key
+from .compile import ORDERS, compile_poly, plan_programs, resources, skeleton_key
 from .dense import DEFAULT_QUBIT_CAP, MAX_SHOTS, CapacityError, NoiseModel, draw_shots_batch
 from .dense import expect_z_plan
 from .estimate import Estimate, PASS_THRESHOLD, point_estimate, run_metrics, shot_scaling_fit
@@ -209,17 +209,18 @@ def recovery_run(config: ExperimentConfig) -> RunReport:
         t_compile = time.perf_counter()
         programs = [compile_poly(poly, config.order) for poly in polys]
         t_build = time.perf_counter()
-        deg_resources = resources(build_circuit(programs[0], xs[0]))
-        laps = {"generate": t_compile - t_deg, "compile": t_build - t_compile, "simulate": 0.0}
-        laps["build_circuit"] = time.perf_counter() - t_build
+        laps = {"generate": t_compile - t_deg, "compile": t_build - t_compile}
+        laps["build_circuit"] = laps["simulate"] = 0.0
         groups: dict[tuple, list[int]] = {}  # the trials of one skeleton share a circuit
         for trial, program in enumerate(programs):
             groups.setdefault(skeleton_key(program), []).append(trial)
         zs: dict[int, list[float]] = {}  # each trial's, one per x
-        for trials in groups.values():
+        for trials in groups.values():  # trial 0's first
             t_build = time.perf_counter()
             try:
                 batch = plan_programs([programs[t] for t in trials], xs)
+                if trials[0] == 0:  # whose point 0, trial 0 at xs[0], the row counts
+                    deg_resources = resources(batch)
                 t_sim = time.perf_counter()
                 batch_zs = _exact_z(batch, config)
             except Exception as exc:

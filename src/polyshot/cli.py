@@ -8,6 +8,7 @@ default config with the file's overrides; `bench shots` reads the seed alone.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -282,9 +283,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built at the first call and reused: parse_args fills a new
+    namespace from the defaults on every call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except UsageError as exc:

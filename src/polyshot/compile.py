@@ -3,7 +3,8 @@ circuit of any number of programs x points (plan_programs): a degree's trials
 x points in one batch, or one program at one point (build_circuit).
 plan_programs makes that circuit in one walk of the first program's schedule,
 in gate order: it emits each Gate where the walk reaches it, reading every
-trial's sign and angle there, with no intermediate step list.
+trial's sign and half angle there from arrays made in one numpy pass, with no
+intermediate step list.
 
 Aggregation folds monomial terms into a running weighted sum, one two-qubit
 sum block per term.  Weights are chosen so the recursion telescopes exactly
@@ -38,6 +39,7 @@ also refresh the dephasing structure the next block relies on).
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -150,13 +152,22 @@ def skeleton_key(program: CompiledProgram) -> tuple:
     return s.order, s.skip_flags, s.seed_index, tuple(a == 0.0 for a in s.angles)
 
 
+@functools.cache
+def _fixed(kind: str, *qubits: int) -> Gate:
+    """A gate with no value of its own, made once and shared by every circuit
+    that emits it: a cx, a plain x, or the rz(pi/2) of the chain and the sum
+    blocks."""
+    return Gate(kind, qubits, HALF_PI if kind == "rz" else None)
+
+
 def plan_programs(programs: list[CompiledProgram], xs) -> Circuit:
     """The circuit of programs of one skeleton_key at each x, point
     t * len(xs) + p being programs[t] at xs[p]; raises ValueError for no point
     or several skeletons.  One walk of the first schedule emits each gate as it
-    reaches it, reading every trial's sign and angle there, so a gate is made
-    once, not per point.  A value that every point shares is a float; a sign's
-    x is dropped where no point is negative, plain where all are, and else
+    reaches it, reading every trial's sign and half angle there from
+    [trials, d + 1] arrays, so a gate is made once, not per point.  A value
+    that every point shares is a float (trial 0's, bit for bit); a sign's x
+    is dropped where no point is negative, plain where all are, and else
     Gate("x", (q,), mask).  For one program it is circuit.plan of
     [build_circuit(program, x) for x in xs], gate for gate."""
     xs = np.asarray(xs, dtype=float)
@@ -168,31 +179,38 @@ def plan_programs(programs: list[CompiledProgram], xs) -> Circuit:
     scheds, m, thetas = [p.schedule for p in programs], len(xs), np.arccos(xs)
     head, d = scheds[0], scheds[0].degree
     encoding = float(thetas[0]) if (thetas == thetas[0]).all() else np.tile(thetas, len(scheds))
+    angles = np.array([s.angles for s in scheds])  # [trials, d + 1]
+    negative = np.array([s.signs for s in scheds]) < 0
+
+    def per_term(values: np.ndarray) -> list:  # each term's value every point shares, or its row
+        same, rows = (values == values[0]).all(axis=0).tolist(), np.repeat(values.T, m, axis=1)
+        return [v if alike else row for v, alike, row in zip(values[0].tolist(), same, rows)]
+
+    ups, downs = per_term(angles * 0.5), per_term(angles * -0.5)
+    signs = [  # the x of each term where it is negative
+        None if mask is False else _fixed("x", q) if mask is True else Gate("x", (q,), mask)
+        for q, mask in enumerate(per_term(negative))
+    ]
     gates: list[Gate] = []
 
-    def half_angle(term: int, half: float) -> float | np.ndarray:
-        arg = [s.angles[term] * half for s in scheds]
-        return float(arg[0]) if arg.count(arg[0]) == len(arg) else np.repeat(arg, m)
-
-    def sign(q: int) -> None:  # the x of a term where it is negative
-        negative = [s.signs[q] < 0 for s in scheds]
-        if any(negative):
-            gates.append(Gate("x", (q,), None if all(negative) else np.repeat(negative, m)))
+    def sign(q: int) -> None:
+        if signs[q] is not None:
+            gates.append(signs[q])
 
     def fold(term: int, sum_q: int) -> None:  # term's sign, then its sum block into sum_q
         sign(term)
         live = head.angles[term] != 0.0  # a zero angle elides the block's Ry pair
-        gates.extend((Gate("rz", (sum_q,), HALF_PI), Gate("cx", (term, sum_q))))
+        gates.extend((_fixed("rz", sum_q), _fixed("cx", term, sum_q)))
         if live:
-            gates.append(Gate("ry", (term,), half_angle(term, 0.5)))
-        gates.append(Gate("cx", (sum_q, term)))
+            gates.append(Gate("ry", (term,), ups[term]))
+        gates.append(_fixed("cx", sum_q, term))
         if live:
-            gates.append(Gate("ry", (term,), half_angle(term, -0.5)))
-        gates.append(Gate("rz", (term,), HALF_PI))
+            gates.append(Gate("ry", (term,), downs[term]))
+        gates.append(_fixed("rz", term))
 
     if head.order == "backward":
         gates.extend(Gate("ry", (k,), encoding) for k in range(1, d + 1))
-        gates.extend(Gate("cx", (k - 1, k)) for k in range(2, d + 1))
+        gates.extend(_fixed("cx", k - 1, k) for k in range(2, d + 1))
         run_q = head.seed_index
         sign(run_q)
         for k in range(run_q - 1, -1, -1):
@@ -209,7 +227,7 @@ def plan_programs(programs: list[CompiledProgram], xs) -> Circuit:
     for k in range(1, d + 1):
         if k < d:  # extend the power chain before folding q_k
             gates.extend(
-                (Gate("ry", (k + 1,), encoding), Gate("rz", (k + 1,), HALF_PI), Gate("cx", (k, k + 1)))
+                (Gate("ry", (k + 1,), encoding), _fixed("rz", k + 1), _fixed("cx", k, k + 1))
             )
         fold(k, k - 1)
     return Circuit(d + 1, gates, d, len(programs) * m)
@@ -223,12 +241,15 @@ def build_circuit(program: CompiledProgram, x: float) -> Circuit:
 
 def resources(circuit: Circuit) -> ResourceCounts:
     """Exact gate counts, dependency depth and two-qubit depth (the longest
-    chain of CX layers) from the IR."""
+    chain of CX layers) from the IR, at the circuit's first point: an x whose
+    mask skips that point is no gate there."""
+    gates = [g for g in circuit.gates if g.kind != "x" or g.angle is None or g.angle[0]]
+    first = Circuit(circuit.n_qubits, gates, circuit.measured_qubit)
     return ResourceCounts(
-        qubits=circuit.n_qubits,
-        two_qubit_gates=circuit.two_qubit_count,
-        depth=circuit_depth(circuit),
-        two_qubit_depth=circuit_depth(circuit, ("cx",)),
+        qubits=first.n_qubits,
+        two_qubit_gates=first.two_qubit_count,
+        depth=circuit_depth(first),
+        two_qubit_depth=circuit_depth(first, ("cx",)),
     )
 
 

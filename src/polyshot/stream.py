@@ -10,8 +10,11 @@ only in their sum-block Ry angles and in the x of a negative term, a mask of
 points.  One lifetime pass over the circuit's gates (liveness) gives each
 qubit's first and last gate and the peak window w, and the points run in
 chunks of at most _CHUNK_ENTRIES window entries, points x 4^w, so a backward
-program's window (w up to d + 1) does not grow with the trial count.  Every
-kernel is a matmul per point, so the chunking moves no bit of any z.
+program's window (w up to d + 1) does not grow with the trial count; each
+chunk's transfer matrices come from its own slice of each per-point angle
+and mask, so they scale with the chunk too.  Every kernel computes each
+point's entries alone, in one fixed order of terms, so the chunking moves no
+bit of any z.
 
 The window is held in the real Pauli-transfer basis (Greenbaum, "Introduction
 to Quantum Gate Set Tomography", 2015): a real tensor of shape [B] + [4]*w,
@@ -23,6 +26,21 @@ coefficient.  Each step is one real transfer matrix on its qubits' axes: ry(t)
 turns the (Z, X) plane by t, rz(t) the (X, Y) plane, x is diag(1, 1, -1, -1)
 (a masked x is the identity on the points it skips) and cx a 16x16 signed
 permutation.
+
+A step contracts its qubits' axes where they sit in the window, with no
+transposed copy, as the kernels of Häner & Steiger ("0.5 Petabyte Simulation
+of a 45-Qubit Quantum Circuit", 2017) do: a one-qubit matrix m as
+m @ rho from the left on the outermost axis, as rho @ m^T from the right on
+the innermost (one gemm over every point for a shared m), and as a
+broadcast over the outer axes on a middle one.  A cx on two adjacent axes
+contracts its 16-entry pair the same three ways, by S CX S, the pair index
+swapped, when its target axis comes first: CX is a signed permutation, so
+that is an exact relabelling, and the window keeps its axis order.  Only a
+cx on axes apart moves its pair to the front, a copy, and the window keeps
+that order.  On a compiled program every z is the one the broadcast kernel
+(each one-qubit matrix broadcast over the axes before its own, each cx pair
+moved to the front) gives, bit for bit; a random circuit may move by an ulp,
+since a gemm rounds a*b + c*d once where a matvec rounds twice.
 
 Noise is the exact depolarizing channel after each gate on every qubit it
 touches, rho -> (1 - p) rho + (p/3)(X rho X + Y rho Y + Z rho Z) (Nielsen &
@@ -52,6 +70,9 @@ _PAULI_PAIRS = np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4)
 _CNOT = np.eye(4)[[0, 1, 3, 2]]
 _CX = np.einsum("pij,jk,qkl,li->pq", _PAULI_PAIRS, _CNOT, _PAULI_PAIRS, _CNOT).real / 4
 _X = np.diag([1.0, 1.0, -1.0, -1.0])
+# a pair's index with its two axes swapped: S CX S, the cx on a window whose
+# target axis comes first, is an exact relabelling of the signed permutation
+_SWAP = np.arange(16).reshape(4, 4).T.ravel()
 # the plane (i, j) each rotation turns: entry (j, i) is sin t and (i, j) is -sin t
 _PLANES = {"ry": (3, 1), "rz": (1, 2)}
 
@@ -114,29 +135,35 @@ def _adjoin(rho: np.ndarray, active: list[int], qubit: int, gate_index: int, cap
 
 def _transfer_matrices(steps: tuple[Gate, ...], noise: NoiseModel | None) -> list[np.ndarray]:
     """One real transfer matrix per gate, the channel on each touched qubit folded
-    into its rows: [16, 16] for cx, [4, 4] for a one-qubit gate, [B, 1, 4, 4] for
-    one angle or x mask per point.  One vectorized call builds a kind's rotations
-    per shape."""
+    into its rows: [4, 4] for a one-qubit gate, [B, 4, 4] for one angle or x
+    mask per point, and [2, 16, 16] for cx, on the pair index
+    4 * P_control + P_target and then, S CX S, on 4 * P_target + P_control.
+    One vectorized call builds a kind's matrices per shape, one per value
+    object: the steps that share one (every rz(pi/2) of a compiled circuit)
+    share its matrix."""
     f1, f2 = (1.0, 1.0) if noise is None else (1 - 4 * noise.p1 / 3, 1 - 4 * noise.p2 / 3)
     scale1, scale2 = np.array([[1.0], [f1], [f1], [f1]]), np.array([1.0, f2, f2, f2])
     cx, x = np.outer(scale2, scale2).reshape(16, 1) * _CX, scale1 * _X
-    mats = [cx if kind == "cx" else x for kind, _, _ in steps]
-    for k, (kind, _, mask) in enumerate(steps):
-        if kind == "x" and mask is not None:  # the exact identity where no x acts
-            mats[k] = np.where(mask[:, None, None, None], x, np.eye(4))
-    groups: dict[tuple[str, bool], list[int]] = {}  # (kind, one angle per point): steps
-    for k, (kind, _, angle) in enumerate(steps):
-        if kind in _PLANES:
-            groups.setdefault((kind, isinstance(angle, np.ndarray)), []).append(k)
-    for (kind, each), at in groups.items():
-        (i, j), t = _PLANES[kind], np.array([steps[k][2] for k in at])  # [steps(, B)]
-        rot = np.tile(np.eye(4), t.shape + (1, 1))
-        rot[..., i, i] = rot[..., j, j] = np.cos(t)
-        rot[..., j, i], rot[..., i, j] = np.sin(t), -np.sin(t)
-        rot *= scale1
-        for k, m in zip(at, rot):
-            mats[k] = m[:, None] if each else m
-    return mats
+    cx = np.stack([cx, cx[_SWAP][:, _SWAP]])
+    made = {"cx": cx, "x": x}  # by key: a kind without a value, or (kind, id of its value)
+    keys, groups = [], {}  # (kind, one value per point): {key: value}
+    for kind, _, arg in steps:
+        if kind == "cx" or arg is None:
+            keys.append(kind)
+        else:
+            keys.append((kind, id(arg)))
+            groups.setdefault((kind, isinstance(arg, np.ndarray)), {})[keys[-1]] = arg
+    for (kind, _), values in groups.items():
+        t = np.array(list(values.values()))  # [values(, B)]
+        if kind == "x":  # a mask of points: the exact identity where no x acts
+            built = np.where(t[..., None, None], x, np.eye(4))
+        else:
+            (i, j), built = _PLANES[kind], np.tile(np.eye(4), t.shape + (1, 1))
+            built[..., i, i] = built[..., j, j] = np.cos(t)
+            built[..., j, i], built[..., i, j] = np.sin(t), -np.sin(t)
+            built *= scale1
+        made.update(zip(values, built))
+    return [made[key] for key in keys]
 
 
 def run_window_plan(
@@ -147,36 +174,70 @@ def run_window_plan(
 ) -> list[float]:
     """Exact <Z> of the measured qubit at each point of a circuit, in order, from
     windowed sweeps of its points in chunks of at most _CHUNK_ENTRIES entries
-    at the peak window (and at least one point).  With a noise model, each
-    gate (a masked x where it acts) is followed by the depolarizing channel on
-    every qubit it touches: strength p1 after a one-qubit gate, p2 after cx."""
-    life, mats = liveness(circuit), _transfer_matrices(circuit.gates, noise)
-    batch, chunk, zs = circuit.batch, max(1, _CHUNK_ENTRIES // 4**life.peak_window), []
+    at the peak window (and at least one point), each chunk's transfer
+    matrices built from its own slice of every per-point angle and mask.  With
+    a noise model, each gate (a masked x where it acts) is followed by the
+    depolarizing channel on every qubit it touches: strength p1 after a
+    one-qubit gate, p2 after cx."""
+    life, batch, zs = liveness(circuit), circuit.batch, []
+    chunk = max(1, _CHUNK_ENTRIES // 4**life.peak_window)
     for lo in range(0, batch, chunk):
-        hi = min(lo + chunk, batch)
-        part = mats if hi - lo == batch else [m[lo:hi] if m.ndim == 4 else m for m in mats]
-        zs += _sweep(circuit, part, life, range(lo, hi), window_cap, check_invariants)
+        points = range(lo, min(lo + chunk, batch))
+        steps = circuit.gates if len(points) == batch else [
+            g._replace(angle=g.angle[lo : points.stop]) if isinstance(g.angle, np.ndarray) else g
+            for g in circuit.gates
+        ]
+        mats = _transfer_matrices(steps, noise)
+        zs += _sweep(circuit, mats, life, points, window_cap, check_invariants)
     return zs
+
+
+def _step(kind: str, qubits: tuple, mat: np.ndarray, rho: np.ndarray, active: list):
+    """The window after one step, and its axis order.  A one-qubit step and a
+    cx on adjacent axes contract their axes where they sit (a cx whose target
+    axis comes first by S CX S), and the window keeps its axis order; a cx on
+    axes apart moves its pair to the front first, a copy, and the window keeps
+    that order."""
+    at = [active.index(q) for q in qubits]
+    if kind != "cx":
+        return _contract(mat, rho, at[0], 4), active
+    if abs(at[0] - at[1]) == 1:
+        return _contract(mat[int(at[0] > at[1])], rho, min(at), 16), active
+    order = [1 + a for a in at] + [k for k in range(1, rho.ndim) if k - 1 not in at]
+    return _contract(mat[0], rho.transpose([0] + order), 0, 16), [active[k - 1] for k in order]
+
+
+def _contract(mat: np.ndarray, rho: np.ndarray, at: int, dim: int) -> np.ndarray:
+    """A step's matrix on the run of window axes of dim entries (one axis, or an
+    adjacent pair) whose first axis is window position at, contracted where it
+    sits: from the left when the run is outermost, from the right by the
+    transpose when it is innermost (one gemm over every point for a shared
+    matrix), and as a broadcast over the outer axes in between."""
+    points, outer = len(rho), 4**at
+    if outer == 1:
+        out = mat @ rho.reshape(points, dim, -1)
+    elif rho.size == points * outer * dim:
+        if mat.ndim == 2:
+            out = rho.reshape(-1, dim) @ mat.T
+        else:  # a contiguous copy: numpy runs a strided stack of matrices far slower
+            out = rho.reshape(points, -1, dim) @ np.ascontiguousarray(mat.transpose(0, 2, 1))
+    else:
+        out = (mat if mat.ndim == 2 else mat[:, None]) @ rho.reshape(points, outer, dim, -1)
+    return out.reshape(rho.shape)
 
 
 def _sweep(
     circuit: Circuit, mats: list, life: RetirementSchedule, points: range, cap: int, check: bool
 ) -> list[float]:
     """<Z> at some points of a circuit from one windowed sweep of their transfer
-    matrices (a per-point matrix holds those points only)."""
+    matrices (a per-point matrix holds those points only), a _step per gate."""
     first, last = life.first_use, life.last_use
     rho, active = np.ones(len(points)), []  # each point's empty window, no live qubit
     for i, ((kind, qubits, _), mat) in enumerate(zip(circuit.gates, mats)):
         for q in qubits:
             if first[q] == i:
                 rho = _adjoin(rho, active, q, i, cap)
-        axes = [1 + active.index(q) for q in qubits]
-        if kind == "cx":  # the pair's axes move to the front for one matmul, and stay
-            order = axes + [k for k in range(1, rho.ndim) if k not in axes]
-            rho = (mat @ rho.transpose([0] + order).reshape(len(rho), 16, -1)).reshape(rho.shape)
-            active = [active[k - 1] for k in order]
-        else:
-            rho = (mat @ rho.reshape(len(rho), 4 ** (axes[0] - 1), 4, -1)).reshape(rho.shape)
+        rho, active = _step(kind, qubits, mat, rho, active)
         if check:
             _check_window(_density(rho), i, points.start)
         for q in qubits:

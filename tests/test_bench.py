@@ -143,6 +143,41 @@ def test_trials_of_several_skeletons_split_into_batches_with_the_per_trial_repor
     assert records_csv(report) == records_csv(per_trial)
 
 
+@pytest.mark.parametrize(
+    "simulator, order, p",
+    [(sim, order, 0.0) for sim in ("dense", "stream") for order in ("backward", "forward")]
+    + [("stream", order, 0.01) for order in ("backward", "forward")],
+)
+def test_resource_counts_are_those_of_trial_0_at_the_first_x(simulator, order, p):
+    # counted from the planned batch of mixed-sign trials, whose masked x acts
+    # at point 0 on some terms and not on others
+    from dataclasses import replace
+
+    from polyshot.compile import build_circuit, compile_poly, plan_programs, resources
+    from polyshot.rng import derive_seeds
+
+    config = replace(SMALL, degrees=(2, 4, 6), trials=6, simulator=simulator, order=order,
+                     noise_p1=p, noise_p2=p)
+    report = recovery_run(config)
+    xs = np.linspace(*config.x_domain, config.points_per_trial).tolist()
+    at_point_0 = []
+    for row in report.per_degree:
+        d = row["degree"]
+        programs = [
+            compile_poly(gen_random_poly(d, seed, config.coeff_bound, config.sup_rescale_target),
+                         order)
+            for seed in derive_seeds(config.master_seed, d, range(config.trials))
+        ]
+        want = resources(build_circuit(programs[0], xs[0]))
+        assert (row["qubits"], row["two_qubit_gates"], row["depth"]) == (
+            want.qubits, want.two_qubit_gates, want.depth
+        )
+        batch = plan_programs(programs, xs)
+        masks = [g.angle for g in batch.gates if g.kind == "x" and g.angle is not None]
+        at_point_0 += [bool(mask[0]) for mask in masks]
+    assert True in at_point_0 and False in at_point_0
+
+
 def test_stress_small_run_qubit_counts():
     config = stress_config(degrees=(1, 5, 10), trials=2, points_per_trial=3)
     report = recovery_run(config)

@@ -742,3 +742,41 @@ def test_bench_refuses_a_dense_degree_over_the_qubit_cap_before_any_point_runs(
          "noise_p2": 0.001}
     ))
     assert run_cli("bench", "stress", "--config", str(config), "--out-dir", str(out_dir)) == 0
+
+
+def test_consecutive_main_calls_each_read_their_own_arguments(tmp_path, capsys, monkeypatch):
+    # main builds its parser at its first call only; no call may see a flag of
+    # an earlier one
+    from polyshot import cli
+    from polyshot.cli import build_parser
+
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        '{"degrees": [1, 2], "trials": 1, "points_per_trial": 2, "shots": 64, "master_seed": 11}\n'
+    )
+    seeded, plain = tmp_path / "seeded", tmp_path / "plain"
+    assert run_cli("bench", "noise", "--config", str(config), "--seed", "5",
+                   "--out-dir", str(seeded)) == 0
+    assert run_cli("bench", "noise", "--config", str(config), "--out-dir", str(plain)) == 0
+    assert json.loads((seeded / "noise.json").read_text())["config"]["master_seed"] == 5
+    assert json.loads((plain / "noise.json").read_text())["config"]["master_seed"] == 11
+
+    coeffs, prog = tmp_path / "c.json", tmp_path / "prog.json"
+    coeffs.write_text('{"coeffs": [0.1, 0.2, 0.3]}\n')
+    run_cli("compile", "--coeffs", str(coeffs), "--out", str(prog))
+    evaluate = ["evaluate", "--program", str(prog), "--x", "0.5"]
+    capsys.readouterr()
+    assert run_cli(*evaluate, "--seed", "3", "--shots", "64", "--sim", "stream") == 0
+    flagged = capsys.readouterr().out
+    assert run_cli("bench", "noise", "--config", str(config), "--seed", "5",
+                   "--out-dir", str(seeded)) == 0
+    capsys.readouterr()
+    assert run_cli(*evaluate) == 0
+    after = capsys.readouterr().out
+    fresh = build_parser().parse_args(evaluate)
+    assert fresh.fn(fresh) == 0
+    assert after == capsys.readouterr().out != flagged
+    assert builds == [1]

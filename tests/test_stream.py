@@ -583,3 +583,123 @@ def test_liveness_is_the_gate_by_gate_reference():
     ]
     for circuit in circuits:
         assert liveness(circuit) == _reference_liveness(circuit)
+
+
+# --- each step contracted where its axes sit --------------------------------
+
+
+def _by_qubit(rho, active):
+    """The window's [B, 2^w, 2^w] density matrices with the qubits in label order."""
+    return stream._density(rho.transpose([0] + [1 + active.index(q) for q in sorted(active)]))
+
+
+def _kraus_step(dens, gate, noise):
+    """One gate on [B, 2^w, 2^w] density matrices over qubits 0..w-1 as a full
+    unitary per point, then the depolarizing Kraus form on each touched qubit."""
+    w, out = dens.shape[-1].bit_length() - 1, []
+    for b, mat in enumerate(dens):
+        arg = gate.angle[b] if isinstance(gate.angle, np.ndarray) else gate.angle
+        if gate.kind == "x" and arg is not None and not arg:  # masked off here
+            u, qubits = np.eye(2**w), ()
+        else:
+            u, qubits = _full_unitary(gate._replace(angle=arg), w), gate.qubits
+        mat = u @ mat @ u.conj().T
+        p = noise.p2 if gate.kind == "cx" else noise.p1
+        for q in qubits:
+            kicked = sum(P @ mat @ P for P in (_embed(s, q, w) for s in _PAULIS))
+            mat = (1 - p) * mat + (p / 3) * kicked
+        out.append(mat)
+    return np.array(out)
+
+
+def _kernel_cases():
+    """(width, gate kind, window positions) for every form a step takes: a
+    one-qubit gate on each axis (outermost, innermost and the middle ones), and
+    cx on every ordered pair (adjacent in both orders at the front, the back
+    and the middle, and axes apart)."""
+    for w in range(1, 6):
+        for kind in ("ry", "rz", "x"):
+            yield from ((w, kind, (a,)) for a in range(w))
+        yield from ((w, "cx", (a, b)) for a in range(w) for b in range(w) if a != b)
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(p1=0.05, p2=0.1)])
+@pytest.mark.parametrize("each", [False, True], ids=["shared", "per-point"])
+def test_every_step_form_matches_the_kraus_reference(each, noise):
+    rng = np.random.default_rng(160 + each)
+    points, seen = 3, set()
+    for w, kind, at in _kernel_cases():
+        # a window of random coefficients, its qubits labelled 0..w-1 in a random order
+        rho, active = rng.normal(size=(points,) + (4,) * w), [int(q) for q in rng.permutation(w)]
+        arg = None
+        if kind in ("ry", "rz"):
+            arg = rng.uniform(-4, 4, points) if each else float(rng.uniform(-4, 4))
+        elif kind == "x" and each:
+            arg = np.array([True, False, True])
+        gate = Gate(kind, tuple(active[a] for a in at), arg)
+        (mat,) = stream._transfer_matrices([gate], noise)
+        got, order = stream._step(kind, gate.qubits, mat, rho.copy(), list(active))
+        want = _kraus_step(_by_qubit(rho, active), gate, noise)
+        assert np.abs(_by_qubit(got, order) - want).max() < 1e-12, (w, kind, at)
+        if kind != "cx" or abs(at[0] - at[1]) == 1:
+            assert order == active  # contracted where it sits
+        else:
+            assert order[:2] == list(gate.qubits) and sorted(order) == sorted(active)
+        form = "outermost" if min(at) == 0 else "innermost" if max(at) == w - 1 else "middle"
+        if max(at) - min(at) > 1:
+            form = "apart"
+        seen.add((len(at), form, at[0] < at[-1]))
+    # one-qubit on 3 axes, and cx in both orders on 3 adjacent pairs or apart
+    assert len(seen) == 3 + 2 * 4
+
+
+def _broadcast_sweep(circuit, noise=None, cap=64):
+    """<Z> at each point from one sweep with the broadcast kernel: every
+    one-qubit matrix broadcast over the axes before its own, and every cx on a
+    pair moved to the front first."""
+    mats, life = stream._transfer_matrices(circuit.gates, noise), liveness(circuit)
+    rho, active = np.ones(circuit.batch), []
+    for i, ((kind, qubits, _), mat) in enumerate(zip(circuit.gates, mats)):
+        for q in qubits:
+            if life.first_use[q] == i:
+                rho = stream._adjoin(rho, active, q, i, cap)
+        axes = [1 + active.index(q) for q in qubits]
+        if kind == "cx":
+            order = axes + [k for k in range(1, rho.ndim) if k not in axes]
+            pair = rho.transpose([0] + order).reshape(len(rho), 16, -1)
+            rho = (mat[0] @ pair).reshape(rho.shape)
+            active = [active[k - 1] for k in order]
+        else:
+            m = mat if mat.ndim == 2 else mat[:, None]
+            rho = (m @ rho.reshape(len(rho), 4 ** (axes[0] - 1), 4, -1)).reshape(rho.shape)
+        for q in qubits:
+            if life.last_use[q] == i:
+                rho = rho[(slice(None),) * (1 + active.index(q)) + (0,)]
+                active.remove(q)
+    if not active:
+        rho = stream._adjoin(rho, active, circuit.measured_qubit, len(circuit.gates), cap)
+    return [float(z) for z in rho[:, 3]]
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel(0.001, 0.005), NoiseModel(0.05, 0.1)])
+@pytest.mark.parametrize("order", ["backward", "forward"])
+def test_compiled_programs_give_the_broadcast_kernel_bit_for_bit(order, noise):
+    xs = [-0.9, -0.2, 0.35, 0.9]
+    masked = 0
+    for d in range(0, 8 if order == "backward" else 36):
+        batch = plan_programs(_mixed_sign_trials(d, order, 3, seed=170 + d), xs)
+        masked += any(kind == "x" and isinstance(arg, np.ndarray) for kind, _, arg in batch.gates)
+        assert run_window_plan(batch, noise=noise) == _broadcast_sweep(batch, noise)
+    assert masked >= 6
+
+
+@pytest.mark.parametrize("p1, p2", [(0.0, 0.0), (0.05, 0.1), (0.75, 1.0)])
+def test_random_circuits_stay_within_an_ulp_of_the_broadcast_kernel(p1, p2):
+    # a gemm from the right rounds a*b + c*d once where the broadcast matvec
+    # rounds twice, so a random circuit may move by an ulp of its z
+    rng = np.random.default_rng(int(180 + 100 * p1))
+    for _ in range(60):
+        batch = plan(_random_batch(rng, 4))
+        got = np.array(run_window_plan(batch, noise=NoiseModel(p1, p2)))
+        want = np.array(_broadcast_sweep(batch, NoiseModel(p1, p2)))
+        assert np.abs(got - want).max() <= 2.2e-16
