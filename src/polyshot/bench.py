@@ -24,8 +24,8 @@ from .compile import ORDERS, compile_poly, plan_programs, resources, skeleton_ke
 from .dense import DEFAULT_QUBIT_CAP, MAX_SHOTS, CapacityError, NoiseModel, draw_shots_batch
 from .dense import expect_z_plan
 from .estimate import Estimate, PASS_THRESHOLD, point_estimate, run_metrics, shot_scaling_fit
-from .poly import Polynomial, eval_poly, sup_norm
-from .rng import derive_seed, derive_seeds, generator
+from .poly import Polynomial, eval_poly, sup_norms
+from .rng import derive_seed, derive_seeds, generator, rekeyed
 from .stream import DEFAULT_WINDOW_CAP, run_window_plan
 
 TABLE1_PAPER_SIM = {
@@ -146,32 +146,43 @@ class RunReport:
     timings_ms: dict[str, float] = field(default_factory=dict)
 
 
-def gen_random_poly(
-    degree: int, seed: int, coeff_bound: float = 0.5, sup_rescale_target: float = 0.5
-) -> Polynomial:
-    """Uniform coefficient draw rescaled so max |P| over [-1, 1] hits the target."""
+def gen_random_polys(
+    degree: int, seeds: list[int], coeff_bound: float = 0.5, sup_rescale_target: float = 0.5
+) -> list[Polynomial]:
+    """Uniform coefficient draws, one per seed, each rescaled so max |P| over
+    [-1, 1] hits the target.  The draws come from one Philox re-keyed per seed
+    (rng.rekeyed) and their sup norms from one scan of the grid
+    (poly.sup_norms), so each polynomial is gen_random_poly's for its seed,
+    bit for bit."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     for key, v in (("coeff_bound", coeff_bound), ("sup_rescale_target", sup_rescale_target)):
         if not (np.isfinite(v) and v > 0.0):
             raise ValueError(f"{key} must be finite and > 0, got {v}")
-    attempt = seed
-    while True:
-        gen = generator(attempt)
-        a = gen.uniform(-coeff_bound, coeff_bound, degree + 1)
-        if np.any(a != 0.0):
-            break
-        attempt += 1  # probability-zero redraw path
-    poly = Polynomial(tuple(a))
-    scale = sup_rescale_target / sup_norm(poly)
-    return Polynomial(tuple(c * scale for c in a))
+    draws = np.array([gen.uniform(-coeff_bound, coeff_bound, degree + 1) for gen in rekeyed(seeds)])
+    for a, attempt in zip(draws, seeds):
+        while not np.any(a != 0.0):  # probability-zero redraw path
+            attempt += 1
+            a[:] = generator(attempt).uniform(-coeff_bound, coeff_bound, degree + 1)
+    scales = sup_rescale_target / np.array(sup_norms(draws))
+    return [Polynomial(tuple(a)) for a in draws * scales[:, None]]
 
 
-def _exact_z(batch: Circuit, config: ExperimentConfig) -> list[float]:
+def gen_random_poly(
+    degree: int, seed: int, coeff_bound: float = 0.5, sup_rescale_target: float = 0.5
+) -> Polynomial:
+    """Uniform coefficient draw rescaled so max |P| over [-1, 1] hits the
+    target: gen_random_polys of one seed."""
+    return gen_random_polys(degree, [seed], coeff_bound, sup_rescale_target)[0]
+
+
+def exact_z(batch: Circuit, config: ExperimentConfig) -> list[float]:
     """Exact <Z> at each point of a circuit, in order, on the configured
     simulator, noise included, from a sweep of the batch in chunks: windowed,
     or a statevector.  A statevector cannot hold the mixed state the noise
-    channel produces, so a noisy circuit always takes the windowed sweep."""
+    channel produces, so a noisy circuit always takes the windowed sweep.
+    This is the one evaluation path: `polyshot evaluate` and every recovery
+    run take their <Z> from it."""
     noise = config.noise
     if config.simulator == "stream" or noise is not None:
         return run_window_plan(batch, config.window_cap, noise)
@@ -205,7 +216,7 @@ def recovery_run(config: ExperimentConfig) -> RunReport:
         t_deg = time.perf_counter()
         seeds = derive_seeds(config.master_seed, degree, range(config.trials))
         bound, target = config.coeff_bound, config.sup_rescale_target
-        polys = [gen_random_poly(degree, seed, bound, target) for seed in seeds]
+        polys = gen_random_polys(degree, seeds, bound, target)
         t_compile = time.perf_counter()
         programs = [compile_poly(poly, config.order) for poly in polys]
         t_build = time.perf_counter()
@@ -222,7 +233,7 @@ def recovery_run(config: ExperimentConfig) -> RunReport:
                 if trials[0] == 0:  # whose point 0, trial 0 at xs[0], the row counts
                     deg_resources = resources(batch)
                 t_sim = time.perf_counter()
-                batch_zs = _exact_z(batch, config)
+                batch_zs = exact_z(batch, config)
             except Exception as exc:
                 raise RuntimeError(f"degree={degree} trials={trials}: {exc}") from exc
             zs.update((t, batch_zs[j * len(xs) : (j + 1) * len(xs)]) for j, t in enumerate(trials))

@@ -122,7 +122,7 @@ def cmd_evaluate(args) -> int:
     config = bench.ExperimentConfig(
         simulator=args.sim, noise_p1=args.noise_p1, noise_p2=args.noise_p2
     )
-    z = bench._exact_z(build_circuit(program, args.x), config)[0]
+    z = bench.exact_z(build_circuit(program, args.x), config)[0]
     outcome = draw_shots(z, args.shots, args.seed)
     est = point_estimate(outcome, program.rescale)
     truth = eval_poly(program.source, args.x)

@@ -45,20 +45,30 @@ each block shares one qubit with the next, so each maximal run of consecutive
 gates on at most _FUSE_QUBITS = 3 qubits becomes one matrix of up to 8x8
 (_fuse), built by sweeping the run's own gates over the identity's columns; a
 backward point of degree d runs ceil(d/2) such steps after its encoding, two
-sum blocks each.  A fused step costs two passes over the state, whatever its
-size: the run's axes are copied to the front of a scratch tensor, and
-matrix @ scratch is written back into the state's own buffer.  So an 8x8 step
+sum blocks each.  The state of a fused point is laid out, as its encoding is
+built, with its qubits in the order its steps first meet them (_layout), so a
+compiled program's runs, on (d, d-1, d-2), (d-2, d-3, d-4), ... backward
+and (0, 1, 2), (1, 2, 3), ... forward, each sit on adjacent axes, and each
+run's matrix is built in the order of its axes.  A fused step is then one matmul
+from the state's buffer into a second buffer of its size, and the two swap
+(_apply_u): one pass over each, whatever the step's size, so an 8x8 step
 costs about what a 4x4 one does, while a 16x16 one costs more and saves
-little per sum block (see _FUSE_QUBITS).  The state's axes are then permuted
-(the run's qubits first), so the sweep keeps the qubit each axis holds and
-every later gate reads it; run_statevector returns the amplitudes in qubit
-order, and expect_z_plan reads z on the measured qubit's current axis.  Only
-a chunk of one point is fused, and from its sign group's gates (each masked
-x made an x or dropped): their encoding is built and the gates after it are
-fused, so its encoding, runs and their rounding are those of its trial
-alone.  A group's run matrices are built for its own points only.  A
-degree-20 backward point (21 qubits) takes about 0.21-0.37 s on a 2-vCPU
-host.
+little per sum block (see _FUSE_QUBITS).  Only a run on axes apart (a circuit
+that is not compiled), or one in the middle with few amplitudes after it (see
+_MIN_INNER), is first copied into the other buffer with its axes moved to the
+front, then the qubits still to come in the order they come (_to_front): a
+compiled point makes at most one such copy, where its runs reach the inner
+axes.  The sweep
+keeps the qubit each axis holds, so every later gate reads it;
+run_statevector returns the amplitudes in qubit order, and expect_z_plan reads
+z on the measured qubit's axis.  The state and the second buffer are a
+point's own: neither is kept for the next point.  Only a chunk of one point
+is fused, and from its sign group's gates (each masked x made an x or
+dropped): their encoding is built and the gates after it are fused, so its
+encoding, runs and their rounding are those of its trial alone.  A group's
+run matrices are built for its own points only.  A degree-20 backward point
+(21 qubits) takes about 0.16-0.20 s on a 2-vCPU Intel Xeon host with one
+BLAS thread.
 """
 from __future__ import annotations
 
@@ -74,10 +84,10 @@ DEFAULT_QUBIT_CAP = 26
 # the most shots one draw takes: numpy's binomial reads its count as a C long
 MAX_SHOTS = 2**63 - 1
 # peak bytes of a run per amplitude: the complex128 state plus one state of
-# scratch (ry's copy of one half and one half-sized temporary, a fused step's
-# copy of the state, the qubit-order copy run_statevector returns, or the
-# encoding build's copy of the real amplitudes it reads, at most 2 bytes per
-# amplitude)
+# scratch (ry's copy of one half and one half-sized temporary, the second
+# buffer fused steps write into, made once the encoding is built and dropped
+# before run_statevector's qubit-order copy, that copy, or the encoding
+# build's copy of the real amplitudes it reads, at most 2 bytes per amplitude)
 _PEAK_BYTES_PER_AMPLITUDE = 2 * 16
 # a point of at least this many amplitudes runs alone, fused; narrower points
 # run in chunks of at most _CHUNK_AMPLITUDES (see the module docstring).  At
@@ -85,11 +95,20 @@ _PEAK_BYTES_PER_AMPLITUDE = 2 * 16
 # degree run as one chunk
 _FUSE_AMPLITUDES = 2**12
 _CHUNK_AMPLITUDES = 2**15
-# the most qubits one fused step acts on.  A step is bound by its two passes
-# over the state, not by its flops: at 17 qubits (2-vCPU host, one BLAS
-# thread) a 4x4 step took 0.55 ms, an 8x8 one, which covers two sum blocks,
-# 0.61 ms, and a 16x16 one, which covers three, 0.88 ms: 0.29 ms per sum
-# block against 0.31, too little a gain to take
+# a fused step whose axes have fewer amplitudes than this after them, and are
+# not innermost, is moved to the front first (_sweep): in place, m @ x would
+# be one small gemm per value of the axes before them.  At 17 qubits (2-vCPU
+# host, one BLAS thread) an 8x8 step took 0.46 ms outermost, 0.47 ms
+# innermost, and 0.56 / 0.65 / 0.85 / 1.3 / 2.0 / 4.1 ms with 64 / 32 / 16 /
+# 8 / 4 / 2 amplitudes after it, where the move took 0.42-0.46 ms.  A move
+# also takes the runs after it off the inner axes, so a compiled point of
+# degree 11-20 makes at most one; at 64, degree 11 would make two
+_MIN_INNER = 32
+# the most qubits one fused step acts on.  A step is bound by its pass over
+# each buffer, not by its flops: at 17 qubits (2-vCPU host, one BLAS thread)
+# a 4x4 step took 0.37 ms, an 8x8 one, which covers two sum blocks, 0.46 ms,
+# and a 16x16 one, which covers three, 0.69 ms: 0.23 ms per sum block either
+# way, no gain to take
 _FUSE_QUBITS = 3
 
 
@@ -203,10 +222,11 @@ def _run_matrix(run: list[tuple], qubits: tuple[int, ...], batch: int) -> np.nda
 def _fuse(steps: list[tuple], points: list[int]) -> list[tuple]:
     """The gates of a batch with each maximal run of consecutive gates whose
     qubits fit in _FUSE_QUBITS qubits merged into one step ("u", qubits,
-    matrix), on exactly the run's qubits in the order they first appear; a
-    run of one gate stays as it is.  A matrix is built for the given points
-    alone: one per point, in their order, where a gate of the run holds one
-    angle per point, else one for all."""
+    matrix), on exactly the run's qubits in the order of their axes in the
+    layout of the fused point's state (_layout); a run of one gate stays as it
+    is.  A matrix is built for the given points alone: one per point, in their
+    order, where a gate of the run holds one angle per point, else one for
+    all."""
     runs: list[tuple[tuple, list]] = []  # (the run's qubits, its steps)
     for step in steps:
         qubits, run = runs[-1] if runs else ((), [])
@@ -216,23 +236,57 @@ def _fuse(steps: list[tuple], points: list[int]) -> list[tuple]:
             run.append(step)
         else:
             runs.append((tuple(step[1]), [step]))
+    rank = {q: i for i, q in enumerate(_layout([qubits for qubits, _ in runs]))}
     fused = []
     for qubits, run in runs:
         if len(run) > 1:  # from the run's angles and masks at the points alone
             run = [(k, q, a[points] if isinstance(a, np.ndarray) else a) for k, q, a in run]
+            qubits = tuple(sorted(qubits, key=rank.get))  # the order of its axes
             run = [("u", qubits, _run_matrix(run, qubits, len(points)))]
         fused += run
     return fused
 
 
-def _apply_u(state: np.ndarray, matrix: np.ndarray, *axes: int) -> None:
-    """A matrix on k axes of a batched state (_run_matrix's [b, 2^k, 2^k]):
-    the k axes are copied, in order, to the front of a scratch tensor, and
-    matrix @ scratch is written into the state's own buffer, whose axes then
-    hold those k qubits first and the others in their old order."""
-    scratch = np.moveaxis(state, axes, range(1, 1 + len(axes))).copy()
-    shape = (len(state), 2 ** len(axes), -1)
-    np.matmul(matrix, scratch.reshape(shape), out=state.reshape(shape))
+def _layout(touches: list[tuple[int, ...]]) -> list[int]:
+    """The qubits of a list of steps' qubit tuples, in the order the steps
+    first touch them; the qubits one step touches first are ordered by the
+    last step that touches them, so the ones the next steps still need sit
+    next to the qubits those steps add: a compiled program's qubits come in
+    the order d, d-1, ..., 0 backward and 0, 1, ..., d forward, so each of its
+    runs sits on adjacent axes."""
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for i, qubits in enumerate(touches):
+        for q in qubits:
+            first.setdefault(q, i)
+            last[q] = i
+    return sorted(first, key=lambda q: (first[q], last[q]))
+
+
+def _apply_u(state: np.ndarray, matrix: np.ndarray, at: int, out: np.ndarray) -> None:
+    """A matrix (_run_matrix's [b, 2^k, 2^k]) on the k adjacent axes at,
+    at + 1, ... of a batched state, in the matrix's bit order, written into
+    out, a buffer of the state's shape: one matmul, one pass over each buffer,
+    and the axes keep their qubits.  On the innermost axes it is x @ m^T over
+    rows of 2^k amplitudes, one gemm per point; elsewhere it is m @ x on the
+    [2^k, inner] blocks, inner the amplitudes of the axes after them: one gemm
+    per point where the axes are outermost, else one per value of the axes
+    before them (see _MIN_INNER)."""
+    size = matrix.shape[-1]
+    inner = state[0].size // (size << (at - 1))
+    if inner == 1:
+        shape = (len(state), -1, size)
+        np.matmul(state.reshape(shape), matrix.swapaxes(1, 2), out=out.reshape(shape))
+    else:
+        shape = (len(state), -1, size, inner)
+        np.matmul(matrix[:, None], state.reshape(shape), out=out.reshape(shape))
+
+
+def _to_front(state: np.ndarray, out: np.ndarray, axes: list[int]) -> None:
+    """Copy a batched state into out, a buffer of its shape, with the given
+    axes first, in their order, and the others after them in theirs: one
+    strided pass."""
+    np.copyto(out, np.moveaxis(state, axes, range(1, 1 + len(axes))))
 
 
 def _by_signs(circuit: Circuit):
@@ -281,9 +335,10 @@ def _encoding(
     return len(qubits) + links, encoding
 
 
-def _encode(state: np.ndarray, encoding: list[tuple], lo: int, hi: int) -> None:
+def _encode(state: np.ndarray, encoding: list[tuple], lo: int, hi: int, order: list[int]) -> None:
     """Write the state an encoding (_encoding) leaves the points lo..hi-1 in
-    into their zeroed batch of |0...0> states, in place.  The chain maps basis
+    into their zeroed batch of |0...0> states, in place, each axis after the
+    batch axis holding the qubit `order` names for it.  The chain maps basis
     index b to b' with b'_k = b_0 ^ ... ^ b_k on the ry qubits, so the
     amplitude at b' is the product, in ry order, of f_k(b'_k ^ b'_(k-1)), and
     of f_k(b'_k) past the chain's end.  Qubit r_k is built on the amplitudes
@@ -291,10 +346,10 @@ def _encode(state: np.ndarray, encoding: list[tuple], lo: int, hi: int) -> None:
     f_k(1 ^ b'_(k-1)), then its 0-half is scaled by f_k(b'_(k-1)).  These are
     the products the gates make on a state that holds only them, so the
     amplitudes are theirs bit for bit."""
-    n, qubits = state.ndim - 1, [q for q, _, _ in encoding]
-    # the ry qubits first, in ry order, and the batch last, where a factor broadcasts
-    axes = qubits + [q for q in range(n) if q not in qubits]
-    real = state.real.transpose([1 + q for q in axes] + [0])
+    n, axes = state.ndim - 1, [order.index(q) for q, _, _ in encoding]
+    # the ry qubits' axes first, in ry order, and the batch last, where a factor broadcasts
+    axes += [a for a in range(n) if a not in axes]
+    real = state.real.transpose([1 + a for a in axes] + [0])
     for k, (_, linked, f) in enumerate(encoding):
         built = real[(slice(None),) * (k + 1) + (0,) * (n - k - 1)]
         zero, one = built[..., 0, :], built[..., 1, :]
@@ -314,7 +369,12 @@ def _sweep(
     """The states, shape [hi - lo] + [2]*n, that an encoding (_encoding; empty
     for none) and then the gates (or fused steps) of a batch leave its points
     lo..hi-1 in, from |0...0>, after the width and memory checks, and the
-    qubit each axis after the batch axis holds."""
+    qubit each axis after the batch axis holds: qubit order where no step is
+    fused, else the order the steps meet the qubits (_layout).  Each fused
+    step is one matmul into a second buffer, and the two swap (_apply_u); a
+    run on axes apart, or not innermost with fewer than _MIN_INNER amplitudes
+    after it, is first moved to the front with the qubits still to come
+    (_to_front)."""
     if n > DEFAULT_QUBIT_CAP:
         raise CapacityError(
             f"{n} qubits exceeds the dense cap of {DEFAULT_QUBIT_CAP}; "
@@ -329,17 +389,30 @@ def _sweep(
         )
     state = np.zeros([hi - lo] + [2] * n, dtype=complex)
     state[(slice(None),) + (0,) * n] = 1.0
-    _encode(state, encoding, lo, hi)
     order = list(range(n))
-    for kind, qubits, arg in steps:
+    fused = any(kind == "u" for kind, _, _ in steps)
+    if fused:  # laid out as the steps meet the qubits
+        touched = _layout([qubits for _, qubits, _ in steps])
+        order = touched + [q for q in order if q not in touched]
+    _encode(state, encoding, lo, hi, order)
+    spare = np.empty_like(state) if fused else None  # made after the encoding is built
+    for i, (kind, qubits, arg) in enumerate(steps):
         axes = [1 + order.index(q) for q in qubits]
-        if kind == "u":  # a fused chunk's step: one matrix
-            _apply_u(state, arg, *axes)
-            order = list(qubits) + [q for q in order if q not in qubits]
-        else:
+        if kind != "u":
             if isinstance(arg, np.ndarray):  # one per point: a chunk of one takes a scalar
                 arg = arg[lo] if hi - lo == 1 else arg[lo:hi]
             _apply_gate(state, kind, axes, arg)
+            continue
+        at = axes[0]
+        inner = 2 ** (n + 1 - at - len(axes))
+        if axes != list(range(at, at + len(axes))) or 1 < inner < _MIN_INNER:
+            later = _layout([q for _, q, _ in steps[i + 1 :]])
+            front = list(qubits) + [q for q in later if q not in qubits]
+            _to_front(state, spare, [1 + order.index(q) for q in front])
+            order = front + [q for q in order if q not in front]
+            state, spare, at = spare, state, 1
+        _apply_u(state, arg, at, spare)
+        state, spare = spare, state
     return state, order
 
 
@@ -385,10 +458,11 @@ def expect_z_plan(circuit: Circuit) -> list[float]:
     alone, bit for bit: a real rotation rounds the same with one angle or many
     (a per-point rz phase may move the last bit).  Below 2^12 amplitudes each
     z is also expect_z(run_statevector(point), measured) bit for bit; above,
-    the fused sweep leaves the axes permuted, and the sum over them may round
-    differently (by about 1e-15).  The encoding is built (_encoding) and only
-    the gates after it are fused, so a fused point's z may also differ, by
-    about 1e-16, from a fusion of all its gates, the encoding's included."""
+    the fused sweep lays the axes out in another order, and the sum over them
+    may round differently (by about 1e-15).  The encoding is built
+    (_encoding) and only the gates after it are fused, so a fused point's z
+    may also differ, by about 1e-16, from a fusion of all its gates, the
+    encoding's included."""
     zs = [0.0] * circuit.batch
     for lo, hi, states, order in _states(circuit):
         zs[lo:hi] = _zs(states, order.index(circuit.measured_qubit))

@@ -106,17 +106,35 @@ _SUP_TOL = 1e-12
 
 
 def sup_norm(poly: Polynomial) -> float:
-    """max |P(x)| over [-1, 1]: dense grid scan plus golden-section refinement.
-    The refinement runs on Python floats: the same IEEE double arithmetic as
-    on numpy scalars, at about half the cost per step."""
-    vals = np.abs(eval_poly(poly, _SUP_GRID))
-    i = int(np.argmax(vals))
-    if poly.degree == 0:
-        return float(vals[i])
-    lo = float(_SUP_GRID[max(i - 1, 0)])
-    hi = float(_SUP_GRID[min(i + 1, _SUP_GRID_POINTS - 1)])
-    refined = _golden_max(lambda x: abs(eval_poly(poly, x)), lo, hi, _SUP_TOL)
-    return float(max(vals[i], refined))
+    """max |P(x)| over [-1, 1]: dense grid scan plus golden-section refinement
+    (sup_norms of one polynomial)."""
+    return sup_norms([poly.coeffs])[0]
+
+
+def sup_norms(coeffs) -> list[float]:
+    """sup_norm of each row of a [rows, d + 1] array of coefficients, constant
+    term first, bit for bit: the grid is scanned by one in-place Horner over
+    [rows, grid points], whose every element rounds as eval_poly's does, and
+    each row's maximum is refined by golden section.  The refinement runs on
+    Python floats: the same IEEE double arithmetic as on numpy scalars, at
+    about half the cost per step."""
+    rows = np.asarray(coeffs, dtype=float)
+    vals = np.zeros((len(rows), _SUP_GRID_POINTS))
+    for a in rows.T[::-1]:
+        vals *= _SUP_GRID
+        vals += a[:, None]
+    np.abs(vals, out=vals)
+    out = []
+    for row, val, i in zip(rows.tolist(), vals, np.argmax(vals, axis=1).tolist()):
+        if len(row) == 1:
+            out.append(float(val[i]))
+            continue
+        poly = Polynomial(tuple(row))
+        lo = float(_SUP_GRID[max(i - 1, 0)])
+        hi = float(_SUP_GRID[min(i + 1, _SUP_GRID_POINTS - 1)])
+        refined = _golden_max(lambda x: abs(eval_poly(poly, x)), lo, hi, _SUP_TOL)
+        out.append(float(max(val[i], refined)))
+    return out
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -4,6 +4,7 @@ import pytest
 from polyshot.bench import (
     ExperimentConfig,
     gen_random_poly,
+    gen_random_polys,
     noise_config,
     records_csv,
     recovery_run,
@@ -14,7 +15,7 @@ from polyshot.bench import (
     write_report,
 )
 from polyshot.poly import Polynomial, sup_norm
-from polyshot.rng import derive_seed
+from polyshot.rng import derive_seed, derive_seeds, generator
 
 SMALL = ExperimentConfig(degrees=(1, 2, 3), points_per_trial=5, trials=2, shots=512)
 
@@ -57,6 +58,21 @@ def test_gen_random_poly_deterministic():
     a = gen_random_poly(4, derive_seed(7, 4, 1))
     b = gen_random_poly(4, derive_seed(7, 4, 1))
     assert a.coeffs == b.coeffs
+
+
+def test_a_degree_s_draws_are_each_seed_drawn_alone_bit_for_bit():
+    # one re-keyed Philox and one grid scan for the trials, against a
+    # generator and a sup norm per seed
+    for d in (0, 1, 6, 20, 35):
+        seeds = derive_seeds(9, d, range(7))
+        for bound, target in ((0.5, 0.5), (0.25, 1.0)):
+            want = []
+            for seed in seeds:
+                a = generator(seed).uniform(-bound, bound, d + 1)
+                scale = target / sup_norm(Polynomial(tuple(a)))
+                want.append(tuple(float(c * scale) for c in a))
+            got = gen_random_polys(d, seeds, bound, target)
+            assert [poly.coeffs for poly in got] == want
 
 
 def test_table1_report_shape():
@@ -103,19 +119,23 @@ def _with_a_zero_term(monkeypatch, trial_with_zero: int):
     x term, so its program skips that term's block; counts the plans built."""
     from polyshot import bench
 
-    draw, bench_plan, plans = bench.gen_random_poly, bench.plan_programs, []
+    draw, bench_plan, plans = bench.gen_random_polys, bench.plan_programs, []
 
-    def gen(degree, seed, *args):
-        poly = draw(degree, seed, *args)
-        if degree >= 1 and seed == derive_seed(SMALL.master_seed, degree, trial_with_zero):
-            poly = Polynomial(poly.coeffs[:1] + (0.0,) + poly.coeffs[2:])
-        return poly
+    def gen(degree, seeds, *args):
+        polys = draw(degree, seeds, *args)
+        zero = derive_seed(SMALL.master_seed, degree, trial_with_zero)
+        return [
+            Polynomial(poly.coeffs[:1] + (0.0,) + poly.coeffs[2:])
+            if degree >= 1 and seed == zero
+            else poly
+            for poly, seed in zip(polys, seeds)
+        ]
 
     def plan_programs(programs, xs):
         plans.append(len(programs))
         return bench_plan(programs, xs)
 
-    monkeypatch.setattr(bench, "gen_random_poly", gen)
+    monkeypatch.setattr(bench, "gen_random_polys", gen)
     monkeypatch.setattr(bench, "plan_programs", plan_programs)
     return plans
 
@@ -141,6 +161,20 @@ def test_trials_of_several_skeletons_split_into_batches_with_the_per_trial_repor
         per_trial, include_timings=False
     )
     assert records_csv(report) == records_csv(per_trial)
+
+
+def test_a_wide_dense_run_reruns_byte_identical_and_exact():
+    # degrees 14-16 run one point at a time on the fused wide path
+    from dataclasses import replace
+
+    config = ExperimentConfig(degrees=(14, 15, 16), trials=1, points_per_trial=2, master_seed=61)
+    first, second = recovery_run(config), recovery_run(config)
+    assert report_json(first, include_timings=False) == report_json(second, include_timings=False)
+    assert records_csv(first) == records_csv(second)
+    exact = recovery_run(replace(config, shots=0))  # the estimate is C <Z>
+    assert len(exact.records) == 6
+    for record in exact.records:
+        assert abs(record.estimate - record.truth) < 1e-9
 
 
 @pytest.mark.parametrize(

@@ -730,7 +730,7 @@ def test_bench_refuses_a_dense_degree_over_the_qubit_cap_before_any_point_runs(
     config.write_text(json.dumps({"simulator": "dense"}))
     out_dir = tmp_path / "runs"
     with monkeypatch.context() as patch:
-        patch.setattr(bench, "gen_random_poly", no_draw)
+        patch.setattr(bench, "gen_random_polys", no_draw)
         assert run_cli("bench", "stress", "--config", str(config), "--out-dir", str(out_dir)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: degree 30 needs 31 qubits, over the dense cap of 26")

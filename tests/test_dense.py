@@ -564,7 +564,9 @@ def test_a_fused_step_on_k_unsorted_axes_matches_the_kron_oracle(k, shared):
     assert matrix.shape == (1 if shared else n_points, 2**k, 2**k)
     state = rng.normal(size=(n_points, 2**n)) + 1j * rng.normal(size=(n_points, 2**n))
     got = state.reshape([n_points] + [2] * n).copy()
-    dense._apply_u(got, matrix, *(1 + q for q in qubits))
+    moved = np.empty_like(got)  # the run's axes apart: moved to the front first, as _sweep does
+    dense._to_front(got, moved, [1 + q for q in qubits])
+    dense._apply_u(moved, matrix, 1, got)
     order = list(qubits) + [q for q in range(n) if q not in qubits]
     got = got.transpose([0] + [1 + order.index(q) for q in range(n)]).reshape(n_points, -1)
     for p in range(n_points):
@@ -576,6 +578,120 @@ def test_a_fused_step_on_k_unsorted_axes_matches_the_kron_oracle(k, shared):
             full = _oracle_gate(Gate(kind, qs, angle), n) @ full
         assert np.abs(matrix[0 if shared else p] - local).max() < 1e-12
         assert np.abs(got[p] - full @ state[p]).max() < 1e-12
+
+
+def _axis_oracle_state(circuit: Circuit) -> np.ndarray:
+    """The kron oracle for states too wide for a full matrix: each gate's
+    matrix on its own qubits (_oracle_gate), contracted with the state
+    tensor's axes of those qubits."""
+    n = circuit.n_qubits
+    state = np.zeros([2] * n, dtype=complex)
+    state[(0,) * n] = 1.0
+    for g in circuit.gates:
+        k = len(g.qubits)
+        m = _oracle_gate(Gate(g.kind, tuple(range(k)), g.angle), k).reshape([2] * 2 * k)
+        state = np.tensordot(m, state, axes=(list(range(k, 2 * k)), list(g.qubits)))
+        state = np.moveaxis(state, list(range(k)), list(g.qubits))
+    return state.reshape(-1)
+
+
+def _placed_runs(n: int, rng, n_points: int, shared: bool) -> list[list[tuple]]:
+    """Gate lists of runs (_random_run) whose fused steps meet each placement:
+    outermost, in the middle and innermost where they sit (the qubits between
+    the middle run and the last one are first met by lone cx gates, which
+    are not fused: each shares no qubit with the gates on either side of it),
+    a chain that slides by two qubits into the axes with few amplitudes after
+    them, and runs on axes apart."""
+
+    def runs(*qubit_sets):
+        return [g for qubits in qubit_sets for g in _random_run(qubits, rng, n_points, shared)]
+
+    first, middle, last = (0, 1, 2), (3, 4, 5), (n - 3, n - 2, n - 1)
+    gap = list(range(6, n - 3))
+    lone = [("cx", tuple(gap[j : j + 2]) if j + 1 < len(gap) else (0, gap[j]), None)
+            for j in range(0, len(gap), 2)]
+    lone.append(("cx", last[:2], None))  # the last run's start
+    chain = [(q, q + 1, q + 2) for q in range(0, n - 2, 2)]
+    return [
+        runs(first, middle) + lone + runs(last),
+        runs(*chain),
+        runs(first, middle, (0, 4, n - 1), (n // 2, 1), (2,)),
+    ]
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("n", [12, 13, 14])
+def test_every_placement_of_a_fused_step_matches_the_kron_oracle(monkeypatch, n, shared):
+    from polyshot import dense
+
+    rng = np.random.default_rng(100 + n)
+    n_points, measured = 2, n // 2
+    placed, moved, sizes = set(), [], set()
+    apply_u, to_front, fuse = dense._apply_u, dense._to_front, dense._fuse
+
+    def apply_u_spy(state, matrix, at, out):
+        inner = state[0].size // (matrix.shape[-1] << (at - 1))
+        placed.add("outermost" if at == 1 else "innermost" if inner == 1 else "middle")
+        apply_u(state, matrix, at, out)
+
+    def to_front_spy(state, out, axes):
+        moved.append(axes)
+        to_front(state, out, axes)
+
+    def fuse_spy(steps, points):
+        fused = fuse(steps, points)
+        sizes.update(len(arg) for kind, _, arg in fused if kind == "u")
+        return fused
+
+    monkeypatch.setattr(dense, "_apply_u", apply_u_spy)
+    monkeypatch.setattr(dense, "_to_front", to_front_spy)
+    monkeypatch.setattr(dense, "_fuse", fuse_spy)
+    for gates in _placed_runs(n, rng, n_points, shared):
+        circuits = [
+            Circuit(n, tuple(Gate(k, q, a[p] if isinstance(a, np.ndarray) else a)
+                             for k, q, a in gates), measured)
+            for p in range(n_points)
+        ]
+        zs = expect_z_plan(plan(circuits))
+        for circuit, z in zip(circuits, zs):
+            want = _axis_oracle_state(circuit)
+            assert np.abs(run_statevector(circuit) - want).max() < 1e-12
+            assert abs(z - _oracle_expect_z(want, measured, n)) < 1e-12
+    assert placed == {"outermost", "middle", "innermost"}
+    assert moved
+    assert sizes == {1} if shared else n_points in sizes  # a run of x and cx alone shares one
+
+
+@pytest.mark.parametrize("order", ["backward", "forward"])
+def test_a_compiled_point_moves_its_state_at_most_once(monkeypatch, order):
+    # its runs sit on adjacent axes of the layout; one move to the front
+    # takes the runs past the axes with few amplitudes after them
+    from polyshot import dense
+
+    rng = np.random.default_rng(102)
+    moves, steps = [], []
+    apply_u, to_front = dense._apply_u, dense._to_front
+
+    def apply_u_spy(*args):
+        steps.append(args[2])
+        apply_u(*args)
+
+    def to_front_spy(*args):
+        moves.append(args[2])
+        to_front(*args)
+
+    monkeypatch.setattr(dense, "_apply_u", apply_u_spy)
+    monkeypatch.setattr(dense, "_to_front", to_front_spy)
+    for d in range(11, 21):
+        poly = Polynomial(tuple(rng.uniform(-1, 1, d + 1)))
+        program = compile_poly(poly, order)
+        moves.clear()
+        steps.clear()
+        (z,) = expect_z_plan(build_circuit(program, -0.4))
+        assert len(moves) <= 1
+        if order == "backward":
+            assert len(steps) == math.ceil(d / 2)
+        assert abs(program.rescale * z - eval_poly(poly, -0.4)) < 1e-9
 
 
 def test_a_fused_backward_point_runs_one_step_per_two_sum_blocks(monkeypatch):

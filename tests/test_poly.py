@@ -17,6 +17,7 @@ from polyshot.poly import (
     read_samples,
     sample_function,
     sup_norm,
+    sup_norms,
     write_coeffs,
     write_samples,
 )
@@ -167,6 +168,15 @@ def test_sup_norm_is_the_numpy_scalar_search_bit_for_bit():
         for _ in range(4):
             coeffs = tuple(float(a) for a in rng.uniform(-1, 1, d + 1))
             assert sup_norm(Polynomial(coeffs)) == _numpy_scalar_sup_norm(coeffs)
+
+
+def test_sup_norms_of_a_batch_are_each_row_alone_bit_for_bit():
+    # one Horner over [rows, grid points], as a degree's trials are scanned
+    rng = np.random.default_rng(26)
+    for d in (0, 1, 2, 7, 20, 35):
+        rows = rng.uniform(-1, 1, (5, d + 1))
+        want = [_numpy_scalar_sup_norm(tuple(float(a) for a in row)) for row in rows]
+        assert sup_norms(rows) == want
 
 
 def test_eval_poly_on_an_array_is_the_scalar_form_bit_for_bit():
