@@ -32,46 +32,52 @@ gate is memory traffic, which a batch does not cut, and a batch would
 multiply its peak memory, the one allocation that limits it.
 
 A chunk's state starts from its circuit's encoding, built, not swept
-(_encoding, _encode): the leading ry gates on distinct qubits and the cx gates
-that chain them in ry order (backward order's Ry(arccos x) on q1..qd and
+(_encoding): the leading ry gates on distinct qubits and the cx gates that
+chain them in ry order (backward order's Ry(arccos x) on q1..qd and
 cx(k-1, k), 2d - 1 passes over the state when swept; forward order's first
 two ry gates) leave amplitudes that are products of one cos or sin per ry
-qubit.  Multiplied in the gates' order, they are the sweep's bit for bit.
-The gates after the encoding are swept, or fused.
+qubit.  A narrow chunk writes them into its zeroed states (_encode),
+multiplied in the gates' order, so they are the sweep's bit for bit, then
+sweeps the gates after the encoding.
 
-On a wide state the traffic is cut instead by gate fusion.  The compiled
-programs are chains of two-qubit sum blocks, 6-7 gates on one qubit pair, and
-each block shares one qubit with the next, so each maximal run of consecutive
+A wide point cuts its traffic by gate fusion instead.  The compiled programs
+are chains of two-qubit sum blocks, 6-7 gates on one qubit pair, and each
+block shares one qubit with the next, so each maximal run of consecutive
 gates on at most _FUSE_QUBITS = 3 qubits becomes one matrix of up to 8x8
-(_fuse), built by sweeping the run's own gates over the identity's columns; a
-backward point of degree d runs ceil(d/2) such steps after its encoding, two
-sum blocks each.  The state of a fused point is laid out, as its encoding is
-built, with its qubits in the order its steps first meet them (_layout), so a
-compiled program's runs, on (d, d-1, d-2), (d-2, d-3, d-4), ... backward
-and (0, 1, 2), (1, 2, 3), ... forward, each sit on adjacent axes, and each
-run's matrix is built in the order of its axes.  A fused step is then one matmul
-from the state's buffer into a second buffer of its size, and the two swap
-(_apply_u): one pass over each, whatever the step's size, so an 8x8 step
-costs about what a 4x4 one does, while a 16x16 one costs more and saves
-little per sum block (see _FUSE_QUBITS).  Only a run on axes apart (a circuit
-that is not compiled), or one in the middle with few amplitudes after it (see
-_MIN_INNER), is first copied into the other buffer with its axes moved to the
-front, then the qubits still to come in the order they come (_to_front): a
-compiled point makes at most one such copy, where its runs reach the inner
-axes.  The sweep
-keeps the qubit each axis holds, so every later gate reads it;
+(_fuse), the product of its gates' matrices; a backward point of degree d
+runs ceil(d/2) such steps after its encoding, two sum blocks each.  Its state
+holds only the qubits its steps have met (_adjoining_sweep), as the windowed
+simulator adjoins each qubit at its first gate.  The encoding is a product
+state apart from its cx chain, and the chain is a matrix-product state of
+bond dimension 2 (Vidal, "Efficient classical simulation of slightly
+entangled quantum computations", 2003), so each qubit is adjoined where a step
+first needs it: as |0>, as its ry factor (cos, sin), or, on the chain, from
+the end the steps reach first, the open bond an innermost axis of size 2
+(_sites).  A step adjoins its fresh qubits innermost, ordered by the last step
+that needs them, so a compiled program's runs, on (d, d-1, d-2), (d-2, d-3,
+d-4), ... backward and (2, 1, 0), (3, 2, 1), ... forward, each meet the
+qubits the step before left innermost, and adjoining and the run's matrix
+are one matmul from the state into a spare buffer (_factors, _apply_u).  A
+backward point of degree 16 then writes 2 x 2^3, 2 x 2^5, ..., 2 x 2^15 and
+2^17 amplitudes, about 1.7 states of 2^17, where a sweep of the whole state
+would write 8.  Only a step whose held qubits are not innermost (a circuit
+that is not compiled) first copies them there (_to_back); chain qubits
+adjoined on the way to the one a step needs go outermost, and the qubits no
+step needs are adjoined last.  The sweep keeps the qubit each axis holds;
 run_statevector returns the amplitudes in qubit order, and expect_z_plan reads
-z on the measured qubit's axis.  The state and the second buffer are a
-point's own: neither is kept for the next point.  Only a chunk of one point
-is fused, and from its sign group's gates (each masked x made an x or
-dropped): their encoding is built and the gates after it are fused, so its
-encoding, runs and their rounding are those of its trial alone.  A group's
-run matrices are built for its own points only.  A degree-20 backward point
-(21 qubits) takes about 0.16-0.20 s on a 2-vCPU Intel Xeon host with one
-BLAS thread.
+z on the measured qubit's axis, as pairwise sums (_zs).  The spare buffer is
+made anew, of the new state's size, where the state grows, so the peak is the
+final state and the one before it; no buffer is kept for the next point.
+Only a chunk of one point is fused, and from its sign group's gates (each
+masked x made an x or dropped): their encoding is found and the gates after
+it are fused, so its encoding, runs and their rounding are those of its
+trial alone.  A group's run matrices are built for its own points only.  A
+degree-20 backward point (21 qubits) takes about 0.03-0.04 s on a 2-vCPU
+Intel Xeon host with one BLAS thread.
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -84,10 +90,11 @@ DEFAULT_QUBIT_CAP = 26
 # the most shots one draw takes: numpy's binomial reads its count as a C long
 MAX_SHOTS = 2**63 - 1
 # peak bytes of a run per amplitude: the complex128 state plus one state of
-# scratch (ry's copy of one half and one half-sized temporary, the second
-# buffer fused steps write into, made once the encoding is built and dropped
-# before run_statevector's qubit-order copy, that copy, or the encoding
-# build's copy of the real amplitudes it reads, at most 2 bytes per amplitude)
+# scratch (ry's copy of one half and one half-sized temporary, the spare
+# buffer a fused step writes into, dropped before run_statevector's
+# qubit-order copy, that copy, a wide z read's |amp|^2 of half the state's
+# bytes, or the encoding build's copy of the real amplitudes it reads, at
+# most 2 bytes per amplitude)
 _PEAK_BYTES_PER_AMPLITUDE = 2 * 16
 # a point of at least this many amplitudes runs alone, fused; narrower points
 # run in chunks of at most _CHUNK_AMPLITUDES (see the module docstring).  At
@@ -95,21 +102,18 @@ _PEAK_BYTES_PER_AMPLITUDE = 2 * 16
 # degree run as one chunk
 _FUSE_AMPLITUDES = 2**12
 _CHUNK_AMPLITUDES = 2**15
-# a fused step whose axes have fewer amplitudes than this after them, and are
-# not innermost, is moved to the front first (_sweep): in place, m @ x would
-# be one small gemm per value of the axes before them.  At 17 qubits (2-vCPU
-# host, one BLAS thread) an 8x8 step took 0.46 ms outermost, 0.47 ms
-# innermost, and 0.56 / 0.65 / 0.85 / 1.3 / 2.0 / 4.1 ms with 64 / 32 / 16 /
-# 8 / 4 / 2 amplitudes after it, where the move took 0.42-0.46 ms.  A move
-# also takes the runs after it off the inner axes, so a compiled point of
-# degree 11-20 makes at most one; at 64, degree 11 would make two
-_MIN_INNER = 32
 # the most qubits one fused step acts on.  A step is bound by its pass over
 # each buffer, not by its flops: at 17 qubits (2-vCPU host, one BLAS thread)
 # a 4x4 step took 0.37 ms, an 8x8 one, which covers two sum blocks, 0.46 ms,
 # and a 16x16 one, which covers three, 0.69 ms: 0.23 ms per sum block either
 # way, no gain to take
 _FUSE_QUBITS = 3
+# the most qubits one pass adjoins (_adjoining_sweep): their factors make a
+# tensor of at most 2 x 2^4 x 2 entries (_tensor), not one the state's size,
+# and a state that grows by 2^4 a pass is written about 1.07 times in all
+_ADJOIN_QUBITS = 4
+# the factor that adjoins a qubit with no encoding gate, as |0>
+_ZERO = np.array([[1.0], [0.0]])
 
 
 class CapacityError(RuntimeError):
@@ -205,28 +209,63 @@ def _free_memory_bytes() -> int:
     return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _run_matrix(run: list[tuple], qubits: tuple[int, ...], batch: int) -> np.ndarray:
+def _one_qubit(kind: str, angle) -> np.ndarray:
+    """The [b, 2, 2] matrix of a one-qubit gate, b the number of its angles
+    (1 for a float or none), with the values the sweep uses."""
+    if kind == "x":
+        return np.array([[[0, 1], [1, 0]]], dtype=complex)
+    half = angle / 2.0
+    if kind == "rz":
+        zero = np.zeros_like(half)
+        m = np.array([[np.exp(-1j * half), zero], [zero, np.exp(1j * half)]], dtype=complex)
+    else:  # ry
+        c, s = np.cos(half), np.sin(half)
+        m = np.array([[c, -s], [s, c]], dtype=complex)
+    return m.reshape(2, 2, -1).transpose(2, 0, 1)
+
+
+@functools.lru_cache(maxsize=256)
+def _fixed_matrix(kind: str, at: tuple[int, ...], k: int, angle) -> np.ndarray:
+    """The [1, 2^k, 2^k] matrix of a gate with no value of its own on bits
+    `at` of k, the first bit the most significant: a cx, a plain x or the
+    rz(pi/2) of compile._fixed, made once per position in a run.  cx(c, t)
+    flips bit t of the column index where bit c is 1."""
+    if kind == "cx":
+        cols = np.arange(2**k)
+        c, t = (k - 1 - bit for bit in at)
+        m = np.zeros((1, 2**k, 2**k), dtype=complex)
+        m[0, cols ^ (((cols >> c) & 1) << t), cols] = 1.0
+        return m
+    hi, lo = 2 ** at[0], 2 ** (k - 1 - at[0])
+    eye = np.eye(hi)[:, None, None, :, None, None] * np.eye(lo)[None, None, :, None, None, :]
+    return (eye * _one_qubit(kind, angle)[:, None, :, None, None, :, None]).reshape(1, 2**k, 2**k)
+
+
+def _run_matrix(run: list[tuple], qubits: tuple[int, ...]) -> np.ndarray:
     """The 2^k x 2^k matrix of a run of gates on k qubits, [b, 2^k, 2^k] with
     row and column index the bits of `qubits` in their order, the first the
-    most significant: the run's own gates swept over the identity's columns.
-    b is the batch where a gate holds one angle per point, else 1."""
+    most significant: the product of the gates' matrices, later gates on the
+    left.  b is the batch where a gate holds one angle per point, else 1.
+    An ry, or a gate with one angle per point, multiplies its 2x2 matrix
+    into the rows of its bit; every other gate is _fixed_matrix's."""
     k = len(qubits)
-    b = batch if any(isinstance(angle, np.ndarray) for _, _, angle in run) else 1
-    eye = np.eye(2**k, dtype=complex).reshape((1,) + (2,) * k + (2**k,))
-    cols = np.tile(eye, (b,) + (1,) * (k + 1))
+    matrix = np.eye(2**k, dtype=complex)[None]
     for kind, gate_qubits, angle in run:
-        _apply_gate(cols, kind, [1 + qubits.index(q) for q in gate_qubits], angle)
-    return cols.reshape(b, 2**k, 2**k)
+        at = tuple(qubits.index(q) for q in gate_qubits)
+        if kind == "ry" or isinstance(angle, np.ndarray):
+            rows = matrix.reshape(len(matrix), 2 ** at[0], 2, -1)
+            matrix = np.matmul(_one_qubit(kind, angle)[:, None], rows).reshape(-1, 2**k, 2**k)
+        else:
+            matrix = _fixed_matrix(kind, at, k, angle) @ matrix
+    return matrix
 
 
 def _fuse(steps: list[tuple], points: list[int]) -> list[tuple]:
-    """The gates of a batch with each maximal run of consecutive gates whose
-    qubits fit in _FUSE_QUBITS qubits merged into one step ("u", qubits,
-    matrix), on exactly the run's qubits in the order of their axes in the
-    layout of the fused point's state (_layout); a run of one gate stays as it
-    is.  A matrix is built for the given points alone: one per point, in their
-    order, where a gate of the run holds one angle per point, else one for
-    all."""
+    """The gates of a batch as steps ("u", qubits, matrix), one per maximal
+    run of consecutive gates whose qubits fit in _FUSE_QUBITS qubits, on the
+    run's qubits in the order its gates meet them.  A matrix is built for the
+    given points alone: one per point, in their order, where a gate of the
+    run holds one angle per point, else one for all."""
     runs: list[tuple[tuple, list]] = []  # (the run's qubits, its steps)
     for step in steps:
         qubits, run = runs[-1] if runs else ((), [])
@@ -236,57 +275,29 @@ def _fuse(steps: list[tuple], points: list[int]) -> list[tuple]:
             run.append(step)
         else:
             runs.append((tuple(step[1]), [step]))
-    rank = {q: i for i, q in enumerate(_layout([qubits for qubits, _ in runs]))}
-    fused = []
-    for qubits, run in runs:
-        if len(run) > 1:  # from the run's angles and masks at the points alone
-            run = [(k, q, a[points] if isinstance(a, np.ndarray) else a) for k, q, a in run]
-            qubits = tuple(sorted(qubits, key=rank.get))  # the order of its axes
-            run = [("u", qubits, _run_matrix(run, qubits, len(points)))]
-        fused += run
-    return fused
+    return [
+        ("u", qubits, _run_matrix([(k, q, a[points] if isinstance(a, np.ndarray) else a)
+                                   for k, q, a in run], qubits))
+        for qubits, run in runs
+    ]
 
 
-def _layout(touches: list[tuple[int, ...]]) -> list[int]:
-    """The qubits of a list of steps' qubit tuples, in the order the steps
-    first touch them; the qubits one step touches first are ordered by the
-    last step that touches them, so the ones the next steps still need sit
-    next to the qubits those steps add: a compiled program's qubits come in
-    the order d, d-1, ..., 0 backward and 0, 1, ..., d forward, so each of its
-    runs sits on adjacent axes."""
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for i, qubits in enumerate(touches):
-        for q in qubits:
-            first.setdefault(q, i)
-            last[q] = i
-    return sorted(first, key=lambda q: (first[q], last[q]))
+def _apply_u(state: np.ndarray, factors: np.ndarray, out: np.ndarray) -> None:
+    """Each row of K amplitudes (the innermost axes) of a state times each of
+    P right factors [P, K, N], written into out as [P, rows, N]: one gemm
+    per factor, one pass over each buffer.  With P = 1 and the factor m^T,
+    it is a matrix m on the innermost axes."""
+    rows = state.reshape(-1, factors.shape[1])
+    for factor, block in zip(factors, out.reshape(len(factors), len(rows), -1)):
+        np.matmul(rows, factor, out=block)
 
 
-def _apply_u(state: np.ndarray, matrix: np.ndarray, at: int, out: np.ndarray) -> None:
-    """A matrix (_run_matrix's [b, 2^k, 2^k]) on the k adjacent axes at,
-    at + 1, ... of a batched state, in the matrix's bit order, written into
-    out, a buffer of the state's shape: one matmul, one pass over each buffer,
-    and the axes keep their qubits.  On the innermost axes it is x @ m^T over
-    rows of 2^k amplitudes, one gemm per point; elsewhere it is m @ x on the
-    [2^k, inner] blocks, inner the amplitudes of the axes after them: one gemm
-    per point where the axes are outermost, else one per value of the axes
-    before them (see _MIN_INNER)."""
-    size = matrix.shape[-1]
-    inner = state[0].size // (size << (at - 1))
-    if inner == 1:
-        shape = (len(state), -1, size)
-        np.matmul(state.reshape(shape), matrix.swapaxes(1, 2), out=out.reshape(shape))
-    else:
-        shape = (len(state), -1, size, inner)
-        np.matmul(matrix[:, None], state.reshape(shape), out=out.reshape(shape))
-
-
-def _to_front(state: np.ndarray, out: np.ndarray, axes: list[int]) -> None:
-    """Copy a batched state into out, a buffer of its shape, with the given
-    axes first, in their order, and the others after them in theirs: one
+def _to_back(state: np.ndarray, out: np.ndarray, axes: list[int]) -> None:
+    """Copy a state tensor into out, a buffer of its size, with the given
+    axes last, in their order, and the others before them in theirs: one
     strided pass."""
-    np.copyto(out, np.moveaxis(state, axes, range(1, 1 + len(axes))))
+    moved = np.moveaxis(state, axes, range(state.ndim - len(axes), state.ndim))
+    np.copyto(out.reshape(moved.shape), moved)
 
 
 def _by_signs(circuit: Circuit):
@@ -335,18 +346,18 @@ def _encoding(
     return len(qubits) + links, encoding
 
 
-def _encode(state: np.ndarray, encoding: list[tuple], lo: int, hi: int, order: list[int]) -> None:
+def _encode(state: np.ndarray, encoding: list[tuple], lo: int, hi: int) -> None:
     """Write the state an encoding (_encoding) leaves the points lo..hi-1 in
-    into their zeroed batch of |0...0> states, in place, each axis after the
-    batch axis holding the qubit `order` names for it.  The chain maps basis
-    index b to b' with b'_k = b_0 ^ ... ^ b_k on the ry qubits, so the
-    amplitude at b' is the product, in ry order, of f_k(b'_k ^ b'_(k-1)), and
-    of f_k(b'_k) past the chain's end.  Qubit r_k is built on the amplitudes
-    where it and every later ry qubit is 0: its 1-half is that half times
-    f_k(1 ^ b'_(k-1)), then its 0-half is scaled by f_k(b'_(k-1)).  These are
-    the products the gates make on a state that holds only them, so the
-    amplitudes are theirs bit for bit."""
-    n, axes = state.ndim - 1, [order.index(q) for q, _, _ in encoding]
+    into their zeroed batch of |0...0> states, in place, the axes after the
+    batch axis in qubit order.  The chain maps basis index b to b' with
+    b'_k = b_0 ^ ... ^ b_k on the ry qubits, so the amplitude at b' is the
+    product, in ry order, of f_k(b'_k ^ b'_(k-1)), and of f_k(b'_k) past the
+    chain's end.  Qubit r_k is built on the amplitudes where it and every
+    later ry qubit is 0: its 1-half is that half times f_k(1 ^ b'_(k-1)), then
+    its 0-half is scaled by f_k(b'_(k-1)).  These are the products the gates
+    make on a state that holds only them, so the amplitudes are theirs bit
+    for bit."""
+    n, axes = state.ndim - 1, [q for q, _, _ in encoding]
     # the ry qubits' axes first, in ry order, and the batch last, where a factor broadcasts
     axes += [a for a in range(n) if a not in axes]
     real = state.real.transpose([1 + a for a in axes] + [0])
@@ -363,18 +374,155 @@ def _encode(state: np.ndarray, encoding: list[tuple], lo: int, hi: int, order: l
             zero *= f[0]
 
 
+def _sites(encoding: list[tuple], n: int, point: int, met: list[int]) -> tuple[list, dict]:
+    """How one point's encoding (_encoding) adjoins each of n qubits: the
+    chain's qubits in the order they are adjoined, and for each qubit its
+    factor.  A qubit off the chain carries a product factor v, [2, 1]: f_k
+    for an ry qubit r_k, (1, 0) for a qubit with no encoding gate.  The
+    chain r_0 -> ... -> r_L is a matrix-product state of bond 2: the open
+    bond is the value of the next chain qubit to come, and a chain qubit
+    carries g[b, c], [2, 2] (or [2, 1] where the bond closes), its bit b
+    being the old bond.  From the tail (r_L first), r_k (k >= 1) carries
+    f_k(b ^ c) and the head closes with f_0(b); from the head, r_0 carries
+    f_0(b) f_1(b ^ c), r_k carries f_(k+1)(b ^ c) and the tail closes with 1.
+    The chain runs from the end nearer the first of its qubits that the
+    steps meet (`met` lists the qubits in the order they are met), so the
+    fewest are adjoined before a step needs them."""
+    factor = [f[:, point] if f.shape[1] > 1 else f[:, 0] for _, _, f in encoding]
+    links = sum(linked for _, linked, _ in encoding)
+    chain = [q for q, _, _ in encoding[: links + 1]] if links else []
+    sites = dict.fromkeys(range(n), (False, _ZERO))
+    for (q, _, _), f in zip(encoding, factor):
+        if q not in chain:
+            sites[q] = (False, f[:, None])
+    if not chain:
+        return chain, sites
+    link = [np.array([[f[0], f[1]], [f[1], f[0]]]) for f in factor[1 : len(chain)]]  # f_k(b ^ c)
+    first = next((chain.index(q) for q in met if q in chain), len(chain))
+    if 2 * first < len(chain) - 1:  # from the head
+        carried = [factor[0][:, None] * link[0]] + link[1:] + [np.ones((2, 1))]
+    else:  # from the tail
+        chain, carried = chain[::-1], link[::-1] + [factor[0][:, None]]
+    sites.update((q, (True, g)) for q, g in zip(chain, carried))
+    return chain, sites
+
+
+def _tensor(group: list[int], head: list[int], tail: list[int], bond: int, sites: dict):
+    """The factors (_sites) that adjoin a group of qubits (a chain's in its
+    order) to a state whose open bond has `bond` values, multiplied one at a
+    time into T[c_old, head bits, tail bits, c_new], shape [bond, 2^h, 2^t,
+    bond'], the group being its head qubits and its tail ones, each in the
+    order given."""
+    tensor = np.eye(bond)  # [c_old, c]: the bond as it is
+    for q in group:
+        chained, g = sites[q]
+        tensor = tensor[..., :, None] * g if chained else tensor[..., None, :] * g
+    axes = [0] + [1 + group.index(q) for q in head + tail] + [tensor.ndim - 1]
+    return tensor.transpose(axes).reshape(bond, 2 ** len(head), 2 ** len(tail), -1)
+
+
+def _factors(tensor: np.ndarray, held: int, matrix: np.ndarray | None) -> np.ndarray:
+    """The right factors [P, K, N] of a step that adjoins qubits by a tensor
+    (_tensor) and then applies a matrix (or none) on its `held` innermost
+    held qubits and the adjoined ones after them: a row of K = 2^held x bond
+    amplitudes, the held bits then the bond, becomes for each value of the
+    head bits N = 2^k x bond' amplitudes, the step's bits then the new bond."""
+    bond, heads, fresh, new_bond = tensor.shape
+    m = np.eye(fresh) if matrix is None else matrix[0]
+    m = m.reshape(len(m), 2**held, fresh)
+    factors = np.einsum("oht,cptn->phcon", m, tensor)
+    return factors.reshape(heads, 2**held * bond, len(m) * new_bond)
+
+
+def _fresh(needed, order: list[int], chain: list[int]) -> list[int]:
+    """The qubits to adjoin to a state that holds `order` so it holds
+    `needed`: the chain's (in the order it is adjoined) up to the farthest
+    one needed, then the others needed, in their order."""
+    held = set(order)
+    fresh = [q for q in needed if q not in held]
+    reach = [chain.index(q) for q in fresh if q in chain]
+    if not reach:
+        return fresh
+    return [q for q in chain[: max(reach) + 1] if q not in held] + [
+        q for q in fresh if q not in chain
+    ]
+
+
+def _in_order(matrix: np.ndarray, qubits, axes: list[int]) -> np.ndarray:
+    """A run matrix on `qubits` (_run_matrix) with its bits in the order of
+    the qubits its axes hold."""
+    k, b = len(qubits), len(matrix)
+    perm = [qubits.index(q) for q in axes]
+    if perm == list(range(k)):
+        return matrix
+    matrix = matrix.reshape((b,) + (2,) * 2 * k)
+    matrix = matrix.transpose([0] + [1 + p for p in perm] + [1 + k + p for p in perm])
+    return matrix.reshape(b, 2**k, 2**k)
+
+
+def _adjoining_sweep(steps: list[tuple], n: int, point: int, encoding: list[tuple]):
+    """The state, [1] + [2]*n, that one point's encoding (_encoding) and
+    fused steps leave it in, and the qubit each of its axes after the first
+    holds.  The state holds only the qubits the steps have met, and, while
+    the encoding's chain is open, its bond as the innermost axis.  A step
+    adjoins its fresh qubits innermost, before the bond, ordered by the last
+    step that touches them, so the qubits the next step shares are the
+    innermost; chain qubits adjoined on the way to one the step needs go
+    outermost.  Adjoining and the step's matrix are one matmul (_factors,
+    _apply_u) from the state into a spare buffer, and the two swap; where a
+    step's held qubits are not innermost, they are first moved there
+    (_to_back).  The qubits no step touches are adjoined last, at most
+    _ADJOIN_QUBITS a pass.  The spare buffer is made anew, of the new state's
+    size, where the state grows, the old one dropped first."""
+    last: dict[int, int] = {}  # in the order the steps first meet the qubits
+    for i, (_, qubits, _) in enumerate(steps):
+        last.update((q, i) for q in qubits)
+    chain, sites = _sites(encoding, n, point, list(last))
+    state, spare, bond, order = np.ones(1, dtype=complex), np.empty(0, dtype=complex), 1, []
+
+    def out(size: int) -> np.ndarray:
+        nonlocal spare
+        if spare.size != size:
+            spare = None  # dropped before the larger one is made
+            spare = np.empty(size, dtype=complex)
+        return spare
+
+    for qubits, matrix in [*((q, m) for _, q, m in steps), (range(n), None)]:  # then the rest
+        needed = sorted(qubits, key=lambda q: last.get(q, len(steps)))
+        fresh = _fresh(needed, order, chain)
+        held = [q for q in needed if q not in fresh]
+        if set(order[len(order) - len(held) :]) != set(held):  # innermost, before the bond
+            axes = [order.index(q) for q in held] + [len(order)]
+            _to_back(state.reshape([2] * len(order) + [bond]), out(state.size), axes)
+            state, spare, order = spare, state, [q for q in order if q not in held] + held
+        groups = [fresh[i : i + _ADJOIN_QUBITS] for i in range(0, len(fresh), _ADJOIN_QUBITS)]
+        for i, group in enumerate(groups or [[]]):  # the last with the step's matrix
+            step = matrix if i == max(len(groups) - 1, 0) else None
+            if step is None and not group:
+                continue
+            head = [q for q in group if q not in qubits]
+            tail = [q for q in needed if q in group]
+            tensor = _tensor(group, head, tail, bond, sites)
+            order = head + order + tail
+            if step is not None:
+                step = _in_order(step, qubits, order[-len(qubits) :])
+            factors = _factors(tensor, 0 if step is None else len(qubits) - len(tail), step)
+            size = len(factors) * state.size // factors.shape[1] * factors.shape[2]
+            _apply_u(state, factors, out(size))
+            state, spare, bond = spare, state, tensor.shape[-1]
+    return state.reshape([1] + [2] * n), order
+
+
 def _sweep(
     steps: list[tuple], n: int, lo: int, hi: int, encoding: list[tuple]
 ) -> tuple[np.ndarray, list[int]]:
     """The states, shape [hi - lo] + [2]*n, that an encoding (_encoding; empty
-    for none) and then the gates (or fused steps) of a batch leave its points
-    lo..hi-1 in, from |0...0>, after the width and memory checks, and the
-    qubit each axis after the batch axis holds: qubit order where no step is
-    fused, else the order the steps meet the qubits (_layout).  Each fused
-    step is one matmul into a second buffer, and the two swap (_apply_u); a
-    run on axes apart, or not innermost with fewer than _MIN_INNER amplitudes
-    after it, is first moved to the front with the qubits still to come
-    (_to_front)."""
+    for none) and then the gates or fused steps of a batch leave its points
+    lo..hi-1 in, after the width and memory checks, and the qubit each axis
+    after the batch axis holds.  A wide point's fused steps (_fuse) run on a
+    state that adjoins each qubit where a step first meets it
+    (_adjoining_sweep); otherwise the encoding is built into |0...0>
+    (_encode), the gates are swept, and the axes are in qubit order."""
     if n > DEFAULT_QUBIT_CAP:
         raise CapacityError(
             f"{n} qubits exceeds the dense cap of {DEFAULT_QUBIT_CAP}; "
@@ -387,33 +535,16 @@ def _sweep(
             f"{hi - lo} state(s) of {n} qubits need about {need} bytes, but only {free} "
             "bytes are free; route this circuit to the windowed stream simulator"
         )
+    if 2**n >= _FUSE_AMPLITUDES and all(kind == "u" for kind, _, _ in steps):
+        return _adjoining_sweep(steps, n, lo, encoding)
     state = np.zeros([hi - lo] + [2] * n, dtype=complex)
     state[(slice(None),) + (0,) * n] = 1.0
-    order = list(range(n))
-    fused = any(kind == "u" for kind, _, _ in steps)
-    if fused:  # laid out as the steps meet the qubits
-        touched = _layout([qubits for _, qubits, _ in steps])
-        order = touched + [q for q in order if q not in touched]
-    _encode(state, encoding, lo, hi, order)
-    spare = np.empty_like(state) if fused else None  # made after the encoding is built
-    for i, (kind, qubits, arg) in enumerate(steps):
-        axes = [1 + order.index(q) for q in qubits]
-        if kind != "u":
-            if isinstance(arg, np.ndarray):  # one per point: a chunk of one takes a scalar
-                arg = arg[lo] if hi - lo == 1 else arg[lo:hi]
-            _apply_gate(state, kind, axes, arg)
-            continue
-        at = axes[0]
-        inner = 2 ** (n + 1 - at - len(axes))
-        if axes != list(range(at, at + len(axes))) or 1 < inner < _MIN_INNER:
-            later = _layout([q for _, q, _ in steps[i + 1 :]])
-            front = list(qubits) + [q for q in later if q not in qubits]
-            _to_front(state, spare, [1 + order.index(q) for q in front])
-            order = front + [q for q in order if q not in front]
-            state, spare, at = spare, state, 1
-        _apply_u(state, arg, at, spare)
-        state, spare = spare, state
-    return state, order
+    _encode(state, encoding, lo, hi)
+    for kind, qubits, arg in steps:
+        if isinstance(arg, np.ndarray):  # one per point: a chunk of one takes a scalar
+            arg = arg[lo] if hi - lo == 1 else arg[lo:hi]
+        _apply_gate(state, kind, [1 + q for q in qubits], arg)
+    return state, list(range(n))
 
 
 def _states(circuit: Circuit):
@@ -421,11 +552,11 @@ def _states(circuit: Circuit):
     of their axes after the batch axis holds, for each chunk in turn.  Points
     narrower than _FUSE_AMPLITUDES run in chunks of at most _CHUNK_AMPLITUDES
     amplitudes, each built from the circuit's encoding (_encoding), then swept
-    over the gates after it.  A wider point runs alone: it is built from the
-    encoding of its sign group's gates (_by_signs), then swept over the steps
-    that fuse the gates after it (_fuse), whose matrices are built for the
-    group's points alone and read at the point's position in the group.  The
-    caller drops each chunk's states before asking for the next."""
+    over the gates after it.  A wider point runs alone, over the encoding of
+    its sign group's gates (_by_signs) and the steps that fuse the gates
+    after it (_fuse), whose matrices are built for the group's points alone
+    and read at the point's position in the group.  The caller drops each
+    chunk's states before asking for the next."""
     n, batch = circuit.n_qubits, circuit.batch
     if 2**n < _FUSE_AMPLITUDES:
         chunk = _CHUNK_AMPLITUDES >> n
@@ -438,7 +569,7 @@ def _states(circuit: Circuit):
         count, encoding = _encoding(gates)
         steps = _fuse(gates[count:], points)
         for j, lo in enumerate(points):  # each point's own matrix, or the one for all
-            own = [(k, q, a[j : j + 1] if k == "u" and len(a) > 1 else a) for k, q, a in steps]
+            own = [(k, q, a[j : j + 1] if len(a) > 1 else a) for k, q, a in steps]
             yield (lo, lo + 1, *_sweep(own, n, lo, lo + 1, encoding))
 
 
@@ -458,11 +589,11 @@ def expect_z_plan(circuit: Circuit) -> list[float]:
     alone, bit for bit: a real rotation rounds the same with one angle or many
     (a per-point rz phase may move the last bit).  Below 2^12 amplitudes each
     z is also expect_z(run_statevector(point), measured) bit for bit; above,
-    the fused sweep lays the axes out in another order, and the sum over them
-    may round differently (by about 1e-15).  The encoding is built
-    (_encoding) and only the gates after it are fused, so a fused point's z
-    may also differ, by about 1e-16, from a fusion of all its gates, the
-    encoding's included."""
+    the fused sweep lays the axes out in another order, and the sums over
+    them may round differently (by about 1e-15).  A fused point's encoding
+    is adjoined with the steps that first need its qubits, and multiplied
+    into their matrices, so its z may also differ, by about 1e-15, from a
+    sweep of all its gates."""
     zs = [0.0] * circuit.batch
     for lo, hi, states, order in _states(circuit):
         zs[lo:hi] = _zs(states, order.index(circuit.measured_qubit))
@@ -478,10 +609,21 @@ def expect_z(state: np.ndarray, qubit: int) -> float:
 
 def _zs(states: np.ndarray, axis: int) -> list[float]:
     """<Z> on one axis (after the batch axis) of each state of a batch
-    [B] + [2]*n, as one reduction: per state, the sum of |amp|^2 over every
-    other axis, 0-half minus 1-half.  Each state's sums run in the order a
-    lone state's would, so a state's z does not depend on its batch.  The
-    |amp|^2 scratch is bound to no name, so it is freed on return."""
-    others = tuple(1 + i for i in range(states.ndim - 1) if i != axis)
-    marg = (np.abs(states) ** 2).sum(axis=others)
-    return (marg[:, 0] - marg[:, 1]).tolist()
+    [B] + [2]*n: per state, the sum of |amp|^2 over every other axis, 0-half
+    minus 1-half.  A narrow batch is one reduction, each state's sums run in
+    the order a lone state's would, so a state's z does not depend on its
+    batch.  A wide state (2^12 amplitudes and up) is read into one |amp|^2
+    scratch of half its bytes, each run of it along the axes after `axis` is
+    summed, then each half's runs as one 1-D pairwise sum: a reduction over
+    the axes before `axis` adds its rows one by one, and its rounding grows
+    with their number.  The scratch is freed on return."""
+    if states[0].size < _FUSE_AMPLITUDES:
+        others = tuple(1 + i for i in range(states.ndim - 1) if i != axis)
+        marg = (np.abs(states) ** 2).sum(axis=others)
+        return (marg[:, 0] - marg[:, 1]).tolist()
+    probs = np.abs(states)
+    np.square(probs, out=probs)
+    inner = 2 ** (states.ndim - 2 - axis)
+    runs = probs.reshape(len(states), -1, 2, inner)
+    runs = runs.sum(axis=3) if inner > 1 else runs[..., 0]
+    return [float(run[:, 0].sum() - run[:, 1].sum()) for run in runs]

@@ -408,8 +408,8 @@ def test_a_sign_group_s_fused_matrices_are_built_for_its_own_points(monkeypatch)
         built.append((list(points), []))
         return fuse(steps, points)
 
-    def run_matrix_spy(run, qubits, batch):
-        matrix = run_matrix(run, qubits, batch)
+    def run_matrix_spy(run, qubits):
+        matrix = run_matrix(run, qubits)
         built[-1][1].append(len(matrix))
         return matrix
 
@@ -468,7 +468,8 @@ def _lone_z(state: np.ndarray, axis: int) -> float:
 @pytest.mark.parametrize("n, points", [(9, 150), (11, 40), (12, 3), (13, 2)])
 def test_a_chunk_s_z_is_expect_z_of_each_of_its_states(n, points):
     # one reduction per chunk: narrow batches of several chunks, and fused
-    # points, whose axes are permuted
+    # points, whose axes are permuted and whose halves are read as pairwise
+    # sums, which the reduction of _lone_z is not
     from polyshot import dense
 
     rng = np.random.default_rng(86 + n)
@@ -477,8 +478,9 @@ def test_a_chunk_s_z_is_expect_z_of_each_of_its_states(n, points):
         want, chunks = [], 0
         for _, _, states, order in dense._states(batch):
             axis = order.index(measured)
-            want += [_lone_z(state, axis) for state in states]
-            assert [expect_z(state, axis) for state in states] == want[-len(states) :]
+            want += [expect_z(state, axis) for state in states]
+            lone = [_lone_z(state, axis) for state in states]
+            assert np.abs(np.subtract(want[-len(states) :], lone)).max() <= (0 if n < 12 else 1e-15)
             chunks += 1
         assert chunks > 1
         assert expect_z_plan(batch) == want
@@ -560,14 +562,15 @@ def test_a_fused_step_on_k_unsorted_axes_matches_the_kron_oracle(k, shared):
     n, n_points = 5, 3
     qubits = (4, 1, 3)[:k]  # unsorted, and not the leading axes
     run = _random_run(qubits, rng, n_points, shared)
-    matrix = dense._run_matrix(run, qubits, n_points)
+    matrix = dense._run_matrix(run, qubits)
     assert matrix.shape == (1 if shared else n_points, 2**k, 2**k)
     state = rng.normal(size=(n_points, 2**n)) + 1j * rng.normal(size=(n_points, 2**n))
     got = state.reshape([n_points] + [2] * n).copy()
-    moved = np.empty_like(got)  # the run's axes apart: moved to the front first, as _sweep does
-    dense._to_front(got, moved, [1 + q for q in qubits])
-    dense._apply_u(moved, matrix, 1, got)
-    order = list(qubits) + [q for q in range(n) if q not in qubits]
+    moved = np.empty_like(got)  # the run's axes apart: moved innermost first, as a sweep does
+    dense._to_back(got, moved, [1 + q for q in qubits])
+    for p in range(n_points):  # x @ m^T on the rows of its run's axes
+        dense._apply_u(moved[p], matrix[0 if shared else p].T[None], got[p])
+    order = [q for q in range(n) if q not in qubits] + list(qubits)
     got = got.transpose([0] + [1 + order.index(q) for q in range(n)]).reshape(n_points, -1)
     for p in range(n_points):
         local, full = np.eye(2**k, dtype=complex), np.eye(2**n, dtype=complex)
@@ -597,11 +600,10 @@ def _axis_oracle_state(circuit: Circuit) -> np.ndarray:
 
 def _placed_runs(n: int, rng, n_points: int, shared: bool) -> list[list[tuple]]:
     """Gate lists of runs (_random_run) whose fused steps meet each placement:
-    outermost, in the middle and innermost where they sit (the qubits between
-    the middle run and the last one are first met by lone cx gates, which
-    are not fused: each shares no qubit with the gates on either side of it),
-    a chain that slides by two qubits into the axes with few amplitudes after
-    them, and runs on axes apart."""
+    on fresh qubits alone, on held ones and fresh ones that are adjoined after
+    them (lone cx gates first meet the qubits between the middle run and the
+    last one), a chain that slides by two qubits, and runs whose held qubits
+    are not innermost."""
 
     def runs(*qubit_sets):
         return [g for qubits in qubit_sets for g in _random_run(qubits, rng, n_points, shared)]
@@ -622,29 +624,36 @@ def _placed_runs(n: int, rng, n_points: int, shared: bool) -> list[list[tuple]]:
 @pytest.mark.parametrize("shared", [False, True])
 @pytest.mark.parametrize("n", [12, 13, 14])
 def test_every_placement_of_a_fused_step_matches_the_kron_oracle(monkeypatch, n, shared):
+    # a step is innermost once its fresh qubits are adjoined, or once its held
+    # qubits are moved there; its matrix is permuted where its axes hold its
+    # qubits in another order than its gates meet them
     from polyshot import dense
 
     rng = np.random.default_rng(100 + n)
     n_points, measured = 2, n // 2
-    placed, moved, sizes = set(), [], set()
-    apply_u, to_front, fuse = dense._apply_u, dense._to_front, dense._fuse
+    placed, events, matrices, sizes = set(), [], [], set()
+    factors, to_back, fuse = dense._factors, dense._to_back, dense._fuse
 
-    def apply_u_spy(state, matrix, at, out):
-        inner = state[0].size // (matrix.shape[-1] << (at - 1))
-        placed.add("outermost" if at == 1 else "innermost" if inner == 1 else "middle")
-        apply_u(state, matrix, at, out)
+    def factors_spy(tensor, held, matrix):
+        if matrix is not None:
+            placed.add("moved" if events and events[-1] == "move" else "adjoined")
+            if not any(np.array_equal(matrix[0], m) for m in matrices):
+                placed.add("permuted")
+        events.append("step")
+        return factors(tensor, held, matrix)
 
-    def to_front_spy(state, out, axes):
-        moved.append(axes)
-        to_front(state, out, axes)
+    def to_back_spy(state, out, axes):
+        events.append("move")
+        to_back(state, out, axes)
 
     def fuse_spy(steps, points):
         fused = fuse(steps, points)
-        sizes.update(len(arg) for kind, _, arg in fused if kind == "u")
+        matrices.extend(m for _, _, arg in fused for m in arg)
+        sizes.update(len(arg) for _, _, arg in fused)
         return fused
 
-    monkeypatch.setattr(dense, "_apply_u", apply_u_spy)
-    monkeypatch.setattr(dense, "_to_front", to_front_spy)
+    monkeypatch.setattr(dense, "_factors", factors_spy)
+    monkeypatch.setattr(dense, "_to_back", to_back_spy)
     monkeypatch.setattr(dense, "_fuse", fuse_spy)
     for gates in _placed_runs(n, rng, n_points, shared):
         circuits = [
@@ -652,45 +661,47 @@ def test_every_placement_of_a_fused_step_matches_the_kron_oracle(monkeypatch, n,
                              for k, q, a in gates), measured)
             for p in range(n_points)
         ]
+        matrices.clear()
         zs = expect_z_plan(plan(circuits))
         for circuit, z in zip(circuits, zs):
             want = _axis_oracle_state(circuit)
             assert np.abs(run_statevector(circuit) - want).max() < 1e-12
             assert abs(z - _oracle_expect_z(want, measured, n)) < 1e-12
-    assert placed == {"outermost", "middle", "innermost"}
-    assert moved
+    assert placed == {"adjoined", "moved", "permuted"}
     assert sizes == {1} if shared else n_points in sizes  # a run of x and cx alone shares one
 
 
 @pytest.mark.parametrize("order", ["backward", "forward"])
 def test_a_compiled_point_moves_its_state_at_most_once(monkeypatch, order):
-    # its runs sit on adjacent axes of the layout; one move to the front
-    # takes the runs past the axes with few amplitudes after them
+    # it never moves: each step's held qubits are the ones the step before
+    # left innermost, and its fresh ones are adjoined after them; the states
+    # its steps act on grow from 2^3 or 2 x 2^3 amplitudes, so their sizes
+    # sum to at most two final states
     from polyshot import dense
 
     rng = np.random.default_rng(102)
-    moves, steps = [], []
-    apply_u, to_front = dense._apply_u, dense._to_front
+    moves, sizes = [], []
+    apply_u, to_back = dense._apply_u, dense._to_back
 
-    def apply_u_spy(*args):
-        steps.append(args[2])
-        apply_u(*args)
+    def apply_u_spy(state, factors, out):  # the size of the state it writes
+        sizes.append(out.size)
+        apply_u(state, factors, out)
 
-    def to_front_spy(*args):
+    def to_back_spy(*args):
         moves.append(args[2])
-        to_front(*args)
+        to_back(*args)
 
     monkeypatch.setattr(dense, "_apply_u", apply_u_spy)
-    monkeypatch.setattr(dense, "_to_front", to_front_spy)
+    monkeypatch.setattr(dense, "_to_back", to_back_spy)
     for d in range(11, 21):
         poly = Polynomial(tuple(rng.uniform(-1, 1, d + 1)))
         program = compile_poly(poly, order)
-        moves.clear()
-        steps.clear()
+        sizes.clear()
         (z,) = expect_z_plan(build_circuit(program, -0.4))
-        assert len(moves) <= 1
+        assert moves == []
+        assert sum(sizes) <= 2 * 2 ** (d + 1)
         if order == "backward":
-            assert len(steps) == math.ceil(d / 2)
+            assert len(sizes) == math.ceil(d / 2)
         assert abs(program.rescale * z - eval_poly(poly, -0.4)) < 1e-9
 
 
@@ -812,6 +823,135 @@ def test_a_fused_backward_run_is_the_gate_sweep_within_1e_15():
             want = _unfused(circuits, i)
             assert np.abs(run_statevector(circuits[i]) - want).max() < 1e-15
             assert abs(z - expect_z(want, circuits[i].measured_qubit)) < 1e-15
+
+
+# --- wide points that adjoin each qubit where a step first meets it --------
+
+
+def _matches_the_sweep_and_the_oracle(circuits: list[Circuit], z_bound=1e-15) -> list[float]:
+    """Each point's amplitudes and z against the unfused sweep (1e-15, and
+    z_bound) and the kron oracle (1e-12); returns the points' z."""
+    zs = expect_z_plan(plan(circuits))
+    for i, (circuit, z) in enumerate(zip(circuits, zs)):
+        measured, got = circuit.measured_qubit, run_statevector(circuit)
+        want = _unfused(circuits, i)
+        assert np.abs(got - want).max() < 1e-15
+        assert abs(z - expect_z(want, measured)) < z_bound
+        oracle = _axis_oracle_state(circuit)
+        assert np.abs(got - oracle).max() < 1e-12
+        assert abs(z - _oracle_expect_z(oracle, measured, circuit.n_qubits)) < 1e-12
+    return zs
+
+
+def _spy_heads(monkeypatch) -> list[int]:
+    """Spies on dense._tensor: how many qubits each adjoin puts outermost."""
+    from polyshot import dense
+
+    heads, tensor = [], dense._tensor
+
+    def spy(group, head, tail, bond, sites):
+        heads.append(len(head))
+        return tensor(group, head, tail, bond, sites)
+
+    monkeypatch.setattr(dense, "_tensor", spy)
+    return heads
+
+
+@pytest.mark.parametrize("order", ["backward", "forward"])
+def test_wide_programs_with_zero_coefficients_match_the_sweep_and_the_oracle(monkeypatch, order):
+    # a zero coefficient elides its backward block, so no step touches its
+    # chain qubit: the step after it adjoins the chain past it, outermost.  A
+    # forward point runs about twice as many steps over the wide state (d - 1,
+    # not ceil(d/2)), whose roundings move its z by up to ~1.3e-15
+    rng = np.random.default_rng(103)
+    heads = _spy_heads(monkeypatch)
+    for d in range(12, 17):
+        coeffs = rng.uniform(-1, 1, d + 1)
+        coeffs[rng.choice(np.arange(1, d + 1), 4, replace=False)] = 0.0
+        poly = Polynomial(tuple(coeffs))
+        program = compile_poly(poly, order)
+        xs = [-0.6, 0.45]
+        circuits = [build_circuit(program, x) for x in xs]
+        zs = _matches_the_sweep_and_the_oracle(circuits, 1e-15 if order == "backward" else 2e-15)
+        for x, z in zip(xs, zs):
+            assert abs(program.rescale * z - eval_poly(poly, x)) < 1e-9
+    assert any(heads) == (order == "backward")
+
+
+def _chained_points(n: int, rng, meet: str, n_points: int = 2) -> tuple[list[Circuit], list[int]]:
+    """Points of one circuit that starts with an encoding whose cx chain runs
+    over n - 2 qubits r_0 -> r_1 -> ... in a random order, one ry angle per
+    point, then a run on the chain qubit `meet` names (its head, a middle one
+    or its tail) and two qubits with no encoding gate, then a random kernel
+    circuit.  Returns the points and the chain in its order."""
+    r = [int(q) for q in rng.permutation(n)]
+    chain, spare = r[:-2], r[-2:]
+    first = {"head": chain[0], "middle": chain[len(chain) // 2], "tail": chain[-1]}[meet]
+    links = [Gate.cx(a, b) for a, b in zip(chain, chain[1:])]
+    start = [Gate.rz(first, 0.4), Gate.cx(first, spare[0]), Gate.ry(spare[1], 1.1),
+             Gate.cx(spare[1], first)]
+    kernel = _random_kernel_circuit(n, rng, int(rng.integers(n)))
+    points = []
+    for _ in range(n_points):
+        rys = [Gate.ry(q, float(rng.uniform(-math.pi, math.pi))) for q in chain]
+        points.append(Circuit(n, (*rys, *links, *start, *kernel.gates), kernel.measured_qubit))
+    return points, chain
+
+
+@pytest.mark.parametrize("meet", ["head", "middle", "tail"])
+def test_steps_that_meet_the_chain_anywhere_match_the_sweep_and_the_oracle(monkeypatch, meet):
+    # the chain is adjoined from the end nearer the qubit the steps meet first
+    from polyshot import dense
+
+    rng = np.random.default_rng(104)
+    runs, sites = [], dense._sites
+
+    def sites_spy(encoding, n, point, met):
+        chain, factors = sites(encoding, n, point, met)
+        runs.append(chain)
+        return chain, factors
+
+    monkeypatch.setattr(dense, "_sites", sites_spy)
+    heads = _spy_heads(monkeypatch)
+    for n in (12, 13):
+        circuits, chain = _chained_points(n, rng, meet)
+        assert dense._encoding(plan(circuits).gates)[0] == 2 * len(chain) - 1
+        runs.clear()
+        heads.clear()
+        _matches_the_sweep_and_the_oracle(circuits)
+        assert runs[0] == (chain if meet == "head" else chain[::-1])
+        # the first step adjoins the chain past its qubits only from the middle
+        assert (heads[0] > 0) == (meet == "middle")
+
+
+def test_a_wide_point_s_z_is_within_1e_13_of_the_polynomial():
+    # the measured qubit ends innermost; a reduction over the axes before it
+    # adds their rows one by one, and drifts by ~1e-12 at degree 16
+    rng = np.random.default_rng(105)
+    d, xs = 16, [-0.9, 0.0, 0.9]
+    for order in ("backward", "forward"):
+        poly = Polynomial(tuple(rng.uniform(-1, 1, d + 1)))
+        program = compile_poly(poly, order)
+        zs = expect_z_plan(plan_programs([program], xs))
+        for x, z in zip(xs, zs):
+            assert abs(program.rescale * z - eval_poly(poly, x)) < 1e-13
+
+
+def test_a_wide_point_s_z_read_peaks_within_the_checked_bytes_per_amplitude():
+    import tracemalloc
+
+    from polyshot import dense
+
+    d = 14
+    poly = Polynomial(tuple(np.random.default_rng(106).uniform(-1, 1, d + 1)))
+    circuit = build_circuit(compile_poly(poly, "backward"), 0.4)
+    tracemalloc.start()
+    try:
+        expect_z_plan(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * dense._PEAK_BYTES_PER_AMPLITUDE * 2 ** (d + 1)
 
 
 def test_a_degree_20_backward_point_is_exact():
