@@ -23,7 +23,7 @@ from .circuit import Circuit
 from .compile import ORDERS, compile_poly, plan_programs, resources, skeleton_key
 from .dense import DEFAULT_QUBIT_CAP, MAX_SHOTS, CapacityError, NoiseModel, draw_shots_batch
 from .dense import expect_z_plan
-from .estimate import Estimate, PASS_THRESHOLD, point_estimate, run_metrics, shot_scaling_fit
+from .estimate import Estimate, point_estimate, run_metrics, shot_scaling_fit
 from .poly import Polynomial, eval_poly, sup_norms
 from .rng import derive_seed, derive_seeds, generator, rekeyed
 from .stream import DEFAULT_WINDOW_CAP, run_window_plan
@@ -54,7 +54,6 @@ class ExperimentConfig:
     noise_p1: float = 0.0
     noise_p2: float = 0.0
     window_cap: int = DEFAULT_WINDOW_CAP
-    pass_threshold: float = PASS_THRESHOLD
 
     def __post_init__(self):
         """Reject a config no run can use, naming the field, before any point runs."""
@@ -76,7 +75,7 @@ class ExperimentConfig:
                 f"shots must lie in [0, {MAX_SHOTS}] (0 = exact-expectation surrogate), "
                 f"got {self.shots}"
             )
-        for key in ("coeff_bound", "sup_rescale_target", "pass_threshold"):
+        for key in ("coeff_bound", "sup_rescale_target"):
             v = getattr(self, key)
             if not (np.isfinite(v) and v > 0.0):
                 raise ValueError(f"{key} must be finite and > 0, got {v}")
@@ -151,9 +150,8 @@ def gen_random_polys(
 ) -> list[Polynomial]:
     """Uniform coefficient draws, one per seed, each rescaled so max |P| over
     [-1, 1] hits the target.  The draws come from one Philox re-keyed per seed
-    (rng.rekeyed) and their sup norms from one scan of the grid
-    (poly.sup_norms), so each polynomial is gen_random_poly's for its seed,
-    bit for bit."""
+    (rng.rekeyed) and their sup norms from one poly.sup_norms call, so each
+    polynomial is gen_random_poly's for its seed, bit for bit."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     for key, v in (("coeff_bound", coeff_bound), ("sup_rescale_target", sup_rescale_target)):
@@ -209,6 +207,9 @@ def recovery_run(config: ExperimentConfig) -> RunReport:
     lo, hi = config.x_domain
     grid = np.linspace(lo, hi, config.points_per_trial)
     xs = grid.tolist()
+    # the reference column belongs to the Table-1 protocol, at any degrees and seed
+    table1 = ExperimentConfig(degrees=config.degrees, master_seed=config.master_seed)
+    paper_sim = TABLE1_PAPER_SIM if config == table1 else {}
     records: list[Record] = []
     per_degree: list[dict] = []
     timings: dict[str, float] = {}
@@ -258,7 +259,7 @@ def recovery_run(config: ExperimentConfig) -> RunReport:
         ]
         t_metrics = time.perf_counter()
         laps["sample"] = t_metrics - t_sample
-        metrics = run_metrics(list(zip(truths, values)), config.pass_threshold)
+        metrics = run_metrics(list(zip(truths, values)))
         c = np.array(cs)
         norm_resid = np.array(values) / c - np.array(truths) / c
         row = {
@@ -274,8 +275,8 @@ def recovery_run(config: ExperimentConfig) -> RunReport:
         if config.shots and config.noise is None:  # the shot-noise prediction
             p1 = np.clip(0.5 * (1.0 - np.array(z_all)), 0.0, 1.0)  # dense.prob_one
             row["rmse_pred"] = float(np.mean(2.0 * c * np.sqrt(p1 * (1.0 - p1) / config.shots)))
-        if degree in TABLE1_PAPER_SIM:
-            row["paper_sim_rmse"], row["paper_sim_pass_pct"] = TABLE1_PAPER_SIM[degree]
+        if degree in paper_sim:
+            row["paper_sim_rmse"], row["paper_sim_pass_pct"] = paper_sim[degree]
         per_degree.append(row)
         laps["metrics"] = time.perf_counter() - t_metrics
         for layer in ("generate", "compile", "build_circuit", "simulate", "sample", "metrics"):

@@ -3,8 +3,8 @@ normalization that feeds the compiler.
 
 Normalization divides by the l1 norm of the coefficients so that downstream
 convex-weight aggregation telescopes exactly to the normalized polynomial.
-sup_norm gives the usual max-|P| over [-1, 1] for comparison; it never
-exceeds the l1 constant.
+sup_norm gives the usual max-|P| over [-1, 1] for comparison, exactly, from
+the roots of P'; it never exceeds the l1 constant.
 
 Coefficient files are written by json.dumps, so every coefficient is in its
 shortest round-trip form and reads back as the same double.
@@ -99,62 +99,44 @@ def fit(samples: list[tuple[float, float]], degree: int) -> FitResult:
     return FitResult(Polynomial(tuple(coeffs)), mse)
 
 
-# sup_norm's grid over [-1, 1], and the bracket width its refinement stops at
-_SUP_GRID_POINTS = 10001
-_SUP_GRID = np.linspace(-1.0, 1.0, _SUP_GRID_POINTS)
-_SUP_TOL = 1e-12
-
-
 def sup_norm(poly: Polynomial) -> float:
-    """max |P(x)| over [-1, 1]: dense grid scan plus golden-section refinement
-    (sup_norms of one polynomial)."""
+    """max |P(x)| over [-1, 1] (sup_norms of one polynomial)."""
     return sup_norms([poly.coeffs])[0]
 
 
 def sup_norms(coeffs) -> list[float]:
-    """sup_norm of each row of a [rows, d + 1] array of coefficients, constant
-    term first, bit for bit: the grid is scanned by one in-place Horner over
-    [rows, grid points], whose every element rounds as eval_poly's does, and
-    each row's maximum is refined by golden section.  The refinement runs on
-    Python floats: the same IEEE double arithmetic as on numpy scalars, at
-    about half the cost per step."""
+    """max |P(x)| over [-1, 1] of each row of a [rows, d + 1] array of
+    coefficients, constant term first: the largest |P| at x = +-1 and at the
+    real part of every root of P', clipped into [-1, 1].  Every interior
+    extremum is a root of P' and every candidate lies in [-1, 1], so this is
+    the maximum itself.  The roots are the eigenvalues of the companion matrix
+    of P', one eigvals call for all the rows whose P' has one degree, and |P|
+    is Horner's rule, rounding as eval_poly's does, so a row's value is the
+    same in any batch."""
     rows = np.asarray(coeffs, dtype=float)
-    vals = np.zeros((len(rows), _SUP_GRID_POINTS))
-    for a in rows.T[::-1]:
-        vals *= _SUP_GRID
-        vals += a[:, None]
-    np.abs(vals, out=vals)
-    out = []
-    for row, val, i in zip(rows.tolist(), vals, np.argmax(vals, axis=1).tolist()):
-        if len(row) == 1:
-            out.append(float(val[i]))
-            continue
-        poly = Polynomial(tuple(row))
-        lo = float(_SUP_GRID[max(i - 1, 0)])
-        hi = float(_SUP_GRID[min(i + 1, _SUP_GRID_POINTS - 1)])
-        refined = _golden_max(lambda x: abs(eval_poly(poly, x)), lo, hi, _SUP_TOL)
-        out.append(float(max(val[i], refined)))
-    return out
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return max(fc, fd)
+    slopes = rows[:, 1:] * np.arange(1.0, rows.shape[1])  # P', constant term first
+    # the degree of P' is that of its last term that every earlier one divides
+    # by to a finite number: a zero or subnormal lead has its roots far outside
+    # [-1, 1]
+    mag = np.abs(slopes)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        leads = np.isfinite(np.maximum.accumulate(mag, axis=1) / mag)
+    degrees = (leads * np.arange(slopes.shape[1])).max(axis=1, initial=0)
+    out = np.empty(len(rows))
+    for m in set(degrees.tolist()):
+        sel = degrees == m
+        xs = np.broadcast_to([-1.0, 1.0], (np.count_nonzero(sel), 2))
+        if m:
+            s = slopes[sel, : m + 1]
+            companion = np.zeros((len(s), m, m))
+            companion[:, 0] = -s[:, -2::-1] / s[:, -1:]
+            companion[:, 1:, :-1] = np.eye(m - 1)
+            xs = np.hstack((xs, np.clip(np.linalg.eigvals(companion).real, -1.0, 1.0)))
+        vals = np.zeros(xs.shape)
+        for a in rows[sel].T[::-1]:
+            vals = vals * xs + a[:, None]
+        out[sel] = np.abs(vals).max(axis=1)
+    return out.tolist()
 
 
 def normalize(poly: Polynomial) -> NormalizedPolynomial:

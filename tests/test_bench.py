@@ -61,7 +61,7 @@ def test_gen_random_poly_deterministic():
 
 
 def test_a_degree_s_draws_are_each_seed_drawn_alone_bit_for_bit():
-    # one re-keyed Philox and one grid scan for the trials, against a
+    # one re-keyed Philox and one sup_norms call for the trials, against a
     # generator and a sup norm per seed
     for d in (0, 1, 6, 20, 35):
         seeds = derive_seeds(9, d, range(7))
@@ -83,6 +83,23 @@ def test_table1_report_shape():
         assert row["qubits"] == row["degree"] + 1
         assert 0.0 <= row["pass_rate"] <= 1.0
         assert row["rmse_pred"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "config, paper_degrees",
+    [
+        (ExperimentConfig(), [1, 2, 3, 4, 5, 6]),
+        (ExperimentConfig(degrees=(2, 9), master_seed=5), [2]),
+        (SMALL, []),  # the Table-1 protocol at other sizes is not Table 1
+        (stress_config(), []),
+        (noise_config(), []),
+    ],
+    ids=["table1", "table1-degrees-and-seed", "table1-resized", "stress", "noise"],
+)
+def test_paper_sim_columns_only_on_table1_rows(config, paper_degrees):
+    rows = recovery_run(config).per_degree
+    assert [row["degree"] for row in rows if "paper_sim_rmse" in row] == paper_degrees
+    assert [row["degree"] for row in rows if "paper_sim_pass_pct" in row] == paper_degrees
 
 
 def test_report_determinism_byte_identical():

@@ -363,12 +363,18 @@ def test_bench_rejects_a_config_file_that_is_not_json(tmp_path, capsys, text):
     assert not out_dir.exists()
 
 
-def test_bench_rejects_unknown_config_key(tmp_path):
+def test_bench_rejects_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text('{"bogus": 1}\n')
     assert run_cli(
         "bench", "table1", "--config", str(config), "--out-dir", str(tmp_path / "r")
     ) == 2
+    # the pass threshold is estimate.PASS_THRESHOLD, not a config key
+    config.write_text('{"pass_threshold": 0.03}\n')
+    assert run_cli(
+        "bench", "table1", "--config", str(config), "--out-dir", str(tmp_path / "r")
+    ) == 2
+    assert "unknown config key 'pass_threshold'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("experiment", ["table1", "shots"])
@@ -441,8 +447,8 @@ def test_bench_rejects_mistyped_config_value(tmp_path, capsys, bad):
         ({"sup_rescale_target": 0}, "sup_rescale_target"),
         ({"sup_rescale_target": -1}, "sup_rescale_target"),
         ({"window_cap": 0}, "window_cap"),
-        ({"pass_threshold": 0}, "pass_threshold"),
-        ({"pass_threshold": -0.03}, "pass_threshold"),
+        ({"trials": 0}, "trials"),
+        ({"shots": -1}, "shots"),
         ({"order": "sideways"}, "order"),
         ({"x_domain": [0.5, -0.5]}, "x_domain must satisfy -1 <= lo < hi <= 1, got (0.5, -0.5)"),
         ({"x_domain": [0.5, 0.5]}, "x_domain must satisfy -1 <= lo < hi <= 1, got (0.5, 0.5)"),
