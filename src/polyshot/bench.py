@@ -22,7 +22,7 @@ import numpy as np
 from .circuit import Circuit
 from .compile import ORDERS, compile_poly, plan_programs, resources, skeleton_key
 from .dense import DEFAULT_QUBIT_CAP, MAX_SHOTS, CapacityError, NoiseModel, draw_shots_batch
-from .dense import expect_z_plan
+from .dense import expect_z_plan, prob_one
 from .estimate import Estimate, point_estimate, run_metrics, shot_scaling_fit
 from .poly import Polynomial, eval_poly, sup_norms
 from .rng import derive_seed, derive_seeds, generator, rekeyed
@@ -179,8 +179,8 @@ def exact_z(batch: Circuit, config: ExperimentConfig) -> list[float]:
     simulator, noise included, from a sweep of the batch in chunks: windowed,
     or a statevector.  A statevector cannot hold the mixed state the noise
     channel produces, so a noisy circuit always takes the windowed sweep.
-    This is the one evaluation path: `polyshot evaluate` and every recovery
-    run take their <Z> from it."""
+    This is the one evaluation path: `polyshot evaluate`, every recovery run
+    and the shot-scaling run take their <Z> from it."""
     noise = config.noise
     if config.simulator == "stream" or noise is not None:
         return run_window_plan(batch, config.window_cap, noise)
@@ -273,7 +273,7 @@ def recovery_run(config: ExperimentConfig) -> RunReport:
             "depth": deg_resources.depth,
         }
         if config.shots and config.noise is None:  # the shot-noise prediction
-            p1 = np.clip(0.5 * (1.0 - np.array(z_all)), 0.0, 1.0)  # dense.prob_one
+            p1 = prob_one(z_all)
             row["rmse_pred"] = float(np.mean(2.0 * c * np.sqrt(p1 * (1.0 - p1) / config.shots)))
         if degree in paper_sim:
             row["paper_sim_rmse"], row["paper_sim_pass_pct"] = paper_sim[degree]
@@ -302,7 +302,7 @@ def shot_scaling_experiment(master_seed: int = ExperimentConfig.master_seed) -> 
     grid = np.linspace(-0.9, 0.9, points)
     xs = grid.tolist()
     truths = eval_poly(poly, grid).tolist()
-    zs = expect_z_plan(plan_programs([program], xs))
+    zs = exact_z(plan_programs([program], xs), ExperimentConfig())
     rows = []
     for n_idx, shots in enumerate(SHOTS_LIST):
         prefix = (master_seed, degree, n_idx)

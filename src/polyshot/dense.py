@@ -32,13 +32,13 @@ gate is memory traffic, which a batch does not cut, and a batch would
 multiply its peak memory, the one allocation that limits it.
 
 A chunk's state starts from its circuit's encoding, built, not swept
-(_encoding): the leading ry gates on distinct qubits and the cx gates that
-chain them in ry order (backward order's Ry(arccos x) on q1..qd and
-cx(k-1, k), 2d - 1 passes over the state when swept; forward order's first
-two ry gates) leave amplitudes that are products of one cos or sin per ry
-qubit.  A narrow chunk writes them into its zeroed states (_encode),
-multiplied in the gates' order, so they are the sweep's bit for bit, then
-sweeps the gates after the encoding.
+(_encoding): the leading ry and x gates on distinct qubits and the cx gates
+that chain them in their order (backward order's Ry(arccos x) on q1..qd and
+cx(k-1, k), 2d - 1 passes over the state when swept; forward order's sign x on
+q0 and first two ry gates) leave amplitudes that are products of one factor
+per encoded qubit: cos or sin for an ry, 0 or 1 for an x.  A narrow chunk
+writes them into its zeroed states (_encode), multiplied in the gates' order,
+so they are the sweep's bit for bit, then sweeps the gates after the encoding.
 
 A wide point cuts its traffic by gate fusion instead.  The compiled programs
 are chains of two-qubit sum blocks, 6-7 gates on one qubit pair, and each
@@ -51,13 +51,14 @@ simulator adjoins each qubit at its first gate.  The encoding is a product
 state apart from its cx chain, and the chain is a matrix-product state of
 bond dimension 2 (Vidal, "Efficient classical simulation of slightly
 entangled quantum computations", 2003), so each qubit is adjoined where a step
-first needs it: as |0>, as its ry factor (cos, sin), or, on the chain, from
-the end the steps reach first, the open bond an innermost axis of size 2
-(_sites).  A step adjoins its fresh qubits innermost, ordered by the last step
-that needs them, so a compiled program's runs, on (d, d-1, d-2), (d-2, d-3,
-d-4), ... backward and (2, 1, 0), (3, 2, 1), ... forward, each meet the
-qubits the step before left innermost, and adjoining and the run's matrix
-are one matmul from the state into a spare buffer (_factors, _apply_u).  A
+first needs it: as |0>, as its encoding factor, or, on the chain, from the
+tail, where a compiled program's steps reach it first, the open bond an
+innermost axis of size 2 (_sites).  A step adjoins its fresh qubits
+innermost, ordered by the last step that needs them, so a compiled program's
+runs, on (d, d-1, d-2), (d-2, d-3, d-4), ... backward and (2, 1, 0),
+(3, 2, 1), ... forward, each meet the qubits the step before left innermost,
+and adjoining and the run's matrix are one matmul from the state into a spare
+buffer (_factors, _apply_u).  A
 backward point of degree 16 then writes 2 x 2^3, 2 x 2^5, ..., 2 x 2^15 and
 2^17 amplitudes, about 1.7 states of 2^17, where a sweep of the whole state
 would write 8.  Only a step whose held qubits are not innermost (a circuit
@@ -68,11 +69,10 @@ run_statevector returns the amplitudes in qubit order, and expect_z_plan reads
 z on the measured qubit's axis, as pairwise sums (_zs).  The spare buffer is
 made anew, of the new state's size, where the state grows, so the peak is the
 final state and the one before it; no buffer is kept for the next point.
-Only a chunk of one point is fused, and from its sign group's gates (each
-masked x made an x or dropped): their encoding is found and the gates after
-it are fused, so its encoding, runs and their rounding are those of its
-trial alone.  A group's run matrices are built for its own points only.  A
-degree-20 backward point (21 qubits) takes about 0.03-0.04 s on a 2-vCPU
+A masked x is per-point data here too, X or the exact identity: a factor
+(1 - m, m) in the encoding, and in the runs held back to the next gate on
+its qubit (_fuse), so each point's runs and rounding are its trial's alone.
+A degree-20 backward point (21 qubits) takes about 0.03-0.04 s on a 2-vCPU
 Intel Xeon host with one BLAS thread.
 """
 from __future__ import annotations
@@ -143,10 +143,10 @@ class ShotOutcome:
         return self.n0 + self.n1
 
 
-def prob_one(z: float) -> float:
+def prob_one(z):
     """Probability of measuring 1 on a qubit with <Z> = z, clamped into [0, 1]
-    against rounding."""
-    return min(max(0.5 * (1.0 - z), 0.0), 1.0)
+    against rounding: a float, or an array of one per z of an array."""
+    return np.clip(0.5 * (1.0 - np.asarray(z)), 0.0, 1.0)
 
 
 def draw_shots_batch(zs, shots: int, seeds) -> list[ShotOutcome]:
@@ -154,7 +154,8 @@ def draw_shots_batch(zs, shots: int, seeds) -> list[ShotOutcome]:
     re-keyed per draw (rng.rekeyed) instead of a generator per draw."""
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
-    n1s = [int(gen.binomial(shots, prob_one(z))) for z, gen in zip(zs, rekeyed(seeds), strict=True)]
+    p1s = prob_one(zs).tolist()
+    n1s = [int(gen.binomial(shots, p1)) for p1, gen in zip(p1s, rekeyed(seeds), strict=True)]
     return [ShotOutcome(shots - n1, n1) for n1 in n1s]
 
 
@@ -205,21 +206,25 @@ def _apply_gate(tensor: np.ndarray, kind: str, axes: list[int], angle) -> None:
 
 
 def _free_memory_bytes() -> int:
-    """Free physical memory, read on every run (tests substitute it)."""
-    return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    """Free physical memory, read on every run (tests substitute it), or all
+    of it where the platform does not count free pages (macOS)."""
+    pages = "SC_AVPHYS_PAGES" if "SC_AVPHYS_PAGES" in os.sysconf_names else "SC_PHYS_PAGES"
+    return os.sysconf(pages) * os.sysconf("SC_PAGE_SIZE")
 
 
 def _one_qubit(kind: str, angle) -> np.ndarray:
     """The [b, 2, 2] matrix of a one-qubit gate, b the number of its angles
-    (1 for a float or none), with the values the sweep uses."""
+    or mask entries (1 for a float or none), with the values the sweep uses:
+    a masked x is X where its mask is set and the exact identity elsewhere."""
     if kind == "x":
-        return np.array([[[0, 1], [1, 0]]], dtype=complex)
-    half = angle / 2.0
-    if kind == "rz":
+        on = 1.0 if angle is None else angle.astype(float)
+        m = np.array([[1.0 - on, on], [on, 1.0 - on]], dtype=complex)
+    elif kind == "rz":
+        half = angle / 2.0
         zero = np.zeros_like(half)
         m = np.array([[np.exp(-1j * half), zero], [zero, np.exp(1j * half)]], dtype=complex)
     else:  # ry
-        c, s = np.cos(half), np.sin(half)
+        c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
         m = np.array([[c, -s], [s, c]], dtype=complex)
     return m.reshape(2, 2, -1).transpose(2, 0, 1)
 
@@ -245,9 +250,9 @@ def _run_matrix(run: list[tuple], qubits: tuple[int, ...]) -> np.ndarray:
     """The 2^k x 2^k matrix of a run of gates on k qubits, [b, 2^k, 2^k] with
     row and column index the bits of `qubits` in their order, the first the
     most significant: the product of the gates' matrices, later gates on the
-    left.  b is the batch where a gate holds one angle per point, else 1.
-    An ry, or a gate with one angle per point, multiplies its 2x2 matrix
-    into the rows of its bit; every other gate is _fixed_matrix's."""
+    left.  b is the batch where a gate holds one angle or mask per point,
+    else 1.  An ry, or a gate with one angle or mask per point, multiplies its
+    2x2 matrix into the rows of its bit; every other gate is _fixed_matrix's."""
     k = len(qubits)
     matrix = np.eye(2**k, dtype=complex)[None]
     for kind, gate_qubits, angle in run:
@@ -260,26 +265,39 @@ def _run_matrix(run: list[tuple], qubits: tuple[int, ...]) -> np.ndarray:
     return matrix
 
 
-def _fuse(steps: list[tuple], points: list[int]) -> list[tuple]:
+def _fuse(gates: list[Gate]) -> list[tuple]:
     """The gates of a batch as steps ("u", qubits, matrix), one per maximal
     run of consecutive gates whose qubits fit in _FUSE_QUBITS qubits, on the
-    run's qubits in the order its gates meet them.  A matrix is built for the
-    given points alone: one per point, in their order, where a gate of the
-    run holds one angle per point, else one for all."""
-    runs: list[tuple[tuple, list]] = []  # (the run's qubits, its steps)
-    for step in steps:
+    run's qubits in the order its gates meet them; a matrix holds one per
+    point where a gate of the run holds one angle or mask per point, else one
+    for all.  Each x is held back until the next gate on its qubit, with
+    which it commutes past every gate in between, and joins that gate's run
+    (or, with none, ends the circuit), so no x decides where a run ends: a
+    point's runs are those of its trial's gates alone, whatever its signs."""
+    runs: list[tuple[tuple, list]] = []  # (the run's qubits, its gates)
+    held: dict[int, list[Gate]] = {}  # each qubit's x gates, held back
+
+    def place(gate: Gate) -> None:
         qubits, run = runs[-1] if runs else ((), [])
-        union = qubits + tuple(q for q in step[1] if q not in qubits)
+        union = qubits + tuple(q for q in gate.qubits if q not in qubits)
         if run and len(union) <= _FUSE_QUBITS:
             runs[-1] = (union, run)
-            run.append(step)
         else:
-            runs.append((tuple(step[1]), [step]))
-    return [
-        ("u", qubits, _run_matrix([(k, q, a[points] if isinstance(a, np.ndarray) else a)
-                                   for k, q, a in run], qubits))
-        for qubits, run in runs
-    ]
+            run = []
+            runs.append((tuple(gate.qubits), run))
+        for q in gate.qubits:
+            run += held.pop(q, ())
+        run.append(gate)
+
+    for gate in gates:
+        if gate.kind == "x":
+            held.setdefault(gate.qubits[0], []).append(gate)
+        else:
+            place(gate)
+    for q in list(held):  # the x gates no gate follows
+        for x in held.pop(q):
+            place(x)
+    return [("u", qubits, _run_matrix(run, qubits)) for qubits, run in runs]
 
 
 def _apply_u(state: np.ndarray, factors: np.ndarray, out: np.ndarray) -> None:
@@ -300,35 +318,29 @@ def _to_back(state: np.ndarray, out: np.ndarray, axes: list[int]) -> None:
     np.copyto(out.reshape(moved.shape), moved)
 
 
-def _by_signs(circuit: Circuit):
-    """The points of a circuit grouped by the masked x gates that act on them,
-    each group with the gates of its points: every masked x made an x or
-    dropped."""
-    gates = circuit.gates
-    masks = {i: g.angle for i, g in enumerate(gates) if g.kind == "x" and g.angle is not None}
-    groups: dict[tuple, list[int]] = {}
-    for point in range(circuit.batch):
-        groups.setdefault(tuple(bool(m[point]) for m in masks.values()), []).append(point)
-    for acts, points in groups.items():
-        on, steps = dict(zip(masks, acts)), enumerate(gates)
-        gates_on = [Gate(k, q, None if i in on else a) for i, (k, q, a) in steps if on.get(i, True)]
-        yield gates_on, points
+def _factor(gate: Gate) -> np.ndarray:
+    """The amplitudes (of 0, of 1) that an encoding gate leaves its qubit in
+    from 0, shape [2, b], b the batch where the gate holds one angle or mask
+    per point, else 1: ry's (cos, sin) of half its angle, x's (0, 1), or a
+    masked x's (1 - m, m) per point."""
+    if gate.kind == "x":
+        on = np.reshape(1.0 if gate.angle is None else gate.angle, (1, -1)).astype(float)
+        return np.concatenate((1.0 - on, on))
+    half = np.reshape(gate.angle, (1, -1)) / 2.0
+    return np.concatenate((np.cos(half), np.sin(half)))
 
 
 def _encoding(
     gates: tuple[Gate, ...] | list[Gate],
 ) -> tuple[int, list[tuple[int, bool, np.ndarray]]]:
-    """The leading gates of a gate list that make an encoding: ry gates on
-    distinct qubits r_0, r_1, ... (untouched, so each acts on a 0), then cx
+    """The leading gates of a gate list that make an encoding: ry or x gates
+    on distinct qubits r_0, r_1, ... (untouched, so each acts on a 0), then cx
     gates that chain them in that order, cx(r_0, r_1), cx(r_1, r_2), ...
     Returns how many gates that is and, for each r_k in order, the qubit,
-    whether the chain reaches it, and the factors f_k = (cos, sin) of half its
-    angle, shape [2, b], b the batch where the angle holds one per point, else
-    1.  Each distinct angle's factors are computed once per call (the
-    encodings of a program share one angle)."""
+    whether the chain reaches it, and its factor f_k (_factor)."""
     qubits = []
     for gate in gates:
-        if gate.kind != "ry" or gate.qubits[0] in qubits:
+        if gate.kind not in ("ry", "x") or gate.qubits[0] in qubits:
             break
         qubits.append(gate.qubits[0])
     links = 0
@@ -336,13 +348,8 @@ def _encoding(
         if links + 1 >= len(qubits) or gate != Gate.cx(qubits[links], qubits[links + 1]):
             break
         links += 1
-    factors: dict[int, np.ndarray] = {}
-    encoding = []
-    for k, gate in enumerate(gates[: len(qubits)]):
-        if id(gate.angle) not in factors:
-            half = np.reshape(gate.angle, (1, -1)) / 2.0
-            factors[id(gate.angle)] = np.concatenate((np.cos(half), np.sin(half)))
-        encoding.append((gate.qubits[0], 0 < k <= links, factors[id(gate.angle)]))
+    leading = enumerate(gates[: len(qubits)])
+    encoding = [(gate.qubits[0], 0 < k <= links, _factor(gate)) for k, gate in leading]
     return len(qubits) + links, encoding
 
 
@@ -374,7 +381,7 @@ def _encode(state: np.ndarray, encoding: list[tuple], lo: int, hi: int) -> None:
             zero *= f[0]
 
 
-def _sites(encoding: list[tuple], n: int, point: int, met: list[int]) -> tuple[list, dict]:
+def _sites(encoding: list[tuple], n: int, point: int) -> tuple[list, dict]:
     """How one point's encoding (_encoding) adjoins each of n qubits: the
     chain's qubits in the order they are adjoined, and for each qubit its
     factor.  A qubit off the chain carries a product factor v, [2, 1]: f_k
@@ -382,12 +389,9 @@ def _sites(encoding: list[tuple], n: int, point: int, met: list[int]) -> tuple[l
     chain r_0 -> ... -> r_L is a matrix-product state of bond 2: the open
     bond is the value of the next chain qubit to come, and a chain qubit
     carries g[b, c], [2, 2] (or [2, 1] where the bond closes), its bit b
-    being the old bond.  From the tail (r_L first), r_k (k >= 1) carries
-    f_k(b ^ c) and the head closes with f_0(b); from the head, r_0 carries
-    f_0(b) f_1(b ^ c), r_k carries f_(k+1)(b ^ c) and the tail closes with 1.
-    The chain runs from the end nearer the first of its qubits that the
-    steps meet (`met` lists the qubits in the order they are met), so the
-    fewest are adjoined before a step needs them."""
+    being the old bond.  The chain is adjoined from its tail, where a
+    compiled program's steps meet it first: r_L first, r_k (k >= 1) carries
+    f_k(b ^ c) and the head closes with f_0(b)."""
     factor = [f[:, point] if f.shape[1] > 1 else f[:, 0] for _, _, f in encoding]
     links = sum(linked for _, linked, _ in encoding)
     chain = [q for q, _, _ in encoding[: links + 1]] if links else []
@@ -398,11 +402,7 @@ def _sites(encoding: list[tuple], n: int, point: int, met: list[int]) -> tuple[l
     if not chain:
         return chain, sites
     link = [np.array([[f[0], f[1]], [f[1], f[0]]]) for f in factor[1 : len(chain)]]  # f_k(b ^ c)
-    first = next((chain.index(q) for q in met if q in chain), len(chain))
-    if 2 * first < len(chain) - 1:  # from the head
-        carried = [factor[0][:, None] * link[0]] + link[1:] + [np.ones((2, 1))]
-    else:  # from the tail
-        chain, carried = chain[::-1], link[::-1] + [factor[0][:, None]]
+    chain, carried = chain[::-1], link[::-1] + [factor[0][:, None]]
     sites.update((q, (True, g)) for q, g in zip(chain, carried))
     return chain, sites
 
@@ -477,7 +477,7 @@ def _adjoining_sweep(steps: list[tuple], n: int, point: int, encoding: list[tupl
     last: dict[int, int] = {}  # in the order the steps first meet the qubits
     for i, (_, qubits, _) in enumerate(steps):
         last.update((q, i) for q in qubits)
-    chain, sites = _sites(encoding, n, point, list(last))
+    chain, sites = _sites(encoding, n, point)
     state, spare, bond, order = np.ones(1, dtype=complex), np.empty(0, dtype=complex), 1, []
 
     def out(size: int) -> np.ndarray:
@@ -487,7 +487,9 @@ def _adjoining_sweep(steps: list[tuple], n: int, point: int, encoding: list[tupl
             spare = np.empty(size, dtype=complex)
         return spare
 
-    for qubits, matrix in [*((q, m) for _, q, m in steps), (range(n), None)]:  # then the rest
+    # each step's matrix for the point: its own, or the one for all
+    own = [(q, m[point : point + 1] if len(m) > 1 else m) for _, q, m in steps]
+    for qubits, matrix in [*own, (range(n), None)]:  # then the rest
         needed = sorted(qubits, key=lambda q: last.get(q, len(steps)))
         fresh = _fresh(needed, order, chain)
         held = [q for q in needed if q not in fresh]
@@ -518,16 +520,11 @@ def _sweep(
 ) -> tuple[np.ndarray, list[int]]:
     """The states, shape [hi - lo] + [2]*n, that an encoding (_encoding; empty
     for none) and then the gates or fused steps of a batch leave its points
-    lo..hi-1 in, after the width and memory checks, and the qubit each axis
-    after the batch axis holds.  A wide point's fused steps (_fuse) run on a
-    state that adjoins each qubit where a step first meets it
-    (_adjoining_sweep); otherwise the encoding is built into |0...0>
-    (_encode), the gates are swept, and the axes are in qubit order."""
-    if n > DEFAULT_QUBIT_CAP:
-        raise CapacityError(
-            f"{n} qubits exceeds the dense cap of {DEFAULT_QUBIT_CAP}; "
-            "route this circuit to the windowed stream simulator"
-        )
+    lo..hi-1 in, after the memory check, and the qubit each axis after the
+    batch axis holds.  A wide point's fused steps (_fuse) run on a state that
+    adjoins each qubit where a step first meets it (_adjoining_sweep);
+    otherwise the encoding is built into |0...0> (_encode), the gates are
+    swept, and the axes are in qubit order."""
     need = _PEAK_BYTES_PER_AMPLITUDE * (hi - lo) * 2**n
     free = _free_memory_bytes()
     if need > free:
@@ -549,28 +546,24 @@ def _sweep(
 
 def _states(circuit: Circuit):
     """lo, hi, the states of the circuit's points lo..hi-1 and the qubit each
-    of their axes after the batch axis holds, for each chunk in turn.  Points
-    narrower than _FUSE_AMPLITUDES run in chunks of at most _CHUNK_AMPLITUDES
-    amplitudes, each built from the circuit's encoding (_encoding), then swept
-    over the gates after it.  A wider point runs alone, over the encoding of
-    its sign group's gates (_by_signs) and the steps that fuse the gates
-    after it (_fuse), whose matrices are built for the group's points alone
-    and read at the point's position in the group.  The caller drops each
-    chunk's states before asking for the next."""
-    n, batch = circuit.n_qubits, circuit.batch
-    if 2**n < _FUSE_AMPLITUDES:
-        chunk = _CHUNK_AMPLITUDES >> n
-        count, encoding = _encoding(circuit.gates)
-        for lo in range(0, batch, chunk):
-            hi = min(lo + chunk, batch)
-            yield (lo, hi, *_sweep(circuit.gates[count:], n, lo, hi, encoding))
-        return
-    for gates, points in _by_signs(circuit):
-        count, encoding = _encoding(gates)
-        steps = _fuse(gates[count:], points)
-        for j, lo in enumerate(points):  # each point's own matrix, or the one for all
-            own = [(k, q, a[j : j + 1] if len(a) > 1 else a) for k, q, a in steps]
-            yield (lo, lo + 1, *_sweep(own, n, lo, lo + 1, encoding))
+    of their axes after the batch axis holds, for each chunk in turn: chunks
+    of at most _CHUNK_AMPLITUDES amplitudes, or of one point where it is wide,
+    each from the circuit's encoding (_encoding) and the gates after it,
+    fused (_fuse) where a point is wide; a circuit past the qubit cap raises
+    first.  The caller drops each chunk's states before asking for the next."""
+    n = circuit.n_qubits
+    if n > DEFAULT_QUBIT_CAP:
+        raise CapacityError(
+            f"{n} qubits exceeds the dense cap of {DEFAULT_QUBIT_CAP}; "
+            "route this circuit to the windowed stream simulator"
+        )
+    count, encoding = _encoding(circuit.gates)
+    steps, chunk = circuit.gates[count:], _CHUNK_AMPLITUDES >> n
+    if 2**n >= _FUSE_AMPLITUDES:
+        steps, chunk = _fuse(steps), 1
+    for lo in range(0, circuit.batch, chunk):
+        hi = min(lo + chunk, circuit.batch)
+        yield (lo, hi, *_sweep(steps, n, lo, hi, encoding))
 
 
 def run_statevector(circuit: Circuit) -> np.ndarray:

@@ -194,6 +194,26 @@ def test_a_wide_dense_run_reruns_byte_identical_and_exact():
         assert abs(record.estimate - record.truth) < 1e-9
 
 
+def test_exact_z_takes_the_window_for_noise_and_else_the_configured_simulator():
+    # a statevector cannot hold the mixed state the noise channel makes, so a
+    # noisy dense config is swept on the window
+    from dataclasses import replace
+
+    from polyshot.bench import exact_z
+    from polyshot.compile import compile_poly, plan_programs
+    from polyshot.dense import expect_z_plan
+    from polyshot.stream import run_window_plan
+
+    rng = np.random.default_rng(62)
+    programs = [compile_poly(Polynomial(tuple(rng.uniform(-1, 1, 5))), "backward") for _ in range(3)]
+    batch = plan_programs(programs, [-0.5, 0.1, 0.8])
+    noisy = replace(SMALL, noise_p1=0.01, noise_p2=0.02)
+    assert noisy.simulator == SMALL.simulator == "dense"
+    want = run_window_plan(batch, noisy.window_cap, noisy.noise)
+    assert exact_z(batch, noisy) == want
+    assert exact_z(batch, SMALL) == expect_z_plan(batch) != want
+
+
 @pytest.mark.parametrize(
     "simulator, order, p",
     [(sim, order, 0.0) for sim in ("dense", "stream") for order in ("backward", "forward")]

@@ -185,6 +185,32 @@ def test_memory_check_raises_before_allocation(monkeypatch):
     assert expect_z(run_statevector(circuit), 4) == pytest.approx(math.cos(0.3), abs=1e-12)
 
 
+def test_memory_check_reads_all_pages_where_free_ones_are_not_counted(monkeypatch):
+    # macOS's sysconf has no SC_AVPHYS_PAGES, and asking for it raises
+    # ValueError; the check reads SC_PHYS_PAGES there, before any allocation
+    import os
+
+    from polyshot import dense
+
+    values = {"SC_PHYS_PAGES": 7, "SC_PAGE_SIZE": 4096}
+
+    def sysconf(name):
+        if name not in values:
+            raise ValueError("unrecognized configuration name")
+        return values[name]
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the state was allocated before the memory check")
+
+    names = {k: v for k, v in os.sysconf_names.items() if k != "SC_AVPHYS_PAGES"}
+    monkeypatch.setattr(os, "sysconf_names", names)
+    monkeypatch.setattr(os, "sysconf", sysconf)
+    assert dense._free_memory_bytes() == 7 * 4096
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    with pytest.raises(CapacityError, match=f"only {7 * 4096} bytes"):
+        run_statevector(Circuit(10, (Gate.ry(4, 0.3),), 0))
+
+
 # --- a trial's points as one batched statevector sweep ----------------------
 
 
@@ -332,17 +358,19 @@ def test_degree_batch_across_chunks_is_each_trial_alone_bit_for_bit():
         assert zs == _each_trial_alone(programs, xs)
 
 
-@pytest.mark.parametrize("order, d", [("backward", 11), ("backward", 12), ("forward", 12)])
+@pytest.mark.parametrize("order, d", [(o, d) for o in ("backward", "forward") for d in (11, 12, 13)])
 def test_fused_degree_batch_of_mixed_signs_is_each_trial_alone_bit_for_bit(order, d):
-    # a wide state runs one point at a time, fused over its own trial's gates
-    rng = np.random.default_rng(84 + d)
+    # a wide state runs one point at a time, and a masked x is X or the
+    # identity per point: its encoding factor and its run are those of the
+    # trial's own x, or of no gate, so each point rounds as its trial alone
     xs = [-0.7, 0.2, 0.55]
-    programs = _trials(rng, d, order, 2)
-    assert programs[0].schedule.signs != programs[1].schedule.signs
-    batch = plan_programs(programs, xs)
-    assert any(kind == "x" and isinstance(arg, np.ndarray) for kind, _, arg in batch.gates)
-    zs = expect_z_plan(batch)
-    assert zs == _each_trial_alone(programs, xs)
+    for seed in range(4):
+        programs = _trials(np.random.default_rng(84 + 10 * d + seed), d, order, 5)
+        assert len({p.schedule.signs for p in programs}) > 1
+        batch = plan_programs(programs, xs)
+        assert any(kind == "x" and isinstance(arg, np.ndarray) for kind, _, arg in batch.gates)
+        zs = expect_z_plan(batch)
+        assert zs == _each_trial_alone(programs, xs)
 
 
 def _chunks(monkeypatch) -> list[tuple]:
@@ -358,69 +386,6 @@ def _chunks(monkeypatch) -> list[tuple]:
 
     monkeypatch.setattr(dense, "_sweep", spy)
     return swept
-
-
-def test_each_sign_group_of_a_fused_batch_has_its_trial_s_own_encoding_and_steps(monkeypatch):
-    # forward order: the x of a negative a_0 comes first and hides ry(1), ry(2)
-    # from the batch's encoding, so a trial without that x must find its
-    # encoding in its own gates
-    d, xs = 12, [-0.7, 0.2, 0.55]
-    coeffs = [np.random.default_rng(101 + t).uniform(-1, 1, d + 1) for t in range(2)]
-    coeffs[0][0], coeffs[1][0] = -abs(coeffs[0][0]), abs(coeffs[1][0])
-    programs = [compile_poly(Polynomial(tuple(c)), "forward") for c in coeffs]
-    swept = _chunks(monkeypatch)
-    expect_z_plan(plan_programs(programs, xs))
-    batch = {lo: (steps, encoding) for lo, steps, encoding in swept}
-    assert sorted(batch) == list(range(2 * len(xs)))
-    lengths = []
-    for t, program in enumerate(programs):
-        swept.clear()
-        expect_z_plan(plan([build_circuit(program, x) for x in xs]))
-        for i, own_steps, own_encoding in swept:
-            steps, encoding = batch[t * len(xs) + i]
-            lengths.append(len(encoding))
-            assert [(q, linked) for q, linked, _ in encoding] == [
-                (q, linked) for q, linked, _ in own_encoding
-            ]
-            for (_, _, f), (_, _, own_f) in zip(encoding, own_encoding):
-                assert np.array_equal(f[:, t * len(xs) + i], own_f[:, i])
-            assert [step[:2] for step in steps] == [step[:2] for step in own_steps]
-            for (kind, _, arg), (_, _, own_arg) in zip(steps, own_steps):
-                if kind == "u":  # one matrix per point, or one for all
-                    at = t * len(xs) + i if len(arg) > 1 else 0
-                    assert np.array_equal(arg[at], own_arg[i if len(own_arg) > 1 else 0])
-    assert lengths == [0] * len(xs) + [2] * len(xs)
-
-
-def test_a_sign_group_s_fused_matrices_are_built_for_its_own_points(monkeypatch):
-    # trials 0 and 2 share their signs, so the groups hold 2 x 3 and 3 points;
-    # each run matrix is one per point of its group, or one for all
-    from polyshot import dense
-
-    rng = np.random.default_rng(87)
-    d, xs = 12, [-0.7, 0.2, 0.55]
-    coeffs = [rng.uniform(-1, 1, d + 1) for _ in range(2)]
-    coeffs.append(coeffs[0] * rng.uniform(0.5, 2.0, d + 1))
-    programs = [compile_poly(Polynomial(tuple(c)), "backward") for c in coeffs]
-    built, fuse, run_matrix = [], dense._fuse, dense._run_matrix
-
-    def fuse_spy(steps, points):
-        built.append((list(points), []))
-        return fuse(steps, points)
-
-    def run_matrix_spy(run, qubits):
-        matrix = run_matrix(run, qubits)
-        built[-1][1].append(len(matrix))
-        return matrix
-
-    monkeypatch.setattr(dense, "_fuse", fuse_spy)
-    monkeypatch.setattr(dense, "_run_matrix", run_matrix_spy)
-    zs = expect_z_plan(plan_programs(programs, xs))
-    assert sorted(points for points, _ in built) == [[0, 1, 2, 6, 7, 8], [3, 4, 5]]
-    for points, sizes in built:
-        assert len(points) in sizes and set(sizes) <= {1, len(points)}
-    monkeypatch.undo()
-    assert zs == _each_trial_alone(programs, xs)
 
 
 # --- wide states: runs of gates on up to three qubits fused into one matmul ---
@@ -646,8 +611,8 @@ def test_every_placement_of_a_fused_step_matches_the_kron_oracle(monkeypatch, n,
         events.append("move")
         to_back(state, out, axes)
 
-    def fuse_spy(steps, points):
-        fused = fuse(steps, points)
+    def fuse_spy(gates):
+        fused = fuse(gates)
         matrices.extend(m for _, _, arg in fused for m in arg)
         sizes.update(len(arg) for _, _, arg in fused)
         return fused
@@ -733,20 +698,22 @@ def test_the_built_encoding_is_the_gate_sweep_bit_for_bit(order):
 
     rng = np.random.default_rng(94)
     xs = [-0.8, -0.1, 0.35, 0.9]
-    masked = False
+    masked = led = False
     for d in range(11):
         batch = plan_programs(_trials(rng, d, order, 3), xs)
         masked |= any(g.kind == "x" and g.angle is not None for g in batch.gates)
+        leading_x = bool(batch.gates) and batch.gates[0].kind == "x"
+        led |= leading_x
         count, _ = dense._encoding(batch.gates)
-        if order == "backward":
-            assert count == max(2 * d - 1, 0)
-        else:  # ry(1), ry(2), then the chain's rz; the x of a negative c_0 comes first
-            assert count == (0 if batch.gates and batch.gates[0].kind == "x" else min(d, 2))
+        if order == "backward":  # degree 0 is at most the x of a negative c_0
+            assert count == max(2 * d - 1, int(leading_x))
+        else:  # the x of a negative c_0 on q0, ry(1), ry(2), then the chain's rz
+            assert count == leading_x + min(d, 2)
         for lo, hi, states, axes in dense._states(batch):
             assert axes == list(range(d + 1))
             want, _ = dense._sweep(batch.gates, d + 1, lo, hi, [])
             assert np.array_equal(states, want)
-    assert masked
+    assert masked and led
 
 
 # each near miss: the smallest encoding that shows it, and whether it needs a
@@ -900,14 +867,15 @@ def _chained_points(n: int, rng, meet: str, n_points: int = 2) -> tuple[list[Cir
 
 @pytest.mark.parametrize("meet", ["head", "middle", "tail"])
 def test_steps_that_meet_the_chain_anywhere_match_the_sweep_and_the_oracle(monkeypatch, meet):
-    # the chain is adjoined from the end nearer the qubit the steps meet first
+    # the chain is adjoined from its tail, so a first step that meets the
+    # head or a middle qubit adjoins the chain past its own qubits
     from polyshot import dense
 
     rng = np.random.default_rng(104)
     runs, sites = [], dense._sites
 
-    def sites_spy(encoding, n, point, met):
-        chain, factors = sites(encoding, n, point, met)
+    def sites_spy(encoding, n, point):
+        chain, factors = sites(encoding, n, point)
         runs.append(chain)
         return chain, factors
 
@@ -919,9 +887,8 @@ def test_steps_that_meet_the_chain_anywhere_match_the_sweep_and_the_oracle(monke
         runs.clear()
         heads.clear()
         _matches_the_sweep_and_the_oracle(circuits)
-        assert runs[0] == (chain if meet == "head" else chain[::-1])
-        # the first step adjoins the chain past its qubits only from the middle
-        assert (heads[0] > 0) == (meet == "middle")
+        assert runs[0] == chain[::-1]
+        assert (heads[0] > 0) == (meet != "tail")
 
 
 def test_a_wide_point_s_z_is_within_1e_13_of_the_polynomial():
