@@ -101,14 +101,21 @@ def depth(circuit: Circuit, kinds: tuple[str, ...] = GATE_KINDS) -> int:
     Every gate of the given kinds counts as one layer unit and the others as
     none, so depth(circuit, ("cx",)) is the two-qubit depth.
     """
+    return depths(circuit, kinds)[0]
+
+
+def depths(circuit: Circuit, kinds: tuple[str, ...] = GATE_KINDS) -> tuple[int, int]:
+    """depth(circuit, kinds) and the two-qubit depth, from one walk of the gates."""
     level = [0] * circuit.n_qubits  # the layer each qubit's last gate ends
+    two = [0] * circuit.n_qubits  # the same, counting the two-qubit gates alone
     for g in circuit.gates:
         if len(g.qubits) == 1:
             level[g.qubits[0]] += g.kind in kinds
         else:
             a, b = g.qubits
             level[a] = level[b] = max(level[a], level[b]) + (g.kind in kinds)
-    return max(level, default=0)
+            two[a] = two[b] = max(two[a], two[b]) + 1
+    return max(level, default=0), max(two, default=0)
 
 
 def plan(circuits: list[Circuit]) -> Circuit:

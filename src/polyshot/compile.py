@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import Circuit, Gate, depth as circuit_depth
+from .circuit import Circuit, Gate, depths
 from .poly import NormalizedPolynomial, Polynomial, PolyError, coeffs_of, load_json_object
 from .poly import normalize
 
@@ -245,11 +245,12 @@ def resources(circuit: Circuit) -> ResourceCounts:
     mask skips that point is no gate there."""
     gates = [g for g in circuit.gates if g.kind != "x" or g.angle is None or g.angle[0]]
     first = Circuit(circuit.n_qubits, gates, circuit.measured_qubit)
+    depth, two_qubit_depth = depths(first)
     return ResourceCounts(
         qubits=first.n_qubits,
         two_qubit_gates=first.two_qubit_count,
-        depth=circuit_depth(first),
-        two_qubit_depth=circuit_depth(first, ("cx",)),
+        depth=depth,
+        two_qubit_depth=two_qubit_depth,
     )
 
 

@@ -44,8 +44,9 @@ A wide point cuts its traffic by gate fusion instead.  The compiled programs
 are chains of two-qubit sum blocks, 6-7 gates on one qubit pair, and each
 block shares one qubit with the next, so each maximal run of consecutive
 gates on at most _FUSE_QUBITS = 3 qubits becomes one matrix of up to 8x8
-(_fuse), the product of its gates' matrices; a backward point of degree d
-runs ceil(d/2) such steps after its encoding, two sum blocks each.  Its state
+(_runs, _fuse), the product of its gates' matrices; a backward point of
+degree d runs ceil(d/2) such steps after its encoding, two sum blocks each
+(its last step is read for z, not run; see below).  Its state
 holds only the qubits its steps have met (_adjoining_sweep), as the windowed
 simulator adjoins each qubit at its first gate.  The encoding is a product
 state apart from its cx chain, and the chain is a matrix-product state of
@@ -58,20 +59,27 @@ innermost, ordered by the last step that needs them, so a compiled program's
 runs, on (d, d-1, d-2), (d-2, d-3, d-4), ... backward and (2, 1, 0),
 (3, 2, 1), ... forward, each meet the qubits the step before left innermost,
 and adjoining and the run's matrix are one matmul from the state into a spare
-buffer (_factors, _apply_u).  A
-backward point of degree 16 then writes 2 x 2^3, 2 x 2^5, ..., 2 x 2^15 and
-2^17 amplitudes, about 1.7 states of 2^17, where a sweep of the whole state
-would write 8.  Only a step whose held qubits are not innermost (a circuit
-that is not compiled) first copies them there (_to_back); chain qubits
-adjoined on the way to the one a step needs go outermost, and the qubits no
-step needs are adjoined last.  The sweep keeps the qubit each axis holds;
-run_statevector returns the amplitudes in qubit order, and expect_z_plan reads
-z on the measured qubit's axis, as pairwise sums (_zs).  The spare buffer is
-made anew, of the new state's size, where the state grows, so the peak is the
-final state and the one before it; no buffer is kept for the next point.
+buffer (_factors, _apply_u).  Only a step whose held qubits are not innermost
+(a circuit that is not compiled) first copies them there (_to_back); chain
+qubits adjoined on the way to the one a step needs go outermost, and the
+qubits no step needs are adjoined last.  The sweep keeps the qubit each axis
+holds, and run_statevector returns the amplitudes in qubit order.
+expect_z_plan does not make the last state: after the last pass U, <Z> is
+<psi|U^H Z U|psi>, so z is read from that pass's input rows through a K x K
+form, K = 4 on a compiled program, in blocks of 2^10 rows, one BLAS dot each,
+added pairwise (_read_z).  A backward point of degree 16 then writes 2 x 2^3,
+2 x 2^5, ..., 2 x 2^15 amplitudes, about 0.67 of a state of 2^17, where a
+sweep of the whole state would write 8, and reads the last of them once.
+The spare buffer is made anew, of the new state's size, where the state
+grows, and dropped before the read, so the peak is the last two states
+written, 0.64 of a full state at degree 16 and 0.68 at 14; no buffer is kept
+for the next point.
 A masked x is per-point data here too, X or the exact identity: a factor
 (1 - m, m) in the encoding, and in the runs held back to the next gate on
-its qubit (_fuse), so each point's runs and rounding are its trial's alone.
+its qubit (_runs), so each point's runs and rounding are its trial's alone.
+The run matrices are built for all of a batch's points at once, and their
+bytes, the encoding factors' and one point's state and spare buffer are
+checked against the free memory before the first matrix is built.
 A degree-20 backward point (21 qubits) takes about 0.03-0.04 s on a 2-vCPU
 Intel Xeon host with one BLAS thread.
 """
@@ -92,9 +100,9 @@ MAX_SHOTS = 2**63 - 1
 # peak bytes of a run per amplitude: the complex128 state plus one state of
 # scratch (ry's copy of one half and one half-sized temporary, the spare
 # buffer a fused step writes into, dropped before run_statevector's
-# qubit-order copy, that copy, a wide z read's |amp|^2 of half the state's
-# bytes, or the encoding build's copy of the real amplitudes it reads, at
-# most 2 bytes per amplitude)
+# qubit-order copy or a wide point's z read, that copy, expect_z's |amp|^2 of
+# half a wide state's bytes, or the encoding build's copy of the real
+# amplitudes it reads, at most 2 bytes per amplitude)
 _PEAK_BYTES_PER_AMPLITUDE = 2 * 16
 # a point of at least this many amplitudes runs alone, fused; narrower points
 # run in chunks of at most _CHUNK_AMPLITUDES (see the module docstring).  At
@@ -114,6 +122,9 @@ _FUSE_QUBITS = 3
 _ADJOIN_QUBITS = 4
 # the factor that adjoins a qubit with no encoding gate, as |0>
 _ZERO = np.array([[1.0], [0.0]])
+# the rows of a wide point's last pass that one BLAS dot of its z read takes
+# (_read_z): one dot over all of them rounds about twice as far
+_Z_BLOCK_ROWS = 2**10
 
 
 class CapacityError(RuntimeError):
@@ -265,15 +276,14 @@ def _run_matrix(run: list[tuple], qubits: tuple[int, ...]) -> np.ndarray:
     return matrix
 
 
-def _fuse(gates: list[Gate]) -> list[tuple]:
-    """The gates of a batch as steps ("u", qubits, matrix), one per maximal
-    run of consecutive gates whose qubits fit in _FUSE_QUBITS qubits, on the
-    run's qubits in the order its gates meet them; a matrix holds one per
-    point where a gate of the run holds one angle or mask per point, else one
-    for all.  Each x is held back until the next gate on its qubit, with
-    which it commutes past every gate in between, and joins that gate's run
-    (or, with none, ends the circuit), so no x decides where a run ends: a
-    point's runs are those of its trial's gates alone, whatever its signs."""
+def _runs(gates: list[Gate]) -> list[tuple[tuple, list]]:
+    """The gates of a batch as runs (qubits, gates), one per maximal run of
+    consecutive gates whose qubits fit in _FUSE_QUBITS qubits, on the run's
+    qubits in the order its gates meet them.  Each x is held back until the
+    next gate on its qubit, with which it commutes past every gate in between,
+    and joins that gate's run (or, with none, ends the circuit), so no x
+    decides where a run ends: a point's runs are those of its trial's gates
+    alone, whatever its signs."""
     runs: list[tuple[tuple, list]] = []  # (the run's qubits, its gates)
     held: dict[int, list[Gate]] = {}  # each qubit's x gates, held back
 
@@ -297,6 +307,13 @@ def _fuse(gates: list[Gate]) -> list[tuple]:
     for q in list(held):  # the x gates no gate follows
         for x in held.pop(q):
             place(x)
+    return runs
+
+
+def _fuse(runs: list[tuple[tuple, list]]) -> list[tuple]:
+    """Each run (_runs) as one step ("u", qubits, matrix) (_run_matrix): a
+    matrix holds one per point where a gate of the run holds one angle or
+    mask per point, else one for all."""
     return [("u", qubits, _run_matrix(run, qubits)) for qubits, run in runs]
 
 
@@ -460,7 +477,43 @@ def _in_order(matrix: np.ndarray, qubits, axes: list[int]) -> np.ndarray:
     return matrix.reshape(b, 2**k, 2**k)
 
 
-def _adjoining_sweep(steps: list[tuple], n: int, point: int, encoding: list[tuple]):
+def _read_z(state: np.ndarray, factors: np.ndarray, at: int, n: int) -> float:
+    """<Z> on bit `at` (the first the most significant) of the n-qubit state
+    [P, rows, N] that _apply_u(state, factors) would write, read from the
+    state's rows instead: sum_r s(r) row_r G row_r^H, G = sum_p s(p) F_p S F_p^H,
+    the sign (+1 on 0, -1 on 1) on the index that holds the bit (S on the
+    outputs).  Blocks of about _Z_BLOCK_ROWS rows of one sign are one BLAS dot
+    each, their sums added pairwise; none is the state's size."""
+    heads, k, outs = factors.shape
+    h, o = heads.bit_length() - 1, outs.bit_length() - 1
+    rows, halves, sign = state.reshape(1, 1, -1, k), (1.0,), 1.0  # [outer, bit, inner, K]
+    if h <= at < n - o:  # on the rows
+        rows, halves = state.reshape(-1, 2, 2 ** (n - o - 1 - at), k), (1.0, -1.0)
+    else:  # on f's columns, (p, j)
+        shift = n - 1 - at if at >= n - o else h + o - 1 - at
+        sign = 1.0 - 2.0 * ((np.arange(heads * outs) >> shift) & 1)
+    f = factors.transpose(1, 0, 2).reshape(k, -1)
+    g = (f * sign) @ f.conj().T
+    # the real form of g on a row read as (re, im) pairs: x form x^T = row g row^H
+    form = np.empty((k, 2, k, 2))
+    form[:, 0, :, 0] = form[:, 1, :, 1] = g.real
+    form[:, 0, :, 1], form[:, 1, :, 0] = g.imag, -g.imag
+    form = form.reshape(2 * k, 2 * k)
+    outer, inner = rows.shape[0], rows.shape[2]
+    a_step, c_step = max(1, _Z_BLOCK_ROWS // inner), min(inner, _Z_BLOCK_ROWS)
+    sums = [
+        s * np.vdot(block, block @ form)
+        for a in range(0, outer, a_step)
+        for c in range(0, inner, c_step)
+        for half, s in enumerate(halves)
+        for block in [rows[a : a + a_step, half, c : c + c_step].reshape(-1, k).view(float)]
+    ]
+    return float(np.sum(sums))
+
+
+def _adjoining_sweep(
+    steps: list[tuple], n: int, point: int, encoding: list[tuple], measured: int | None = None
+):
     """The state, [1] + [2]*n, that one point's encoding (_encoding) and
     fused steps leave it in, and the qubit each of its axes after the first
     holds.  The state holds only the qubits the steps have met, and, while
@@ -473,7 +526,10 @@ def _adjoining_sweep(steps: list[tuple], n: int, point: int, encoding: list[tupl
     step's held qubits are not innermost, they are first moved there
     (_to_back).  The qubits no step touches are adjoined last, at most
     _ADJOIN_QUBITS a pass.  The spare buffer is made anew, of the new state's
-    size, where the state grows, the old one dropped first."""
+    size, where the state grows, the old one dropped first.  With `measured`,
+    returns instead [<Z>] of that qubit, read from the input of the last pass
+    (_read_z), which is not run: the rest pass if it adjoins a qubit, else
+    the last step's last group."""
     last: dict[int, int] = {}  # in the order the steps first meet the qubits
     for i, (_, qubits, _) in enumerate(steps):
         last.update((q, i) for q in qubits)
@@ -489,7 +545,7 @@ def _adjoining_sweep(steps: list[tuple], n: int, point: int, encoding: list[tupl
 
     # each step's matrix for the point: its own, or the one for all
     own = [(q, m[point : point + 1] if len(m) > 1 else m) for _, q, m in steps]
-    for qubits, matrix in [*own, (range(n), None)]:  # then the rest
+    for j, (qubits, matrix) in enumerate([*own, (range(n), None)]):  # then the rest
         needed = sorted(qubits, key=lambda q: last.get(q, len(steps)))
         fresh = _fresh(needed, order, chain)
         held = [q for q in needed if q not in fresh]
@@ -509,31 +565,41 @@ def _adjoining_sweep(steps: list[tuple], n: int, point: int, encoding: list[tupl
             if step is not None:
                 step = _in_order(step, qubits, order[-len(qubits) :])
             factors = _factors(tensor, 0 if step is None else len(qubits) - len(tail), step)
+            if measured is not None and j >= len(own) - 1 and len(order) == n:  # the last pass
+                spare = None
+                return [_read_z(state, factors, order.index(measured), n)]
             size = len(factors) * state.size // factors.shape[1] * factors.shape[2]
             _apply_u(state, factors, out(size))
             state, spare, bond = spare, state, tensor.shape[-1]
     return state.reshape([1] + [2] * n), order
 
 
-def _sweep(
-    steps: list[tuple], n: int, lo: int, hi: int, encoding: list[tuple]
-) -> tuple[np.ndarray, list[int]]:
-    """The states, shape [hi - lo] + [2]*n, that an encoding (_encoding; empty
-    for none) and then the gates or fused steps of a batch leave its points
-    lo..hi-1 in, after the memory check, and the qubit each axis after the
-    batch axis holds.  A wide point's fused steps (_fuse) run on a state that
-    adjoins each qubit where a step first meets it (_adjoining_sweep);
-    otherwise the encoding is built into |0...0> (_encode), the gates are
-    swept, and the axes are in qubit order."""
-    need = _PEAK_BYTES_PER_AMPLITUDE * (hi - lo) * 2**n
+def _check_memory(need: int, what: str) -> None:
+    """Raise CapacityError, before anything is allocated, where `what` needs
+    more bytes than are free."""
     free = _free_memory_bytes()
     if need > free:
         raise CapacityError(
-            f"{hi - lo} state(s) of {n} qubits need about {need} bytes, but only {free} "
-            "bytes are free; route this circuit to the windowed stream simulator"
+            f"{what} need about {need} bytes, but only {free} bytes are free; "
+            "route this circuit to the windowed stream simulator"
         )
+
+
+def _sweep(
+    steps: list[tuple], n: int, lo: int, hi: int, encoding: list[tuple], measured: int | None = None
+):
+    """The states, shape [hi - lo] + [2]*n, that an encoding (_encoding; empty
+    for none) and then the gates or fused steps of a batch leave its points
+    lo..hi-1 in, after the memory check, and the qubit each axis after the
+    batch axis holds; with `measured`, the <Z> of that qubit at each point
+    instead.  A wide point's fused steps (_fuse) run on a state that adjoins
+    each qubit where a step first meets it (_adjoining_sweep), which reads z
+    without making its last state; otherwise the encoding is built into
+    |0...0> (_encode), the gates are swept, the axes are in qubit order, and
+    z is one reduction (_zs)."""
+    _check_memory(_PEAK_BYTES_PER_AMPLITUDE * (hi - lo) * 2**n, f"{hi - lo} state(s) of {n} qubits")
     if 2**n >= _FUSE_AMPLITUDES and all(kind == "u" for kind, _, _ in steps):
-        return _adjoining_sweep(steps, n, lo, encoding)
+        return _adjoining_sweep(steps, n, lo, encoding, measured)
     state = np.zeros([hi - lo] + [2] * n, dtype=complex)
     state[(slice(None),) + (0,) * n] = 1.0
     _encode(state, encoding, lo, hi)
@@ -541,16 +607,19 @@ def _sweep(
         if isinstance(arg, np.ndarray):  # one per point: a chunk of one takes a scalar
             arg = arg[lo] if hi - lo == 1 else arg[lo:hi]
         _apply_gate(state, kind, [1 + q for q in qubits], arg)
-    return state, list(range(n))
+    return (state, list(range(n))) if measured is None else _zs(state, measured)
 
 
-def _states(circuit: Circuit):
+def _states(circuit: Circuit, z: bool = False):
     """lo, hi, the states of the circuit's points lo..hi-1 and the qubit each
-    of their axes after the batch axis holds, for each chunk in turn: chunks
-    of at most _CHUNK_AMPLITUDES amplitudes, or of one point where it is wide,
-    each from the circuit's encoding (_encoding) and the gates after it,
-    fused (_fuse) where a point is wide; a circuit past the qubit cap raises
-    first.  The caller drops each chunk's states before asking for the next."""
+    of their axes after the batch axis holds, or with `z` the points' <Z> of
+    the measured qubit, for each chunk in turn: chunks of at most
+    _CHUNK_AMPLITUDES amplitudes, or of one point where it is wide, each from
+    the circuit's encoding (_encoding) and the gates after it, fused (_fuse)
+    where a point is wide.  A circuit past the qubit cap raises first, and a
+    wide one whose run matrices, encoding factors and one point's state
+    exceed the free memory raises before a matrix is built.  The caller drops
+    each chunk's states before asking for the next."""
     n = circuit.n_qubits
     if n > DEFAULT_QUBIT_CAP:
         raise CapacityError(
@@ -560,10 +629,18 @@ def _states(circuit: Circuit):
     count, encoding = _encoding(circuit.gates)
     steps, chunk = circuit.gates[count:], _CHUNK_AMPLITUDES >> n
     if 2**n >= _FUSE_AMPLITUDES:
-        steps, chunk = _fuse(steps), 1
+        runs, batch = _runs(steps), circuit.batch
+        per_point = [any(isinstance(g.angle, np.ndarray) for g in run) for _, run in runs]
+        need = sum(16 * 4 ** len(q) * (batch if p else 1) for (q, _), p in zip(runs, per_point))
+        need += sum(f.nbytes for _, _, f in encoding) + _PEAK_BYTES_PER_AMPLITUDE * 2**n
+        what = f"{batch} point(s) of {n} qubits: their run matrices, encoding and one state"
+        _check_memory(need, what)
+        steps, chunk = _fuse(runs), 1
+    measured = circuit.measured_qubit if z else None
     for lo in range(0, circuit.batch, chunk):
         hi = min(lo + chunk, circuit.batch)
-        yield (lo, hi, *_sweep(steps, n, lo, hi, encoding))
+        swept = _sweep(steps, n, lo, hi, encoding, measured)
+        yield swept if z else (lo, hi, *swept)
 
 
 def run_statevector(circuit: Circuit) -> np.ndarray:
@@ -576,22 +653,16 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
 
 
 def expect_z_plan(circuit: Circuit) -> list[float]:
-    """Exact <Z> of the measured qubit at each point of a circuit, in order,
-    one reduction (_zs) per chunk.  Where the points differ only in ry
-    angles, each point's state is the one run_statevector gives for that point
-    alone, bit for bit: a real rotation rounds the same with one angle or many
-    (a per-point rz phase may move the last bit).  Below 2^12 amplitudes each
-    z is also expect_z(run_statevector(point), measured) bit for bit; above,
-    the fused sweep lays the axes out in another order, and the sums over
-    them may round differently (by about 1e-15).  A fused point's encoding
-    is adjoined with the steps that first need its qubits, and multiplied
-    into their matrices, so its z may also differ, by about 1e-15, from a
-    sweep of all its gates."""
-    zs = [0.0] * circuit.batch
-    for lo, hi, states, order in _states(circuit):
-        zs[lo:hi] = _zs(states, order.index(circuit.measured_qubit))
-        del states  # freed before the next chunk is allocated
-    return zs
+    """Exact <Z> of the measured qubit at each point of a circuit, in order.
+    Below 2^12 amplitudes each chunk is one reduction (_zs), and where the
+    points differ only in ry angles each point's z is expect_z(
+    run_statevector(point), measured) bit for bit: a real rotation rounds the
+    same with one angle or many (a per-point rz phase may move the last bit).
+    From 2^12 amplitudes a point's z is read from the input of its last pass
+    through that pass's K x K form (_read_z), and the state run_statevector
+    gives is never made, so z may differ from expect_z of that state, and
+    from a sweep of all its gates, by about 1e-15."""
+    return [z for zs in _states(circuit, z=True) for z in zs]
 
 
 def expect_z(state: np.ndarray, qubit: int) -> float:

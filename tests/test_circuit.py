@@ -6,6 +6,7 @@ from polyshot.circuit import (
     CircuitError,
     Gate,
     depth,
+    depths,
     plan,
     to_qasm,
     validate,
@@ -55,6 +56,24 @@ def test_depth_counts_only_the_given_kinds():
     assert depth(c) == 4
     assert depth(c, ("cx",)) == 2
     assert depth(c, ()) == 0
+
+
+def test_depths_are_both_depths_from_one_walk():
+    # random circuits of every kind: depths gives depth(c, kinds) and the
+    # two-qubit depth, depth(c, ("cx",)), without a second walk
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        n = int(rng.integers(1, 6))
+        gates = []
+        for _ in range(int(rng.integers(0, 30))):
+            kind = str(rng.choice(["ry", "rz", "x", "cx"] if n > 1 else ["ry", "rz", "x"]))
+            if kind == "cx":
+                gates.append(Gate.cx(*(int(q) for q in rng.choice(n, 2, replace=False))))
+            else:
+                gates.append(Gate(kind, (int(rng.integers(n)),), None if kind == "x" else 0.3))
+        c = Circuit(n, tuple(gates), 0)
+        assert depths(c) == (depth(c), depth(c, ("cx",)))
+        assert depths(c, ("ry",)) == (depth(c, ("ry",)), depth(c, ("cx",)))
 
 
 def test_depth_invariant_under_commuting_swap():
