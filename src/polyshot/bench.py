@@ -21,11 +21,11 @@ import numpy as np
 
 from .circuit import Circuit
 from .compile import ORDERS, compile_poly, plan_programs, resources, skeleton_key
-from .dense import DEFAULT_QUBIT_CAP, MAX_SHOTS, CapacityError, NoiseModel, draw_shots_batch
+from .dense import DEFAULT_QUBIT_CAP, MAX_SHOTS, CapacityError, NoiseModel, draw_ones
 from .dense import expect_z_plan, prob_one
-from .estimate import Estimate, point_estimate, run_metrics, shot_scaling_fit
+from .estimate import point_estimates, run_metrics, shot_scaling_fit
 from .poly import Polynomial, eval_poly, sup_norms
-from .rng import derive_seed, derive_seeds, generator, rekeyed
+from .rng import derive_seed, derive_seed_grid, derive_seeds, generator, rekeyed
 from .stream import DEFAULT_WINDOW_CAP, run_window_plan
 
 TABLE1_PAPER_SIM = {
@@ -242,25 +242,18 @@ def recovery_run(config: ExperimentConfig) -> RunReport:
             laps["simulate"] += time.perf_counter() - t_sim
         t_sample = time.perf_counter()
         points = [(trial, point) for trial in range(config.trials) for point in range(len(xs))]
-        z_all = [zs[trial][point] for trial, point in points]
+        z_all = [z for trial in range(config.trials) for z in zs[trial]]
         truths = [v for poly in polys for v in eval_poly(poly, grid).tolist()]
-        cs = [programs[trial].rescale for trial, _ in points]
-        if config.shots == 0:  # infinite-shot surrogate
-            estimates = [Estimate(c * z, 0.0) for c, z in zip(cs, z_all)]
-        else:  # one row of per-point seeds per trial
-            prefix = (config.master_seed, degree)
-            seeds = [derive_seeds(*prefix, trial, range(len(xs))) for trial in range(config.trials)]
-            outcomes = draw_shots_batch(z_all, config.shots, [s for row in seeds for s in row])
-            estimates = [point_estimate(outcome, c) for outcome, c in zip(outcomes, cs)]
-        values = [est.value for est in estimates]
+        c = np.repeat([program.rescale for program in programs], len(xs))
+        grid_seeds = derive_seed_grid(config.master_seed, degree, range(config.trials), range(len(xs)))
+        values, stderrs = (v.tolist() for v in _score(z_all, c, config.shots, grid_seeds))
         records += [
-            Record(degree, trial, point, xs[point], truth, est.value, est.stderr)
-            for (trial, point), truth, est in zip(points, truths, estimates)
+            Record(degree, trial, point, xs[point], truth, value, stderr)
+            for (trial, point), truth, value, stderr in zip(points, truths, values, stderrs)
         ]
         t_metrics = time.perf_counter()
         laps["sample"] = t_metrics - t_sample
         metrics = run_metrics(list(zip(truths, values)))
-        c = np.array(cs)
         norm_resid = np.array(values) / c - np.array(truths) / c
         row = {
             "degree": degree,
@@ -286,6 +279,18 @@ def recovery_run(config: ExperimentConfig) -> RunReport:
     return RunReport(config, per_degree, records, timings)
 
 
+def _score(zs, rescale, shots: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The estimates (values, stderrs) of points with exact <Z> zs and rescale
+    C (a float, or one per point): one binomial draw of `shots` per point,
+    keyed by the seeds in order (a grid of rows, rng.derive_seed_grid), scored
+    as arrays (estimate.point_estimates); with 0 shots, the infinite-shot
+    surrogate C z with stderr 0.  The one scoring path of the recovery and
+    shot-scaling runs."""
+    if shots == 0:
+        return rescale * np.asarray(zs), np.zeros(len(zs))
+    return point_estimates(draw_ones(zs, shots, seeds.ravel().tolist()), shots, rescale)
+
+
 # the shot-scaling run: a backward program of this degree, sampled at this
 # many points over [-0.9, 0.9], this many times at each shot count
 SHOTS_DEGREE = 4
@@ -305,13 +310,9 @@ def shot_scaling_experiment(master_seed: int = ExperimentConfig.master_seed) -> 
     zs = exact_z(plan_programs([program], xs), ExperimentConfig())
     rows = []
     for n_idx, shots in enumerate(SHOTS_LIST):
-        prefix = (master_seed, degree, n_idx)
-        seeds = [derive_seeds(*prefix, rep, range(points)) for rep in range(repetitions)]
-        outcomes = draw_shots_batch(zs * repetitions, shots, [s for row in seeds for s in row])
-        sq_errs = [
-            (point_estimate(outcome, program.rescale).value - truth) ** 2
-            for outcome, truth in zip(outcomes, truths * repetitions)
-        ]
+        seeds = derive_seed_grid(master_seed, degree, n_idx, range(repetitions), range(points))
+        values, _ = _score(zs * repetitions, program.rescale, shots, seeds)
+        sq_errs = [(value - truth) ** 2 for value, truth in zip(values.tolist(), truths * repetitions)]
         rows.append({"shots": shots, "rmse": float(np.sqrt(np.mean(sq_errs)))})
     slope = shot_scaling_fit([(r["shots"], r["rmse"]) for r in rows])
     return {
@@ -339,14 +340,9 @@ def report_json(report: RunReport, include_timings: bool = True) -> str:
 
 
 def records_csv(report: RunReport) -> str:
-    lines = ["degree,trial,point_index,x,truth,estimate,stderr"]
-    for r in report.records:
-        lines.append(
-            f"{r.degree},{r.trial},{r.point_index},"
-            f"{format(r.x, '.17g')},{format(r.truth, '.17g')},"
-            f"{format(r.estimate, '.17g')},{format(r.stderr, '.17g')}"
-        )
-    return "\n".join(lines) + "\n"
+    line = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g"
+    lines = [line % tuple(vars(r).values()) for r in report.records]
+    return "\n".join(["degree,trial,point_index,x,truth,estimate,stderr", *lines, ""])
 
 
 def write_report(report: RunReport, out_dir: str | Path, stem: str) -> tuple[Path, Path]:

@@ -19,9 +19,11 @@ memory before the state is allocated.
 Both simulators sweep a circuit of `batch` points (compile.plan_programs):
 the points of one gate skeleton, such as the trials x points of one degree,
 with one angle per point where the points differ and a mask where an x (the
-sign of a negative term) acts on some points only.  Here the state is a
-tensor of shape [B] + [2]*n, and a masked x swaps the halves of its points
-alone; the windowed simulator has kernels of its own (see stream.py).  Every
+sign of a negative term) acts on some points only.  Here a narrow chunk's
+state is a tensor of shape [2]*n + [B], its points innermost, so each half
+view is a run of whole rows of points, a per-point angle broadcasts along
+the last axis and a masked x swaps the halves of its points alone; the
+windowed simulator has kernels of its own (see stream.py).  Every
 run goes through one chunk driver, _states.  A point narrower than
 _FUSE_AMPLITUDES (2^12) amplitudes runs in chunks of at most
 _CHUNK_AMPLITUDES (2^15) amplitudes, so a Table-1 degree (10 trials x 15
@@ -100,9 +102,9 @@ MAX_SHOTS = 2**63 - 1
 # peak bytes of a run per amplitude: the complex128 state plus one state of
 # scratch (ry's copy of one half and one half-sized temporary, the spare
 # buffer a fused step writes into, dropped before run_statevector's
-# qubit-order copy or a wide point's z read, that copy, expect_z's |amp|^2 of
-# half a wide state's bytes, or the encoding build's copy of the real
-# amplitudes it reads, at most 2 bytes per amplitude)
+# qubit-order copy or a wide point's z read, that copy, _zs's |amp|^2 of half
+# the state's bytes and a narrow chunk's copy of it with the points first, or
+# the encoding build's copy of the real amplitudes it reads)
 _PEAK_BYTES_PER_AMPLITUDE = 2 * 16
 # a point of at least this many amplitudes runs alone, fused; narrower points
 # run in chunks of at most _CHUNK_AMPLITUDES (see the module docstring).  At
@@ -122,6 +124,12 @@ _FUSE_QUBITS = 3
 _ADJOIN_QUBITS = 4
 # the factor that adjoins a qubit with no encoding gate, as |0>
 _ZERO = np.array([[1.0], [0.0]])
+# the ufunc buffer, in elements, of a narrow sweep's gates.  A half's inner
+# run can be short (B points at the last qubit); under numpy's default of
+# 8192 a gate's ufuncs then allocate buffers of 8192 elements per operand,
+# up to ~13 bytes an amplitude of a Table-1 chunk past the checked peak, and
+# the degree's gates ran about 18% slower than at 256 (numpy 2.4)
+_UFUNC_BUFFER = 256
 # the rows of a wide point's last pass that one BLAS dot of its z read takes
 # (_read_z): one dot over all of them rounds about twice as far
 _Z_BLOCK_ROWS = 2**10
@@ -160,14 +168,20 @@ def prob_one(z):
     return np.clip(0.5 * (1.0 - np.asarray(z)), 0.0, 1.0)
 
 
-def draw_shots_batch(zs, shots: int, seeds) -> list[ShotOutcome]:
-    """draw_shots(z, shots, seed) for each z and seed in turn, from one Philox
-    re-keyed per draw (rng.rekeyed) instead of a generator per draw."""
+def draw_ones(zs, shots: int, seeds) -> np.ndarray:
+    """The n1 of draw_shots(z, shots, seed) for each z and seed in turn, as an
+    int64 array, from one Philox re-keyed per draw (rng.rekeyed) instead of a
+    generator per draw."""
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
     p1s = prob_one(zs).tolist()
-    n1s = [int(gen.binomial(shots, p1)) for p1, gen in zip(p1s, rekeyed(seeds), strict=True)]
-    return [ShotOutcome(shots - n1, n1) for n1 in n1s]
+    n1s = [gen.binomial(shots, p1) for p1, gen in zip(p1s, rekeyed(seeds), strict=True)]
+    return np.array(n1s, dtype=np.int64)
+
+
+def draw_shots_batch(zs, shots: int, seeds) -> list[ShotOutcome]:
+    """draw_shots(z, shots, seed) for each z and seed in turn (draw_ones)."""
+    return [ShotOutcome(shots - n1, n1) for n1 in draw_ones(zs, shots, seeds).tolist()]
 
 
 def draw_shots(z: float, shots: int, seed: int) -> ShotOutcome:
@@ -187,28 +201,30 @@ def _halves(tensor: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _apply_gate(tensor: np.ndarray, kind: str, axes: list[int], angle) -> None:
-    """One gate in place on its qubits' axes of a tensor whose first axis is the
-    batch.  `angle` is ry's or rz's: a float, or an array of one angle per
-    point; x takes none, or a mask of the points it acts on (an array, or one
-    bool for a tensor of one point); cx is x on the target where the control
-    is 1."""
+    """One gate in place on its qubits' axes of a tensor whose last axis holds
+    the points.  `angle` is ry's or rz's: a float, or an array of one angle per
+    point, which broadcasts along that last axis; x takes none, or a mask of
+    the points it acts on (an array, or one bool); cx is x on the target where
+    the control is 1.  ry scales the float (re, im) view, each cos and sin
+    repeated per pair: a real scale rounds as a complex one with a zero
+    imaginary part does."""
     if kind == "cx":
         c, t = axes
         tensor, kind, axes = _halves(tensor, c)[1], "x", [t - (t > c)]
+    if kind == "ry":
+        tensor = tensor.view(float)
     a, b = _halves(tensor, axes[0])
     if kind == "x":
-        at = ... if angle is None else angle
-        a[at], b[at] = b[at], a[at].copy()
-        return
-    if isinstance(angle, np.ndarray):  # broadcast against a half
-        angle = angle.reshape((-1,) + (1,) * (tensor.ndim - 2))
-    if kind == "rz":
+        at, a0 = True if angle is None else angle, a.copy()
+        np.copyto(a, b, where=at)
+        np.copyto(b, a0, where=at)
+    elif kind == "rz":
         a *= np.exp(-0.5j * angle)
         b *= np.exp(0.5j * angle)
     else:  # ry
         c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-        if isinstance(angle, np.ndarray):  # else each use casts them in a ufunc buffer
-            c, s = c.astype(complex), s.astype(complex)
+        if isinstance(angle, np.ndarray):
+            c, s = np.repeat(c, 2), np.repeat(s, 2)
         a0 = a.copy()
         a *= c
         a -= s * b
@@ -372,8 +388,9 @@ def _encoding(
 
 def _encode(state: np.ndarray, encoding: list[tuple], lo: int, hi: int) -> None:
     """Write the state an encoding (_encoding) leaves the points lo..hi-1 in
-    into their zeroed batch of |0...0> states, in place, the axes after the
-    batch axis in qubit order.  The chain maps basis index b to b' with
+    into their zeroed |0...0> states [2]*n + [B], in place, the qubit axes in
+    qubit order and the points last, where each factor broadcasts; only the
+    qubit axes are transposed.  The chain maps basis index b to b' with
     b'_k = b_0 ^ ... ^ b_k on the ry qubits, so the amplitude at b' is the
     product, in ry order, of f_k(b'_k ^ b'_(k-1)), and of f_k(b'_k) past the
     chain's end.  Qubit r_k is built on the amplitudes where it and every
@@ -382,9 +399,9 @@ def _encode(state: np.ndarray, encoding: list[tuple], lo: int, hi: int) -> None:
     make on a state that holds only them, so the amplitudes are theirs bit
     for bit."""
     n, axes = state.ndim - 1, [q for q, _, _ in encoding]
-    # the ry qubits' axes first, in ry order, and the batch last, where a factor broadcasts
+    # the ry qubits' axes first, in ry order; the points stay last, where a factor broadcasts
     axes += [a for a in range(n) if a not in axes]
-    real = state.real.transpose([1 + a for a in axes] + [0])
+    real = state.real.transpose(axes + [n])
     for k, (_, linked, f) in enumerate(encoding):
         built = real[(slice(None),) * (k + 1) + (0,) * (n - k - 1)]
         zero, one = built[..., 0, :], built[..., 1, :]
@@ -594,20 +611,25 @@ def _sweep(
     batch axis holds; with `measured`, the <Z> of that qubit at each point
     instead.  A wide point's fused steps (_fuse) run on a state that adjoins
     each qubit where a step first meets it (_adjoining_sweep), which reads z
-    without making its last state; otherwise the encoding is built into
-    |0...0> (_encode), the gates are swept, the axes are in qubit order, and
-    z is one reduction (_zs)."""
+    without making its last state; otherwise the state is allocated [2]*n +
+    [B], points innermost, the encoding is built into |0...0> (_encode), the
+    gates are swept on the qubit axes (_apply_gate) with a small ufunc
+    buffer, and the states come back as a view with the points first, the
+    axes in qubit order, or as z, one reduction (_zs)."""
     _check_memory(_PEAK_BYTES_PER_AMPLITUDE * (hi - lo) * 2**n, f"{hi - lo} state(s) of {n} qubits")
     if 2**n >= _FUSE_AMPLITUDES and all(kind == "u" for kind, _, _ in steps):
         return _adjoining_sweep(steps, n, lo, encoding, measured)
-    state = np.zeros([hi - lo] + [2] * n, dtype=complex)
-    state[(slice(None),) + (0,) * n] = 1.0
-    _encode(state, encoding, lo, hi)
-    for kind, qubits, arg in steps:
-        if isinstance(arg, np.ndarray):  # one per point: a chunk of one takes a scalar
-            arg = arg[lo] if hi - lo == 1 else arg[lo:hi]
-        _apply_gate(state, kind, [1 + q for q in qubits], arg)
-    return (state, list(range(n))) if measured is None else _zs(state, measured)
+    state = np.zeros([2] * n + [hi - lo], dtype=complex)
+    state[(0,) * n] = 1.0
+    size = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        _encode(state, encoding, lo, hi)
+        for kind, qubits, arg in steps:
+            _apply_gate(state, kind, qubits, arg[lo:hi] if isinstance(arg, np.ndarray) else arg)
+    finally:
+        np.setbufsize(size)
+    states = np.moveaxis(state, -1, 0)
+    return (states, list(range(n))) if measured is None else _zs(states, measured)
 
 
 def _states(circuit: Circuit, z: bool = False):
@@ -673,20 +695,22 @@ def expect_z(state: np.ndarray, qubit: int) -> float:
 
 def _zs(states: np.ndarray, axis: int) -> list[float]:
     """<Z> on one axis (after the batch axis) of each state of a batch
-    [B] + [2]*n: per state, the sum of |amp|^2 over every other axis, 0-half
-    minus 1-half.  A narrow batch is one reduction, each state's sums run in
-    the order a lone state's would, so a state's z does not depend on its
+    [B] + [2]*n, in any memory layout: per state, the sum of |amp|^2 over
+    every other axis, 0-half minus 1-half.  A narrow batch is one reduction
+    of |amp|^2 (8 bytes an amplitude) copied with the points first, if they
+    are not (a narrow sweep holds them innermost), so each state's sums run
+    in the order a lone state's would and a state's z does not depend on its
     batch.  A wide state (2^12 amplitudes and up) is read into one |amp|^2
     scratch of half its bytes, each run of it along the axes after `axis` is
     summed, then each half's runs as one 1-D pairwise sum: a reduction over
     the axes before `axis` adds its rows one by one, and its rounding grows
     with their number.  The scratch is freed on return."""
-    if states[0].size < _FUSE_AMPLITUDES:
-        others = tuple(1 + i for i in range(states.ndim - 1) if i != axis)
-        marg = (np.abs(states) ** 2).sum(axis=others)
-        return (marg[:, 0] - marg[:, 1]).tolist()
     probs = np.abs(states)
     np.square(probs, out=probs)
+    if states[0].size < _FUSE_AMPLITUDES:
+        others = tuple(1 + i for i in range(states.ndim - 1) if i != axis)
+        marg = np.ascontiguousarray(probs).sum(axis=others)
+        return (marg[:, 0] - marg[:, 1]).tolist()
     inner = 2 ** (states.ndim - 2 - axis)
     runs = probs.reshape(len(states), -1, 2, inner)
     runs = runs.sum(axis=3) if inner > 1 else runs[..., 0]

@@ -35,6 +35,21 @@ def point_estimate(outcome: ShotOutcome, rescale: float) -> Estimate:
     return Estimate(value, stderr)
 
 
+def point_estimates(n1, shots: int, rescale) -> tuple[np.ndarray, np.ndarray]:
+    """The values and stderrs of point_estimate(ShotOutcome(shots - n1, n1), c)
+    for each count n1 of an int64 array, c the rescale (a float, or one per
+    count), as float arrays, bit for bit: n0 - n1 is exact in int64, and each
+    int meets a float as Python converts it, rounded to the nearest.  p = n1 /
+    shots is one float division where both are exact in a float (up to 2^53
+    shots); past that Python divides the ints exactly, so p is theirs."""
+    if shots < 1:
+        raise ValueError("empty shot outcome")
+    p = n1 / shots if shots <= 2**53 else np.array([k / shots for k in n1.tolist()])
+    value = rescale * (shots - n1 - n1) / shots
+    stderr = 2.0 * np.abs(rescale) * np.sqrt(p * (1.0 - p) / shots)
+    return value, stderr
+
+
 def run_metrics(
     pairs: list[tuple[float, float]], threshold: float = PASS_THRESHOLD
 ) -> Metrics:

@@ -6,7 +6,8 @@ master seed plus integer labels (degree, trial, point index, ...) with a
 splitmix64 mixing chain, so results are independent of task scheduling:
 any (master, labels...) pair names the same stream on every platform.
 derive_seeds gives a row of such seeds, one per value of the last label, in
-one pass.
+one pass, and derive_seed_grid a grid of them, one per value of each of the
+last two labels (a degree's trials x points), in one more.
 """
 from __future__ import annotations
 
@@ -45,8 +46,22 @@ def derive_seeds(*labels) -> list[int]:
     derive_seed masks it, so a negative part or one of more than 64 bits names
     the same seed."""
     *prefix, parts = labels
-    z = np.array([int(part) & _MASK64 for part in parts], dtype=np.uint64)
-    return _splitmix64(z ^ derive_seed(*prefix)).tolist()
+    return _splitmix64(_masked(parts) ^ derive_seed(*prefix)).tolist()
+
+
+def derive_seed_grid(*labels) -> np.ndarray:
+    """[derive_seeds(*labels[:-2], row, labels[-1]) for row in labels[-2]] as
+    a uint64 array [rows, parts], bit for bit: the leading labels are hashed
+    once, the rows in one uint64 pass and the grid in one more, each label
+    masked to 64 bits as derive_seed masks it."""
+    *prefix, rows, parts = labels
+    heads = _splitmix64(_masked(rows) ^ derive_seed(*prefix))
+    return _splitmix64(heads[:, None] ^ _masked(parts))
+
+
+def _masked(parts) -> np.ndarray:
+    """Integer labels masked to 64 bits, as a uint64 array."""
+    return np.array([int(part) & _MASK64 for part in parts], dtype=np.uint64)
 
 
 def generator(seed: int) -> np.random.Generator:

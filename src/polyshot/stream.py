@@ -73,6 +73,8 @@ _X = np.diag([1.0, 1.0, -1.0, -1.0])
 # a pair's index with its two axes swapped: S CX S, the cx on a window whose
 # target axis comes first, is an exact relabelling of the signed permutation
 _SWAP = np.arange(16).reshape(4, 4).T.ravel()
+# the noiseless cx pair, on 4 * P_control + P_target and on 4 * P_target + P_control
+_CX_PAIR = np.stack([_CX, _CX[_SWAP][:, _SWAP]])
 # the plane (i, j) each rotation turns: entry (j, i) is sin t and (i, j) is -sin t
 _PLANES = {"ry": (3, 1), "rz": (1, 2)}
 
@@ -121,16 +123,18 @@ def _adjoin(rho: np.ndarray, active: list[int], qubit: int, gate_index: int, cap
         )
     batch = rho.shape[0]
     need = dense._PEAK_BYTES_PER_AMPLITUDE * batch * 4 ** (w + 1)
-    free = dense._free_memory_bytes()
-    if need > free:
-        raise dense.CapacityError(
-            f"a {w + 1}-qubit window over {batch} points needs about {need} bytes, "
-            f"but only {free} bytes are free"
-        )
+    _check_memory(need, f"a {w + 1}-qubit window over {batch} points needs")
     grown = np.zeros((batch, 4**w, 4))
     grown[:, :, 0] = grown[:, :, 3] = rho.reshape(batch, 4**w)
     active.append(qubit)
     return grown.reshape((batch,) + (4,) * (w + 1))
+
+
+def _check_memory(need: int, what: str) -> None:
+    """Raise CapacityError where `what` needs more bytes than are free."""
+    free = dense._free_memory_bytes()
+    if need > free:
+        raise dense.CapacityError(f"{what} about {need} bytes, but only {free} bytes are free")
 
 
 def _transfer_matrices(steps: tuple[Gate, ...], noise: NoiseModel | None) -> list[np.ndarray]:
@@ -140,12 +144,9 @@ def _transfer_matrices(steps: tuple[Gate, ...], noise: NoiseModel | None) -> lis
     4 * P_control + P_target and then, S CX S, on 4 * P_target + P_control.
     One vectorized call builds a kind's matrices per shape, one per value
     object: the steps that share one (every rz(pi/2) of a compiled circuit)
-    share its matrix."""
-    f1, f2 = (1.0, 1.0) if noise is None else (1 - 4 * noise.p1 / 3, 1 - 4 * noise.p2 / 3)
-    scale1, scale2 = np.array([[1.0], [f1], [f1], [f1]]), np.array([1.0, f2, f2, f2])
-    cx, x = np.outer(scale2, scale2).reshape(16, 1) * _CX, scale1 * _X
-    cx = np.stack([cx, cx[_SWAP][:, _SWAP]])
-    made = {"cx": cx, "x": x}  # by key: a kind without a value, or (kind, id of its value)
+    share its matrix.  Their bytes, 128 per value entry and with noise the cx
+    pair and x (noiseless, those are constants), are checked against the free
+    memory before any is made."""
     keys, groups = [], {}  # (kind, one value per point): {key: value}
     for kind, _, arg in steps:
         if kind == "cx" or arg is None:
@@ -153,16 +154,24 @@ def _transfer_matrices(steps: tuple[Gate, ...], noise: NoiseModel | None) -> lis
         else:
             keys.append((kind, id(arg)))
             groups.setdefault((kind, isinstance(arg, np.ndarray)), {})[keys[-1]] = arg
-    for (kind, _), values in groups.items():
-        t = np.array(list(values.values()))  # [values(, B)]
-        if kind == "x":  # a mask of points: the exact identity where no x acts
+    values = {group: np.array(list(v.values())) for group, v in groups.items()}  # [values(, B)]
+    need = 16 * sum(t.size for t in values.values()) + (0 if noise is None else _CX_PAIR.size + _X.size)
+    _check_memory(8 * need, "a chunk's transfer matrices need")
+    f1, f2 = (1.0, 1.0) if noise is None else (1 - 4 * noise.p1 / 3, 1 - 4 * noise.p2 / 3)
+    scale1, scale2 = np.array([[1.0], [f1], [f1], [f1]]), np.array([1.0, f2, f2, f2])
+    cx, x = _CX_PAIR, _X  # noiseless: the constants, no matrix made
+    if noise is not None:  # the pair's row scales are alike under the swap
+        cx, x = np.outer(scale2, scale2).reshape(16, 1) * _CX_PAIR, scale1 * _X
+    made = {"cx": cx, "x": x}  # by key: a kind without a value, or (kind, id of its value)
+    for group, t in values.items():
+        if group[0] == "x":  # a mask of points: the exact identity where no x acts
             built = np.where(t[..., None, None], x, np.eye(4))
         else:
-            (i, j), built = _PLANES[kind], np.tile(np.eye(4), t.shape + (1, 1))
+            (i, j), built = _PLANES[group[0]], np.tile(np.eye(4), t.shape + (1, 1))
             built[..., i, i] = built[..., j, j] = np.cos(t)
             built[..., j, i], built[..., i, j] = np.sin(t), -np.sin(t)
             built *= scale1
-        made.update(zip(values, built))
+        made.update(zip(groups[group], built))
     return [made[key] for key in keys]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polyshot.circuit import Circuit, Gate, plan
-from polyshot.compile import build_circuit, compile_poly, plan_programs
+from polyshot.compile import build_circuit, compile_poly, plan_programs, skeleton_key
 from polyshot.dense import (
     CapacityError,
     NoiseModel,
@@ -321,6 +321,90 @@ def test_batch_memory_check_raises_before_allocation(monkeypatch):
     monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need)
     zs = expect_z_plan(plan(circuits))
     assert zs == pytest.approx([math.cos(a) for a in np.linspace(0.1, 0.5, 15)], abs=1e-14)
+
+
+def _sweep_peaks(monkeypatch) -> list[tuple]:
+    """Spies on dense._sweep under tracemalloc, which the caller starts: each
+    chunk's bytes checked, 32 per amplitude, and its traced peak above the
+    memory traced when the chunk starts."""
+    import tracemalloc
+
+    from polyshot import dense
+
+    peaks, sweep = [], dense._sweep
+
+    def spy(steps, n, lo, hi, encoding, measured=None):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        swept = sweep(steps, n, lo, hi, encoding, measured)
+        checked = dense._PEAK_BYTES_PER_AMPLITUDE * (hi - lo) * 2**n
+        peaks.append((checked, tracemalloc.get_traced_memory()[1] - before))
+        return swept
+
+    monkeypatch.setattr(dense, "_sweep", spy)
+    return peaks
+
+
+@pytest.mark.parametrize("order", ["backward", "forward"])
+def test_a_narrow_chunk_peaks_within_the_bytes_its_sweep_checks(monkeypatch, order):
+    # a Table-1 degree (one chunk of 150 points of 7 qubits), and 40 trials
+    # of degree 8 and 10 (chunks of 64 and 16 points), with mixed signs
+    import tracemalloc
+
+    from polyshot import dense
+
+    peaks = _sweep_peaks(monkeypatch)
+    xs = [float(x) for x in np.linspace(-0.9, 0.9, 15)]
+    rng = np.random.default_rng(98)
+    tracemalloc.start()
+    try:
+        for d, trials in ((6, 10), (8, 40), (10, 40)):
+            programs = _trials(rng, d, order, trials)
+            first = [p for p in programs if skeleton_key(p) == skeleton_key(programs[0])]
+            batch = plan_programs(first, xs)
+            assert any(kind == "x" and isinstance(arg, np.ndarray) for kind, _, arg in batch.gates)
+            expect_z_plan(batch)
+            for _ in dense._states(batch):  # the states, not z
+                pass
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) > 6
+    for checked, peak in peaks:
+        assert peak <= 1.05 * checked
+
+
+@pytest.mark.parametrize("mask", [True, False])
+def test_a_one_point_narrow_batch_takes_a_mask_of_one_bool(mask):
+    # one point's mask is an array of one bool or the bool itself; either is
+    # the plain x or no gate, and so is a one-point chunk's slice of a mask
+    from polyshot import dense
+
+    rng = np.random.default_rng(99)
+    n, angles = 5, rng.uniform(-math.pi, math.pi, 5)
+    head = tuple(Gate.ry(q, a) for q, a in enumerate(angles)) + (Gate.cx(0, 1),)
+    tail = (Gate.cx(2, 4), Gate.ry(4, 0.3), Gate.rz(2, 0.7))
+    sign = (Gate.x(2),) if mask else ()
+    want = run_statevector(Circuit(n, head + sign + tail, 4))
+    for arg in (np.array([mask]), np.bool_(mask)):
+        circuit = Circuit(n, head + (Gate("x", (2,), arg),) + tail, 4)
+        assert np.array_equal(run_statevector(circuit), want)
+        assert expect_z_plan(circuit) == [expect_z(want, 4)]
+    state = np.zeros([2] * n + [1], dtype=complex)
+    state[(0,) * n] = 1.0
+    for gate in head + (Gate("x", (2,), np.bool_(mask)),) + tail:
+        dense._apply_gate(state, gate.kind, list(gate.qubits), gate.angle)
+    assert np.array_equal(state.reshape(-1), want)
+    # 17 points of 11 qubits run as chunks of 16 and 1
+    assert dense._CHUNK_AMPLITUDES >> 11 == 16
+    points = [Circuit(11, (Gate.ry(0, a), Gate.x(3), Gate.cx(3, 10), Gate.ry(10, a)), 10)
+              for a in rng.uniform(-math.pi, math.pi, 17)]
+    masks = np.array([not mask] * 16 + [mask])
+    batch = plan(points)
+    gates = tuple(Gate("x", (3,), masks) if g.kind == "x" else g for g in batch.gates)
+    zs = expect_z_plan(Circuit(11, gates, 10, 17))
+    alone = [expect_z(run_statevector(c if m else Circuit(11, c.gates[:1] + c.gates[2:], 10)), 10)
+             for c, m in zip(points, masks)]
+    assert zs == alone
 
 
 # --- a degree's trials x points as one batched statevector sweep -----------

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from polyshot.dense import ShotOutcome
+from polyshot.dense import MAX_SHOTS, ShotOutcome
 from polyshot.estimate import (
     point_estimate,
+    point_estimates,
     predicted_pearson,
     run_metrics,
     shot_scaling_fit,
@@ -38,6 +39,23 @@ def test_point_estimate_linear_in_rescale():
     two = point_estimate(outcome, 2.0)
     assert two.value == pytest.approx(2 * one.value)
     assert two.stderr == pytest.approx(2 * one.stderr)
+
+
+@pytest.mark.parametrize("shots", [1, 2, 4096, 2**53 + 1, MAX_SHOTS])
+def test_array_estimates_are_point_estimate_bit_for_bit(shots):
+    # past 2^53 shots an int64 count rounds on its way to a float, so p is
+    # Python's exact int division there, not one float division
+    rng = np.random.default_rng(27)
+    n1 = np.unique(np.concatenate([[0, shots, shots // 2], rng.integers(0, shots, 300, endpoint=True)]))
+    bits = lambda values: np.asarray(values, dtype=float).view(np.uint64).tolist()  # noqa: E731
+    for rescale in (0.7, -1.3, rng.uniform(-2, 2, len(n1))):
+        values, stderrs = point_estimates(n1, shots, rescale)
+        cs = np.broadcast_to(rescale, n1.shape).tolist()
+        want = [point_estimate(ShotOutcome(shots - k, k), c) for k, c in zip(n1.tolist(), cs)]
+        assert bits(values) == bits([e.value for e in want])
+        assert bits(stderrs) == bits([e.stderr for e in want])
+    with pytest.raises(ValueError):
+        point_estimates(np.zeros(1, dtype=np.int64), 0, 1.0)
 
 
 def test_metrics_perfect():

@@ -509,6 +509,35 @@ def test_the_window_memory_check_is_per_chunk(monkeypatch):
     assert run_window_plan(batch) == alone
 
 
+@pytest.mark.parametrize("noise", [None, NoiseModel(0.001, 0.005)])
+def test_a_chunk_s_transfer_matrices_are_counted_before_any_is_built(monkeypatch, noise):
+    # 40 points of 2 qubits, 20 ry angles and a mask per point: a window of
+    # 32 x 40 x 4^2 bytes, and 40 x 21 matrices of 4 x 4 floats, with noise
+    # a cx pair of 2 x 16 x 16 and an x of 4 x 4 too
+    import tracemalloc
+
+    rng = np.random.default_rng(141)
+    rys = [tuple(Gate.ry(k % 2, a) for k, a in enumerate(rng.uniform(-3, 3, 20))) for _ in range(40)]
+    batch = plan([Circuit(2, ry + (Gate.x(0), Gate.cx(0, 1)), 1) for ry in rys])
+    gates = tuple(Gate("x", (0,), rng.random(40) < 0.5) if g.kind == "x" else g for g in batch.gates)
+    batch = Circuit(2, gates, 1, 40)
+    need = 8 * (16 * 40 * 21 + (0 if noise is None else 2 * 16 * 16 + 16))
+    assert need > 32 * 40 * 4**2
+    monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"matrices need about {need} bytes, but only {need - 1}"):
+            run_window_plan(batch, noise=noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < need / 4  # the angles and masks, 1/16 of it, but no matrix
+    monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need)
+    zs = run_window_plan(batch, noise=noise)
+    monkeypatch.undo()
+    assert zs == run_window_plan(batch, noise=noise)
+
+
 def test_a_many_trial_window_peaks_at_about_one_chunk():
     import tracemalloc
 
