@@ -11,13 +11,14 @@ from polyshot import (
     build_circuit,
     compile_poly,
     derive_seed,
-    draw_shots,
+    draw_ones,
     eval_poly,
     expect_z,
-    point_estimate,
+    point_estimates,
     run_statevector,
     shot_scaling_fit,
 )
+from polyshot.rng import derive_seeds
 
 poly = Polynomial((0.1, -0.2, 0.0, 0.3))
 program = compile_poly(poly, "backward")
@@ -29,21 +30,17 @@ z = expect_z(run_statevector(circuit), circuit.measured_qubit)
 print(f"truth P({x}) = {truth:+.6f}, rescale C = {program.rescale:.4f}\n")
 print("shots     estimate    stderr     |error|")
 for shots in (64, 256, 1024, 4096, 16384):
-    outcome = draw_shots(z, shots, seed=derive_seed(7, shots))
-    est = point_estimate(outcome, program.rescale)
-    print(
-        f"{shots:>6}  {est.value:+.6f}  {est.stderr:.6f}   {abs(est.value - truth):.6f}"
-    )
+    n1 = draw_ones([z], shots, [derive_seed(7, shots)])
+    (value,), (stderr,) = point_estimates(n1, shots, program.rescale)
+    print(f"{shots:>6}  {value:+.6f}  {stderr:.6f}   {abs(value - truth):.6f}")
 
 ladder = (2**8, 2**10, 2**12, 2**14, 2**16)
 samples = []
 for shots in ladder:
-    errs = []
-    for rep in range(40):
-        outcome = draw_shots(z, shots, seed=derive_seed(11, shots, rep))
-        est = point_estimate(outcome, program.rescale)
-        errs.append((est.value - truth) ** 2)
-    samples.append((shots, float(np.sqrt(np.mean(errs)))))
+    # 40 repetitions: one draw per seed, each derive_seed(11, shots, rep)
+    n1 = draw_ones([z] * 40, shots, derive_seeds(11, shots, range(40)))
+    values, _ = point_estimates(n1, shots, program.rescale)
+    samples.append((shots, float(np.sqrt(np.mean((values - truth) ** 2)))))
 
 slope = shot_scaling_fit(samples)
 print("\nempirical rmse per shot count:", [(n, round(r, 5)) for n, r in samples])

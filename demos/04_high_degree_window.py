@@ -13,7 +13,7 @@ from polyshot import (
     Polynomial,
     build_circuit,
     compile_poly,
-    draw_shots,
+    draw_ones,
     eval_poly,
     liveness,
     run_window,
@@ -36,8 +36,8 @@ print(f"\nexact C*<Z> = {program.rescale * z:+.10f}   ({elapsed * 1000:.1f} ms)"
 print(f"Horner truth = {eval_poly(poly, x):+.10f}")
 print(f"difference   = {abs(program.rescale * z - eval_poly(poly, x)):.2e}")
 
-outcome = draw_shots(z, 1024, seed=123)
-estimate = program.rescale * (outcome.n0 - outcome.n1) / 1024
+(n1,) = draw_ones([z], 1024, [123]).tolist()
+estimate = program.rescale * (1024 - 2 * n1) / 1024
 print(f"\n1024-shot estimate = {estimate:+.6f} "
       f"(shot noise ~ {program.rescale / 32:.4f})")
 

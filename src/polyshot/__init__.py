@@ -15,8 +15,8 @@ from .compile import (
     resources,
     write_program,
 )
-from .dense import NoiseModel, ShotOutcome, draw_shots, expect_z, run_statevector
-from .estimate import Estimate, Metrics, point_estimate, run_metrics, shot_scaling_fit
+from .dense import NoiseModel, draw_ones, expect_z, run_statevector
+from .estimate import Metrics, point_estimates, run_metrics, shot_scaling_fit
 from .poly import (
     FitResult,
     NormalizedPolynomial,
@@ -38,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Circuit",
     "CompiledProgram",
-    "Estimate",
     "FitResult",
     "Gate",
     "Metrics",
@@ -47,7 +46,6 @@ __all__ = [
     "Polynomial",
     "ResourceCounts",
     "RetirementSchedule",
-    "ShotOutcome",
     "WeightSchedule",
     "angle_of_weight",
     "build_circuit",
@@ -55,14 +53,14 @@ __all__ = [
     "compute_weights",
     "depth",
     "derive_seed",
-    "draw_shots",
+    "draw_ones",
     "eval_poly",
     "expect_z",
     "fit",
     "generator",
     "liveness",
     "normalize",
-    "point_estimate",
+    "point_estimates",
     "read_coeffs",
     "read_program",
     "read_samples",

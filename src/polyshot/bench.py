@@ -126,7 +126,7 @@ def noise_config(**overrides) -> ExperimentConfig:
     return replace(base, **overrides)
 
 
-@dataclass(frozen=True)
+@dataclass
 class Record:
     degree: int
     trial: int
@@ -246,14 +246,14 @@ def recovery_run(config: ExperimentConfig) -> RunReport:
         truths = [v for poly in polys for v in eval_poly(poly, grid).tolist()]
         c = np.repeat([program.rescale for program in programs], len(xs))
         grid_seeds = derive_seed_grid(config.master_seed, degree, range(config.trials), range(len(xs)))
-        values, stderrs = (v.tolist() for v in _score(z_all, c, config.shots, grid_seeds))
+        values, stderrs = (v.tolist() for v in score(z_all, c, config.shots, grid_seeds))
         records += [
             Record(degree, trial, point, xs[point], truth, value, stderr)
             for (trial, point), truth, value, stderr in zip(points, truths, values, stderrs)
         ]
         t_metrics = time.perf_counter()
         laps["sample"] = t_metrics - t_sample
-        metrics = run_metrics(list(zip(truths, values)))
+        metrics = run_metrics(truths, values)
         norm_resid = np.array(values) / c - np.array(truths) / c
         row = {
             "degree": degree,
@@ -279,16 +279,17 @@ def recovery_run(config: ExperimentConfig) -> RunReport:
     return RunReport(config, per_degree, records, timings)
 
 
-def _score(zs, rescale, shots: int, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def score(zs, rescale, shots: int, seeds) -> tuple[np.ndarray, np.ndarray]:
     """The estimates (values, stderrs) of points with exact <Z> zs and rescale
-    C (a float, or one per point): one binomial draw of `shots` per point,
-    keyed by the seeds in order (a grid of rows, rng.derive_seed_grid), scored
-    as arrays (estimate.point_estimates); with 0 shots, the infinite-shot
-    surrogate C z with stderr 0.  The one scoring path of the recovery and
-    shot-scaling runs."""
+    C (a float, or one per point), as arrays: one binomial draw of `shots` per
+    point (dense.draw_ones), keyed by the seeds in order (a list, or a grid of
+    rows from rng.derive_seed_grid), scored by estimate.point_estimates; with
+    0 shots, the infinite-shot surrogate C z with stderr 0.  The one scoring
+    path: `polyshot evaluate`, the recovery runs and the shot-scaling run all
+    score through it."""
     if shots == 0:
         return rescale * np.asarray(zs), np.zeros(len(zs))
-    return point_estimates(draw_ones(zs, shots, seeds.ravel().tolist()), shots, rescale)
+    return point_estimates(draw_ones(zs, shots, np.ravel(seeds).tolist()), shots, rescale)
 
 
 # the shot-scaling run: a backward program of this degree, sampled at this
@@ -311,7 +312,7 @@ def shot_scaling_experiment(master_seed: int = ExperimentConfig.master_seed) -> 
     rows = []
     for n_idx, shots in enumerate(SHOTS_LIST):
         seeds = derive_seed_grid(master_seed, degree, n_idx, range(repetitions), range(points))
-        values, _ = _score(zs * repetitions, program.rescale, shots, seeds)
+        values, _ = score(zs * repetitions, program.rescale, shots, seeds)
         sq_errs = [(value - truth) ** 2 for value, truth in zip(values.tolist(), truths * repetitions)]
         rows.append({"shots": shots, "rmse": float(np.sqrt(np.mean(sq_errs)))})
     slope = shot_scaling_fit([(r["shots"], r["rmse"]) for r in rows])

@@ -24,8 +24,7 @@ from .compile import (
     resources,
     write_program,
 )
-from .dense import MAX_SHOTS, draw_shots
-from .estimate import point_estimate
+from .dense import MAX_SHOTS
 from .poly import (
     PolyError,
     Polynomial,
@@ -122,14 +121,13 @@ def cmd_evaluate(args) -> int:
     config = bench.ExperimentConfig(
         simulator=args.sim, noise_p1=args.noise_p1, noise_p2=args.noise_p2
     )
-    z = bench.exact_z(build_circuit(program, args.x), config)[0]
-    outcome = draw_shots(z, args.shots, args.seed)
-    est = point_estimate(outcome, program.rescale)
+    zs = bench.exact_z(build_circuit(program, args.x), config)
+    value, stderr = bench.score(zs, program.rescale, args.shots, [args.seed])
     truth = eval_poly(program.source, args.x)
     payload = {
         "x": args.x,
-        "estimate": est.value,
-        "stderr": est.stderr,
+        "estimate": value.item(),
+        "stderr": stderr.item(),
         "truth_if_known": truth,
     }
     print(json.dumps(payload))

@@ -152,16 +152,6 @@ class NoiseModel:
             raise ValueError("noise probabilities must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ShotOutcome:
-    n0: int
-    n1: int
-
-    @property
-    def total(self) -> int:
-        return self.n0 + self.n1
-
-
 def prob_one(z):
     """Probability of measuring 1 on a qubit with <Z> = z, clamped into [0, 1]
     against rounding: a float, or an array of one per z of an array."""
@@ -169,28 +159,16 @@ def prob_one(z):
 
 
 def draw_ones(zs, shots: int, seeds) -> np.ndarray:
-    """The n1 of draw_shots(z, shots, seed) for each z and seed in turn, as an
-    int64 array, from one Philox re-keyed per draw (rng.rekeyed) instead of a
-    generator per draw."""
+    """The counts of 1s in `shots` measurements of a qubit whose exact <Z> is
+    z, for each z and seed in turn, as an int64 array.  The shots are
+    independent, so each count is one binomial draw with probability
+    prob_one(z) from generator(seed), here from one Philox re-keyed per draw
+    (rng.rekeyed) instead of a generator per draw."""
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
     p1s = prob_one(zs).tolist()
     n1s = [gen.binomial(shots, p1) for p1, gen in zip(p1s, rekeyed(seeds), strict=True)]
     return np.array(n1s, dtype=np.int64)
-
-
-def draw_shots_batch(zs, shots: int, seeds) -> list[ShotOutcome]:
-    """draw_shots(z, shots, seed) for each z and seed in turn (draw_ones)."""
-    return [ShotOutcome(shots - n1, n1) for n1 in draw_ones(zs, shots, seeds).tolist()]
-
-
-def draw_shots(z: float, shots: int, seed: int) -> ShotOutcome:
-    """`shots` measurements of a qubit whose exact <Z> is z.
-
-    The shots are independent, so the count of 1s is one binomial draw with
-    probability prob_one(z), from generator(seed).
-    """
-    return draw_shots_batch([z], shots, [seed])[0]
 
 
 def _halves(tensor: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -690,6 +668,8 @@ def expect_z_plan(circuit: Circuit) -> list[float]:
 def expect_z(state: np.ndarray, qubit: int) -> float:
     """<Z> of one qubit: sum of |amp|^2 signed by that qubit's bit."""
     n = int(round(np.log2(state.size)))
+    if not 0 <= qubit < n:
+        raise ValueError(f"qubit {qubit} outside a state of {n} qubits")
     return _zs(state.reshape([1] + [2] * n), qubit)[0]
 
 

@@ -1,4 +1,4 @@
-"""Shot outcomes to rescaled estimates; run-quality metrics."""
+"""Counts of 1s to rescaled estimates; run-quality metrics."""
 from __future__ import annotations
 
 import math
@@ -6,15 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import ShotOutcome
-
 PASS_THRESHOLD = 0.03
-
-
-@dataclass(frozen=True)
-class Estimate:
-    value: float
-    stderr: float
 
 
 @dataclass(frozen=True)
@@ -24,24 +16,15 @@ class Metrics:
     pass_rate: float
 
 
-def point_estimate(outcome: ShotOutcome, rescale: float) -> Estimate:
-    """value = C*(n0 - n1)/N; stderr = 2C*sqrt(p(1-p)/N) with p = n1/N."""
-    n = outcome.total
-    if n < 1:
-        raise ValueError("empty shot outcome")
-    p = outcome.n1 / n
-    value = rescale * (outcome.n0 - outcome.n1) / n
-    stderr = 2.0 * abs(rescale) * math.sqrt(p * (1.0 - p) / n)
-    return Estimate(value, stderr)
-
-
 def point_estimates(n1, shots: int, rescale) -> tuple[np.ndarray, np.ndarray]:
-    """The values and stderrs of point_estimate(ShotOutcome(shots - n1, n1), c)
-    for each count n1 of an int64 array, c the rescale (a float, or one per
-    count), as float arrays, bit for bit: n0 - n1 is exact in int64, and each
-    int meets a float as Python converts it, rounded to the nearest.  p = n1 /
-    shots is one float division where both are exact in a float (up to 2^53
-    shots); past that Python divides the ints exactly, so p is theirs."""
+    """The estimates of C <Z> from the counts n1 of 1s (an int64 array) in
+    `shots` shots each, C the rescale (a float, or one per count), as float
+    arrays: value = C (n0 - n1) / N and stderr = 2 |C| sqrt(p (1 - p) / N),
+    with n0 = N - n1 and p = n1 / N.  Each is the formula in Python ints and
+    floats, bit for bit: n0 - n1 is exact in int64, and each int meets a float
+    as Python converts it, rounded to the nearest.  p is one float division
+    where both are exact in a float (up to 2^53 shots); past that Python
+    divides the ints exactly, so p is theirs."""
     if shots < 1:
         raise ValueError("empty shot outcome")
     p = n1 / shots if shots <= 2**53 else np.array([k / shots for k in n1.tolist()])
@@ -50,17 +33,16 @@ def point_estimates(n1, shots: int, rescale) -> tuple[np.ndarray, np.ndarray]:
     return value, stderr
 
 
-def run_metrics(
-    pairs: list[tuple[float, float]], threshold: float = PASS_THRESHOLD
-) -> Metrics:
-    """RMSE, Pearson correlation and pass rate of (truth, estimate) pairs."""
-    if len(pairs) < 2:
-        raise ValueError("need at least two pairs")
-    truth = np.asarray([p[0] for p in pairs], dtype=float)
-    est = np.asarray([p[1] for p in pairs], dtype=float)
+def run_metrics(truths, estimates) -> Metrics:
+    """RMSE, Pearson correlation and pass rate (|estimate - truth| under
+    PASS_THRESHOLD) of estimates against their truths, in order."""
+    if len(truths) < 2 or len(estimates) != len(truths):
+        raise ValueError("need at least two estimates, one per truth")
+    truth = np.asarray(truths, dtype=float)
+    est = np.asarray(estimates, dtype=float)
     resid = est - truth
     rmse = float(np.sqrt(np.mean(resid**2)))
-    pass_rate = float(np.mean(np.abs(resid) < threshold))
+    pass_rate = float(np.mean(np.abs(resid) < PASS_THRESHOLD))
     if np.all(truth == truth[0]) or np.all(est == est[0]):
         pearson = None  # degenerate variance: correlation undefined
     else:

@@ -162,4 +162,7 @@ def test_every_public_name_resolves():
 
     for name in polyshot.__all__:
         assert getattr(polyshot, name) is not None, name
-    assert not {"build_circuits", "expect_z_batch", "run_window_batch"} & set(polyshot.__all__)
+    gone = {"build_circuits", "expect_z_batch", "run_window_batch"}
+    gone |= {"ShotOutcome", "draw_shots", "draw_shots_batch", "Estimate", "point_estimate"}
+    assert not gone & set(polyshot.__all__)
+    assert not [name for name in gone if hasattr(polyshot, name)]

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from polyshot import bench
 from polyshot.cli import main
 from polyshot.compile import build_circuit, read_program
-from polyshot.dense import draw_shots, expect_z, run_statevector
-from polyshot.estimate import point_estimate
+from polyshot.dense import draw_ones, expect_z, run_statevector
+from polyshot.estimate import point_estimates
 from polyshot.poly import eval_poly, read_coeffs, write_samples
 
 
@@ -547,8 +547,8 @@ def test_evaluate_line_reads_back_every_float_bit_for_bit(tmp_path, capsys):
         back = json.loads(capsys.readouterr().out)
         circuit = build_circuit(program, x)
         z = expect_z(run_statevector(circuit), circuit.measured_qubit)
-        est = point_estimate(draw_shots(z, 4096, 11), program.rescale)
-        want = {"x": x, "estimate": est.value, "stderr": est.stderr,
+        value, stderr = point_estimates(draw_ones([z], 4096, [11]), 4096, program.rescale)
+        want = {"x": x, "estimate": value.item(), "stderr": stderr.item(),
                 "truth_if_known": eval_poly(read_coeffs(coeffs), x)}
         assert _bits(back) == _bits(want)
 

@@ -8,15 +8,14 @@ from polyshot.compile import build_circuit, compile_poly, plan_programs, skeleto
 from polyshot.dense import (
     CapacityError,
     NoiseModel,
-    draw_shots,
-    draw_shots_batch,
+    draw_ones,
     expect_z,
     expect_z_plan,
     prob_one,
     run_statevector,
 )
 from polyshot.poly import Polynomial, eval_poly
-from polyshot.rng import derive_seed, generator
+from polyshot.rng import derive_seed, derive_seeds, generator
 from polyshot.stream import run_window
 
 HALF_PI = math.pi / 2
@@ -1132,15 +1131,14 @@ def test_capacity_error_points_to_stream():
 
 
 def test_sampler_deterministic_outcome_all_zeros():
-    outcome = draw_shots(expect_z(run_statevector(Circuit(1, (), 0)), 0), 500, seed=1)
-    assert outcome.n0 == 500 and outcome.n1 == 0
+    n1 = draw_ones([expect_z(run_statevector(Circuit(1, (), 0)), 0)], 500, [1])
+    assert n1.tolist() == [0]
 
 
 def test_sampler_balanced_within_binomial_band():
     circuit = Circuit(1, (Gate.ry(0, HALF_PI),), 0)  # <Z> = 0
-    outcome = draw_shots(expect_z(run_statevector(circuit), 0), 4096, seed=derive_seed(99, 0))
-    assert outcome.total == 4096
-    assert abs(outcome.n0 - 2048) < 4 * 32  # 4 sigma, sigma = sqrt(4096/4)
+    (n1,) = draw_ones([expect_z(run_statevector(circuit), 0)], 4096, [derive_seed(99, 0)]).tolist()
+    assert abs(4096 - n1 - 2048) < 4 * 32  # 4 sigma, sigma = sqrt(4096/4)
 
 
 def test_sampler_golden_pinned_seed():
@@ -1149,8 +1147,8 @@ def test_sampler_golden_pinned_seed():
 
     golden = json.loads((Path(__file__).parent / "goldens" / "shot_outcome.json").read_text())
     circuit = Circuit(1, (Gate.ry(0, HALF_PI),), 0)
-    outcome = draw_shots(expect_z(run_statevector(circuit), 0), golden["N"], seed=golden["seed"])
-    assert (outcome.n0, outcome.n1) == (golden["n0"], golden["n1"])
+    (n1,) = draw_ones([expect_z(run_statevector(circuit), 0)], golden["N"], [golden["seed"]]).tolist()
+    assert (golden["N"] - n1, n1) == (golden["n0"], golden["n1"])
 
 
 def test_sampler_unbiased_over_seeds():
@@ -1158,10 +1156,8 @@ def test_sampler_unbiased_over_seeds():
     circuit = Circuit(1, (encode(0, x),), 0)
     n = 512
     z = expect_z(run_statevector(circuit), 0)
-    estimates = []
-    for rep in range(200):
-        outcome = draw_shots(z, n, seed=derive_seed(7, rep))
-        estimates.append((outcome.n0 - outcome.n1) / n)
+    n1 = draw_ones([z] * 200, n, derive_seeds(7, range(200)))
+    estimates = (n - 2 * n1) / n
     se = math.sqrt((1 - x * x) / n / 200)
     assert abs(np.mean(estimates) - x) < 5 * se
 
@@ -1173,17 +1169,24 @@ def test_batched_draws_are_a_generator_per_seed(shots):
     for z in (1.0, -1.0, 0.0, None):  # p = 0, 1, 0.5 and random
         zs = list(rng.uniform(-1, 1, len(seeds))) if z is None else [z] * len(seeds)
         want = [int(generator(s).binomial(shots, prob_one(z))) for s, z in zip(seeds, zs)]
-        outcomes = draw_shots_batch(zs, shots, seeds)
-        assert [o.n1 for o in outcomes] == want
-        assert all(o.n0 + o.n1 == shots for o in outcomes)
+        n1s = draw_ones(zs, shots, seeds)
+        assert n1s.dtype == np.int64 and n1s.tolist() == want
         # no state leaks from one draw into the next
         order = rng.permutation(len(seeds))
-        shuffled = draw_shots_batch([zs[i] for i in order], shots, [seeds[i] for i in order])
-        assert [o.n1 for o in shuffled] == [want[i] for i in order]
+        shuffled = draw_ones([zs[i] for i in order], shots, [seeds[i] for i in order])
+        assert shuffled.tolist() == [want[i] for i in order]
     with pytest.raises(ValueError):
-        draw_shots_batch([0.0], 0, [1])
+        draw_ones([0.0], 0, [1])
     with pytest.raises(ValueError):  # a z without its seed
-        draw_shots_batch([0.0, 0.5], 8, [1])
+        draw_ones([0.0, 0.5], 8, [1])
+
+
+def test_expect_z_names_a_qubit_outside_its_state():
+    state = run_statevector(Circuit(2, (Gate.ry(1, 0.3),), 1))
+    assert expect_z(state, 1) == pytest.approx(math.cos(0.3), abs=1e-15)
+    for qubit in (2, -1):
+        with pytest.raises(ValueError, match=f"qubit {qubit} outside a state of 2 qubits"):
+            expect_z(state, qubit)
 
 
 def test_prob_one_matches_expectation():
@@ -1211,5 +1214,5 @@ def test_full_depolarizing_scrambles_to_half():
     assert abs(z_full + z_ideal / 3.0) < 1e-12
     shots = 600
     p1 = prob_one(z_full)
-    outcome = draw_shots(z_full, shots, seed=11)
-    assert abs(outcome.n1 - shots * p1) < 5 * math.sqrt(shots * p1 * (1 - p1))
+    (n1,) = draw_ones([z_full], shots, [11]).tolist()
+    assert abs(n1 - shots * p1) < 5 * math.sqrt(shots * p1 * (1 - p1))

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from polyshot.dense import MAX_SHOTS, ShotOutcome
+from polyshot.dense import MAX_SHOTS
 from polyshot.estimate import (
-    point_estimate,
     point_estimates,
     predicted_pearson,
     run_metrics,
@@ -14,79 +13,87 @@ from polyshot.estimate import (
 )
 
 
+def _estimate(n1: int, shots: int, rescale: float) -> tuple[float, float]:
+    """(value, stderr) of one point: point_estimates of one count."""
+    value, stderr = point_estimates(np.array([n1]), shots, rescale)
+    return value.item(), stderr.item()
+
+
 def test_point_estimate_basic():
-    est = point_estimate(ShotOutcome(3072, 1024), 1.0)
-    assert est.value == pytest.approx(0.5)
-    assert est.stderr == pytest.approx(2 * math.sqrt(0.25 * 0.75 / 4096), abs=1e-15)
+    value, stderr = _estimate(1024, 4096, 1.0)
+    assert value == pytest.approx(0.5)
+    assert stderr == pytest.approx(2 * math.sqrt(0.25 * 0.75 / 4096), abs=1e-15)
 
 
 def test_point_estimate_degenerate_all_zeros():
-    est = point_estimate(ShotOutcome(4096, 0), 0.6)
-    assert est.value == pytest.approx(0.6)
-    assert est.stderr == 0.0
+    value, stderr = _estimate(0, 4096, 0.6)
+    assert value == pytest.approx(0.6)
+    assert stderr == 0.0
 
 
 def test_point_estimate_balanced_stderr():
-    est = point_estimate(ShotOutcome(2048, 2048), 1.0)
-    assert est.value == 0.0
-    assert est.stderr == pytest.approx(2 * math.sqrt(0.25 / 4096), abs=1e-15)
-    assert est.stderr == pytest.approx(0.015625)
+    value, stderr = _estimate(2048, 4096, 1.0)
+    assert value == 0.0
+    assert stderr == pytest.approx(2 * math.sqrt(0.25 / 4096), abs=1e-15)
+    assert stderr == pytest.approx(0.015625)
 
 
 def test_point_estimate_linear_in_rescale():
-    outcome = ShotOutcome(700, 300)
-    one = point_estimate(outcome, 1.0)
-    two = point_estimate(outcome, 2.0)
-    assert two.value == pytest.approx(2 * one.value)
-    assert two.stderr == pytest.approx(2 * one.stderr)
+    one = _estimate(300, 1000, 1.0)
+    two = _estimate(300, 1000, 2.0)
+    assert two[0] == pytest.approx(2 * one[0])
+    assert two[1] == pytest.approx(2 * one[1])
 
 
 @pytest.mark.parametrize("shots", [1, 2, 4096, 2**53 + 1, MAX_SHOTS])
 def test_array_estimates_are_point_estimate_bit_for_bit(shots):
-    # past 2^53 shots an int64 count rounds on its way to a float, so p is
-    # Python's exact int division there, not one float division
+    # the reference is each point's formula in Python ints and floats; past
+    # 2^53 shots an int64 count rounds on its way to a float, so p is Python's
+    # exact int division there, not one float division
     rng = np.random.default_rng(27)
     n1 = np.unique(np.concatenate([[0, shots, shots // 2], rng.integers(0, shots, 300, endpoint=True)]))
     bits = lambda values: np.asarray(values, dtype=float).view(np.uint64).tolist()  # noqa: E731
     for rescale in (0.7, -1.3, rng.uniform(-2, 2, len(n1))):
         values, stderrs = point_estimates(n1, shots, rescale)
-        cs = np.broadcast_to(rescale, n1.shape).tolist()
-        want = [point_estimate(ShotOutcome(shots - k, k), c) for k, c in zip(n1.tolist(), cs)]
-        assert bits(values) == bits([e.value for e in want])
-        assert bits(stderrs) == bits([e.stderr for e in want])
+        want_values, want_stderrs = [], []
+        for k, c in zip(n1.tolist(), np.broadcast_to(rescale, n1.shape).tolist()):
+            p = k / shots
+            want_values.append(c * ((shots - k) - k) / shots)
+            want_stderrs.append(2.0 * abs(c) * math.sqrt(p * (1.0 - p) / shots))
+        assert bits(values) == bits(want_values)
+        assert bits(stderrs) == bits(want_stderrs)
     with pytest.raises(ValueError):
         point_estimates(np.zeros(1, dtype=np.int64), 0, 1.0)
 
 
 def test_metrics_perfect():
-    pairs = [(0.1, 0.1), (-0.4, -0.4), (0.3, 0.3)]
-    m = run_metrics(pairs)
+    m = run_metrics([0.1, -0.4, 0.3], [0.1, -0.4, 0.3])
     assert m.rmse == 0.0
     assert m.pearson == pytest.approx(1.0)
     assert m.pass_rate == 1.0
 
 
 def test_metrics_constant_offset():
-    pairs = [(t, t + 0.05) for t in np.linspace(-0.5, 0.5, 9)]
-    m = run_metrics(pairs, threshold=0.03)
+    truths = np.linspace(-0.5, 0.5, 9)
+    m = run_metrics(truths, truths + 0.05)
     assert m.pass_rate == 0.0
     assert m.pearson == pytest.approx(1.0)
     assert m.rmse == pytest.approx(0.05)
 
 
 def test_metrics_degenerate_truth_reports_undefined_pearson():
-    pairs = [(0.2, 0.21), (0.2, 0.18), (0.2, 0.2)]
-    m = run_metrics(pairs)
+    m = run_metrics([0.2, 0.2, 0.2], [0.21, 0.18, 0.2])
     assert m.pearson is None
     assert m.rmse > 0.0
 
 
 def test_metrics_permutation_invariant():
     rng = np.random.default_rng(2)
-    pairs = [(float(t), float(t + rng.normal(0, 0.01))) for t in rng.uniform(-1, 1, 50)]
-    m1 = run_metrics(pairs)
-    rng.shuffle(pairs)
-    m2 = run_metrics(pairs)
+    truths = rng.uniform(-1, 1, 50)
+    estimates = truths + rng.normal(0, 0.01, 50)
+    m1 = run_metrics(truths, estimates)
+    order = rng.permutation(50)
+    m2 = run_metrics(truths[order], estimates[order])
     assert m1.rmse == pytest.approx(m2.rmse, abs=1e-15)
     assert m1.pearson == pytest.approx(m2.pearson, abs=1e-12)
     assert m1.pass_rate == m2.pass_rate
@@ -94,7 +101,9 @@ def test_metrics_permutation_invariant():
 
 def test_metrics_needs_two_pairs():
     with pytest.raises(ValueError):
-        run_metrics([(0.0, 0.0)])
+        run_metrics([0.0], [0.0])
+    with pytest.raises(ValueError):  # a lone estimate would broadcast against three truths
+        run_metrics([0.1, 0.2, 0.3], [0.1])
 
 
 def test_scaling_fit_exact_inverse_sqrt():

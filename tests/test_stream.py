@@ -6,7 +6,7 @@ import pytest
 from polyshot.circuit import Circuit, Gate, plan
 from polyshot.compile import build_circuit, compile_poly, plan_programs
 from polyshot import dense, stream
-from polyshot.dense import CapacityError, NoiseModel, draw_shots, expect_z, run_statevector
+from polyshot.dense import CapacityError, NoiseModel, draw_ones, expect_z, run_statevector
 from polyshot.poly import Polynomial, eval_poly
 from polyshot.rng import derive_seed
 from polyshot.stream import (
@@ -101,17 +101,16 @@ def test_window_overflow_reports_gate_and_suggests_forward():
 
 
 def test_stream_sampler_deterministic_outcome():
-    outcome = draw_shots(run_window(Circuit(1, (), 0)), 100, seed=5)
-    assert outcome.n1 == 0
+    assert draw_ones([run_window(Circuit(1, (), 0))], 100, [5]).tolist() == [0]
 
 
 def test_stream_sampler_bitwise_matches_dense_noiseless():
     program = dense_program(5, "forward", seed=3)
     circuit = build_circuit(program, 0.25)
     seed = derive_seed(1234, 5, 0, 0)
-    a = draw_shots(expect_z(run_statevector(circuit), circuit.measured_qubit), 2048, seed)
-    b = draw_shots(run_window(circuit), 2048, seed)
-    assert (a.n0, a.n1) == (b.n0, b.n1)
+    a = draw_ones([expect_z(run_statevector(circuit), circuit.measured_qubit)], 2048, [seed])
+    b = draw_ones([run_window(circuit)], 2048, [seed])
+    assert a.tolist() == b.tolist()
 
 
 def test_stream_degree35_sampling_within_binomial_band():
@@ -121,8 +120,8 @@ def test_stream_degree35_sampling_within_binomial_band():
     program = compile_poly(poly, "forward")
     x = 0.3
     circuit = build_circuit(program, x)
-    outcome = draw_shots(run_window(circuit), 1024, seed=derive_seed(88, 35))
-    estimate = program.rescale * (outcome.n0 - outcome.n1) / 1024
+    (n1,) = draw_ones([run_window(circuit)], 1024, [derive_seed(88, 35)]).tolist()
+    estimate = program.rescale * (1024 - 2 * n1) / 1024
     bound = 5 * program.rescale / math.sqrt(1024)
     assert abs(estimate - eval_poly(poly, x)) < bound
 
@@ -131,17 +130,17 @@ def test_noisy_trajectories_seed_deterministic():
     program = dense_program(4, "forward", seed=9)
     circuit = build_circuit(program, -0.4)
     noise = NoiseModel(p1=0.002, p2=0.01)
-    a = draw_shots(run_window(circuit, noise=noise), 256, seed=31)
-    b = draw_shots(run_window(circuit, noise=noise), 256, seed=31)
-    assert (a.n0, a.n1) == (b.n0, b.n1)
+    a = draw_ones([run_window(circuit, noise=noise)], 256, [31])
+    b = draw_ones([run_window(circuit, noise=noise)], 256, [31])
+    assert a.tolist() == b.tolist()
 
 
 def test_noisy_trajectories_unbiased_at_zero_noise_rate():
     program = dense_program(3, "forward", seed=10)
     circuit = build_circuit(program, 0.5)
-    trivial = draw_shots(run_window(circuit, noise=NoiseModel(0.0, 0.0)), 512, seed=7)
-    clean = draw_shots(run_window(circuit), 512, seed=7)
-    assert (trivial.n0, trivial.n1) == (clean.n0, clean.n1)
+    trivial = draw_ones([run_window(circuit, noise=NoiseModel(0.0, 0.0))], 512, [7])
+    clean = draw_ones([run_window(circuit)], 512, [7])
+    assert trivial.tolist() == clean.tolist()
 
 
 # Independent reference for the noise channel: the full 2^n x 2^n density
@@ -206,8 +205,8 @@ def test_noisy_window_matches_kraus_reference():
 def test_heavy_noise_runtime_smoke():
     program = dense_program(20, "forward", seed=20)
     circuit = build_circuit(program, 0.1)
-    outcome = draw_shots(run_window(circuit, noise=NoiseModel(p1=0.001, p2=0.005)), 512, seed=55)
-    assert outcome.total == 512
+    z = run_window(circuit, noise=NoiseModel(p1=0.001, p2=0.005))
+    assert 0 <= draw_ones([z], 512, [55])[0] <= 512
 
 
 # --- a trial's points as one batched sweep ---------------------------------
