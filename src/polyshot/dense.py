@@ -44,21 +44,21 @@ so they are the sweep's bit for bit, then sweeps the gates after the encoding.
 
 A wide point cuts its traffic by gate fusion instead.  The compiled programs
 are chains of two-qubit sum blocks, 6-7 gates on one qubit pair, and each
-block shares one qubit with the next, so each maximal run of consecutive
-gates on at most _FUSE_QUBITS = 3 qubits becomes one matrix of up to 8x8
-(_runs, _fuse), the product of its gates' matrices; a backward point of
-degree d runs ceil(d/2) such steps after its encoding, two sum blocks each
-(its last step is read for z, not run; see below).  Its state
-holds only the qubits its steps have met (_adjoining_sweep), as the windowed
-simulator adjoins each qubit at its first gate.  The encoding is a product
-state apart from its cx chain, and the chain is a matrix-product state of
-bond dimension 2 (Vidal, "Efficient classical simulation of slightly
-entangled quantum computations", 2003), so each qubit is adjoined where a step
-first needs it: as |0>, as its encoding factor, or, on the chain, from the
-tail, where a compiled program's steps reach it first, the open bond an
-innermost axis of size 2 (_sites).  A step adjoins its fresh qubits
-innermost, ordered by the last step that needs them, so a compiled program's
-runs, on (d, d-1, d-2), (d-2, d-3, d-4), ... backward and (2, 1, 0),
+block shares one qubit with the next, so each maximal run of consecutive gates
+on at most _FUSE_QUBITS = 3 qubits becomes one matrix of up to 8x8 (_runs,
+_fuse), its gates swept by _apply_gate over the basis states, so each gate's
+action is written once; a backward point of degree d runs ceil(d/2) such steps
+after its encoding, two sum blocks each (its last step is read for z, not run;
+see below).  Its state holds only the qubits its steps have met
+(_adjoining_sweep), as the windowed simulator adjoins each qubit at its first
+gate.  The encoding is a product state apart from its cx chain, and the chain
+is a matrix-product state of bond dimension 2 (Vidal, "Efficient classical
+simulation of slightly entangled quantum computations", 2003), so each qubit
+is adjoined where a step first needs it: as |0>, as its encoding factor, or,
+on the chain, from the tail, where a compiled program's steps reach it first,
+the open bond an innermost axis of size 2 (_sites).  A step adjoins its fresh
+qubits innermost, ordered by the last step that needs them, so a compiled
+program's runs, on (d, d-1, d-2), (d-2, d-3, d-4), ... backward and (2, 1, 0),
 (3, 2, 1), ... forward, each meet the qubits the step before left innermost,
 and adjoining and the run's matrix are one matmul from the state into a spare
 buffer (_factors, _apply_u).  Only a step whose held qubits are not innermost
@@ -79,15 +79,15 @@ for the next point.
 A masked x is per-point data here too, X or the exact identity: a factor
 (1 - m, m) in the encoding, and in the runs held back to the next gate on
 its qubit (_runs), so each point's runs and rounding are its trial's alone.
-The run matrices are built for all of a batch's points at once, and their
-bytes, the encoding factors' and one point's state and spare buffer are
-checked against the free memory before the first matrix is built.
+The run matrices, each its run's gates swept over its basis states, are
+built for all of a batch's points at once, and their bytes, the encoding
+factors' and one point's state and spare buffer are checked against the
+free memory before the first matrix is built.
 A degree-20 backward point (21 qubits) takes about 0.03-0.04 s on a 2-vCPU
 Intel Xeon host with one BLAS thread.
 """
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 
@@ -180,8 +180,9 @@ def _halves(tensor: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _apply_gate(tensor: np.ndarray, kind: str, axes: list[int], angle) -> None:
     """One gate in place on its qubits' axes of a tensor whose last axis holds
-    the points.  `angle` is ry's or rz's: a float, or an array of one angle per
-    point, which broadcasts along that last axis; x takes none, or a mask of
+    the points, after any other trailing axes (a run matrix's columns,
+    _run_matrix).  `angle` is ry's or rz's: a float, or an array of one angle
+    per point, which broadcasts along that last axis; x takes none, or a mask of
     the points it acts on (an array, or one bool); cx is x on the target where
     the control is 1.  ry scales the float (re, im) view, each cos and sin
     repeated per pair: a real scale rounds as a complex one with a zero
@@ -217,57 +218,20 @@ def _free_memory_bytes() -> int:
     return os.sysconf(pages) * os.sysconf("SC_PAGE_SIZE")
 
 
-def _one_qubit(kind: str, angle) -> np.ndarray:
-    """The [b, 2, 2] matrix of a one-qubit gate, b the number of its angles
-    or mask entries (1 for a float or none), with the values the sweep uses:
-    a masked x is X where its mask is set and the exact identity elsewhere."""
-    if kind == "x":
-        on = 1.0 if angle is None else angle.astype(float)
-        m = np.array([[1.0 - on, on], [on, 1.0 - on]], dtype=complex)
-    elif kind == "rz":
-        half = angle / 2.0
-        zero = np.zeros_like(half)
-        m = np.array([[np.exp(-1j * half), zero], [zero, np.exp(1j * half)]], dtype=complex)
-    else:  # ry
-        c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
-        m = np.array([[c, -s], [s, c]], dtype=complex)
-    return m.reshape(2, 2, -1).transpose(2, 0, 1)
-
-
-@functools.lru_cache(maxsize=256)
-def _fixed_matrix(kind: str, at: tuple[int, ...], k: int, angle) -> np.ndarray:
-    """The [1, 2^k, 2^k] matrix of a gate with no value of its own on bits
-    `at` of k, the first bit the most significant: a cx, a plain x or the
-    rz(pi/2) of compile._fixed, made once per position in a run.  cx(c, t)
-    flips bit t of the column index where bit c is 1."""
-    if kind == "cx":
-        cols = np.arange(2**k)
-        c, t = (k - 1 - bit for bit in at)
-        m = np.zeros((1, 2**k, 2**k), dtype=complex)
-        m[0, cols ^ (((cols >> c) & 1) << t), cols] = 1.0
-        return m
-    hi, lo = 2 ** at[0], 2 ** (k - 1 - at[0])
-    eye = np.eye(hi)[:, None, None, :, None, None] * np.eye(lo)[None, None, :, None, None, :]
-    return (eye * _one_qubit(kind, angle)[:, None, :, None, None, :, None]).reshape(1, 2**k, 2**k)
-
-
 def _run_matrix(run: list[tuple], qubits: tuple[int, ...]) -> np.ndarray:
     """The 2^k x 2^k matrix of a run of gates on k qubits, [b, 2^k, 2^k] with
     row and column index the bits of `qubits` in their order, the first the
-    most significant: the product of the gates' matrices, later gates on the
-    left.  b is the batch where a gate holds one angle or mask per point,
-    else 1.  An ry, or a gate with one angle or mask per point, multiplies its
-    2x2 matrix into the rows of its bit; every other gate is _fixed_matrix's."""
+    most significant: the run's gates swept in order by _apply_gate over the
+    basis states, column j the state the run leaves |j> in.  b is the batch
+    where a gate holds one angle or mask per point, else 1; the points sit
+    on the last axis, after the columns, so a gate's values broadcast."""
     k = len(qubits)
-    matrix = np.eye(2**k, dtype=complex)[None]
+    b = max((len(angle) for _, _, angle in run if isinstance(angle, np.ndarray)), default=1)
+    columns = np.repeat(np.eye(2**k, dtype=complex)[..., None], b, axis=2)
+    tensor = columns.reshape([2] * k + [2**k, b])
     for kind, gate_qubits, angle in run:
-        at = tuple(qubits.index(q) for q in gate_qubits)
-        if kind == "ry" or isinstance(angle, np.ndarray):
-            rows = matrix.reshape(len(matrix), 2 ** at[0], 2, -1)
-            matrix = np.matmul(_one_qubit(kind, angle)[:, None], rows).reshape(-1, 2**k, 2**k)
-        else:
-            matrix = _fixed_matrix(kind, at, k, angle) @ matrix
-    return matrix
+        _apply_gate(tensor, kind, [qubits.index(q) for q in gate_qubits], angle)
+    return columns.transpose(2, 0, 1)
 
 
 def _runs(gates: list[Gate]) -> list[tuple[tuple, list]]:
@@ -305,9 +269,9 @@ def _runs(gates: list[Gate]) -> list[tuple[tuple, list]]:
 
 
 def _fuse(runs: list[tuple[tuple, list]]) -> list[tuple]:
-    """Each run (_runs) as one step ("u", qubits, matrix) (_run_matrix): a
-    matrix holds one per point where a gate of the run holds one angle or
-    mask per point, else one for all."""
+    """Each run (_runs) as one step ("u", qubits, matrix), the matrix its
+    gates swept over the basis states (_run_matrix): one per point where a
+    gate of the run holds one angle or mask per point, else one for all."""
     return [("u", qubits, _run_matrix(run, qubits)) for qubits, run in runs]
 
 
@@ -667,7 +631,9 @@ def expect_z_plan(circuit: Circuit) -> list[float]:
 
 def expect_z(state: np.ndarray, qubit: int) -> float:
     """<Z> of one qubit: sum of |amp|^2 signed by that qubit's bit."""
-    n = int(round(np.log2(state.size)))
+    n = max(state.size.bit_length() - 1, 0)
+    if state.size != 2**n:
+        raise ValueError(f"a state of {state.size} amplitudes is not one of 2^n")
     if not 0 <= qubit < n:
         raise ValueError(f"qubit {qubit} outside a state of {n} qubits")
     return _zs(state.reshape([1] + [2] * n), qubit)[0]

@@ -218,26 +218,34 @@ def read_coeffs(path: str | Path) -> Polynomial:
 
 
 def read_samples(path: str | Path) -> list[tuple[float, float]]:
-    """CSV with header x,y; one pair per row. A row that is not two finite
-    numbers raises PolyError naming the file and line."""
+    """UTF-8 CSV with header x,y; one pair per row. A row that is not two
+    finite numbers, a field past csv's size limit or text that is not UTF-8
+    raises PolyError naming the file (and the line, where csv knows it)."""
     out: list[tuple[float, float]] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["x", "y"]:
-            raise PolyError(f"{path}: expected header 'x,y'")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                x, y = (float(v) for v in row)
-            except ValueError:
-                raise PolyError(
-                    f"{path}: line {reader.line_num}: expected two numbers x,y, got {row}"
-                ) from None
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise PolyError(f"{path}: line {reader.line_num}: x,y must be finite, got {row}")
-            out.append((x, y))
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["x", "y"]:
+                raise PolyError(f"{path}: expected header 'x,y'")
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    x, y = (float(v) for v in row)
+                except ValueError:
+                    raise PolyError(
+                        f"{path}: line {reader.line_num}: expected two numbers x,y, got {row}"
+                    ) from None
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise PolyError(
+                        f"{path}: line {reader.line_num}: x,y must be finite, got {row}"
+                    )
+                out.append((x, y))
+        except csv.Error as exc:
+            raise PolyError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise PolyError(f"{path}: {exc}") from None
     return out
 
 

@@ -65,6 +65,20 @@ def test_fit_samples_names_the_file_and_line_of_a_value_that_is_not_finite(tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "body", [b"1," + b"9" * 200_000, b"\xff\xfe,1"], ids=["past_field_limit", "not_utf_8"]
+)
+def test_fit_samples_names_a_file_csv_cannot_read(tmp_path, capsys, body):
+    # a field past csv's size limit, or bytes that are not UTF-8
+    xy = tmp_path / "xy.csv"
+    xy.write_bytes(b"x,y\n0.1,0.2\n" + body + b"\n")
+    out = tmp_path / "o.json"
+    assert run_cli("fit", "--samples", str(xy), "--degree", "1", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {xy}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_fit_poly_target(tmp_path):
     out = tmp_path / "p.json"
     assert run_cli(

@@ -55,8 +55,10 @@ def _oracle_gate(gate: Gate, n: int) -> np.ndarray:
         )
     elif gate.kind == "rz":
         m = np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
-    else:
+    elif gate.angle is None or gate.angle:  # x, or a masked x where its mask is set
         m = np.array([[0, 1], [1, 0]], dtype=complex)
+    else:
+        m = _I2
     return _kron_all([m if i == gate.qubits[0] else _I2 for i in range(n)])
 
 
@@ -591,12 +593,13 @@ def test_a_fused_run_peaks_within_the_checked_bytes_per_amplitude():
 
 def _random_run(qubits: tuple, rng, n_points: int, shared: bool) -> list[tuple]:
     """A shuffled run of every gate kind on each of the qubits (cx both ways
-    to the next one), ry and rz with one angle per point unless `shared`."""
+    to the next one), ry and rz with one angle per point and x with a mask
+    set at some points and not at others, unless `shared`."""
     run = []
     for i, q in enumerate(qubits):
         for kind in ("ry", "rz"):
             run.append((kind, (q,), rng.uniform(-math.pi, math.pi, None if shared else n_points)))
-        run.append(("x", (q,), None))
+        run.append(("x", (q,), None if shared else rng.permutation(n_points) % 2 == 0))
         if len(qubits) > 1:
             other = qubits[(i + 1) % len(qubits)]
             run += [("cx", (q, other), None), ("cx", (other, q), None)]
@@ -1187,6 +1190,12 @@ def test_expect_z_names_a_qubit_outside_its_state():
     for qubit in (2, -1):
         with pytest.raises(ValueError, match=f"qubit {qubit} outside a state of 2 qubits"):
             expect_z(state, qubit)
+
+
+@pytest.mark.parametrize("size", [0, 3, 6])
+def test_expect_z_names_a_state_size_that_is_not_a_power_of_two(size):
+    with pytest.raises(ValueError, match=f"a state of {size} amplitudes is not one of 2\\^n"):
+        expect_z(np.ones(size, dtype=complex), 0)
 
 
 def test_prob_one_matches_expectation():

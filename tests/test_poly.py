@@ -248,6 +248,20 @@ def test_read_samples_names_the_file_and_line_of_a_value_that_is_not_finite(tmp_
             read_samples(path)
 
 
+def test_read_samples_names_the_file_and_line_of_a_field_past_csv_s_limit(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("x,y\n0.1,0.2\n1," + "9" * 200_000 + "\n")
+    with pytest.raises(PolyError, match=f"^{re.escape(str(path))}: line 3: field larger"):
+        read_samples(path)
+
+
+def test_read_samples_names_a_file_that_is_not_utf_8(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"x,y\n0.1,0.2\n\xff\xfe,1\n")
+    with pytest.raises(PolyError, match=f"^{re.escape(str(path))}: .*can't decode"):
+        read_samples(path)
+
+
 def test_sample_function_grid():
     samples = sample_function(lambda x: x * x, 5)
     assert len(samples) == 5
