@@ -10,6 +10,7 @@ from .compile import (
     angle_of_weight,
     build_circuit,
     compile_poly,
+    compile_polys,
     compute_weights,
     read_program,
     resources,
@@ -50,6 +51,7 @@ __all__ = [
     "angle_of_weight",
     "build_circuit",
     "compile_poly",
+    "compile_polys",
     "compute_weights",
     "depth",
     "derive_seed",

@@ -5,10 +5,12 @@ configs: Table 1 (ExperimentConfig), the high-degree windowed stress run
 
 Reports are deterministic: every stochastic draw is keyed by
 derive_seed(master_seed, degree, trial, point), so scheduling cannot change
-any number.  Reports are written by json.dumps, so every float is in its
-shortest round-trip form and json.loads gives back the same double.  The JSON
-report carries a volatile "timings_ms" block; the canonical serialization
-used for determinism checks omits it.
+any number.  A report's JSON is what json.dumps writes of it, byte for byte:
+config, per_degree and timings_ms go through json.dumps, and the records
+(Record tuples) are written one %-format per row, each float by
+float.__repr__, as json.dumps writes a finite float, so json.loads gives back
+the same double.  The JSON report carries a volatile "timings_ms" block; the
+canonical serialization used for determinism checks omits it.
 """
 from __future__ import annotations
 
@@ -16,11 +18,12 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .circuit import Circuit
-from .compile import ORDERS, compile_poly, plan_programs, resources, skeleton_key
+from .compile import ORDERS, compile_poly, compile_polys, plan_programs, resources, skeleton_key
 from .dense import DEFAULT_QUBIT_CAP, MAX_SHOTS, CapacityError, NoiseModel, draw_ones
 from .dense import expect_z_plan, prob_one
 from .estimate import point_estimates, run_metrics, shot_scaling_fit
@@ -126,8 +129,7 @@ def noise_config(**overrides) -> ExperimentConfig:
     return replace(base, **overrides)
 
 
-@dataclass
-class Record:
+class Record(NamedTuple):
     degree: int
     trial: int
     point_index: int
@@ -219,7 +221,7 @@ def recovery_run(config: ExperimentConfig) -> RunReport:
         bound, target = config.coeff_bound, config.sup_rescale_target
         polys = gen_random_polys(degree, seeds, bound, target)
         t_compile = time.perf_counter()
-        programs = [compile_poly(poly, config.order) for poly in polys]
+        programs = compile_polys(polys, config.order)
         t_build = time.perf_counter()
         laps = {"generate": t_compile - t_deg, "compile": t_build - t_compile}
         laps["build_circuit"] = laps["simulate"] = 0.0
@@ -329,21 +331,52 @@ def shot_scaling_experiment(master_seed: int = ExperimentConfig.master_seed) -> 
 # --- serialization ---------------------------------------------------------
 
 
+# the record layout of both writers, from Record's fields: the first _INTS are
+# ints (degree, trial, point_index), the rest floats, x first
+_INTS = 3
+_JSON_ROW = "{%s}" % ", ".join(f'"{k}": %s' for k in Record._fields)
+_CSV_HEADER = ",".join(Record._fields)
+_CSV_ROW = ",".join(["%d"] * _INTS + ["%s"] + ["%.17g"] * (len(Record._fields) - _INTS - 1))
+
+
+def _each_x(records: list[Record], fmt) -> list[str]:
+    """fmt of each record's x, each distinct double formatted once; keyed by
+    its bits, since a float key would conflate 0.0 and -0.0."""
+    xs = [r.x for r in records]
+    bits = np.array(xs, dtype=float).view(np.int64).tolist()
+    memo = {b: fmt(x) for b, x in dict(zip(bits, xs)).items()}
+    return [memo[b] for b in bits]
+
+
 def report_json(report: RunReport, include_timings: bool = True) -> str:
-    payload = {
-        "config": vars(report.config),
-        "per_degree": report.per_degree,
-        "records": [vars(r) for r in report.records],
-    }
+    """json.dumps of {"config", "per_degree", "records": [each record's
+    _asdict()], "timings_ms"}, byte for byte, the records written row by row."""
+    rep = float.__repr__
+    rows = [
+        _JSON_ROW % (degree, trial, point, x, rep(truth), rep(estimate), rep(stderr))
+        for (degree, trial, point, _, truth, estimate, stderr), x in zip(
+            report.records, _each_x(report.records, rep)
+        )
+    ]
+    parts = [
+        f'"config": {json.dumps(vars(report.config))}',
+        f'"per_degree": {json.dumps(report.per_degree)}',
+        f'"records": [{", ".join(rows)}]',
+    ]
     if include_timings:
-        payload["timings_ms"] = report.timings_ms
-    return json.dumps(payload) + "\n"
+        parts.append(f'"timings_ms": {json.dumps(report.timings_ms)}')
+    return "{%s}\n" % ", ".join(parts)
 
 
 def records_csv(report: RunReport) -> str:
-    line = "%d,%d,%d,%.17g,%.17g,%.17g,%.17g"
-    lines = [line % tuple(vars(r).values()) for r in report.records]
-    return "\n".join(["degree,trial,point_index,x,truth,estimate,stderr", *lines, ""])
+    """One line per record, its floats as %.17g, under a header of the field names."""
+    lines = [
+        _CSV_ROW % (degree, trial, point, x, truth, estimate, stderr)
+        for (degree, trial, point, _, truth, estimate, stderr), x in zip(
+            report.records, _each_x(report.records, "%.17g".__mod__)
+        )
+    ]
+    return "\n".join([_CSV_HEADER, *lines, ""])
 
 
 def write_report(report: RunReport, out_dir: str | Path, stem: str) -> tuple[Path, Path]:

@@ -200,9 +200,8 @@ def _config_value(key: str, value, default):
             or (key == "x_domain" and len(value) != 2)
             or not all(_is_a(v, kind) for v in value)
         ):
-            raise UsageError(
-                f"config key {key!r} must be a list of {kind.__name__}, got {value!r}"
-            )
+            what = "two floats" if key == "x_domain" else kind.__name__
+            raise UsageError(f"config key {key!r} must be a list of {what}, got {value!r}")
         return tuple(kind(v) for v in value)
     if not _is_a(value, type(default)):
         raise UsageError(f"config key {key!r} must be {type(default).__name__}, got {value!r}")

@@ -1,6 +1,8 @@
 """Map normalized coefficients to convex weights, rotation angles and one
 circuit of any number of programs x points (plan_programs): a degree's trials
 x points in one batch, or one program at one point (build_circuit).
+compile_polys normalizes and weights a degree's trials in one numpy pass over
+their [trials, d + 1] coefficients; compile_poly is that pass of one row.
 plan_programs makes that circuit in one walk of the first program's schedule,
 in gate order: it emits each Gate where the walk reaches it, reading every
 trial's sign and half angle there from arrays made in one numpy pass, with no
@@ -49,7 +51,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, depths
 from .poly import NormalizedPolynomial, Polynomial, PolyError, coeffs_of, load_json_object
-from .poly import normalize
+from .poly import normalize_rows
 
 HALF_PI = math.pi / 2.0
 # how far outside [0, 1] a weight may round before angle_of_weight rejects it
@@ -103,47 +105,69 @@ class ResourceCounts:
     two_qubit_depth: int
 
 
-def angle_of_weight(w: float) -> float:
-    """a = arccos(1 - 2w), in [0, pi].  Clamps w within _WEIGHT_TOL of [0, 1]."""
-    if w < -_WEIGHT_TOL or w > 1.0 + _WEIGHT_TOL:
-        raise CompileError(f"weight {w} outside [0, 1]")
-    w = min(max(w, 0.0), 1.0)
-    return float(np.arccos(1.0 - 2.0 * w))
+def angle_of_weight(w):
+    """a = arccos(1 - 2w), in [0, pi], of a weight (a float) or of each of an
+    array of them (an array).  Clamps w within _WEIGHT_TOL of [0, 1]."""
+    w = np.asarray(w, dtype=float)
+    out = (w < -_WEIGHT_TOL) | (w > 1.0 + _WEIGHT_TOL)
+    if out.any():
+        raise CompileError(f"weight {w[out].flat[0]} outside [0, 1]")
+    angles = np.arccos(1.0 - 2.0 * np.minimum(np.maximum(w, 0.0), 1.0))
+    return float(angles) if angles.ndim == 0 else angles
 
 
 def compute_weights(np_poly: NormalizedPolynomial, order: str) -> WeightSchedule:
     """Convex weights, angles, signs and skip flags for one aggregation order."""
+    return _schedules(np.array([np_poly.tilde_coeffs], dtype=float), order)[0]
+
+
+def _schedules(tilde: np.ndarray, order: str) -> list[WeightSchedule]:
+    """compute_weights of each row of a [rows, d + 1] array of normalized
+    coefficients, in one numpy pass: the head or tail masses by a cumsum along
+    each row, so a row's schedule is the same in any batch.  A term that is
+    not folded has weight 0 and so angle arccos(1) = 0."""
     if order not in ORDERS:
         raise CompileError(f"order must be one of {ORDERS}, got {order!r}")
-    tilde = np.asarray(np_poly.tilde_coeffs, dtype=float)
     mags = np.abs(tilde)
-    if mags.sum() == 0.0:
+    skips = mags == 0.0
+    if skips.all(axis=1).any():
         raise CompileError("normalized polynomial has no mass")
-    d = len(tilde) - 1
-    signs = tuple(-1 if c < 0 else 1 for c in tilde)
-    skips = tuple(bool(m == 0.0) for m in mags)
+    folded = ~skips
     if order == "backward":
-        seed = max(k for k in range(d + 1) if not skips[k])
-        mass = np.cumsum(mags[::-1])[::-1]  # tails: mass[k] = sum_{j>=k} mags[j]
-        folded = range(seed)
+        seeds = tilde.shape[1] - 1 - np.argmax(folded[:, ::-1], axis=1)  # last live terms
+        mass = np.cumsum(mags[:, ::-1], axis=1)[:, ::-1]  # tails: sum_{j>=k} mags[j]
+        folded &= np.arange(tilde.shape[1]) < seeds[:, None]
+        seeds = seeds.tolist()
     else:
-        seed = 0
-        mass = np.cumsum(mags)  # heads: mass[k] = sum_{j<=k} mags[j]
-        folded = range(1, d + 1)
-    weights = [0.0] * (d + 1)
-    angles = [0.0] * (d + 1)
-    for k in folded:
-        if not skips[k]:
-            weights[k] = float(mags[k] / mass[k])
-            angles[k] = angle_of_weight(weights[k])
-    return WeightSchedule(order, tuple(weights), tuple(angles), signs, skips, seed)
+        seeds = [0] * len(tilde)
+        mass = np.cumsum(mags, axis=1)  # heads: sum_{j<=k} mags[j]
+        folded[:, 0] = False
+    weights = np.divide(mags, mass, out=np.zeros_like(mags), where=folded)
+    angles = angle_of_weight(weights).tolist()
+    signs = np.where(tilde < 0.0, -1, 1).tolist()
+    return [
+        WeightSchedule(order, tuple(w), tuple(a), tuple(s), tuple(k), seed)
+        for w, a, s, k, seed in zip(weights.tolist(), angles, signs, skips.tolist(), seeds)
+    ]
+
+
+def compile_polys(polys: list[Polynomial], order: str = "backward") -> list[CompiledProgram]:
+    """Normalize and compile polynomials of one degree, in one numpy pass over
+    their [len(polys), d + 1] coefficients; a program is the same, bit for
+    bit, in any batch.  Raises the error of the first polynomial that does
+    not normalize."""
+    if not polys:
+        return []
+    if len({p.degree for p in polys}) > 1:
+        raise CompileError("compile_polys compiles polynomials of one degree")
+    tilde, scales = normalize_rows([p.coeffs for p in polys])
+    schedules = _schedules(tilde, order)
+    return [CompiledProgram(*args) for args in zip(schedules, scales.tolist(), polys)]
 
 
 def compile_poly(poly: Polynomial, order: str = "backward") -> CompiledProgram:
-    """Normalize and compile in one step."""
-    np_poly = normalize(poly)
-    schedule = compute_weights(np_poly, order)
-    return CompiledProgram(schedule, np_poly.scale, poly)
+    """Normalize and compile in one step: compile_polys of one polynomial."""
+    return compile_polys([poly], order)[0]
 
 
 def skeleton_key(program: CompiledProgram) -> tuple:

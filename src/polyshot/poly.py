@@ -140,20 +140,29 @@ def sup_norms(coeffs) -> list[float]:
 
 
 def normalize(poly: Polynomial) -> NormalizedPolynomial:
-    """Scale coefficients so their absolute values sum to one: scale = sum|a_k|.
+    """Scale coefficients so their absolute values sum to one: scale = sum|a_k|
+    (normalize_rows of one row)."""
+    tilde, scales = normalize_rows([poly.coeffs])
+    return NormalizedPolynomial(tuple(tilde[0].tolist()), float(scales[0]))
 
-    Raises on the all-zero polynomial, which callers must short-circuit to a
-    constant-zero estimate, and on coefficients whose l1 norm overflows.
+
+def normalize_rows(coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized rows (tilde) and l1 norms (scales) of a [rows, d + 1]
+    array of coefficients, in one numpy pass; a row's values are the same in
+    any batch.
+
+    Raises for the first row that is all zero, which callers must
+    short-circuit to a constant-zero estimate, or whose l1 norm overflows.
     """
-    a = np.asarray(poly.coeffs, dtype=float)
+    a = np.asarray(coeffs, dtype=float)
     with np.errstate(over="ignore"):
-        l1 = float(np.sum(np.abs(a)))
-    if not math.isfinite(l1):
-        raise NormalizationError("the l1 norm of the coefficients is not finite")
-    if l1 == 0.0:
+        l1 = np.abs(a).sum(axis=1)
+    bad = ~np.isfinite(l1) | (l1 == 0.0)
+    if bad.any():
+        if l1[bad.argmax()]:
+            raise NormalizationError("the l1 norm of the coefficients is not finite")
         raise NormalizationError("all-zero polynomial cannot be normalized")
-    tilde = a / l1
-    return NormalizedPolynomial(tuple(float(t) for t in tilde), l1)
+    return a / l1[:, None], l1
 
 
 def sample_function(fn, count: int = 101) -> list[tuple[float, float]]:

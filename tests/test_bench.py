@@ -1,8 +1,15 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from polyshot.bench import (
     ExperimentConfig,
+    Record,
+    RunReport,
     gen_random_poly,
     gen_random_polys,
     noise_config,
@@ -107,6 +114,77 @@ def test_report_determinism_byte_identical():
     b = recovery_run(SMALL)
     assert report_json(a, include_timings=False) == report_json(b, include_timings=False)
     assert records_csv(a) == records_csv(b)
+
+
+def _dumps_reference(report, include_timings: bool) -> str:
+    """The report as json.dumps writes it, records as dicts: what report_json
+    writes, byte for byte."""
+    payload = {
+        "config": vars(report.config),
+        "per_degree": report.per_degree,
+        "records": [r._asdict() for r in report.records],
+    }
+    if include_timings:
+        payload["timings_ms"] = report.timings_ms
+    return json.dumps(payload) + "\n"
+
+
+def _csv_reference(report) -> str:
+    lines = ["%d,%d,%d,%.17g,%.17g,%.17g,%.17g" % r for r in report.records]
+    return "\n".join(["degree,trial,point_index,x,truth,estimate,stderr", *lines, ""])
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExperimentConfig(),
+        stress_config(trials=2),
+        noise_config(degrees=(1, 5, 10), trials=1, points_per_trial=4),
+        replace(SMALL, shots=0),
+    ],
+    ids=["table1", "stress", "noise", "shots-0"],
+)
+def test_report_writers_match_json_dumps_and_the_record_layout(config):
+    report = recovery_run(config)
+    for include_timings in (True, False):
+        assert report_json(report, include_timings) == _dumps_reference(report, include_timings)
+    assert records_csv(report) == _csv_reference(report)
+    assert records_csv(report).split("\n", 1)[0] == ",".join(Record._fields)
+
+
+# floats of every size, the edge cases named; deterministic examples
+_finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-05, 2.0, 1e-07, 0.1, 1.7976931348623157e308]
+)
+_records = st.lists(
+    st.builds(
+        Record, st.integers(0, 40), st.integers(0, 10**6), st.integers(0, 99),
+        _finite, _finite, _finite, _finite,
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          phases=(Phase.explicit, Phase.generate, Phase.shrink))
+@given(records=_records)
+def test_report_writers_write_any_finite_floats_as_json_dumps_and_17g_do(records):
+    records = [
+        *records,  # an x of -0.0 next to one of 0.0, and numpy float64s
+        Record(3, 0, 0, -0.0, np.float64(0.5), 0.0, 1e-05),
+        Record(3, 0, 0, 0.0, -0.0, np.float64(-0.0), 2.0),
+        Record(3, 1, 4, np.float64(1e16), 5e-324, 1e-07, np.float64(0.1)),
+    ]
+    report = RunReport(SMALL, [], records, {"total": 1.5})
+    for include_timings in (True, False):
+        assert report_json(report, include_timings) == _dumps_reference(report, include_timings)
+    assert records_csv(report) == _csv_reference(report)
+
+
+def test_report_writers_of_no_record():
+    report = RunReport(SMALL, [], [])
+    assert report_json(report) == _dumps_reference(report, True)
+    assert records_csv(report) == "degree,trial,point_index,x,truth,estimate,stderr\n"
 
 
 def test_write_report_files(tmp_path):

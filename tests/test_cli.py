@@ -468,6 +468,12 @@ def test_bench_rejects_mistyped_config_value(tmp_path, capsys, bad):
         ({"x_domain": [0.5, 0.5]}, "x_domain must satisfy -1 <= lo < hi <= 1, got (0.5, 0.5)"),
         ({"x_domain": [-1.5, 0.5]}, "x_domain"),
         ({"degrees": [3, 3]}, "degrees"),
+        ({"x_domain": [0.5]}, "config key 'x_domain' must be a list of two floats, got [0.5]"),
+        ({"x_domain": []}, "config key 'x_domain' must be a list of two floats, got []"),
+        (
+            {"x_domain": [-0.5, 0.0, 0.5]},
+            "config key 'x_domain' must be a list of two floats, got [-0.5, 0.0, 0.5]",
+        ),
     ],
 )
 def test_bench_rejects_out_of_range_config_value(tmp_path, capsys, bad, key):
@@ -539,7 +545,7 @@ def test_report_json_reads_back_every_float_bit_for_bit():
         back = json.loads(bench.report_json(report))
         assert _bits(back["config"]) == _bits(vars(report.config))
         assert _bits(back["per_degree"]) == _bits(report.per_degree)
-        assert _bits(back["records"]) == _bits([vars(r) for r in report.records])
+        assert _bits(back["records"]) == _bits([r._asdict() for r in report.records])
         assert _bits(back["timings_ms"]) == _bits(report.timings_ms)
 
 

@@ -14,6 +14,7 @@ from polyshot.compile import (
     angle_of_weight,
     build_circuit,
     compile_poly,
+    compile_polys,
     compute_weights,
     plan_programs,
     read_program,
@@ -22,7 +23,7 @@ from polyshot.compile import (
     skeleton_key,
     write_program,
 )
-from polyshot.poly import Polynomial, eval_poly, normalize
+from polyshot.poly import NormalizationError, Polynomial, eval_poly, normalize
 
 
 def telescope(tilde, x, order):
@@ -82,6 +83,79 @@ def test_monomial_schedule_skips_constant_term():
     assert sched.skip_flags == (True, False)
     assert sched.seed_index == 1
     assert all(a == 0.0 for a in sched.angles)
+
+
+def test_angle_of_an_array_is_each_weight_s_angle_bit_for_bit():
+    weights = np.random.default_rng(2).random((4, 7)) ** 9
+    weights[0, :2] = (-1e-13, 1.0 + 1e-13)
+    angles = angle_of_weight(weights)
+    assert angles.shape == weights.shape
+    assert angles.tolist() == [[angle_of_weight(w) for w in row] for row in weights.tolist()]
+    with pytest.raises(CompileError, match=r"weight 1\.5 outside \[0, 1\]"):
+        angle_of_weight(np.array([0.2, 1.5, -0.5]))
+
+
+def _draws(rng, d: int, trials: int) -> list[Polynomial]:
+    """Random coefficients of both signs, about one in four of them zero."""
+    coeffs = rng.uniform(-1.0, 1.0, (trials, d + 1)) * (rng.random((trials, d + 1)) > 0.25)
+    coeffs[~coeffs.any(axis=1), 0] = 0.3  # every row normalizes
+    return [Polynomial(tuple(row)) for row in coeffs.tolist()]
+
+
+@pytest.mark.parametrize("order", ["backward", "forward"])
+def test_compile_polys_is_compile_poly_of_each_bit_for_bit(order):
+    rng = np.random.default_rng(30)
+    for d in range(36):
+        polys = _draws(rng, d, 9)
+        batch = compile_polys(polys, order)
+        single = [compile_poly(p, order) for p in polys]
+        assert batch == single
+        assert repr(batch) == repr(single)  # 0.0 and -0.0, float and np.float64 differ here
+
+
+def test_compile_polys_of_zero_and_negative_coefficients():
+    coeffs = ((0.0, -0.5, 0.0, 0.25), (-0.1, 0.0, 0.0, -0.3), (0.0, 0.0, 0.0, -1.0))
+    polys = [Polynomial(c) for c in coeffs]
+    for order in ("backward", "forward"):
+        batch = compile_polys(polys, order)
+        assert repr(batch) == repr([compile_poly(p, order) for p in polys])
+        assert [p.schedule.signs for p in batch] == [(1, -1, 1, 1), (-1, 1, 1, -1), (1, 1, 1, -1)]
+        assert [p.schedule.skip_flags[:3] for p in batch] == [
+            (True, False, True), (False, True, True), (True, True, True)
+        ]
+        assert [p.schedule.seed_index for p in batch] == [3 if order == "backward" else 0] * 3
+
+
+def test_compile_polys_of_no_polynomial_is_empty():
+    assert compile_polys([], "backward") == []
+    assert compile_polys([], "forward") == []
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((0.0, 0.0, -0.0), "all-zero polynomial cannot be normalized"),
+        ((1e308, 0.5, 1e308), "the l1 norm of the coefficients is not finite"),
+    ],
+    ids=["zero", "overflow"],
+)
+def test_compile_polys_raises_the_error_of_the_first_row_that_does_not_normalize(bad, message):
+    good = Polynomial((0.1, -0.2, 0.3))
+    with pytest.raises(NormalizationError) as single:
+        compile_poly(Polynomial(bad))
+    assert str(single.value) == message
+    for batch in ([Polynomial(bad)], [good, Polynomial(bad), good]):
+        with pytest.raises(NormalizationError) as batched:
+            compile_polys(batch)
+        assert str(batched.value) == message
+    other = (0.0, 0.0, 0.0) if "not finite" in message else (1e308, 1e308, 0.0)
+    with pytest.raises(NormalizationError, match=message):
+        compile_polys([good, Polynomial(bad), Polynomial(other)])
+
+
+def test_compile_polys_takes_polynomials_of_one_degree():
+    with pytest.raises(CompileError, match="one degree"):
+        compile_polys([Polynomial((0.1, 0.2)), Polynomial((0.1, 0.2, 0.3))])
 
 
 def test_angles_consistent_with_weights():
