@@ -1,12 +1,20 @@
 """Flat gate-level circuit representation shared by the compiler and simulators.
 
 The gate set is deliberately tiny: RY, RZ, X and CX, plus a designated
-measured qubit on the circuit.  A Circuit is also the one batch input of both
-simulators: a circuit of `batch` points that share one gate skeleton, where a
-gate's angle is one float for every point or an array of one angle per point,
-and an x may hold a mask of the points it acts on (compile.plan_programs makes
-one for a degree's trials x points).  Emission to OpenQASM 3.0 is byte-stable:
+measured qubit on the circuit.  Emission to OpenQASM 3.0 is byte-stable:
 identical circuits of one point serialize to identical text.
+
+A Circuit is also the one batch input of both simulators: `batch` points of
+one gate skeleton (compile.plan_programs makes one of a degree's trials x
+points).  A gate's angle is a float for every point or an array of exactly
+`batch`, one per point, and an x may hold a bool mask of the `batch` points
+it acts on (or one bool); a Circuit that breaks this raises CircuitError,
+naming the gate, when it is made.  Both simulators run a batch in chunks
+Circuit.points(lo, hi) of at most dense._CHUNK_BYTES (2^19) bytes of state
+and at least one point: 2^15 >> n dense points of n qubits at 16 bytes an
+amplitude (a point of 2^12 amplitudes and up runs alone, see dense.py), and
+2^16 // 4^w points at 8 bytes a window entry, w the peak window.  Every
+kernel computes each point alone, so the chunks move no bit of any z.
 """
 from __future__ import annotations
 
@@ -42,6 +50,10 @@ class Gate(NamedTuple):
         return Gate("cx", (control, target))
 
 
+class CircuitError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class Circuit:
     n_qubits: int
@@ -51,6 +63,23 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
+        shape = (self.batch,)
+        for i, (kind, _, v) in enumerate(self.gates):
+            if isinstance(v, np.ndarray) and (v.shape != shape or kind == "x" and v.dtype != bool):
+                want = f"{self.batch} bools" if kind == "x" else f"{self.batch} values"
+                raise CircuitError(f"{kind} at index {i} holds {v.shape} {v.dtype}, not {want}")
+
+    def points(self, lo: int, hi: int) -> "Circuit":
+        """The circuit of points lo..hi-1, every per-point angle and mask
+        sliced to them and every other gate the same object; the circuit
+        itself for all its points."""
+        if not 0 <= lo < hi <= self.batch:
+            raise ValueError(f"points {lo}..{hi - 1} outside a batch of {self.batch}")
+        if hi - lo == self.batch:
+            return self
+        cut = [g._replace(angle=g.angle[lo:hi]) if isinstance(g.angle, np.ndarray) else g
+               for g in self.gates]
+        return Circuit(self.n_qubits, cut, self.measured_qubit, hi - lo)
 
     @property
     def two_qubit_count(self) -> int:
@@ -174,10 +203,6 @@ def to_qasm(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-class CircuitError(ValueError):
-    pass
-
-
 _NUM = r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _QASM_RE = {
     "rot": re.compile(rf"^(ry|rz)\(({_NUM})\) q\[(\d+)\];$"),
@@ -189,7 +214,9 @@ _QASM_RE = {
 
 
 def validate_qasm(text: str) -> list[str]:
-    """Grammar-level check of emitted QASM against the subset this library writes."""
+    """Grammar-level check of emitted QASM against the subset this library
+    writes: the header, then each statement parsed into a Gate, the circuit
+    they make checked by validate."""
     res = _QASM_RE
     problems: list[str] = []
     lines = text.split("\n")
@@ -208,28 +235,21 @@ def validate_qasm(text: str) -> list[str]:
     if not m:
         problems.append(f"bad qubit declaration: {lines[2]!r}")
         return problems
-    n = int(m.group(1))
     if lines[3] != "bit c;":
         problems.append(f"bad bit declaration: {lines[3]!r}")
     mm = res["measure"].match(lines[-1])
     if not mm:
         problems.append(f"last statement must be a measure, got {lines[-1]!r}")
-    elif int(mm.group(1)) >= n:
-        problems.append("measured qubit out of range")
+    gates = []
     for ln, line in enumerate(lines[4:-1], start=5):
-        if res["rot"].match(line):
-            q = int(res["rot"].match(line).group(3))
-            if q >= n:
-                problems.append(f"line {ln}: qubit index out of range")
-        elif res["x"].match(line):
-            if int(res["x"].match(line).group(1)) >= n:
-                problems.append(f"line {ln}: qubit index out of range")
-        elif res["cx"].match(line):
-            c, t = (int(v) for v in res["cx"].match(line).groups())
-            if c >= n or t >= n:
-                problems.append(f"line {ln}: qubit index out of range")
-            if c == t:
-                problems.append(f"line {ln}: identical control/target")
+        rot, x, cx = (res[kind].match(line) for kind in ("rot", "x", "cx"))
+        if rot:
+            gates.append(Gate(rot.group(1), (int(rot.group(3)),), float(rot.group(2))))
+        elif x:
+            gates.append(Gate.x(int(x.group(1))))
+        elif cx:
+            gates.append(Gate.cx(int(cx.group(1)), int(cx.group(2))))
         else:
             problems.append(f"line {ln}: unrecognized statement {line!r}")
-    return problems
+    measured = int(mm.group(1)) if mm else 0
+    return problems + validate(Circuit(int(m.group(1)), gates, measured))

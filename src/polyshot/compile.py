@@ -268,7 +268,8 @@ def resources(circuit: Circuit) -> ResourceCounts:
     chain of CX layers) from the IR, at the circuit's first point: an x whose
     mask skips that point is no gate there."""
     gates = [g for g in circuit.gates if g.kind != "x" or g.angle is None or g.angle[0]]
-    first = Circuit(circuit.n_qubits, gates, circuit.measured_qubit)
+    # every point's angles and masks kept, a circuit of the batch: depths reads none
+    first = Circuit(circuit.n_qubits, gates, circuit.measured_qubit, circuit.batch)
     depth, two_qubit_depth = depths(first)
     return ResourceCounts(
         qubits=first.n_qubits,

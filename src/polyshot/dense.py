@@ -16,22 +16,19 @@ Simulation of a 45-Qubit Quantum Circuit", 2017).  The peak is the state plus
 at most as much again of scratch, and that peak is checked against the free
 memory before the state is allocated.
 
-Both simulators sweep a circuit of `batch` points (compile.plan_programs):
-the points of one gate skeleton, such as the trials x points of one degree,
-with one angle per point where the points differ and a mask where an x (the
-sign of a negative term) acts on some points only.  Here a narrow chunk's
-state is a tensor of shape [2]*n + [B], its points innermost, so each half
-view is a run of whole rows of points, a per-point angle broadcasts along
-the last axis and a masked x swaps the halves of its points alone; the
-windowed simulator has kernels of its own (see stream.py).  Every
-run goes through one chunk driver, _states.  A point narrower than
-_FUSE_AMPLITUDES (2^12) amplitudes runs in chunks of at most
-_CHUNK_AMPLITUDES (2^15) amplitudes, so a Table-1 degree (10 trials x 15
-points of 2-7 qubits) runs in one sweep, each gate's Python dispatch is paid
-once per degree, not once per point, and <Z> is one reduction per chunk.  A
-wide state (2^12 amplitudes and up) runs one point at a time: its cost per
-gate is memory traffic, which a batch does not cut, and a batch would
-multiply its peak memory, the one allocation that limits it.
+Both simulators sweep a circuit of `batch` points in chunks that
+Circuit.points cuts (circuit.py states the batch contract and the chunk
+rule).  Here a narrow chunk's state is a tensor of shape [2]*n + [B], its
+points innermost, so each half view is a run of whole rows of points, a
+per-point angle broadcasts along the last axis and a masked x swaps the
+halves of its points alone; the windowed simulator has kernels of its own
+(see stream.py).  Every run goes through one chunk driver, _states.  A
+Table-1 degree (10 trials x 15 points of 2-7 qubits) is one chunk, so each
+gate's Python dispatch is paid once per degree, not once per point, and <Z>
+is one reduction per chunk.  A wide state (_FUSE_AMPLITUDES, 2^12
+amplitudes, and up) runs one point at a time: its cost per gate is memory
+traffic, which a batch does not cut, and a batch would multiply its peak
+memory, the one allocation that limits it.
 
 A chunk's state starts from its circuit's encoding, built, not swept
 (_encoding): the leading ry and x gates on distinct qubits and the cx gates
@@ -83,8 +80,9 @@ The run matrices, each its run's gates swept over its basis states, are
 built for all of a batch's points at once, and their bytes, the encoding
 factors' and one point's state and spare buffer are checked against the
 free memory before the first matrix is built.
-A degree-20 backward point (21 qubits) takes about 0.03-0.04 s on a 2-vCPU
-Intel Xeon host with one BLAS thread.
+A degree-20 backward point (21 qubits) takes 6-10 ms, and a circuit of two
+such points 11-17 ms (best of 7 runs, on a 2-vCPU Intel Xeon host that
+drifts, with one BLAS thread).
 """
 from __future__ import annotations
 
@@ -106,12 +104,12 @@ MAX_SHOTS = 2**63 - 1
 # the state's bytes and a narrow chunk's copy of it with the points first, or
 # the encoding build's copy of the real amplitudes it reads)
 _PEAK_BYTES_PER_AMPLITUDE = 2 * 16
-# a point of at least this many amplitudes runs alone, fused; narrower points
-# run in chunks of at most _CHUNK_AMPLITUDES (see the module docstring).  At
-# 2^15 a chunk's peak is 1 MiB, and the 150 points of 7 qubits of a Table-1
-# degree run as one chunk
+# a point of at least this many amplitudes runs alone, fused (see the module docstring)
 _FUSE_AMPLITUDES = 2**12
-_CHUNK_AMPLITUDES = 2**15
+# the most bytes of state one chunk holds in either simulator (see circuit.py):
+# a Table-1 degree's 150 points of 7 qubits are one dense chunk, peaking at 1 MiB
+_CHUNK_BYTES = 2**19
+_ROUTE = "; route this circuit to the windowed stream simulator"
 # the most qubits one fused step acts on.  A step is bound by its pass over
 # each buffer, not by its flops: at 17 qubits (2-vCPU host, one BLAS thread)
 # a 4x4 step took 0.37 ms, an 8x8 one, which covers two sum blocks, 0.46 ms,
@@ -328,8 +326,8 @@ def _encoding(
     return len(qubits) + links, encoding
 
 
-def _encode(state: np.ndarray, encoding: list[tuple], lo: int, hi: int) -> None:
-    """Write the state an encoding (_encoding) leaves the points lo..hi-1 in
+def _encode(state: np.ndarray, encoding: list[tuple]) -> None:
+    """Write the state an encoding (_encoding) leaves a chunk's points in
     into their zeroed |0...0> states [2]*n + [B], in place, the qubit axes in
     qubit order and the points last, where each factor broadcasts; only the
     qubit axes are transposed.  The chain maps basis index b to b' with
@@ -347,8 +345,6 @@ def _encode(state: np.ndarray, encoding: list[tuple], lo: int, hi: int) -> None:
     for k, (_, linked, f) in enumerate(encoding):
         built = real[(slice(None),) * (k + 1) + (0,) * (n - k - 1)]
         zero, one = built[..., 0, :], built[..., 1, :]
-        if f.shape[1] > 1:
-            f = f[:, lo:hi]
         if linked:  # f runs over qubit r_(k-1)'s axis
             np.multiply(zero, f[::-1], out=one)
             zero *= f
@@ -533,41 +529,30 @@ def _adjoining_sweep(
     return state.reshape([1] + [2] * n), order
 
 
-def _check_memory(need: int, what: str) -> None:
-    """Raise CapacityError, before anything is allocated, where `what` needs
-    more bytes than are free."""
+def _check_memory(need: int, what: str, advice: str = _ROUTE) -> None:
+    """Raise CapacityError, before anything is allocated, where `what` (its
+    subject and verb) needs more bytes than are free."""
     free = _free_memory_bytes()
     if need > free:
-        raise CapacityError(
-            f"{what} need about {need} bytes, but only {free} bytes are free; "
-            "route this circuit to the windowed stream simulator"
-        )
+        raise CapacityError(f"{what} about {need} bytes, but only {free} bytes are free{advice}")
 
 
-def _sweep(
-    steps: list[tuple], n: int, lo: int, hi: int, encoding: list[tuple], measured: int | None = None
-):
-    """The states, shape [hi - lo] + [2]*n, that an encoding (_encoding; empty
-    for none) and then the gates or fused steps of a batch leave its points
-    lo..hi-1 in, after the memory check, and the qubit each axis after the
-    batch axis holds; with `measured`, the <Z> of that qubit at each point
-    instead.  A wide point's fused steps (_fuse) run on a state that adjoins
-    each qubit where a step first meets it (_adjoining_sweep), which reads z
-    without making its last state; otherwise the state is allocated [2]*n +
-    [B], points innermost, the encoding is built into |0...0> (_encode), the
-    gates are swept on the qubit axes (_apply_gate) with a small ufunc
-    buffer, and the states come back as a view with the points first, the
-    axes in qubit order, or as z, one reduction (_zs)."""
-    _check_memory(_PEAK_BYTES_PER_AMPLITUDE * (hi - lo) * 2**n, f"{hi - lo} state(s) of {n} qubits")
-    if 2**n >= _FUSE_AMPLITUDES and all(kind == "u" for kind, _, _ in steps):
-        return _adjoining_sweep(steps, n, lo, encoding, measured)
-    state = np.zeros([2] * n + [hi - lo], dtype=complex)
+def _sweep(circuit: Circuit, measured: int | None = None):
+    """The states [B] + [2]*n of a narrow chunk's B points, after the memory
+    check, and the qubit each axis after the batch axis holds, or with
+    `measured` each point's <Z> of that qubit (_zs): allocated [2]*n + [B],
+    points innermost, the encoding (_encoding) built into |0...0> (_encode)
+    and the gates after it swept (_apply_gate) with a small ufunc buffer."""
+    n, batch = circuit.n_qubits, circuit.batch
+    _check_memory(_PEAK_BYTES_PER_AMPLITUDE * batch * 2**n, f"{batch} state(s) of {n} qubits need")
+    count, encoding = _encoding(circuit.gates)
+    state = np.zeros([2] * n + [batch], dtype=complex)
     state[(0,) * n] = 1.0
     size = np.setbufsize(_UFUNC_BUFFER)
     try:
-        _encode(state, encoding, lo, hi)
-        for kind, qubits, arg in steps:
-            _apply_gate(state, kind, qubits, arg[lo:hi] if isinstance(arg, np.ndarray) else arg)
+        _encode(state, encoding)
+        for kind, qubits, arg in circuit.gates[count:]:
+            _apply_gate(state, kind, qubits, arg)
     finally:
         np.setbufsize(size)
     states = np.moveaxis(state, -1, 0)
@@ -577,34 +562,34 @@ def _sweep(
 def _states(circuit: Circuit, z: bool = False):
     """lo, hi, the states of the circuit's points lo..hi-1 and the qubit each
     of their axes after the batch axis holds, or with `z` the points' <Z> of
-    the measured qubit, for each chunk in turn: chunks of at most
-    _CHUNK_AMPLITUDES amplitudes, or of one point where it is wide, each from
-    the circuit's encoding (_encoding) and the gates after it, fused (_fuse)
-    where a point is wide.  A circuit past the qubit cap raises first, and a
-    wide one whose run matrices, encoding factors and one point's state
-    exceed the free memory raises before a matrix is built.  The caller drops
-    each chunk's states before asking for the next."""
-    n = circuit.n_qubits
+    the measured qubit, for each chunk in turn: narrow chunks Circuit.points
+    swept (_sweep), or each wide point alone (_adjoining_sweep), the batch's
+    encoding and fused runs (_fuse) built once.  A circuit past the qubit cap
+    raises first, and a wide one whose run matrices, encoding factors and
+    one point's state exceed the free memory raises before a matrix is
+    built.  The caller drops each chunk's states before asking for the next."""
+    n, batch = circuit.n_qubits, circuit.batch
     if n > DEFAULT_QUBIT_CAP:
-        raise CapacityError(
-            f"{n} qubits exceeds the dense cap of {DEFAULT_QUBIT_CAP}; "
-            "route this circuit to the windowed stream simulator"
-        )
-    count, encoding = _encoding(circuit.gates)
-    steps, chunk = circuit.gates[count:], _CHUNK_AMPLITUDES >> n
-    if 2**n >= _FUSE_AMPLITUDES:
-        runs, batch = _runs(steps), circuit.batch
-        per_point = [any(isinstance(g.angle, np.ndarray) for g in run) for _, run in runs]
-        need = sum(16 * 4 ** len(q) * (batch if p else 1) for (q, _), p in zip(runs, per_point))
-        need += sum(f.nbytes for _, _, f in encoding) + _PEAK_BYTES_PER_AMPLITUDE * 2**n
-        what = f"{batch} point(s) of {n} qubits: their run matrices, encoding and one state"
-        _check_memory(need, what)
-        steps, chunk = _fuse(runs), 1
+        raise CapacityError(f"{n} qubits exceeds the dense cap of {DEFAULT_QUBIT_CAP}{_ROUTE}")
     measured = circuit.measured_qubit if z else None
-    for lo in range(0, circuit.batch, chunk):
-        hi = min(lo + chunk, circuit.batch)
-        swept = _sweep(steps, n, lo, hi, encoding, measured)
-        yield swept if z else (lo, hi, *swept)
+    if 2**n < _FUSE_AMPLITUDES:
+        chunk = max(1, _CHUNK_BYTES // (16 * 2**n))
+        for lo in range(0, batch, chunk):
+            hi = min(lo + chunk, batch)
+            swept = _sweep(circuit.points(lo, hi), measured)
+            yield swept if z else (lo, hi, *swept)
+        return
+    count, encoding = _encoding(circuit.gates)
+    runs = _runs(circuit.gates[count:])
+    per_point = [any(isinstance(g.angle, np.ndarray) for g in run) for _, run in runs]
+    need = sum(16 * 4 ** len(q) * (batch if p else 1) for (q, _), p in zip(runs, per_point))
+    need += sum(f.nbytes for _, _, f in encoding) + _PEAK_BYTES_PER_AMPLITUDE * 2**n
+    what = f"{batch} point(s) of {n} qubits: their run matrices, encoding and one state need"
+    _check_memory(need, what)
+    steps = _fuse(runs)
+    for point in range(batch):
+        swept = _adjoining_sweep(steps, n, point, encoding, measured)
+        yield swept if z else (point, point + 1, *swept)
 
 
 def run_statevector(circuit: Circuit) -> np.ndarray:

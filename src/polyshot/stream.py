@@ -4,17 +4,13 @@ Sweeps the gate list in order, adjoining each qubit to the active window at
 its first use and tracing it out after its last use, so memory is 4^w for
 window size w; the forward-order compiler keeps w <= 3, which is what makes
 degree-35 programs (36 qubits) cheap to evaluate exactly.  The simulator
-sweeps a circuit of `batch` points (compile.plan_programs): the points of one
-gate skeleton, such as the trials x points of one degree, whose trials differ
-only in their sum-block Ry angles and in the x of a negative term, a mask of
-points.  One lifetime pass over the circuit's gates (liveness) gives each
-qubit's first and last gate and the peak window w, and the points run in
-chunks of at most _CHUNK_ENTRIES window entries, points x 4^w, so a backward
-program's window (w up to d + 1) does not grow with the trial count; each
-chunk's transfer matrices come from its own slice of each per-point angle
-and mask, so they scale with the chunk too.  Every kernel computes each
-point's entries alone, in one fixed order of terms, so the chunking moves no
-bit of any z.
+sweeps a circuit of `batch` points (see circuit.py for the batch contract).
+One lifetime pass over the circuit's gates (liveness) gives each qubit's
+first and last gate and the peak window w, and the points run in chunks by
+circuit.py's rule, so a backward program's window (w up to d + 1) does not
+grow with the trial count; each chunk's transfer matrices come from its own
+circuit, so they scale with the chunk too.  Every kernel computes each
+point's entries alone, in one fixed order of terms.
 
 The window is held in the real Pauli-transfer basis (Greenbaum, "Introduction
 to Quantum Gate Set Tomography", 2015): a real tensor of shape [B] + [4]*w,
@@ -60,8 +56,6 @@ from .circuit import Circuit, Gate
 from .dense import NoiseModel
 
 DEFAULT_WINDOW_CAP = 8
-# the most window entries, points x 4^peak window, that one chunk holds
-_CHUNK_ENTRIES = 2**16
 
 # I, X, Y and Z; the transfer matrices of cx on (control, target), index
 # 4 * P_control + P_target and entry (P, Q) = Tr(P CX Q CX) / 4, and of x
@@ -123,18 +117,11 @@ def _adjoin(rho: np.ndarray, active: list[int], qubit: int, gate_index: int, cap
         )
     batch = rho.shape[0]
     need = dense._PEAK_BYTES_PER_AMPLITUDE * batch * 4 ** (w + 1)
-    _check_memory(need, f"a {w + 1}-qubit window over {batch} points needs")
+    dense._check_memory(need, f"a {w + 1}-qubit window over {batch} points needs", "")
     grown = np.zeros((batch, 4**w, 4))
     grown[:, :, 0] = grown[:, :, 3] = rho.reshape(batch, 4**w)
     active.append(qubit)
     return grown.reshape((batch,) + (4,) * (w + 1))
-
-
-def _check_memory(need: int, what: str) -> None:
-    """Raise CapacityError where `what` needs more bytes than are free."""
-    free = dense._free_memory_bytes()
-    if need > free:
-        raise dense.CapacityError(f"{what} about {need} bytes, but only {free} bytes are free")
 
 
 def _transfer_matrices(steps: tuple[Gate, ...], noise: NoiseModel | None) -> list[np.ndarray]:
@@ -156,7 +143,7 @@ def _transfer_matrices(steps: tuple[Gate, ...], noise: NoiseModel | None) -> lis
             groups.setdefault((kind, isinstance(arg, np.ndarray)), {})[keys[-1]] = arg
     values = {group: np.array(list(v.values())) for group, v in groups.items()}  # [values(, B)]
     need = 16 * sum(t.size for t in values.values()) + (0 if noise is None else _CX_PAIR.size + _X.size)
-    _check_memory(8 * need, "a chunk's transfer matrices need")
+    dense._check_memory(8 * need, "a chunk's transfer matrices need", "")
     f1, f2 = (1.0, 1.0) if noise is None else (1 - 4 * noise.p1 / 3, 1 - 4 * noise.p2 / 3)
     scale1, scale2 = np.array([[1.0], [f1], [f1], [f1]]), np.array([1.0, f2, f2, f2])
     cx, x = _CX_PAIR, _X  # noiseless: the constants, no matrix made
@@ -182,22 +169,17 @@ def run_window_plan(
     check_invariants: bool = False,
 ) -> list[float]:
     """Exact <Z> of the measured qubit at each point of a circuit, in order, from
-    windowed sweeps of its points in chunks of at most _CHUNK_ENTRIES entries
-    at the peak window (and at least one point), each chunk's transfer
-    matrices built from its own slice of every per-point angle and mask.  With
-    a noise model, each gate (a masked x where it acts) is followed by the
+    windowed sweeps of its chunks (Circuit.points, 8 bytes a window entry at
+    the peak window), each with transfer matrices of its own.  With a noise
+    model, each gate (a masked x where it acts) is followed by the
     depolarizing channel on every qubit it touches: strength p1 after a
     one-qubit gate, p2 after cx."""
     life, batch, zs = liveness(circuit), circuit.batch, []
-    chunk = max(1, _CHUNK_ENTRIES // 4**life.peak_window)
+    chunk = max(1, dense._CHUNK_BYTES // (8 * 4**life.peak_window))
     for lo in range(0, batch, chunk):
-        points = range(lo, min(lo + chunk, batch))
-        steps = circuit.gates if len(points) == batch else [
-            g._replace(angle=g.angle[lo : points.stop]) if isinstance(g.angle, np.ndarray) else g
-            for g in circuit.gates
-        ]
-        mats = _transfer_matrices(steps, noise)
-        zs += _sweep(circuit, mats, life, points, window_cap, check_invariants)
+        part = circuit.points(lo, min(lo + chunk, batch))
+        mats = _transfer_matrices(part.gates, noise)
+        zs += _sweep(part, mats, life, lo, window_cap, check_invariants)
     return zs
 
 
@@ -236,19 +218,19 @@ def _contract(mat: np.ndarray, rho: np.ndarray, at: int, dim: int) -> np.ndarray
 
 
 def _sweep(
-    circuit: Circuit, mats: list, life: RetirementSchedule, points: range, cap: int, check: bool
+    circuit: Circuit, mats: list, life: RetirementSchedule, lo: int, cap: int, check: bool
 ) -> list[float]:
-    """<Z> at some points of a circuit from one windowed sweep of their transfer
-    matrices (a per-point matrix holds those points only), a _step per gate."""
+    """<Z> at each point of a chunk's circuit, point lo of the batch first, from
+    one windowed sweep of its transfer matrices, a _step per gate."""
     first, last = life.first_use, life.last_use
-    rho, active = np.ones(len(points)), []  # each point's empty window, no live qubit
+    rho, active = np.ones(circuit.batch), []  # each point's empty window, no live qubit
     for i, ((kind, qubits, _), mat) in enumerate(zip(circuit.gates, mats)):
         for q in qubits:
             if first[q] == i:
                 rho = _adjoin(rho, active, q, i, cap)
         rho, active = _step(kind, qubits, mat, rho, active)
         if check:
-            _check_window(_density(rho), i, points.start)
+            _check_window(_density(rho), i, lo)
         for q in qubits:
             if last[q] == i:  # trace it out: keep its I slice
                 rho = rho[(slice(None),) * (1 + active.index(q)) + (0,)]

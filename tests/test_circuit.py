@@ -127,6 +127,91 @@ def test_qasm_validator_rejects_corruption():
     assert validate_qasm(good.replace("q[1]", "q[7]"))
 
 
+def test_qasm_validator_checks_its_statements_as_validate_does():
+    good = to_qasm(Circuit(3, (Gate.ry(1, 0.4), Gate.cx(1, 2)), 0))
+    assert validate_qasm(good) == []
+    cases = {
+        "cx q[1], q[2];": ("cx q[1], q[1];", "identical control/target at index 1"),
+        "c = measure q[0];": ("c = measure q[3];", "measured qubit 3 out of range for 3 qubits"),
+        "ry(0.40000000000000002) q[1];": ("ry(1e999) q[1];", "ry has non-finite angle at index 0"),
+    }
+    for line, (corrupt, problem) in cases.items():
+        assert line in good
+        assert validate_qasm(good.replace(line, corrupt)) == [problem]
+
+
+# each malformed batch of 3 points, the index of its bad gate and the error
+_MALFORMED = {
+    "five angles": (2, (Gate("ry", (0,), np.linspace(0.1, 0.5, 5)), Gate.cx(0, 1)), 0, r"\(5,\).* 3"),
+    "two angles": (2, (Gate("ry", (0,), np.array([0.1, 0.2])), Gate.cx(0, 1)), 0, r"\(2,\).* 3"),
+    "a 2-D angle array": (2, (Gate.cx(0, 1), Gate("ry", (0,), np.full((3, 1), 0.3))), 1, r"\(3, 1\)"),
+    "a float mask": (
+        2, (Gate.ry(0, 0.3), Gate("x", (1,), np.array([0.0, 1.0, 0.5])), Gate.cx(0, 1)), 1, "float64",
+    ),
+    "a float mask on a wide point": (
+        13, (Gate.ry(0, 0.3), Gate("x", (12,), np.array([0.0, 1.0, 0.5])), Gate.cx(0, 12)), 1,
+        "float64",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_a_malformed_batch_raises_naming_its_gate(case):
+    # neither simulator sees it: left to them, dense read three of five angles,
+    # the window read 0.5 as a mask's True, and numpy raised broadcast errors
+    n, gates, index, match = _MALFORMED[case]
+    with pytest.raises(CircuitError, match=f"index {index} .*{match}"):
+        Circuit(n, gates, 1, 3)
+
+
+def _random_plan_points(rng, n_points: int) -> list[Circuit]:
+    """Points of one skeleton: shared gates (a float as one object, a cx,
+    an x), a gate whose angle every point draws, and one angle alike."""
+    shared = (Gate.rz(1, 0.5), Gate.cx(0, 1), Gate.x(2), Gate.ry(2, 0.25))
+    return [
+        Circuit(3, shared[:2] + (Gate.ry(0, float(rng.uniform(-3, 3))), *shared[2:],
+                                 Gate.rz(2, 0.75)), 1)
+        for _ in range(n_points)
+    ]
+
+
+def _values(gate: Gate, points: int) -> tuple:
+    """A gate's kind, qubits and its value at each of a circuit's points."""
+    value = gate.angle if gate.angle is None else np.broadcast_to(gate.angle, points).tolist()
+    return gate.kind, gate.qubits, value
+
+
+def test_points_are_the_plan_of_those_points_gate_for_gate():
+    rng = np.random.default_rng(7)
+    for n_points in (1, 2, 5):
+        circuits = _random_plan_points(rng, n_points)
+        c = plan(circuits)
+        assert c.points(0, n_points) is c
+        for lo in range(n_points):
+            for hi in range(lo + 1, n_points + 1):
+                part, want = c.points(lo, hi), plan(circuits[lo:hi])
+                assert (part.n_qubits, part.measured_qubit, part.batch) == (3, 1, hi - lo)
+                assert [_values(g, hi - lo) for g in part.gates] == [
+                    _values(g, hi - lo) for g in want.gates
+                ]
+                for g, h in zip(c.gates, part.gates):
+                    if not isinstance(g.angle, np.ndarray):  # shared: the same objects
+                        assert h is g and h.angle is g.angle
+    with pytest.raises(ValueError, match="outside"):
+        c.points(2, 2)
+    with pytest.raises(ValueError, match="outside"):
+        c.points(0, n_points + 1)
+
+
+def test_points_slice_every_mask():
+    mask = np.array([True, False, True, True])
+    c = Circuit(2, (Gate("x", (0,), mask), Gate.cx(0, 1), Gate("ry", (1,), np.arange(4.0))), 1, 4)
+    part = c.points(1, 3)
+    assert part.gates[0].angle.tolist() == [False, True]
+    assert part.gates[1] is c.gates[1]
+    assert part.gates[2].angle.tolist() == [1.0, 2.0]
+
+
 def test_plan_resolves_a_gate_once_unless_its_angle_differs_by_point():
     shared = Gate.cx(0, 1)
     a = Circuit(2, (Gate.ry(0, 0.3), shared, Gate.rz(1, 0.5)), 1)

@@ -481,6 +481,19 @@ def test_resource_counts_against_frozen_formulas():
             assert res.depth == depth(circuit)
 
 
+def test_a_batch_s_resources_are_its_first_point_s():
+    # the sign x of a term negative in some trials is a mask: no gate at a
+    # point it skips, and the batch's per-point values stay whole
+    rng = np.random.default_rng(31)
+    xs = [-0.5, 0.25, 0.8]
+    for order in ("backward", "forward"):
+        programs = [compile_poly(Polynomial(tuple(rng.uniform(-1, 1, 6))), order) for _ in range(8)]
+        programs = [p for p in programs if skeleton_key(p) == skeleton_key(programs[0])]
+        batch = plan_programs(programs, xs)
+        assert any(g.kind == "x" and isinstance(g.angle, np.ndarray) for g in batch.gates)
+        assert resources(batch) == resources(build_circuit(programs[0], xs[0]))
+
+
 def test_two_qubit_depth_at_the_papers_size():
     # the paper's 36-qubit programs report "circuit depths of 70": the CX
     # layers of the forward order, not its depth over every gate

@@ -253,7 +253,7 @@ def test_batch_matches_kron_oracle_on_every_kind_and_across_chunks():
     # from n = 9 on, 70 points of n qubits overflow one chunk
     from polyshot import dense
 
-    assert dense._CHUNK_AMPLITUDES >> 9 < 70
+    assert dense._CHUNK_BYTES // (16 * 2**9) < 70
     rng = np.random.default_rng(81)
     for n in range(1, 11):
         measured = n // 2
@@ -334,11 +334,11 @@ def _sweep_peaks(monkeypatch) -> list[tuple]:
 
     peaks, sweep = [], dense._sweep
 
-    def spy(steps, n, lo, hi, encoding, measured=None):
+    def spy(circuit, measured=None):
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        swept = sweep(steps, n, lo, hi, encoding, measured)
-        checked = dense._PEAK_BYTES_PER_AMPLITUDE * (hi - lo) * 2**n
+        swept = sweep(circuit, measured)
+        checked = dense._PEAK_BYTES_PER_AMPLITUDE * circuit.batch * 2**circuit.n_qubits
         peaks.append((checked, tracemalloc.get_traced_memory()[1] - before))
         return swept
 
@@ -396,7 +396,7 @@ def test_a_one_point_narrow_batch_takes_a_mask_of_one_bool(mask):
         dense._apply_gate(state, gate.kind, list(gate.qubits), gate.angle)
     assert np.array_equal(state.reshape(-1), want)
     # 17 points of 11 qubits run as chunks of 16 and 1
-    assert dense._CHUNK_AMPLITUDES >> 11 == 16
+    assert dense._CHUNK_BYTES // (16 * 2**11) == 16
     points = [Circuit(11, (Gate.ry(0, a), Gate.x(3), Gate.cx(3, 10), Gate.ry(10, a)), 10)
               for a in rng.uniform(-math.pi, math.pi, 17)]
     masks = np.array([not mask] * 16 + [mask])
@@ -435,7 +435,7 @@ def test_degree_batch_across_chunks_is_each_trial_alone_bit_for_bit():
     # 7 qubits: chunks of 256 points, so 40 trials x 15 points span 3 chunks
     from polyshot import dense
 
-    assert dense._CHUNK_AMPLITUDES >> 7 == 256
+    assert dense._CHUNK_BYTES // (16 * 2**7) == 256
     xs = [float(x) for x in np.linspace(-0.9, 0.9, 15)]
     for order in ("backward", "forward"):
         programs = _trials(np.random.default_rng(83), 6, order, 40)
@@ -459,30 +459,40 @@ def test_fused_degree_batch_of_mixed_signs_is_each_trial_alone_bit_for_bit(order
 
 
 def _chunks(monkeypatch) -> list[tuple]:
-    """Spies on dense._sweep: each chunk's first point, fused steps and
-    encoding, in the order the chunks run."""
+    """Spies on dense._adjoining_sweep: each wide point, its fused steps and
+    encoding, in the order the points run."""
     from polyshot import dense
 
-    swept, sweep = [], dense._sweep
+    swept, sweep = [], dense._adjoining_sweep
 
-    def spy(steps, n, lo, hi, encoding, measured=None):
-        swept.append((lo, steps, encoding))
-        return sweep(steps, n, lo, hi, encoding, measured)
+    def spy(steps, n, point, encoding, measured=None):
+        swept.append((point, steps, encoding))
+        return sweep(steps, n, point, encoding, measured)
 
-    monkeypatch.setattr(dense, "_sweep", spy)
+    monkeypatch.setattr(dense, "_adjoining_sweep", spy)
     return swept
 
 
 # --- wide states: runs of gates on up to three qubits fused into one matmul ---
 
 
+def _gate_sweep(circuit: Circuit) -> tuple[np.ndarray, list[int]]:
+    """dense._sweep of a circuit with no encoding built: the states of its
+    points from the gate-by-gate sweep of every gate from |0...0>, and the
+    qubit each axis holds."""
+    from polyshot import dense
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dense, "_encoding", lambda gates: (0, []))
+        return dense._sweep(circuit)
+
+
 def _unfused(circuits: list[Circuit], i: int) -> np.ndarray:
     """Point i's amplitudes, in qubit order, from the gate-by-gate sweep of
     every gate from |0...0>, with no encoding built."""
-    from polyshot import dense
     from polyshot.circuit import plan
 
-    state, order = dense._sweep(plan(circuits).gates, circuits[0].n_qubits, i, i + 1, [])
+    state, order = _gate_sweep(plan(circuits).points(i, i + 1))
     assert order == list(range(circuits[0].n_qubits))
     return state.reshape(-1)
 
@@ -490,13 +500,18 @@ def _unfused(circuits: list[Circuit], i: int) -> np.ndarray:
 def test_only_a_state_of_one_point_per_chunk_is_fused(monkeypatch):
     from polyshot import dense
 
-    swept, sweep = [], dense._sweep
+    swept, sweep, adjoining_sweep = [], dense._sweep, dense._adjoining_sweep
 
-    def spy(steps, n, lo, hi, encoding, measured=None):  # each chunk's size and whether fused
-        swept.append((hi - lo, any(kind == "u" for kind, _, _ in steps)))
-        return sweep(steps, n, lo, hi, encoding, measured)
+    def spy(circuit, measured=None):  # each narrow chunk's size and whether fused
+        swept.append((circuit.batch, any(kind == "u" for kind, _, _ in circuit.gates)))
+        return sweep(circuit, measured)
+
+    def adjoining_spy(steps, n, point, encoding, measured=None):  # a wide point alone
+        swept.append((1, all(kind == "u" for kind, _, _ in steps)))
+        return adjoining_sweep(steps, n, point, encoding, measured)
 
     monkeypatch.setattr(dense, "_sweep", spy)
+    monkeypatch.setattr(dense, "_adjoining_sweep", adjoining_spy)
     for n, points, chunks in ((11, 20, [(16, False), (4, False)]), (12, 3, [(1, True)] * 3)):
         circuits = _kernel_batch(n, np.random.default_rng(n), points, 0, ("ry",))
         swept.clear()
@@ -800,7 +815,7 @@ def test_the_built_encoding_is_the_gate_sweep_bit_for_bit(order):
             assert count == leading_x + min(d, 2)
         for lo, hi, states, axes in dense._states(batch):
             assert axes == list(range(d + 1))
-            want, _ = dense._sweep(batch.gates, d + 1, lo, hi, [])
+            want, _ = _gate_sweep(batch.points(lo, hi))
             assert np.array_equal(states, want)
     assert masked and led
 

@@ -457,9 +457,9 @@ def _sweeps(monkeypatch) -> list[int]:
     """The size of each chunk run_window_plan sweeps, recorded as it runs."""
     sizes, sweep = [], stream._sweep
 
-    def spy(batch, mats, life, points, *args):
-        sizes.append(len(points))
-        return sweep(batch, mats, life, points, *args)
+    def spy(chunk, mats, life, lo, *args):
+        sizes.append(chunk.batch)
+        return sweep(chunk, mats, life, lo, *args)
 
     monkeypatch.setattr(stream, "_sweep", spy)
     return sizes
@@ -477,13 +477,13 @@ def test_a_chunked_window_is_the_one_chunk_sweep_bit_for_bit(order, d, noise, mo
     if d >= 3:
         assert any(kind == "x" and isinstance(arg, np.ndarray) for kind, _, arg in batch.gates)
     sizes = _sweeps(monkeypatch)
-    monkeypatch.setattr(stream, "_CHUNK_ENTRIES", 2**62)
+    monkeypatch.setattr(dense, "_CHUNK_BYTES", 8 * 2**62)
     whole = run_window_plan(batch, window_cap=10, noise=noise)
     assert sizes == [24]
     w = stream.liveness(batch).peak_window
     for points in (1, 4, 5, 7):
         sizes.clear()
-        monkeypatch.setattr(stream, "_CHUNK_ENTRIES", points * 4**w + 4**w - 1)
+        monkeypatch.setattr(dense, "_CHUNK_BYTES", 8 * (points * 4**w + 4**w - 1))
         assert run_window_plan(batch, window_cap=10, noise=noise) == whole
         assert sizes == [points] * (24 // points) + [24 % points] * (24 % points > 0)
     assert run_window_plan(batch, window_cap=10, noise=noise, check_invariants=True) == whole
@@ -496,7 +496,7 @@ def test_the_window_memory_check_is_per_chunk(monkeypatch):
     programs = _mixed_sign_trials(6, "backward", 10, seed=140)
     batch = plan_programs(programs, xs)
     w = stream.liveness(batch).peak_window
-    chunk = stream._CHUNK_ENTRIES // 4**w
+    chunk = dense._CHUNK_BYTES // (8 * 4**w)
     assert 1 < chunk < batch.batch
     need = 2 * 16 * chunk * 4**w
     monkeypatch.setattr(dense, "_free_memory_bytes", lambda: need - 1)
@@ -553,7 +553,7 @@ def test_a_many_trial_window_peaks_at_about_one_chunk():
     batch = plan_programs(programs, xs)
     w = stream.liveness(batch).peak_window
     # one trial's 15 points are one chunk, and 10 trials' are 10 chunks
-    assert -(-batch.batch // (stream._CHUNK_ENTRIES // 4**w)) == 10
+    assert -(-batch.batch // (dense._CHUNK_BYTES // (8 * 4**w))) == 10
     one_trial = peak(plan_programs(programs[:1], xs))
     assert peak(batch) <= 1.5 * one_trial
 
