@@ -2,7 +2,7 @@
 circuits and reproduce their exact and shot-sampled evaluation statistics
 on dense and windowed simulators."""
 
-from .circuit import Circuit, Gate, depth, to_qasm, validate, validate_qasm
+from .circuit import Circuit, Gate, depth, to_qasm, validate_qasm
 from .compile import (
     CompiledProgram,
     ResourceCounts,
@@ -73,7 +73,6 @@ __all__ = [
     "shot_scaling_fit",
     "sup_norm",
     "to_qasm",
-    "validate",
     "validate_qasm",
     "write_coeffs",
     "write_program",

@@ -6,26 +6,33 @@ identical circuits of one point serialize to identical text.
 
 A Circuit is also the one batch input of both simulators: `batch` points of
 one gate skeleton (compile.plan_programs makes one of a degree's trials x
-points).  A gate's angle is a float for every point or an array of exactly
-`batch`, one per point, and an x may hold a bool mask of the `batch` points
-it acts on (or one bool); a Circuit that breaks this raises CircuitError,
-naming the gate, when it is made.  Both simulators run a batch in chunks
-Circuit.points(lo, hi) of at most dense._CHUNK_BYTES (2^19) bytes of state
-and at least one point: 2^15 >> n dense points of n qubits at 16 bytes an
-amplitude (a point of 2^12 amplitudes and up runs alone, see dense.py), and
-2^16 // 4^w points at 8 bytes a window entry, w the peak window.  Every
-kernel computes each point alone, so the chunks move no bit of any z.
+points).  Circuit.__post_init__ is the one check, so an invalid Circuit
+cannot be made: it raises CircuitError, naming the gate index where there is
+one, unless batch >= 1, 0 <= measured_qubit < n_qubits, and each gate is of
+GATE_KINDS on int qubits in range (a cx on two distinct ones) holding: for
+ry and rz, a finite int or float (not a bool) or a numeric array of `batch`
+finite angles, one per point; for x, None, one bool (Python or numpy) or a
+bool mask of the `batch` points it acts on; for cx, None.  A list of angles,
+a bool angle, an x holding a number and a cx holding a value are refused,
+though the kernels would run them.
+
+Both simulators run a batch in chunks Circuit.points(lo, hi) of at most
+dense._CHUNK_BYTES (2^19) bytes of state and at least one point: 2^15 >> n
+dense points of n qubits at 16 bytes an amplitude (a point of 2^12
+amplitudes and up runs alone, see dense.py), and 2^16 // 4^w points at 8
+bytes a window entry, w the peak window.  Every kernel computes each point
+alone, so the chunks move no bit of any z.
 """
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 GATE_KINDS = ("ry", "rz", "x", "cx")
-_PARAMETRIC = ("ry", "rz")
 
 
 class Gate(NamedTuple):
@@ -63,11 +70,43 @@ class Circuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        shape = (self.batch,)
-        for i, (kind, _, v) in enumerate(self.gates):
-            if isinstance(v, np.ndarray) and (v.shape != shape or kind == "x" and v.dtype != bool):
-                want = f"{self.batch} bools" if kind == "x" else f"{self.batch} values"
-                raise CircuitError(f"{kind} at index {i} holds {v.shape} {v.dtype}, not {want}")
+        n, m, batch = self.n_qubits, self.measured_qubit, self.batch
+        if not (isinstance(batch, int) and batch >= 1):
+            raise CircuitError(f"a circuit of {batch!r} points, not one or more")
+        if not (isinstance(n, int) and n >= 1):
+            raise CircuitError("circuit must have at least one qubit")
+        if not (isinstance(m, int) and 0 <= m < n):
+            raise CircuitError(f"measured qubit {m} out of range for {n} qubits")
+        arrays = {}  # the per-point values by id, for one finiteness check
+        for i, (kind, qubits, v) in enumerate(self.gates):
+            if kind not in GATE_KINDS:
+                raise CircuitError(f"unknown gate kind {kind!r} at index {i}")
+            want = 2 if kind == "cx" else 1
+            if len(qubits) != want:
+                raise CircuitError(f"{kind} at index {i} has {len(qubits)} qubits, expected {want}")
+            for q in qubits:
+                if not (type(q) is int and 0 <= q < n):
+                    raise CircuitError(f"gate on qubit {q} out of range at index {i}")
+            if kind == "cx" and qubits[0] == qubits[1]:
+                raise CircuitError(f"identical control/target at index {i}")
+            if isinstance(v, np.ndarray) and kind != "cx":
+                if v.shape != (batch,) or v.dtype.kind not in ("b" if kind == "x" else "iuf"):
+                    need = f"{batch} bools" if kind == "x" else f"{batch} values"
+                    raise CircuitError(f"{kind} at index {i} holds {v.shape} {v.dtype}, not {need}")
+                arrays[id(v)] = v
+            elif kind == "x" or kind == "cx":
+                if not (v is None or kind == "x" and isinstance(v, (bool, np.bool_))):
+                    raise CircuitError(f"{kind} must not carry an angle (index {i})")
+            elif v is None:
+                raise CircuitError(f"{kind} missing angle at index {i}")
+            elif isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise CircuitError(f"{kind} at index {i} holds {type(v).__name__}, not an angle")
+            elif not abs(v) <= sys.float_info.max:  # NaN, an infinity, or an int past every float
+                raise CircuitError(f"{kind} has non-finite angle at index {i}")
+        if arrays and not np.isfinite(np.concatenate(list(arrays.values()))).all():
+            i, kind = next((i, g.kind) for i, g in enumerate(self.gates)
+                           if id(g.angle) in arrays and not np.isfinite(g.angle).all())
+            raise CircuitError(f"{kind} has non-finite angle at index {i}")
 
     def points(self, lo: int, hi: int) -> "Circuit":
         """The circuit of points lo..hi-1, every per-point angle and mask
@@ -90,40 +129,6 @@ class Circuit:
         return sum(1 for g in self.gates if g.kind != "cx")
 
 
-def validate(circuit: Circuit) -> list[str]:
-    """Return every structural violation of a circuit of one point; an empty
-    list means the circuit is ok."""
-    if circuit.batch != 1:
-        return [f"a circuit of {circuit.batch} points, not one"]
-    problems: list[str] = []
-    n = circuit.n_qubits
-    if n < 1:
-        problems.append("circuit must have at least one qubit")
-    if not (0 <= circuit.measured_qubit < n):
-        problems.append(f"measured qubit {circuit.measured_qubit} out of range for {n} qubits")
-    for i, g in enumerate(circuit.gates):
-        if g.kind not in GATE_KINDS:
-            problems.append(f"unknown gate kind {g.kind!r} at index {i}")
-            continue
-        want = 2 if g.kind == "cx" else 1
-        if len(g.qubits) != want:
-            problems.append(f"{g.kind} at index {i} has {len(g.qubits)} qubits, expected {want}")
-            continue
-        for q in g.qubits:
-            if not (0 <= q < n):
-                problems.append(f"gate on qubit {q} out of range at index {i}")
-        if g.kind == "cx" and g.qubits[0] == g.qubits[1]:
-            problems.append(f"identical control/target at index {i}")
-        if g.kind in _PARAMETRIC:
-            if g.angle is None:
-                problems.append(f"{g.kind} missing angle at index {i}")
-            elif not np.isfinite(g.angle):
-                problems.append(f"{g.kind} has non-finite angle at index {i}")
-        elif g.angle is not None:
-            problems.append(f"{g.kind} must not carry an angle (index {i})")
-    return problems
-
-
 def depth(circuit: Circuit, kinds: tuple[str, ...] = GATE_KINDS) -> int:
     """Longest chain in the dependency DAG; gates conflict iff they share a qubit.
 
@@ -134,12 +139,14 @@ def depth(circuit: Circuit, kinds: tuple[str, ...] = GATE_KINDS) -> int:
 
 
 def depths(circuit: Circuit, kinds: tuple[str, ...] = GATE_KINDS) -> tuple[int, int]:
-    """depth(circuit, kinds) and the two-qubit depth, from one walk of the gates."""
+    """depth(circuit, kinds) and the two-qubit depth, from one walk of the gates,
+    at the first point: an x whose mask skips it is no gate there."""
     level = [0] * circuit.n_qubits  # the layer each qubit's last gate ends
     two = [0] * circuit.n_qubits  # the same, counting the two-qubit gates alone
     for g in circuit.gates:
         if len(g.qubits) == 1:
-            level[g.qubits[0]] += g.kind in kinds
+            if g.kind != "x" or g.angle is None or np.ravel(g.angle)[0]:
+                level[g.qubits[0]] += g.kind in kinds
         else:
             a, b = g.qubits
             level[a] = level[b] = max(level[a], level[b]) + (g.kind in kinds)
@@ -179,11 +186,11 @@ def _fmt_angle(a: float) -> str:
 def to_qasm(circuit: Circuit) -> str:
     """Emit OpenQASM 3.0 text for a circuit of one point.
 
-    Refuses invalid circuits and batches; output is deterministic down to the byte.
+    Refuses a circuit of several points and a masked x, which QASM cannot
+    hold; output is deterministic down to the byte.
     """
-    problems = validate(circuit)
-    if problems:
-        raise CircuitError("cannot emit invalid circuit: " + "; ".join(problems))
+    if circuit.batch != 1 or any(g.kind == "x" and g.angle is not None for g in circuit.gates):
+        raise CircuitError(f"cannot emit a circuit of {circuit.batch} points, or with a masked x")
     lines = [
         "OPENQASM 3.0;",
         'include "stdgates.inc";',
@@ -191,10 +198,8 @@ def to_qasm(circuit: Circuit) -> str:
         "bit c;",
     ]
     for g in circuit.gates:
-        if g.kind == "ry":
-            lines.append(f"ry({_fmt_angle(g.angle)}) q[{g.qubits[0]}];")
-        elif g.kind == "rz":
-            lines.append(f"rz({_fmt_angle(g.angle)}) q[{g.qubits[0]}];")
+        if g.kind in ("ry", "rz"):
+            lines.append(f"{g.kind}({_fmt_angle(g.angle)}) q[{g.qubits[0]}];")
         elif g.kind == "x":
             lines.append(f"x q[{g.qubits[0]}];")
         else:
@@ -215,8 +220,8 @@ _QASM_RE = {
 
 def validate_qasm(text: str) -> list[str]:
     """Grammar-level check of emitted QASM against the subset this library
-    writes: the header, then each statement parsed into a Gate, the circuit
-    they make checked by validate."""
+    writes: the header, then each statement parsed into a Gate, and the
+    CircuitError, if any, of the Circuit they make."""
     res = _QASM_RE
     problems: list[str] = []
     lines = text.split("\n")
@@ -251,5 +256,8 @@ def validate_qasm(text: str) -> list[str]:
             gates.append(Gate.cx(int(cx.group(1)), int(cx.group(2))))
         else:
             problems.append(f"line {ln}: unrecognized statement {line!r}")
-    measured = int(mm.group(1)) if mm else 0
-    return problems + validate(Circuit(int(m.group(1)), gates, measured))
+    try:
+        Circuit(int(m.group(1)), gates, int(mm.group(1)) if mm else 0)
+    except CircuitError as e:
+        problems.append(str(e))
+    return problems

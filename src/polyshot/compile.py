@@ -265,18 +265,8 @@ def build_circuit(program: CompiledProgram, x: float) -> Circuit:
 
 def resources(circuit: Circuit) -> ResourceCounts:
     """Exact gate counts, dependency depth and two-qubit depth (the longest
-    chain of CX layers) from the IR, at the circuit's first point: an x whose
-    mask skips that point is no gate there."""
-    gates = [g for g in circuit.gates if g.kind != "x" or g.angle is None or g.angle[0]]
-    # every point's angles and masks kept, a circuit of the batch: depths reads none
-    first = Circuit(circuit.n_qubits, gates, circuit.measured_qubit, circuit.batch)
-    depth, two_qubit_depth = depths(first)
-    return ResourceCounts(
-        qubits=first.n_qubits,
-        two_qubit_gates=first.two_qubit_count,
-        depth=depth,
-        two_qubit_depth=two_qubit_depth,
-    )
+    chain of CX layers) from the IR, at the circuit's first point (depths)."""
+    return ResourceCounts(circuit.n_qubits, circuit.two_qubit_count, *depths(circuit))
 
 
 def reconstruct_coeffs(program: CompiledProgram) -> tuple[float, ...]:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polyshot.circuit import (
     Circuit,
@@ -9,32 +11,34 @@ from polyshot.circuit import (
     depths,
     plan,
     to_qasm,
-    validate,
     validate_qasm,
 )
+from polyshot.dense import expect_z_plan
+from polyshot.stream import run_window_plan
 
 
 def test_validate_empty_ok():
-    assert validate(Circuit(1, (), 0)) == []
+    assert Circuit(1, (), 0).gates == ()
 
 
 def test_validate_catches_identical_control_target():
-    problems = validate(Circuit(3, (Gate("cx", (2, 2)),), 0))
-    assert any("identical control/target at index 0" in p for p in problems)
+    with pytest.raises(CircuitError, match="identical control/target at index 0"):
+        Circuit(3, (Gate("cx", (2, 2)),), 0)
 
 
 def test_validate_catches_out_of_range_qubit():
-    problems = validate(Circuit(4, (Gate.ry(5, 0.1),), 0))
-    assert any("qubit 5" in p and "index 0" in p for p in problems)
+    with pytest.raises(CircuitError, match="qubit 5.*index 0"):
+        Circuit(4, (Gate.ry(5, 0.1),), 0)
 
 
 def test_validate_catches_bad_measured_qubit():
-    assert validate(Circuit(2, (), 5))
+    with pytest.raises(CircuitError, match="measured qubit 5 out of range for 2 qubits"):
+        Circuit(2, (), 5)
 
 
 def test_validate_catches_angle_on_x():
-    problems = validate(Circuit(1, (Gate("x", (0,), 0.3),), 0))
-    assert any("must not carry an angle" in p for p in problems)
+    with pytest.raises(CircuitError, match="must not carry an angle"):
+        Circuit(1, (Gate("x", (0,), 0.3),), 0)
 
 
 def test_depth_empty():
@@ -105,8 +109,10 @@ def test_qasm_deterministic():
 
 
 def test_qasm_refuses_invalid_circuit():
-    with pytest.raises(CircuitError):
-        to_qasm(Circuit(1, (Gate.cx(0, 0),), 0))
+    # a cx(0, 0) is refused when it is made; a masked x is valid but has no QASM
+    for mask in (np.array([True]), np.True_):
+        with pytest.raises(CircuitError, match="masked x"):
+            to_qasm(Circuit(2, (Gate.ry(0, 0.3), Gate("x", (1,), mask), Gate.cx(0, 1)), 1))
 
 
 def test_qasm_validator_accepts_emitted():
@@ -162,6 +168,66 @@ def test_a_malformed_batch_raises_naming_its_gate(case):
     n, gates, index, match = _MALFORMED[case]
     with pytest.raises(CircuitError, match=f"index {index} .*{match}"):
         Circuit(n, gates, 1, 3)
+
+
+def _arrays(elements, length) -> st.SearchStrategy:
+    return st.lists(elements, min_size=length, max_size=length).map(np.array)
+
+
+def _mostly(draw, good: st.SearchStrategy, bad: st.SearchStrategy):
+    """A value of good 19 times in 20, else one of bad."""
+    return draw(good if draw(st.sampled_from([True] * 19 + [False])) else bad)
+
+
+@st.composite
+def _gates(draw, n: int, batch: int) -> Gate:
+    """A gate whose kind, arity, each qubit and value are each valid 19 times
+    in 20."""
+    kind = _mostly(draw, st.sampled_from(["ry", "rz", "x", "cx"]), st.just("h"))
+    arity = _mostly(draw, st.just(2 if kind == "cx" else 1), st.sampled_from([0, 1, 2, 3]))
+    qubits = tuple(
+        _mostly(draw, st.integers(0, n - 1), st.sampled_from([-1, n, 1.0, True, np.int64(0)]))
+        for _ in range(arity)
+    )
+    angles = st.floats(-4.0, 4.0) | st.integers(-3, 3) | _arrays(st.floats(-4.0, 4.0), batch)
+    masks = st.sampled_from([None, True, False, np.True_, np.False_]) | _arrays(st.booleans(), batch)
+    wrong = st.sampled_from([0, 1, 2, 4]).filter(lambda k: k != batch)
+    junk = st.one_of(
+        st.sampled_from([None, float("nan"), float("inf"), 0.5, True, np.True_, [0.1, 0.2, 0.3]]),
+        wrong.flatmap(lambda k: _arrays(st.floats(-4.0, 4.0), k) | _arrays(st.booleans(), k)),
+        st.just(np.array([0.5] * (batch - 1) + [float("nan")])),
+    )
+    good = {"ry": angles, "rz": angles, "x": masks}.get(kind, st.none())
+    return Gate(kind, qubits, _mostly(draw, good, junk))
+
+
+@st.composite
+def _circuits(draw) -> tuple:
+    """Circuit arguments whose batch, width and measured qubit are each valid
+    (_mostly), and up to 8 gates."""
+    batch = _mostly(draw, st.integers(1, 3), st.sampled_from([0, -1, 2.0]))
+    n = _mostly(draw, st.integers(1, 4), st.sampled_from([0, -1, 2.0]))
+    width = n if isinstance(n, int) and n >= 1 else 2  # the qubits gates draw from
+    points = batch if isinstance(batch, int) and batch >= 1 else 2  # the values they hold
+    measured = _mostly(draw, st.integers(0, width - 1), st.sampled_from([-1, width, 0.0]))
+    return n, draw(st.lists(_gates(width, points), max_size=8)), measured, batch
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(args=_circuits())
+@example(args=(2, [Gate.ry(0, 0.3), Gate.cx(0, 0)], 0, 1))  # dense ran it, stream raised
+@example(args=(2, [Gate("ry", (0,), [0.1, 0.2, 0.3]), Gate.cx(0, 1)], 1, 3))
+@example(args=(2, [Gate.ry(0, 0.3), Gate("x", (1,), 0.5)], 1, 1))  # ran as a plain x
+@example(args=(1, [Gate("rz", (0,), np.array([0.5, float("nan")]))], 0, 2))
+def test_every_circuit_is_refused_or_runs_alike_on_both_simulators(args):
+    try:
+        circuit = Circuit(*args)
+    except CircuitError:
+        return
+    dense = expect_z_plan(circuit)
+    stream = run_window_plan(circuit, window_cap=circuit.n_qubits)
+    assert len(dense) == len(stream) == circuit.batch
+    assert np.max(np.abs(np.subtract(dense, stream))) <= 1e-10
 
 
 def _random_plan_points(rng, n_points: int) -> list[Circuit]:
@@ -235,7 +301,6 @@ def test_validate_and_qasm_refuse_a_circuit_of_several_points():
     a = Circuit(2, (Gate.ry(0, 0.3), Gate.x(1), Gate.cx(0, 1)), 1)
     b = Circuit(2, (Gate.ry(0, 0.7), Gate.x(1), Gate.cx(0, 1)), 1)
     batch = plan([a, b])
-    assert validate(batch) == ["a circuit of 2 points, not one"]
     masked = Circuit(2, (Gate("x", (1,), np.array([True, False])),), 1, batch=2)
     for circuit in (batch, masked):
         with pytest.raises(CircuitError, match="2 points"):
@@ -247,7 +312,7 @@ def test_every_public_name_resolves():
 
     for name in polyshot.__all__:
         assert getattr(polyshot, name) is not None, name
-    gone = {"build_circuits", "expect_z_batch", "run_window_batch"}
+    gone = {"build_circuits", "expect_z_batch", "run_window_batch", "validate"}
     gone |= {"ShotOutcome", "draw_shots", "draw_shots_batch", "Estimate", "point_estimate"}
     assert not gone & set(polyshot.__all__)
     assert not [name for name in gone if hasattr(polyshot, name)]

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polyshot.circuit import depth, plan
+from polyshot.circuit import Circuit, Gate, depth, plan
 from polyshot.compile import (
     CompileError,
     CompiledProgram,
@@ -492,6 +492,16 @@ def test_a_batch_s_resources_are_its_first_point_s():
         batch = plan_programs(programs, xs)
         assert any(g.kind == "x" and isinstance(g.angle, np.ndarray) for g in batch.gates)
         assert resources(batch) == resources(build_circuit(programs[0], xs[0]))
+
+
+@pytest.mark.parametrize("mask", [True, np.True_, False, np.False_])
+def test_an_x_of_one_bool_counts_as_the_plain_x_or_no_gate(mask):
+    plain = (Gate.x(1),) if mask else ()
+    for batch in (1, 3):
+        gates = (Gate.ry(0, 0.3), Gate("x", (1,), mask), Gate.rz(1, 0.5), Gate.cx(0, 1))
+        want = resources(Circuit(2, (Gate.ry(0, 0.3), *plain, Gate.rz(1, 0.5), Gate.cx(0, 1)), 1))
+        assert resources(Circuit(2, gates, 1, batch)) == want
+        assert want.depth == (3 if mask else 2)
 
 
 def test_two_qubit_depth_at_the_papers_size():
