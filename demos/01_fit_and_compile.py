@@ -11,20 +11,20 @@ import math
 
 import numpy as np
 
-from polyshot import compute_weights, fit, normalize, sup_norm
+from polyshot import compile_poly, fit, normalize_rows, sup_norms
 
 samples = [(x, math.sin(math.pi * x)) for x in np.linspace(-1, 1, 101)]
 result = fit(samples, degree=7)
 print(f"degree-7 fit of sin(pi x): MSE = {result.mse:.3e}")
 print("coefficients:", np.round(result.poly.coeffs, 6))
 
-npoly = normalize(result.poly)
-print(f"\nl1 rescale constant C = {npoly.scale:.6f}")
-print(f"sup norm over [-1,1]  = {sup_norm(result.poly):.6f} (always <= C)")
-print("normalized coefficients sum of |.|:", sum(abs(t) for t in npoly.tilde_coeffs))
+(tilde,), (scale,) = normalize_rows([result.poly.coeffs])
+print(f"\nl1 rescale constant C = {scale:.6f}")
+print(f"sup norm over [-1,1]  = {sup_norms([result.poly.coeffs])[0]:.6f} (always <= C)")
+print("normalized coefficients sum of |.|:", sum(abs(t) for t in tilde.tolist()))
 
 for order in ("backward", "forward"):
-    sched = compute_weights(npoly, order)
+    sched = compile_poly(result.poly, order).schedule
     print(f"\n{order} schedule (seed index {sched.seed_index}):")
     for k, (w, a, s, skip) in enumerate(
         zip(sched.weights, sched.angles, sched.signs, sched.skip_flags)

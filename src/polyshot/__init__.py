@@ -2,7 +2,7 @@
 circuits and reproduce their exact and shot-sampled evaluation statistics
 on dense and windowed simulators."""
 
-from .circuit import Circuit, Gate, depth, to_qasm, validate_qasm
+from .circuit import Circuit, Gate, depths, to_qasm, validate_qasm
 from .compile import (
     CompiledProgram,
     ResourceCounts,
@@ -11,7 +11,6 @@ from .compile import (
     build_circuit,
     compile_poly,
     compile_polys,
-    compute_weights,
     read_program,
     resources,
     write_program,
@@ -20,14 +19,13 @@ from .dense import NoiseModel, draw_ones, expect_z, run_statevector
 from .estimate import Metrics, point_estimates, run_metrics, shot_scaling_fit
 from .poly import (
     FitResult,
-    NormalizedPolynomial,
     Polynomial,
     eval_poly,
     fit,
-    normalize,
+    normalize_rows,
     read_coeffs,
     read_samples,
-    sup_norm,
+    sup_norms,
     write_coeffs,
     write_samples,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "Gate",
     "Metrics",
     "NoiseModel",
-    "NormalizedPolynomial",
     "Polynomial",
     "ResourceCounts",
     "RetirementSchedule",
@@ -52,8 +49,7 @@ __all__ = [
     "build_circuit",
     "compile_poly",
     "compile_polys",
-    "compute_weights",
-    "depth",
+    "depths",
     "derive_seed",
     "draw_ones",
     "eval_poly",
@@ -61,7 +57,7 @@ __all__ = [
     "fit",
     "generator",
     "liveness",
-    "normalize",
+    "normalize_rows",
     "point_estimates",
     "read_coeffs",
     "read_program",
@@ -71,7 +67,7 @@ __all__ = [
     "run_statevector",
     "run_window",
     "shot_scaling_fit",
-    "sup_norm",
+    "sup_norms",
     "to_qasm",
     "validate_qasm",
     "write_coeffs",

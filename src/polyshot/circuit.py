@@ -8,13 +8,13 @@ A Circuit is also the one batch input of both simulators: `batch` points of
 one gate skeleton (compile.plan_programs makes one of a degree's trials x
 points).  Circuit.__post_init__ is the one check, so an invalid Circuit
 cannot be made: it raises CircuitError, naming the gate index where there is
-one, unless batch >= 1, 0 <= measured_qubit < n_qubits, and each gate is of
-GATE_KINDS on int qubits in range (a cx on two distinct ones) holding: for
-ry and rz, a finite int or float (not a bool) or a numeric array of `batch`
-finite angles, one per point; for x, None, one bool (Python or numpy) or a
-bool mask of the `batch` points it acts on; for cx, None.  A list of angles,
-a bool angle, an x holding a number and a cx holding a value are refused,
-though the kernels would run them.
+one, unless batch >= 1, 0 <= measured_qubit < n_qubits, and each entry is a
+Gate (not a tuple) of GATE_KINDS on int qubits in range (a cx on two distinct
+ones) holding: for ry and rz, a finite int or float (not a bool) or a numeric
+array of `batch` finite angles, one per point; for x, None, one bool (Python
+or numpy) or a bool mask of the `batch` points it acts on; for cx, None.  A
+list of angles, a bool angle, an x holding a number and a cx holding a value
+are refused, though the kernels would run them.
 
 Both simulators run a batch in chunks Circuit.points(lo, hi) of at most
 dense._CHUNK_BYTES (2^19) bytes of state and at least one point: 2^15 >> n
@@ -78,7 +78,10 @@ class Circuit:
         if not (isinstance(m, int) and 0 <= m < n):
             raise CircuitError(f"measured qubit {m} out of range for {n} qubits")
         arrays = {}  # the per-point values by id, for one finiteness check
-        for i, (kind, qubits, v) in enumerate(self.gates):
+        for i, g in enumerate(self.gates):
+            if type(g) is not Gate:  # refused, not rebuilt: plan and points rely on gate identity
+                raise CircuitError(f"entry at index {i} is a {type(g).__name__}, not a Gate")
+            kind, qubits, v = g
             if kind not in GATE_KINDS:
                 raise CircuitError(f"unknown gate kind {kind!r} at index {i}")
             want = 2 if kind == "cx" else 1
@@ -129,27 +132,20 @@ class Circuit:
         return sum(1 for g in self.gates if g.kind != "cx")
 
 
-def depth(circuit: Circuit, kinds: tuple[str, ...] = GATE_KINDS) -> int:
-    """Longest chain in the dependency DAG; gates conflict iff they share a qubit.
-
-    Every gate of the given kinds counts as one layer unit and the others as
-    none, so depth(circuit, ("cx",)) is the two-qubit depth.
-    """
-    return depths(circuit, kinds)[0]
-
-
-def depths(circuit: Circuit, kinds: tuple[str, ...] = GATE_KINDS) -> tuple[int, int]:
-    """depth(circuit, kinds) and the two-qubit depth, from one walk of the gates,
-    at the first point: an x whose mask skips it is no gate there."""
+def depths(circuit: Circuit) -> tuple[int, int]:
+    """The depth, the longest chain in the dependency DAG (gates conflict iff
+    they share a qubit), and the two-qubit depth, the same counting the cx
+    gates alone, from one walk of the gates, at the first point: an x whose
+    mask skips it is no gate there."""
     level = [0] * circuit.n_qubits  # the layer each qubit's last gate ends
     two = [0] * circuit.n_qubits  # the same, counting the two-qubit gates alone
     for g in circuit.gates:
         if len(g.qubits) == 1:
             if g.kind != "x" or g.angle is None or np.ravel(g.angle)[0]:
-                level[g.qubits[0]] += g.kind in kinds
+                level[g.qubits[0]] += 1
         else:
             a, b = g.qubits
-            level[a] = level[b] = max(level[a], level[b]) + (g.kind in kinds)
+            level[a] = level[b] = max(level[a], level[b]) + 1
             two[a] = two[b] = max(two[a], two[b]) + 1
     return max(level, default=0), max(two, default=0)
 
@@ -179,8 +175,9 @@ def plan(circuits: list[Circuit]) -> Circuit:
     return Circuit(first.n_qubits, steps, first.measured_qubit, len(circuits))
 
 
-def _fmt_angle(a: float) -> str:
-    return format(float(a), ".17g")
+def _fmt_angle(a) -> str:
+    """An angle, or the one angle of a one-point circuit's array, in 17 digits."""
+    return format(float(np.ravel(a)[0]), ".17g")
 
 
 def to_qasm(circuit: Circuit) -> str:

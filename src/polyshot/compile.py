@@ -50,8 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import Circuit, Gate, depths
-from .poly import NormalizedPolynomial, Polynomial, PolyError, coeffs_of, load_json_object
-from .poly import normalize_rows
+from .poly import Polynomial, PolyError, coeffs_of, load_json_object, normalize_rows
 
 HALF_PI = math.pi / 2.0
 # how far outside [0, 1] a weight may round before angle_of_weight rejects it
@@ -116,16 +115,12 @@ def angle_of_weight(w):
     return float(angles) if angles.ndim == 0 else angles
 
 
-def compute_weights(np_poly: NormalizedPolynomial, order: str) -> WeightSchedule:
-    """Convex weights, angles, signs and skip flags for one aggregation order."""
-    return _schedules(np.array([np_poly.tilde_coeffs], dtype=float), order)[0]
-
-
 def _schedules(tilde: np.ndarray, order: str) -> list[WeightSchedule]:
-    """compute_weights of each row of a [rows, d + 1] array of normalized
-    coefficients, in one numpy pass: the head or tail masses by a cumsum along
-    each row, so a row's schedule is the same in any batch.  A term that is
-    not folded has weight 0 and so angle arccos(1) = 0."""
+    """The convex weights, angles, signs and skip flags for one aggregation
+    order of each row of a [rows, d + 1] array of normalized coefficients, in
+    one numpy pass: the head or tail masses by a cumsum along each row, so a
+    row's schedule is the same in any batch.  A term that is not folded has
+    weight 0 and so angle arccos(1) = 0."""
     if order not in ORDERS:
         raise CompileError(f"order must be one of {ORDERS}, got {order!r}")
     mags = np.abs(tilde)

@@ -42,11 +42,11 @@ so they are the sweep's bit for bit, then sweeps the gates after the encoding.
 A wide point cuts its traffic by gate fusion instead.  The compiled programs
 are chains of two-qubit sum blocks, 6-7 gates on one qubit pair, and each
 block shares one qubit with the next, so each maximal run of consecutive gates
-on at most _FUSE_QUBITS = 3 qubits becomes one matrix of up to 8x8 (_runs,
-_fuse), its gates swept by _apply_gate over the basis states, so each gate's
-action is written once; a backward point of degree d runs ceil(d/2) such steps
-after its encoding, two sum blocks each (its last step is read for z, not run;
-see below).  Its state holds only the qubits its steps have met
+on at most _FUSE_QUBITS = 3 qubits becomes one matrix of up to 8x8 (_runs),
+its gates swept by _apply_gate over the basis states (_run_matrix), so each
+gate's action is written once; a backward point of degree d runs ceil(d/2)
+such steps after its encoding, two sum blocks each (its last step is read for
+z, not run; see below).  Its state holds only the qubits its steps have met
 (_adjoining_sweep), as the windowed simulator adjoins each qubit at its first
 gate.  The encoding is a product state apart from its cx chain, and the chain
 is a matrix-product state of bond dimension 2 (Vidal, "Efficient classical
@@ -266,13 +266,6 @@ def _runs(gates: list[Gate]) -> list[tuple[tuple, list]]:
     return runs
 
 
-def _fuse(runs: list[tuple[tuple, list]]) -> list[tuple]:
-    """Each run (_runs) as one step ("u", qubits, matrix), the matrix its
-    gates swept over the basis states (_run_matrix): one per point where a
-    gate of the run holds one angle or mask per point, else one for all."""
-    return [("u", qubits, _run_matrix(run, qubits)) for qubits, run in runs]
-
-
 def _apply_u(state: np.ndarray, factors: np.ndarray, out: np.ndarray) -> None:
     """Each row of K amplitudes (the innermost axes) of a state times each of
     P right factors [P, K, N], written into out as [P, rows, N]: one gemm
@@ -470,9 +463,10 @@ def _adjoining_sweep(
     steps: list[tuple], n: int, point: int, encoding: list[tuple], measured: int | None = None
 ):
     """The state, [1] + [2]*n, that one point's encoding (_encoding) and
-    fused steps leave it in, and the qubit each of its axes after the first
-    holds.  The state holds only the qubits the steps have met, and, while
-    the encoding's chain is open, its bond as the innermost axis.  A step
+    fused steps (qubits, run matrix) leave it in, and the qubit each of its
+    axes after the first holds.  The state holds only the qubits the steps
+    have met, and, while the encoding's chain is open, its bond as the
+    innermost axis.  A step
     adjoins its fresh qubits innermost, before the bond, ordered by the last
     step that touches them, so the qubits the next step shares are the
     innermost; chain qubits adjoined on the way to one the step needs go
@@ -486,7 +480,7 @@ def _adjoining_sweep(
     (_read_z), which is not run: the rest pass if it adjoins a qubit, else
     the last step's last group."""
     last: dict[int, int] = {}  # in the order the steps first meet the qubits
-    for i, (_, qubits, _) in enumerate(steps):
+    for i, (qubits, _) in enumerate(steps):
         last.update((q, i) for q in qubits)
     chain, sites = _sites(encoding, n, point)
     state, spare, bond, order = np.ones(1, dtype=complex), np.empty(0, dtype=complex), 1, []
@@ -499,7 +493,7 @@ def _adjoining_sweep(
         return spare
 
     # each step's matrix for the point: its own, or the one for all
-    own = [(q, m[point : point + 1] if len(m) > 1 else m) for _, q, m in steps]
+    own = [(q, m[point : point + 1] if len(m) > 1 else m) for q, m in steps]
     for j, (qubits, matrix) in enumerate([*own, (range(n), None)]):  # then the rest
         needed = sorted(qubits, key=lambda q: last.get(q, len(steps)))
         fresh = _fresh(needed, order, chain)
@@ -559,25 +553,23 @@ def _sweep(circuit: Circuit, measured: int | None = None):
     return (states, list(range(n))) if measured is None else _zs(states, measured)
 
 
-def _states(circuit: Circuit, z: bool = False):
-    """lo, hi, the states of the circuit's points lo..hi-1 and the qubit each
-    of their axes after the batch axis holds, or with `z` the points' <Z> of
-    the measured qubit, for each chunk in turn: narrow chunks Circuit.points
-    swept (_sweep), or each wide point alone (_adjoining_sweep), the batch's
-    encoding and fused runs (_fuse) built once.  A circuit past the qubit cap
-    raises first, and a wide one whose run matrices, encoding factors and
-    one point's state exceed the free memory raises before a matrix is
-    built.  The caller drops each chunk's states before asking for the next."""
+def _states(circuit: Circuit, measured: int | None = None):
+    """The states of each chunk's points and the qubit each of their axes
+    after the batch axis holds, or with `measured` the points' <Z> of that
+    qubit, for each chunk in turn, in point order: narrow chunks
+    Circuit.points swept (_sweep), or each wide point alone
+    (_adjoining_sweep), the batch's encoding and fused steps (qubits, run
+    matrix) built once (_runs, _run_matrix).  A circuit past the qubit cap
+    raises first, and a wide one whose run matrices, encoding factors and one
+    point's state exceed the free memory raises before a matrix is built.
+    The caller drops each chunk's states before asking for the next."""
     n, batch = circuit.n_qubits, circuit.batch
     if n > DEFAULT_QUBIT_CAP:
         raise CapacityError(f"{n} qubits exceeds the dense cap of {DEFAULT_QUBIT_CAP}{_ROUTE}")
-    measured = circuit.measured_qubit if z else None
     if 2**n < _FUSE_AMPLITUDES:
         chunk = max(1, _CHUNK_BYTES // (16 * 2**n))
         for lo in range(0, batch, chunk):
-            hi = min(lo + chunk, batch)
-            swept = _sweep(circuit.points(lo, hi), measured)
-            yield swept if z else (lo, hi, *swept)
+            yield _sweep(circuit.points(lo, min(lo + chunk, batch)), measured)
         return
     count, encoding = _encoding(circuit.gates)
     runs = _runs(circuit.gates[count:])
@@ -586,10 +578,9 @@ def _states(circuit: Circuit, z: bool = False):
     need += sum(f.nbytes for _, _, f in encoding) + _PEAK_BYTES_PER_AMPLITUDE * 2**n
     what = f"{batch} point(s) of {n} qubits: their run matrices, encoding and one state need"
     _check_memory(need, what)
-    steps = _fuse(runs)
+    steps = [(qubits, _run_matrix(run, qubits)) for qubits, run in runs]
     for point in range(batch):
-        swept = _adjoining_sweep(steps, n, point, encoding, measured)
-        yield swept if z else (point, point + 1, *swept)
+        yield _adjoining_sweep(steps, n, point, encoding, measured)
 
 
 def run_statevector(circuit: Circuit) -> np.ndarray:
@@ -597,7 +588,7 @@ def run_statevector(circuit: Circuit) -> np.ndarray:
     the final amplitudes."""
     if circuit.batch != 1:
         raise ValueError(f"run_statevector runs a circuit of one point, not {circuit.batch}")
-    ((_, _, states, order),) = _states(circuit)
+    ((states, order),) = _states(circuit)
     return states[0].transpose(np.argsort(order)).reshape(-1)
 
 
@@ -611,7 +602,7 @@ def expect_z_plan(circuit: Circuit) -> list[float]:
     through that pass's K x K form (_read_z), and the state run_statevector
     gives is never made, so z may differ from expect_z of that state, and
     from a sweep of all its gates, by about 1e-15."""
-    return [z for zs in _states(circuit, z=True) for z in zs]
+    return [z for zs in _states(circuit, circuit.measured_qubit) for z in zs]
 
 
 def expect_z(state: np.ndarray, qubit: int) -> float:

@@ -3,7 +3,7 @@ normalization that feeds the compiler.
 
 Normalization divides by the l1 norm of the coefficients so that downstream
 convex-weight aggregation telescopes exactly to the normalized polynomial.
-sup_norm gives the usual max-|P| over [-1, 1] for comparison, exactly, from
+sup_norms gives the usual max-|P| over [-1, 1] for comparison, exactly, from
 the roots of P'; it never exceeds the l1 constant.
 
 Coefficient files are written by json.dumps, so every coefficient is in its
@@ -52,16 +52,6 @@ class Polynomial:
 
 
 @dataclass(frozen=True)
-class NormalizedPolynomial:
-    tilde_coeffs: tuple[float, ...]
-    scale: float
-
-    @property
-    def degree(self) -> int:
-        return len(self.tilde_coeffs) - 1
-
-
-@dataclass(frozen=True)
 class FitResult:
     poly: Polynomial
     mse: float
@@ -99,11 +89,6 @@ def fit(samples: list[tuple[float, float]], degree: int) -> FitResult:
     return FitResult(Polynomial(tuple(coeffs)), mse)
 
 
-def sup_norm(poly: Polynomial) -> float:
-    """max |P(x)| over [-1, 1] (sup_norms of one polynomial)."""
-    return sup_norms([poly.coeffs])[0]
-
-
 def sup_norms(coeffs) -> list[float]:
     """max |P(x)| over [-1, 1] of each row of a [rows, d + 1] array of
     coefficients, constant term first: the largest |P| at x = +-1 and at the
@@ -137,13 +122,6 @@ def sup_norms(coeffs) -> list[float]:
             vals = vals * xs + a[:, None]
         out[sel] = np.abs(vals).max(axis=1)
     return out.tolist()
-
-
-def normalize(poly: Polynomial) -> NormalizedPolynomial:
-    """Scale coefficients so their absolute values sum to one: scale = sum|a_k|
-    (normalize_rows of one row)."""
-    tilde, scales = normalize_rows([poly.coeffs])
-    return NormalizedPolynomial(tuple(tilde[0].tolist()), float(scales[0]))
 
 
 def normalize_rows(coeffs) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,6 @@ from polyshot.circuit import (
     Circuit,
     CircuitError,
     Gate,
-    depth,
     depths,
     plan,
     to_qasm,
@@ -42,29 +41,36 @@ def test_validate_catches_angle_on_x():
 
 
 def test_depth_empty():
-    assert depth(Circuit(1, (), 0)) == 0
+    assert depths(Circuit(1, (), 0)) == (0, 0)
 
 
 def test_depth_parallel_single_qubit_gates():
     c = Circuit(2, (Gate.ry(0, 0.1), Gate.ry(1, 0.2)), 0)
-    assert depth(c) == 1
+    assert depths(c)[0] == 1
 
 
 def test_depth_serial_chain():
     c = Circuit(2, (Gate.ry(0, 0.1), Gate.cx(0, 1), Gate.ry(1, 0.2)), 1)
-    assert depth(c) == 3
+    assert depths(c)[0] == 3
 
 
-def test_depth_counts_only_the_given_kinds():
+def test_depth_and_two_qubit_depth():
     c = Circuit(3, (Gate.ry(0, 0.1), Gate.cx(0, 1), Gate.rz(1, 0.2), Gate.cx(1, 2), Gate.x(0)), 2)
-    assert depth(c) == 4
-    assert depth(c, ("cx",)) == 2
-    assert depth(c, ()) == 0
+    assert depths(c) == (4, 2)
+
+
+def _depth_oracle(gates) -> int:
+    """1 + the longest chain of earlier gates that share a qubit, by brute force."""
+    ends = []
+    for i, g in enumerate(gates):
+        ends.append(1 + max((ends[j] for j in range(i) if set(gates[j].qubits) & set(g.qubits)),
+                            default=0))
+    return max(ends, default=0)
 
 
 def test_depths_are_both_depths_from_one_walk():
-    # random circuits of every kind: depths gives depth(c, kinds) and the
-    # two-qubit depth, depth(c, ("cx",)), without a second walk
+    # random circuits of every kind: depths gives the depth and the two-qubit
+    # depth, each the brute-force chain over its gates, without a second walk
     rng = np.random.default_rng(7)
     for _ in range(50):
         n = int(rng.integers(1, 6))
@@ -76,14 +82,14 @@ def test_depths_are_both_depths_from_one_walk():
             else:
                 gates.append(Gate(kind, (int(rng.integers(n)),), None if kind == "x" else 0.3))
         c = Circuit(n, tuple(gates), 0)
-        assert depths(c) == (depth(c), depth(c, ("cx",)))
-        assert depths(c, ("ry",)) == (depth(c, ("ry",)), depth(c, ("cx",)))
+        cxs = [g for g in gates if g.kind == "cx"]
+        assert depths(c) == (_depth_oracle(gates), _depth_oracle(cxs))
 
 
 def test_depth_invariant_under_commuting_swap():
     a = Circuit(3, (Gate.ry(0, 0.1), Gate.ry(2, 0.2), Gate.cx(0, 1)), 0)
     b = Circuit(3, (Gate.ry(2, 0.2), Gate.ry(0, 0.1), Gate.cx(0, 1)), 0)
-    assert depth(a) == depth(b) == 2
+    assert depths(a)[0] == depths(b)[0] == 2
 
 
 def test_qasm_single_x_golden():
@@ -158,6 +164,7 @@ _MALFORMED = {
         13, (Gate.ry(0, 0.3), Gate("x", (12,), np.array([0.0, 1.0, 0.5])), Gate.cx(0, 12)), 1,
         "float64",
     ),
+    "a plain tuple": (2, (Gate.ry(0, 0.3), ("cx", (0, 1), None)), 1, "tuple, not a Gate"),
 }
 
 
@@ -219,6 +226,7 @@ def _circuits(draw) -> tuple:
 @example(args=(2, [Gate("ry", (0,), [0.1, 0.2, 0.3]), Gate.cx(0, 1)], 1, 3))
 @example(args=(2, [Gate.ry(0, 0.3), Gate("x", (1,), 0.5)], 1, 1))  # ran as a plain x
 @example(args=(1, [Gate("rz", (0,), np.array([0.5, float("nan")]))], 0, 2))
+@example(args=(1, [("ry", (0,), 0.3)], 0, 1))  # dense raised AttributeError, stream ran it
 def test_every_circuit_is_refused_or_runs_alike_on_both_simulators(args):
     try:
         circuit = Circuit(*args)
@@ -314,5 +322,6 @@ def test_every_public_name_resolves():
         assert getattr(polyshot, name) is not None, name
     gone = {"build_circuits", "expect_z_batch", "run_window_batch", "validate"}
     gone |= {"ShotOutcome", "draw_shots", "draw_shots_batch", "Estimate", "point_estimate"}
+    gone |= {"NormalizedPolynomial", "compute_weights", "depth", "normalize", "sup_norm"}
     assert not gone & set(polyshot.__all__)
     assert not [name for name in gone if hasattr(polyshot, name)]

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polyshot.circuit import Circuit, Gate, depth, plan
+from polyshot.circuit import Circuit, Gate, depths, plan, to_qasm
 from polyshot.compile import (
     CompileError,
     CompiledProgram,
@@ -15,7 +15,6 @@ from polyshot.compile import (
     build_circuit,
     compile_poly,
     compile_polys,
-    compute_weights,
     plan_programs,
     read_program,
     reconstruct_coeffs,
@@ -23,7 +22,7 @@ from polyshot.compile import (
     skeleton_key,
     write_program,
 )
-from polyshot.poly import NormalizationError, Polynomial, eval_poly, normalize
+from polyshot.poly import NormalizationError, Polynomial, eval_poly, normalize_rows
 
 
 def telescope(tilde, x, order):
@@ -63,7 +62,7 @@ def test_angle_rejects_out_of_range():
 
 
 def test_backward_weights_match_hand_values():
-    sched = compute_weights(normalize(Polynomial((0.1, 0.2, 0.3))), "backward")
+    sched = compile_poly(Polynomial((0.1, 0.2, 0.3)), "backward").schedule
     assert sched.weights[1] == pytest.approx(0.4, abs=1e-14)
     assert sched.weights[0] == pytest.approx(1 / 6, abs=1e-14)
     assert sched.angles[0] == pytest.approx(math.acos(2 / 3), abs=1e-12)
@@ -72,14 +71,14 @@ def test_backward_weights_match_hand_values():
 
 
 def test_forward_weights_match_hand_values():
-    sched = compute_weights(normalize(Polynomial((0.1, 0.2, 0.3))), "forward")
+    sched = compile_poly(Polynomial((0.1, 0.2, 0.3)), "forward").schedule
     assert sched.weights[1] == pytest.approx(2 / 3, abs=1e-14)
     assert sched.weights[2] == pytest.approx(0.5, abs=1e-14)
     assert sched.seed_index == 0
 
 
 def test_monomial_schedule_skips_constant_term():
-    sched = compute_weights(normalize(Polynomial((0.0, 1.0))), "backward")
+    sched = compile_poly(Polynomial((0.0, 1.0)), "backward").schedule
     assert sched.skip_flags == (True, False)
     assert sched.seed_index == 1
     assert all(a == 0.0 for a in sched.angles)
@@ -164,7 +163,7 @@ def test_angles_consistent_with_weights():
         for _ in range(20):
             d = rng.integers(1, 12)
             poly = Polynomial(tuple(rng.uniform(-1, 1, d + 1)))
-            sched = compute_weights(normalize(poly), order)
+            sched = compile_poly(poly, order).schedule
             for k in range(d + 1):
                 if not sched.skip_flags[k] and k != sched.seed_index:
                     assert sched.angles[k] == pytest.approx(
@@ -178,20 +177,18 @@ def test_classical_telescoping_reproduces_polynomial():
     for order in ("backward", "forward"):
         for d in list(range(1, 12)) + [25, 40]:
             coeffs = rng.uniform(-1, 1, d + 1)
-            npoly = normalize(Polynomial(tuple(coeffs)))
+            tilde = tuple(normalize_rows([coeffs])[0][0].tolist())
             for x in np.linspace(-1, 1, 7):
-                want = eval_poly(Polynomial(npoly.tilde_coeffs), x)
-                got = telescope(npoly.tilde_coeffs, x, order)
+                want = eval_poly(Polynomial(tilde), x)
+                got = telescope(tilde, x, order)
                 assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_weight_scale_invariance_bitwise():
     coeffs = (0.11, -0.37, 0.2, 0.45)
-    base = compute_weights(normalize(Polynomial(coeffs)), "backward")
+    base = compile_poly(Polynomial(coeffs), "backward").schedule
     for c in (2.0, 0.25, 4096.0):
-        scaled = compute_weights(
-            normalize(Polynomial(tuple(c * a for a in coeffs))), "backward"
-        )
+        scaled = compile_poly(Polynomial(tuple(c * a for a in coeffs)), "backward").schedule
         assert scaled.weights == base.weights
         assert scaled.angles == base.angles
         assert scaled.signs == base.signs
@@ -358,6 +355,16 @@ def test_plan_of_one_program_is_the_plan_of_its_circuits(order):
                 assert_same_steps(plan_programs([program], xs), _plan_of_points(program, xs))
 
 
+@pytest.mark.parametrize("order", ["backward", "forward"])
+def test_qasm_of_a_point_of_a_batch_is_that_of_its_circuit(order):
+    # the point's angles are one-element arrays, written as the floats they hold
+    program = compile_poly(Polynomial((0.3, -0.2, 0.5, -0.1)), order)
+    xs = [-0.7, 0.1, 0.6]
+    batch = plan_programs([program], xs)
+    for i, x in enumerate(xs):
+        assert to_qasm(batch.points(i, i + 1)) == to_qasm(build_circuit(program, x))
+
+
 def test_plan_of_trials_shares_what_they_share_and_masks_signs():
     xs = [-0.6, 0.1, 0.8]
     polys = [(0.2, -0.3, 0.4), (-0.2, -0.1, 0.6), (0.5, -0.3, 0.1), (0.2, -0.3, 0.4)]
@@ -478,7 +485,7 @@ def test_resource_counts_against_frozen_formulas():
             res = resources(circuit)
             assert res.qubits == d + 1
             assert res.two_qubit_gates == 3 * d - 1
-            assert res.depth == depth(circuit)
+            assert (res.depth, res.two_qubit_depth) == depths(circuit)
 
 
 def test_a_batch_s_resources_are_its_first_point_s():

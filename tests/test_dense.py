@@ -497,17 +497,22 @@ def _unfused(circuits: list[Circuit], i: int) -> np.ndarray:
     return state.reshape(-1)
 
 
+def _is_fused(step) -> bool:
+    """A fused step: a pair of its k qubits and a run matrix [b, 2^k, 2^k], not a Gate."""
+    return len(step) == 2 and np.shape(step[1])[1:] == (2 ** len(step[0]),) * 2
+
+
 def test_only_a_state_of_one_point_per_chunk_is_fused(monkeypatch):
     from polyshot import dense
 
     swept, sweep, adjoining_sweep = [], dense._sweep, dense._adjoining_sweep
 
     def spy(circuit, measured=None):  # each narrow chunk's size and whether fused
-        swept.append((circuit.batch, any(kind == "u" for kind, _, _ in circuit.gates)))
+        swept.append((circuit.batch, any(_is_fused(g) for g in circuit.gates)))
         return sweep(circuit, measured)
 
     def adjoining_spy(steps, n, point, encoding, measured=None):  # a wide point alone
-        swept.append((1, all(kind == "u" for kind, _, _ in steps)))
+        swept.append((1, all(_is_fused(step) for step in steps)))
         return adjoining_sweep(steps, n, point, encoding, measured)
 
     monkeypatch.setattr(dense, "_sweep", spy)
@@ -541,7 +546,7 @@ def test_a_chunk_s_z_is_expect_z_of_each_of_its_states(n, points):
     for measured in (0, n // 2, n - 1):
         batch = plan(_kernel_batch(n, rng, points, measured, ("ry", "rz")))
         want, chunks = [], 0
-        for _, _, states, order in dense._states(batch):
+        for states, order in dense._states(batch):
             axis = order.index(measured)
             want += [expect_z(state, axis) for state in states]
             lone = [_lone_z(state, axis) for state in states]
@@ -701,7 +706,7 @@ def test_every_placement_of_a_fused_step_matches_the_kron_oracle(monkeypatch, n,
     rng = np.random.default_rng(100 + n)
     n_points, measured = 2, n // 2
     placed, events, matrices, sizes = set(), [], [], set()
-    factors, to_back, fuse = dense._factors, dense._to_back, dense._fuse
+    factors, to_back, run_matrix = dense._factors, dense._to_back, dense._run_matrix
 
     def factors_spy(tensor, held, matrix):
         if matrix is not None:
@@ -715,15 +720,15 @@ def test_every_placement_of_a_fused_step_matches_the_kron_oracle(monkeypatch, n,
         events.append("move")
         to_back(state, out, axes)
 
-    def fuse_spy(gates):
-        fused = fuse(gates)
-        matrices.extend(m for _, _, arg in fused for m in arg)
-        sizes.update(len(arg) for _, _, arg in fused)
-        return fused
+    def run_matrix_spy(run, qubits):
+        matrix = run_matrix(run, qubits)
+        matrices.extend(matrix)
+        sizes.add(len(matrix))
+        return matrix
 
     monkeypatch.setattr(dense, "_factors", factors_spy)
     monkeypatch.setattr(dense, "_to_back", to_back_spy)
-    monkeypatch.setattr(dense, "_fuse", fuse_spy)
+    monkeypatch.setattr(dense, "_run_matrix", run_matrix_spy)
     for gates in _placed_runs(n, rng, n_points, shared):
         circuits = [
             Circuit(n, tuple(Gate(k, q, a[p] if isinstance(a, np.ndarray) else a)
@@ -787,7 +792,7 @@ def test_a_fused_backward_point_runs_one_step_per_two_sum_blocks(monkeypatch):
         ((_, steps, encoding),) = swept
         assert len(encoding) == d
         assert len(steps) == math.ceil(d / 2)
-        assert all(kind == "u" and len(qubits) <= 3 for kind, qubits, _ in steps)
+        assert all(_is_fused(step) and len(step[0]) <= 3 for step in steps)
         assert abs(program.rescale * z - eval_poly(poly, 0.3)) < 1e-9
 
 
@@ -813,10 +818,13 @@ def test_the_built_encoding_is_the_gate_sweep_bit_for_bit(order):
             assert count == max(2 * d - 1, int(leading_x))
         else:  # the x of a negative c_0 on q0, ry(1), ry(2), then the chain's rz
             assert count == leading_x + min(d, 2)
-        for lo, hi, states, axes in dense._states(batch):
+        lo = 0
+        for states, axes in dense._states(batch):
             assert axes == list(range(d + 1))
-            want, _ = _gate_sweep(batch.points(lo, hi))
+            want, _ = _gate_sweep(batch.points(lo, lo + len(states)))
             assert np.array_equal(states, want)
+            lo += len(states)
+        assert lo == batch.batch
     assert masked and led
 
 

@@ -13,11 +13,10 @@ from polyshot.poly import (
     Polynomial,
     eval_poly,
     fit,
-    normalize,
+    normalize_rows,
     read_coeffs,
     read_samples,
     sample_function,
-    sup_norm,
     sup_norms,
     write_coeffs,
     write_samples,
@@ -110,19 +109,19 @@ def test_fit_recovers_exact_polynomial_coeffs():
 
 
 def test_normalize_basic():
-    npoly = normalize(Polynomial((0.1, 0.2, 0.3)))
-    assert npoly.scale == pytest.approx(0.6, abs=1e-15)
-    assert npoly.tilde_coeffs[0] == pytest.approx(1 / 6, abs=1e-12)
-    assert npoly.tilde_coeffs[1] == pytest.approx(1 / 3, abs=1e-12)
-    assert npoly.tilde_coeffs[2] == pytest.approx(1 / 2, abs=1e-12)
-    assert abs(sum(abs(t) for t in npoly.tilde_coeffs) - 1.0) < 1e-12
+    (tilde,), (scale,) = normalize_rows([(0.1, 0.2, 0.3)])
+    assert scale == pytest.approx(0.6, abs=1e-15)
+    assert tilde[0] == pytest.approx(1 / 6, abs=1e-12)
+    assert tilde[1] == pytest.approx(1 / 3, abs=1e-12)
+    assert tilde[2] == pytest.approx(1 / 2, abs=1e-12)
+    assert abs(sum(abs(t) for t in tilde) - 1.0) < 1e-12
 
 
 def test_normalize_linear_monomial():
-    npoly = normalize(Polynomial((0.0, 2.0)))
-    assert npoly.scale == pytest.approx(2.0)
-    assert npoly.tilde_coeffs == (0.0, 1.0)
-    assert sup_norm(Polynomial((0.0, 2.0))) == pytest.approx(2.0, abs=1e-12)
+    (tilde,), (scale,) = normalize_rows([(0.0, 2.0)])
+    assert scale == pytest.approx(2.0)
+    assert tilde.tolist() == [0.0, 1.0]
+    assert sup_norms([(0.0, 2.0)])[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_sup_norm_against_dense_grid_oracle():
@@ -137,7 +136,7 @@ def test_sup_norm_against_dense_grid_oracle():
             # so the grid falls short of it by at most max|P''| h^2 / 8
             second = Polynomial(tuple(k * (k - 1) * a[k] for k in range(2, d + 1)) or (0.0,))
             slack = float(np.max(np.abs(eval_poly(second, grid)))) * h * h / 8
-            assert on_grid <= sup_norm(Polynomial(tuple(a))) <= on_grid + 1e-9 + slack
+            assert on_grid <= sup_norms([a])[0] <= on_grid + 1e-9 + slack
 
 
 def test_sup_norms_of_a_batch_are_each_row_alone_bit_for_bit():
@@ -148,7 +147,7 @@ def test_sup_norms_of_a_batch_are_each_row_alone_bit_for_bit():
         rows = rng.uniform(-1, 1, (6, d + 1))
         for i, row in enumerate(rows[1:], 1):
             row[max(d + 1 - i, 1) :] = 0.0
-        assert sup_norms(rows) == [sup_norm(Polynomial(tuple(row))) for row in rows]
+        assert sup_norms(rows) == [sup_norms([row])[0] for row in rows]
 
 
 @pytest.mark.parametrize(
@@ -156,7 +155,7 @@ def test_sup_norms_of_a_batch_are_each_row_alone_bit_for_bit():
 )
 def test_sup_norm_drops_a_subnormal_leading_term_of_p_prime(coeffs, peak):
     # its roots lie far outside [-1, 1]; dividing by it would overflow
-    assert sup_norm(Polynomial(coeffs)) == peak
+    assert sup_norms([coeffs]) == [peak]
 
 
 def test_eval_poly_on_an_array_is_the_scalar_form_bit_for_bit():
@@ -176,12 +175,12 @@ def test_sup_norm_interior_extremum():
         ((0.0, 5.0, 0.0, -20.0, 0.0, 16.0), 1.0),  # T_5 at cos(k pi / 5)
         ((-0.3,), 0.3),  # a constant is its |a_0|
     ]:
-        assert sup_norm(Polynomial(coeffs)) == pytest.approx(peak, rel=1e-15)
+        assert sup_norms([coeffs])[0] == pytest.approx(peak, rel=1e-15)
 
 
 def test_normalize_rejects_zero_poly():
     with pytest.raises(NormalizationError):
-        normalize(Polynomial((0.0, 0.0)))
+        normalize_rows([(0.0, 0.0)])
 
 
 @pytest.mark.parametrize("coeffs", [(1e308, 1e308), (-1.7e308, 0.0, 1.7e308)])
@@ -189,19 +188,19 @@ def test_normalize_rejects_an_l1_norm_that_overflows_without_a_warning(coeffs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NormalizationError, match="l1 norm .* not finite"):
-            normalize(Polynomial(coeffs))
+            normalize_rows([coeffs])
 
 
 def test_normalize_scale_equivariant():
     rng = np.random.default_rng(17)
     coeffs = tuple(rng.uniform(-1, 1, 7))
-    base = normalize(Polynomial(coeffs))
+    (base,), (base_scale,) = normalize_rows([coeffs])
     for c in (2.0, 0.5, 1024.0):  # powers of two scale without rounding
-        scaled = normalize(Polynomial(tuple(c * a for a in coeffs)))
-        assert scaled.tilde_coeffs == base.tilde_coeffs
-        assert scaled.scale == pytest.approx(c * base.scale, rel=1e-15)
-    general = normalize(Polynomial(tuple(3.7 * a for a in coeffs)))
-    assert np.allclose(general.tilde_coeffs, base.tilde_coeffs, atol=1e-14)
+        (scaled,), (scale,) = normalize_rows([[c * a for a in coeffs]])
+        assert scaled.tolist() == base.tolist()
+        assert scale == pytest.approx(c * base_scale, rel=1e-15)
+    (general,), _ = normalize_rows([[3.7 * a for a in coeffs]])
+    assert np.allclose(general, base, atol=1e-14)
 
 
 def test_sup_norm_never_exceeds_l1_scale():
@@ -211,8 +210,7 @@ def test_sup_norm_never_exceeds_l1_scale():
         coeffs = rng.uniform(-1, 1, d + 1)
         if not np.any(coeffs):
             continue
-        poly = Polynomial(tuple(coeffs))
-        assert sup_norm(poly) <= normalize(poly).scale + 1e-12
+        assert sup_norms([coeffs])[0] <= normalize_rows([coeffs])[1][0] + 1e-12
 
 
 def test_coeff_file_roundtrip(tmp_path):
